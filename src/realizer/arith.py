@@ -13,7 +13,7 @@ notation for implication into bot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 
 class ArithError(Exception):
@@ -317,7 +317,7 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise ArithError(f"not a formula: {f!r}")
 
 
-def _fresh(base: str, taken: frozenset[str]) -> str:
+def _fresh(base: str, taken: AbstractSet[str]) -> str:
     if base not in taken:
         return base
     i = 1
@@ -462,10 +462,3 @@ def dual(f: Formula) -> Formula:
         case _:
             return neg(f)
 
-
-def classify_dual(f: Formula) -> tuple[HierLevel, Formula]:
-    """Level and dual together; raises NotPrenex off the prenex fragment."""
-    level = classify(f)
-    if level is None:
-        raise NotPrenex(f"not prenex: {f!r}")
-    return level, dual(f)

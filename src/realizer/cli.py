@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -63,8 +62,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="realizer", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("human", "sexpr"), default="human")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for anything randomized")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", parents=[common])
@@ -293,8 +290,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None:
-            random.seed(args.seed)
         if args.command == "demo":
             fn = cmd_least_element if args.demo == "least-element" else cmd_convex_angle
         else:

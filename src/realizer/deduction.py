@@ -706,10 +706,6 @@ def assume(ctx: Context, label: str) -> Derivation:
     return Derivation(Id(label), s)
 
 
-def atom_axiom(ctx: Context, goal: Formula) -> Derivation:
-    return Derivation(AtomI(), Sequent(tuple(ctx), goal))
-
-
 def ex_falso(bottom: Derivation, goal: Formula) -> Derivation:
     """General absurdity elimination, elaborated to the atomic rule + intros.
 
@@ -729,7 +725,7 @@ def ex_falso(bottom: Derivation, goal: Formula) -> Derivation:
             case Or(a, _):
                 return Derivation(OrIL(), Sequent(ctx, f), (build(bot, a),))
             case Imply(a, b):
-                lbl = _fresh_label("h", {l for l, _ in ctx} | _labels_inside(bot))
+                lbl = arith._fresh("h", {l for l, _ in ctx} | _labels_inside(bot))
                 return Derivation(
                     ImplyI(lbl),
                     Sequent(ctx, f),
@@ -759,15 +755,6 @@ def _labels_inside(d: Derivation) -> set[str]:
             case _:
                 pass
     return out
-
-
-def _fresh_label(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
 
 
 def weaken(d: Derivation, extra: Context, at: int = 0) -> Derivation:

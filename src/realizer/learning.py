@@ -14,9 +14,11 @@ interpreting query/eval constants against the ambient state:
   eval  P args n   ->  inl unit  when P(args..., n) holds
                        inr e     otherwise, e carrying (P, args, n)
 
-learn iterates run_realizer, folding each exception into the state, until the
-outcome is regular.  Every productive exception extends the state strictly, so
-the iteration climbs a finite chain.
+learn_loop is the one learning driver: it runs a pass under the current state,
+folds each exception into the state, and retries until the outcome is regular.
+Every productive exception extends the state strictly, so the iteration climbs
+a finite chain.  learn drives it with run_realizer; the exact-real demos in
+reals drive it with their own candidate passes.
 
 Relations here only need decidable truth, so they are anything with an arity
 and a holds(args) method; arith.Relation qualifies, and the geometry demos
@@ -25,9 +27,10 @@ plug in closures over interval data.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Callable, Iterable, Mapping, Optional, Protocol
 
 from . import arith, terms as tm
 from .terms import Term
@@ -138,7 +141,7 @@ def make_exc(rel: str, args: Iterable[int], witness: int, rels: Rels) -> Exc:
 
 @dataclass(frozen=True)
 class Regular:
-    value: Term
+    value: Term  # a realizer's inner value; the demos' answers in reals
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,6 @@ def extend(s: State, e: Exc) -> Optional[State]:
     if have == e.witness:
         return s
     return None
-
-
-def merge_exc(e1: Exc, e2: Exc) -> Exc:
-    """Left projection; any uniform choice satisfies the merge condition."""
-    return e1
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +270,43 @@ def run_realizer(
 class LearnTrace:
     lines: list[str] = field(default_factory=list)
 
-    def record(self, iteration: int, key: Optional[Key], witness: Optional[int], tag: str):
+    def record(self, iteration: int, key: Optional[Key], witness: Optional[int], tag: str,
+               candidate: Optional[int] = None):
+        c = f" candidate={candidate}" if candidate is not None else ""
         k = f"{key[0]}({','.join(map(str, key[1]))})" if key else "-"
         w = str(witness) if witness is not None else "-"
-        self.lines.append(f"iter={iteration} key={k} witness={w} outcome={tag}")
+        self.lines.append(f"iter={iteration}{c} key={k} witness={w} outcome={tag}")
+
+
+def learn_loop(
+    run_once: Callable[[State], tuple[Optional[int], Outcome]], s0: State, budget: Optional[int]
+) -> tuple[State, object, LearnTrace]:
+    """Run passes from s0 until one is regular; return the state, value and trace.
+
+    run_once(s) runs one pass under s and returns its candidate (None when it
+    has none to report) and its outcome.  An exception must extend the state
+    strictly, else ConflictingExtension or StalledLearning.  A budget of None
+    never stops the loop; otherwise pass budget + 1 raises IterationLimit.
+    """
+    s = s0
+    trace = LearnTrace()
+    for iteration in itertools.count(1):
+        if budget is not None and iteration > budget:
+            raise IterationLimit(f"no regular run within {budget} iterations")
+        candidate, out = run_once(s)
+        if isinstance(out, Regular):
+            trace.record(iteration, None, None, "regular", candidate)
+            return s, out.value, trace
+        e = out.exc
+        s2 = extend(s, e)
+        if s2 is None:
+            raise ConflictingExtension(
+                f"{e.key} already refuted with a different witness"
+            )
+        if s2 == s:
+            raise StalledLearning(f"exception repeated known entry {e.key}")
+        trace.record(iteration, e.key, e.witness, "exceptional", candidate)
+        s = s2
 
 
 def learn(
@@ -288,34 +319,10 @@ def learn(
     """Zero-in on a state under which r runs regular.
 
     Each exceptional run extends the state with the carried counterexample
-    and retries from scratch.  The default iteration budget is 2^n for the
-    n distinct keys touched so far (always at least 2), per the branching
-    bound on backtracking.
+    and retries from scratch.  There is no iteration budget unless
+    max_iters is given.
     """
-    s = s0
-    trace = LearnTrace()
-    keys_touched: set[Key] = set()
-    iteration = 0
-    while True:
-        iteration += 1
-        budget = max_iters if max_iters is not None else max(2, 2 ** len(keys_touched))
-        if iteration > budget:
-            raise IterationLimit(f"no regular run within {budget} iterations")
-        out = run_realizer(r, s, rels, fuel)
-        if isinstance(out, Regular):
-            trace.record(iteration, None, None, "regular")
-            return s, out.value, trace
-        e = out.exc
-        keys_touched.add(e.key)
-        s2 = extend(s, e)
-        if s2 is None:
-            raise ConflictingExtension(
-                f"{e.key} already refuted with a different witness"
-            )
-        if s2 == s:
-            raise StalledLearning(f"exception repeated known entry {e.key}")
-        trace.record(iteration, e.key, e.witness, "exceptional")
-        s = s2
+    return learn_loop(lambda s: (None, run_realizer(r, s, rels, fuel)), s0, max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
                           tuple(go(p) for p in node.premisses))
         rule = node.rule
         if type(rule) in _DISCHARGE_PREMS and rule.label in avoid:
-            new = dd._fresh_label(rule.label, taken)
+            new = arith._fresh(rule.label, taken)
             taken.add(new)
             node = _relabel(node, new)
         return node
@@ -443,7 +443,7 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
     inst = norm_formula(subst_formula(univ.body, univ.var, num), fns)
     right = dd.subst_derivation(right, rule.var, num)
     ctx = node.conclusion.context
-    beta = dd._fresh_label("r", {l for l, _ in ctx} | dd._labels_inside(right))
+    beta = arith._fresh("r", {l for l, _ in ctx} | dd._labels_inside(right))
     bctx = ctx + ((beta, inst),)
     refutation = Derivation(
         dd.ImplyI(beta),
@@ -480,7 +480,7 @@ def _reduce_em_permute(node: Derivation, fns) -> Derivation:
     label = em.rule.label
     clash_labels = set().union(*(dd._labels_inside(m) for m in minors)) if minors else set()
     if label in clash_labels:
-        label = dd._fresh_label(label, clash_labels | dd._labels_inside(em))
+        label = arith._fresh(label, clash_labels | dd._labels_inside(em))
         em = _relabel(em, label)
 
     left, right = em.premisses
@@ -512,7 +512,7 @@ def _reduce_or_exists_permute(node: Derivation, fns) -> Derivation:
     label = split.rule.label
     clash_labels = set().union(*(dd._labels_inside(m) for m in minors)) if minors else set()
     if label in clash_labels:
-        label = dd._fresh_label(label, clash_labels | dd._labels_inside(split))
+        label = arith._fresh(label, clash_labels | dd._labels_inside(split))
         split = _relabel(split, label)
 
     if isinstance(split.rule, dd.OrE):

@@ -17,14 +17,17 @@ learning state keyed by index pairs: an entry leq(i, j) -> k records that
 precision k showed r_j strictly below r_i, refuting the guess r_i <= r_j.
 A usage driver instantiates the winner's conclusion concretely; every
 falsification is walked back through the recursion (taking the max precision
-across each stored strict comparison) to the guess it rests on, the state
-grows by that one entry, and the computation restarts from scratch.
+across each stored strict comparison) to the guess it rests on, and that one
+entry is the pass's counterexample.
 
-convex_angle runs the same loop one level up: the lowest-point candidate
-comes from the comparison state, a sweep collects orientation certificates
-for the bounding condition, and when the sweep runs into a cycle of left
-turns the three-point inequality chain computes a refuting precision for one
-of the guessed comparisons.
+convex_angle does the same one level up: the lowest-point candidate comes
+from the comparison state, a sweep collects orientation certificates for the
+bounding condition, and when the sweep runs into a cycle of left turns the
+three-point inequality chain computes a refuting precision for one of the
+guessed comparisons.
+
+Each demo defines only its pass; learning.learn_loop, the driver behind
+learning.learn, grows the state and restarts the pass until it is regular.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from . import learning
-from .learning import IterationLimit, State
+from .learning import State
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
@@ -360,22 +363,6 @@ def _first_falsified(values, m: int, depth: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _trace_line(iteration, candidate, key, witness, outcome) -> str:
-    k = f"leq({key[0]},{key[1]})" if key else "-"
-    w = str(witness) if witness is not None else "-"
-    return f"iter={iteration} candidate={candidate} key={k} witness={w} outcome={outcome}"
-
-
-def _extended(s: State, key: tuple[int, int], w: int, rels) -> State:
-    exc = learning.make_exc("leq", key, w, rels)
-    s2 = learning.extend(s, exc)
-    if s2 is None:
-        raise learning.ConflictingExtension(f"{exc.key} already refuted differently")
-    if s2 == s:
-        raise learning.StalledLearning(f"blame repeated known entry {exc.key}")
-    return s2
-
-
 def least_element(
     values: Sequence[RealRep],
     usage_precision: int,
@@ -396,19 +383,19 @@ def least_element(
     if not values:
         raise ValueError("values must be nonempty")
     rels = comparison_rels(values)
-    s = State.empty() if state is None else state
-    budget = max_iters if max_iters is not None else 2 ** len(values)
-    trace: list[str] = []
-    for iteration in range(1, budget + 1):
+
+    def run_once(s: State):
         m, decisions = _rmin(values, s)
         hit = _first_falsified(values, m, usage_precision)
         if hit is None:
-            trace.append(_trace_line(iteration, m, None, None, "regular"))
-            return m, s, trace
+            return m, learning.Regular(m)
         key, w = _blame(decisions, *hit)
-        s = _extended(s, key, w, rels)
-        trace.append(_trace_line(iteration, m, key, w, "exceptional"))
-    raise IterationLimit(f"no surviving candidate within {budget} passes")
+        return m, learning.Exceptional(learning.make_exc("leq", key, w, rels))
+
+    s0 = State.empty() if state is None else state
+    budget = max_iters if max_iters is not None else 2 ** len(values)
+    s, m, trace = learning.learn_loop(run_once, s0, budget)
+    return m, s, trace.lines
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +504,8 @@ def _three_points_witness(points, a: int, cycle: _Cycle, max_precision: int) -> 
         if not certified:
             continue
         below = [i for i in range(3) if dy[i][1] < 0]
-        assert below, "certified left turns around a point with no lower vertex"
+        if not below:
+            raise RuntimeError("certified left turns around a point with no lower vertex")
         return q[below[0]], p
     raise PrecisionExhausted(
         f"three-point chain undecided at precision {max_precision}"
@@ -525,11 +513,15 @@ def _three_points_witness(points, a: int, cycle: _Cycle, max_precision: int) -> 
 
 
 def _verify_bounding(points, a: int, angle: _Angle) -> None:
+    """Re-check every certificate of the angle; a false one is an internal error."""
     pa = points[a]
-    assert _side_at(pa, points[angle.b], points[angle.c], angle.pair) == LEFT
+    if _side_at(pa, points[angle.b], points[angle.c], angle.pair) != LEFT:
+        raise RuntimeError(f"edge {angle.c} not certified left of {a}->{angle.b}")
     for d, (kl, kr) in angle.checks.items():
-        assert _side_at(pa, points[angle.b], points[d], kl) == LEFT
-        assert _side_at(pa, points[angle.c], points[d], kr) == RIGHT
+        if _side_at(pa, points[angle.b], points[d], kl) != LEFT:
+            raise RuntimeError(f"point {d} not certified left of {a}->{angle.b}")
+        if _side_at(pa, points[angle.c], points[d], kr) != RIGHT:
+            raise RuntimeError(f"point {d} not certified right of {a}->{angle.c}")
 
 
 def convex_angle(
@@ -553,18 +545,17 @@ def convex_angle(
         raise ValueError("need at least three points")
     ys = tuple(p.y for p in points)
     rels = comparison_rels(ys)
-    s = State.empty()
-    budget = max_iters if max_iters is not None else 2 ** len(points)
-    trace: list[str] = []
-    for iteration in range(1, budget + 1):
+
+    def run_once(s: State):
         a, decisions = _rmin(ys, s)
         got = _sweep(points, a, max_precision)
         if isinstance(got, _Angle):
             _verify_bounding(points, a, got)
-            trace.append(_trace_line(iteration, a, None, None, "regular"))
-            return a, got.b, got.c, s, trace
+            return a, learning.Regular((a, got))
         j, p = _three_points_witness(points, a, got, max_precision)
         key, w = _blame(decisions, j, p)
-        s = _extended(s, key, w, rels)
-        trace.append(_trace_line(iteration, a, key, w, "exceptional"))
-    raise IterationLimit(f"no bounded angle within {budget} passes")
+        return a, learning.Exceptional(learning.make_exc("leq", key, w, rels))
+
+    budget = max_iters if max_iters is not None else 2 ** len(points)
+    s, (a, angle), trace = learning.learn_loop(run_once, State.empty(), budget)
+    return a, angle.b, angle.c, s, trace.lines

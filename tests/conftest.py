@@ -127,7 +127,7 @@ def _rule_bound_vars(d: Derivation) -> frozenset[str]:
 def _one_cut(rng: random.Random, d: Derivation) -> Derivation:
     ctx, goal = d.conclusion.context, d.conclusion.goal
     taken = {l for l, _ in ctx} | dd._labels_inside(d)
-    label = dd._fresh_label("c", taken)
+    label = arith._fresh("c", taken)
     avoid = dd.free_term_vars(d) | _rule_bound_vars(d) | arith.free_vars(goal)
     kind = rng.randrange(6)
     if kind == 0:

@@ -62,7 +62,6 @@ def test_make_exc_and_extend():
     assert s1 is not None and s1.get(e.key) == 1
     assert extend(s1, e) == s1                      # same witness: no-op
     assert extend(s1, Exc("<", (3,), 2)) is None    # conflict: undefined
-    assert ln.merge_exc(e, Exc("<", (9,), 0)) == e
 
 
 def test_query_and_eval_pred(caplog):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from realizer import learning, reals
+from realizer import cli, learning, reals
 from realizer.learning import State
 from realizer.reals import (
     LEFT, RIGHT, InvariantViolation, PrecisionExhausted,
@@ -210,12 +210,16 @@ def test_state_extension_failures():
     values = [constant(1), constant(0)]
     rels = comparison_rels(values)
     s = State.of({("leq", (0, 1)): 5}, rels)
+
+    def blaming(key, w):
+        return lambda _: (0, learning.Exceptional(learning.make_exc("leq", key, w, rels)))
+
     with pytest.raises(learning.StalledLearning):
-        reals._extended(s, (0, 1), 5, rels)
+        learning.learn_loop(blaming((0, 1), 5), s, 4)
     with pytest.raises(learning.ConflictingExtension):
-        reals._extended(s, (0, 1), 8, rels)
+        learning.learn_loop(blaming((0, 1), 8), s, 4)
     with pytest.raises(learning.UnsoundEntry):
-        reals._extended(s, (1, 0), 3, rels)
+        learning.learn_loop(blaming((1, 0), 3), s, 4)
 
 
 def test_least_element_learns_two_comparisons():
@@ -324,6 +328,16 @@ def test_interior_candidate_forces_backtracking():
 def test_convex_angle_guardrails():
     with pytest.raises(ValueError):
         convex_angle([point(0, 0), point(1, 1)])
+
+
+def test_convex_angle_rejects_a_false_certificate(monkeypatch, capsys):
+    # the angle claims point 1 lies left of 0->2, but it lies right of it;
+    # the check must survive python -O and still exit 2 from the CLI
+    monkeypatch.setattr(reals, "_sweep", lambda points, a, k: reals._Angle(2, 1, {}, 0))
+    with pytest.raises(RuntimeError, match="not certified"):
+        convex_angle([point(0, 0), point(1, 0), point(0, 1)])
+    assert cli.main(["demo", "convex-angle", "--points", "0,0;1,0;0,1"]) == 2
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", range(10))
