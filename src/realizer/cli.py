@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -37,11 +38,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-3" for a value but "-3,5" for an option; no option
+        # here starts with a digit, so read every "-<digit>" word as a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
-
-_MONADS = {"id": monads.IDENTITY, "exc": monads.EXCEPTION, "ir": monads.INTERACTIVE}
 
 _USER_ERRORS = (
     UsageError,
@@ -70,7 +75,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("extract", parents=[common])
     e.add_argument("file")
     e.add_argument("--deriv", required=True)
-    e.add_argument("--monad", choices=sorted(_MONADS), default="ir")
+    e.add_argument("--monad", choices=sorted(monads.BUILTIN_MONADS), default="ir")
 
     r = sub.add_parser("run", parents=[common])
     r.add_argument("file")
@@ -168,7 +173,7 @@ def cmd_check(args) -> int:
 def cmd_extract(args) -> int:
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
-    t = extraction.extract(d, _MONADS[args.monad], pf.rels, pf.fns)
+    t = extraction.extract(d, monads.BUILTIN_MONADS[args.monad], pf.rels, pf.fns)
     if args.format == "sexpr":
         print(sexpr.print_term(t))
     else:

@@ -375,7 +375,7 @@ def spot_check_realizes(
         nonlocal sampled
         match f:
             case arith.Atom():
-                if not arith.atomic_truth(f, rels_for_truth, fns):
+                if not arith.atomic_truth(f, rels, fns):
                     return _fail(f"{where}: atom {f} is false")
                 if t != tm.unit_const:
                     return _fail(f"{where}: atomic realizer is not unit")
@@ -423,9 +423,6 @@ def spot_check_realizes(
                     f"{where}.wit({n})",
                 )
         return _fail(f"{where}: unrecognized formula {f!r}")
-
-    # atomic_truth wants arith.Relation-compatible specs; RelSpec is enough
-    rels_for_truth = rels
 
     bad = check(v, a, "top")
     if bad is not None:

@@ -51,11 +51,6 @@ class MonadSpec:
     merge_of: Callable[[Ty, Ty], Term]
 
 
-def monad_terms(m: MonadSpec, a: Ty, b: Ty) -> tuple[Term, Term, Term]:
-    """(unit at a, star at (a, b), merge at (a, b))."""
-    return m.unit_of(a), m.star_of(a, b), m.merge_of(a, b)
-
-
 # ---------------------------------------------------------------------------
 # identity monad
 
@@ -360,7 +355,7 @@ def check_laws(m: MonadSpec, samples: int = 1000, seed: int = 0) -> LawReport:
         y = _sample_value(rng, b)
         xc = _sample_computation(rng, m, a)
         f = _sample_fn(rng, m, a, b)
-        unit_a, star_ab, merge_ab = monad_terms(m, a, b)
+        unit_a, star_ab, merge_ab = m.unit_of(a), m.star_of(a, b), m.merge_of(a, b)
         star_aa = m.star_of(a, a)
 
         # M1: star unit x = x

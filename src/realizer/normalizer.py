@@ -19,6 +19,15 @@ simplify=False: eliminations permute inside or/exists eliminations the same
 way, and or/exists eliminations whose minor branch ignores its hypothesis
 collapse to that branch.
 
+Each kind has one entry in the table _KINDS: a pattern that tells whether a
+node is a head cut of that kind (and names its detail, e.g. "and-left"), the
+reducer that rewrites such a node, and whether the kind needs simplify.
+find_head_cut tries the patterns in table order at every principal node;
+apply_head_reduction re-runs the cut's pattern, so a stale cut raises
+InvalidCut, and then calls its reducer.  Both permutation kinds share one
+reducer, which pushes the elimination into every branch of the discharging
+rule above it.
+
 Reductions preserve the root sequent and never invent assumptions or free
 term variables; normalize_derivation re-checks the tree after every rewrite
 and raises HygieneError if a rewrite would need alpha-renaming that the
@@ -121,18 +130,10 @@ _PROPER_MATCH: dict[type, tuple[type, ...]] = {
     dd.ExistsE: (dd.ExistsI,),
 }
 
+# proper cuts drop the side: "and-left" and "and-right" are both "and"
 _ELIM_NAME = {
     dd.AndEL: "and-left",
     dd.AndER: "and-right",
-    dd.OrE: "or",
-    dd.ImplyE: "imply",
-    dd.ForallE: "forall",
-    dd.ExistsE: "exists",
-}
-
-_PROPER_NAME = {
-    dd.AndEL: "and",
-    dd.AndER: "and",
     dd.OrE: "or",
     dd.ImplyE: "imply",
     dd.ForallE: "forall",
@@ -183,33 +184,66 @@ def _principal_closed_instance(left: Derivation, label: str) -> bool:
     return False
 
 
-def _cut_at(node: Derivation, path: tuple[int, ...], simplify: bool, fns) -> Optional[HeadCut]:
-    rule = node.rule
-    prem = node.premisses
-    if isinstance(rule, dd.ELIM_RULES) and prem:
-        major = prem[0].rule
-        if isinstance(major, _PROPER_MATCH[type(rule)]):
-            return HeadCut(path, PROPER, _PROPER_NAME[type(rule)])
-        if isinstance(major, dd.EM):
-            return HeadCut(path, EM_PERMUTE, _ELIM_NAME[type(rule)])
-        if simplify and isinstance(major, (dd.OrE, dd.ExistsE)):
-            return HeadCut(path, OR_EXISTS_PERMUTE,
-                           "or" if isinstance(major, dd.OrE) else "exists")
-    if isinstance(rule, dd.Ind):
-        mt = norm_aterm(rule.main, fns)
+def _major(node: Derivation):
+    """The major premiss's rule when node is an elimination."""
+    if isinstance(node.rule, dd.ELIM_RULES) and node.premisses:
+        return node.premisses[0].rule
+    return None
+
+
+# Each pattern returns the cut's detail ("" when it has none) if the node is
+# a head cut of its kind, and None otherwise.
+
+
+def _proper_cut(node: Derivation, fns) -> Optional[str]:
+    if isinstance(_major(node), _PROPER_MATCH.get(type(node.rule), ())):
+        return _ELIM_NAME[type(node.rule)].partition("-")[0]
+    return None
+
+
+def _em_permute_cut(node: Derivation, fns) -> Optional[str]:
+    return _ELIM_NAME[type(node.rule)] if isinstance(_major(node), dd.EM) else None
+
+
+def _or_exists_permute_cut(node: Derivation, fns) -> Optional[str]:
+    major = _major(node)
+    return _ELIM_NAME[type(major)] if isinstance(major, (dd.OrE, dd.ExistsE)) else None
+
+
+def _ind_cut(node: Derivation, fns) -> Optional[str]:
+    if isinstance(node.rule, dd.Ind):
+        mt = norm_aterm(node.rule.main, fns)
         if mt == TApp("0") or (isinstance(mt, TApp) and mt.fn == "S"):
-            return HeadCut(path, IND)
-    if isinstance(rule, dd.EM):
-        if not dd.uses_label(prem[0], rule.label) or _principal_closed_instance(prem[0], rule.label):
-            return HeadCut(path, EM_WITNESS)
-    if simplify:
-        if isinstance(rule, dd.OrE):
-            if not dd.uses_label(prem[1], rule.label) or not dd.uses_label(prem[2], rule.label):
-                return HeadCut(path, IMMEDIATE_SIMPL, "or")
-        if isinstance(rule, dd.ExistsE):
-            if (not dd.uses_label(prem[1], rule.label)
-                    and rule.var not in dd.free_term_vars(prem[1])):
-                return HeadCut(path, IMMEDIATE_SIMPL, "exists")
+            return ""
+    return None
+
+
+def _em_witness_cut(node: Derivation, fns) -> Optional[str]:
+    rule, prem = node.rule, node.premisses
+    if isinstance(rule, dd.EM) and (not dd.uses_label(prem[0], rule.label)
+                                    or _principal_closed_instance(prem[0], rule.label)):
+        return ""
+    return None
+
+
+def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
+    rule, prem = node.rule, node.premisses
+    if isinstance(rule, dd.OrE):
+        if not dd.uses_label(prem[1], rule.label) or not dd.uses_label(prem[2], rule.label):
+            return "or"
+    if isinstance(rule, dd.ExistsE):
+        if (not dd.uses_label(prem[1], rule.label)
+                and rule.var not in dd.free_term_vars(prem[1])):
+            return "exists"
+    return None
+
+
+def _cut_at(node: Derivation, path: tuple[int, ...], simplify: bool, fns) -> Optional[HeadCut]:
+    for kind, (pattern, _, simplify_only) in _KINDS.items():
+        if simplify or not simplify_only:
+            detail = pattern(node, fns)
+            if detail is not None:
+                return HeadCut(path, kind, detail)
     return None
 
 
@@ -376,7 +410,7 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
 # the reductions
 
 
-def _reduce_proper(node: Derivation, fns) -> Derivation:
+def _reduce_proper(node: Derivation, rels, fns) -> Derivation:
     major = node.premisses[0]
     match node.rule:
         case dd.AndEL():
@@ -393,17 +427,14 @@ def _reduce_proper(node: Derivation, fns) -> Derivation:
         case dd.ExistsE(label, var):
             minor = _subst_hygienic(node.premisses[1], var, major.rule.term)
             return _graft(minor, label, major.premisses[0])
-    raise InvalidCut("no proper cut at this node")
 
 
-def _reduce_ind(node: Derivation, fns) -> Derivation:
+def _reduce_ind(node: Derivation, rels, fns) -> Derivation:
     rule = node.rule
     base, step = node.premisses
     mt = norm_aterm(rule.main, fns)
     if mt == TApp("0"):
         return base
-    if not (isinstance(mt, TApp) and mt.fn == "S"):
-        raise InvalidCut("induction main term is neither zero nor a successor")
     below = mt.args[0]
     inner = Derivation(
         dd.Ind(rule.label, rule.var, rule.template, below),
@@ -454,108 +485,65 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
     return _graft(right, rule.label, refutation)
 
 
-def _push_elim(erule, ctx, goal, branch, hyp, minors) -> Derivation:
-    new_ctx = ctx + (hyp,)
-    wminors = tuple(dd.weaken(m, (hyp,), at=len(ctx)) for m in minors)
-    return Derivation(erule, Sequent(new_ctx, goal), (branch, *wminors))
-
-
-def _freshen_pushed_elim(erule, minors, hyp_formulas, outer) -> tuple:
-    """Keep an elimination's own binder fresh for hypotheses moving above it."""
-    if isinstance(erule, dd.ExistsE):
-        bad = set().union(*(free_vars(f) for f in hyp_formulas))
-        if erule.var in bad:
-            nv = arith._fresh(erule.var, frozenset(bad | _all_term_vars(outer)))
-            minors = (dd.subst_derivation(minors[0], erule.var, TVar(nv)), *minors[1:])
-            erule = dataclasses.replace(erule, var=nv)
-    return erule, minors
-
-
-def _reduce_em_permute(node: Derivation, fns) -> Derivation:
-    em = node.premisses[0]
-    minors = node.premisses[1:]
-    erule = node.rule
-    ctx, goal = node.conclusion.context, node.conclusion.goal
-
-    label = em.rule.label
-    clash_labels = set().union(*(dd._labels_inside(m) for m in minors)) if minors else set()
-    if label in clash_labels:
-        label = arith._fresh(label, clash_labels | dd._labels_inside(em))
-        em = _relabel(em, label)
-
-    left, right = em.premisses
-    univ = left.conclusion.lookup(label)
-
-    var = em.rule.var
-    clash_vars = free_vars(goal) | dd._rule_term_vars(erule)
-    for m in minors:
-        clash_vars |= _all_term_vars(m)
-    if var in clash_vars:
-        var = arith._fresh(var, frozenset(clash_vars | _all_term_vars(em)))
-        right = dd.subst_derivation(right, em.rule.var, TVar(var))
-    inst = subst_formula(univ.body, univ.var, TVar(var))
-    hyp_l = (label, univ)
-    hyp_r = (label, arith.neg(inst))
-
-    erule, minors = _freshen_pushed_elim(erule, minors, (univ, arith.neg(inst)), node)
-    new_left = _push_elim(erule, ctx, goal, left, hyp_l, minors)
-    new_right = _push_elim(erule, ctx, goal, right, hyp_r, minors)
-    return Derivation(dd.EM(label, var), node.conclusion, (new_left, new_right))
-
-
-def _reduce_or_exists_permute(node: Derivation, fns) -> Derivation:
-    split = node.premisses[0]
-    minors = node.premisses[1:]
+def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
+    """Push an elimination into the branches of its discharging major premiss."""
+    split, *minors = node.premisses
     erule = node.rule
     ctx, goal = node.conclusion.context, node.conclusion.goal
 
     label = split.rule.label
-    clash_labels = set().union(*(dd._labels_inside(m) for m in minors)) if minors else set()
+    clash_labels = set().union(*(dd._labels_inside(m) for m in minors))
     if label in clash_labels:
-        label = arith._fresh(label, clash_labels | dd._labels_inside(split))
-        split = _relabel(split, label)
+        split = _relabel(split, arith._fresh(label, clash_labels | dd._labels_inside(split)))
 
-    if isinstance(split.rule, dd.OrE):
-        major, b1, b2 = split.premisses
-        disj = major.conclusion.goal
-        branches = [b1, b2]
-        hyps = [(label, disj.left), (label, disj.right)]
-        crule = split.rule
-    else:
-        major, b1 = split.premisses
-        ex = major.conclusion.goal
-        var = split.rule.var
+    binder = dd._binder_of(split.rule)
+    if binder is not None:
+        i, var = binder
         clash_vars = free_vars(goal) | dd._rule_term_vars(erule)
         for m in minors:
             clash_vars |= _all_term_vars(m)
         if var in clash_vars:
-            var = arith._fresh(var, frozenset(clash_vars | _all_term_vars(split)))
-            b1 = dd.subst_derivation(b1, split.rule.var, TVar(var))
-        branches = [b1]
-        hyps = [(label, subst_formula(ex.body, ex.var, TVar(var)))]
-        crule = dataclasses.replace(split.rule, label=label, var=var)
+            nv = arith._fresh(var, frozenset(clash_vars | _all_term_vars(split)))
+            prem = list(split.premisses)
+            prem[i] = dd.subst_derivation(prem[i], var, TVar(nv))
+            split = Derivation(dataclasses.replace(split.rule, var=nv),
+                               split.conclusion, tuple(prem))
 
-    erule, minors = _freshen_pushed_elim(erule, minors, [f for _, f in hyps], node)
-    pushed = [
-        _push_elim(erule, ctx, goal, branch, hyp, minors)
-        for branch, hyp in zip(branches, hyps)
-    ]
-    return Derivation(crule, node.conclusion, (major, *pushed))
+    # discharge appends, so each branch's hypothesis is its last context entry
+    branches = _DISCHARGE_PREMS[type(split.rule)]
+    hyps = [split.premisses[i].conclusion.context[-1] for i in branches]
+
+    # keep the elimination's own binder fresh for the hypotheses moving above it
+    if isinstance(erule, dd.ExistsE):
+        bad = set().union(*(free_vars(f) for _, f in hyps))
+        if erule.var in bad:
+            nv = arith._fresh(erule.var, frozenset(bad | _all_term_vars(node)))
+            minors[0] = dd.subst_derivation(minors[0], erule.var, TVar(nv))
+            erule = dataclasses.replace(erule, var=nv)
+
+    prem = list(split.premisses)
+    for i, hyp in zip(branches, hyps):
+        wminors = (dd.weaken(m, (hyp,), at=len(ctx)) for m in minors)
+        prem[i] = Derivation(erule, Sequent(ctx + (hyp,), goal), (prem[i], *wminors))
+    return Derivation(split.rule, node.conclusion, tuple(prem))
 
 
-def _reduce_immediate_simpl(node: Derivation) -> Derivation:
-    rule = node.rule
-    if isinstance(rule, dd.OrE):
-        for branch in node.premisses[1:]:
-            if not dd.uses_label(branch, rule.label):
-                return _strengthen(branch, rule.label)
-        raise InvalidCut("both branches use the disjunction hypothesis")
-    if isinstance(rule, dd.ExistsE):
-        minor = node.premisses[1]
-        if dd.uses_label(minor, rule.label) or rule.var in dd.free_term_vars(minor):
-            raise InvalidCut("the witness hypothesis is still in use")
-        return _strengthen(minor, rule.label)
-    raise InvalidCut("immediate simplification applies to or/exists eliminations")
+def _reduce_immediate_simpl(node: Derivation, rels, fns) -> Derivation:
+    label = node.rule.label
+    branch = next(b for b in node.premisses[1:] if not dd.uses_label(b, label))
+    return _strengthen(branch, label)
+
+
+# kind -> (pattern, reducer, enabled only with simplify); _cut_at tries the
+# kinds in this order
+_KINDS = {
+    PROPER: (_proper_cut, _reduce_proper, False),
+    EM_PERMUTE: (_em_permute_cut, _reduce_permute, False),
+    OR_EXISTS_PERMUTE: (_or_exists_permute_cut, _reduce_permute, True),
+    IND: (_ind_cut, _reduce_ind, False),
+    EM_WITNESS: (_em_witness_cut, _reduce_em_witness, False),
+    IMMEDIATE_SIMPL: (_immediate_simpl_cut, _reduce_immediate_simpl, True),
+}
 
 
 def apply_head_reduction(
@@ -566,38 +554,12 @@ def apply_head_reduction(
 ) -> Derivation:
     """One rewrite at the cut position; InvalidCut if the pattern is stale."""
     node = _at(d, cut.path)
-    rule = node.rule
-    if cut.kind == PROPER:
-        if not (isinstance(rule, dd.ELIM_RULES)
-                and isinstance(node.premisses[0].rule, _PROPER_MATCH[type(rule)])):
-            raise InvalidCut(f"no proper cut at {cut.path}")
-        new = _reduce_proper(node, fns)
-    elif cut.kind == IND:
-        if not isinstance(rule, dd.Ind):
-            raise InvalidCut(f"no induction at {cut.path}")
-        new = _reduce_ind(node, fns)
-    elif cut.kind == EM_WITNESS:
-        if not isinstance(rule, dd.EM):
-            raise InvalidCut(f"no excluded middle at {cut.path}")
-        if (dd.uses_label(node.premisses[0], rule.label)
-                and not _principal_closed_instance(node.premisses[0], rule.label)):
-            raise InvalidCut("the left branch has no answerable instance")
-        new = _reduce_em_witness(node, rels, fns)
-    elif cut.kind == EM_PERMUTE:
-        if not (isinstance(rule, dd.ELIM_RULES) and isinstance(node.premisses[0].rule, dd.EM)):
-            raise InvalidCut(f"no em permutation at {cut.path}")
-        new = _reduce_em_permute(node, fns)
-    elif cut.kind == OR_EXISTS_PERMUTE:
-        if not (isinstance(rule, dd.ELIM_RULES)
-                and isinstance(node.premisses[0].rule, (dd.OrE, dd.ExistsE))):
-            raise InvalidCut(f"no or/exists permutation at {cut.path}")
-        new = _reduce_or_exists_permute(node, fns)
-    elif cut.kind == IMMEDIATE_SIMPL:
-        if not isinstance(rule, (dd.OrE, dd.ExistsE)):
-            raise InvalidCut(f"no simplification at {cut.path}")
-        new = _reduce_immediate_simpl(node)
-    else:
+    if cut.kind not in _KINDS:
         raise InvalidCut(f"unknown cut kind {cut.kind!r}")
+    pattern, reduce, _ = _KINDS[cut.kind]
+    if pattern(node, fns) is None:
+        raise InvalidCut(f"no {cut.kind} cut at {cut.path}")
+    new = reduce(node, rels, fns)
     if not _sequent_eq(new.conclusion, node.conclusion, fns):
         raise NormalizationError(
             f"internal: {cut.kind} rewrite changed the sequent at {cut.path}")
@@ -654,13 +616,12 @@ def normalize_derivation(
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
     trace: Optional[list[str]] = None,
-    check: bool = True,
 ) -> Derivation:
     """Rewrite until no head cut remains along any principal branch.
 
-    The root sequent is preserved (up to term normalization) and every
-    intermediate tree is re-checked; fuel bounds the number of rewrites and
-    FuelExhausted carries the partly reduced derivation.
+    The root sequent is preserved (up to term normalization) and the whole
+    tree is re-checked after every rewrite; fuel bounds the number of
+    rewrites and FuelExhausted carries the partly reduced derivation.
     """
     d = norm_terms(d, fns)
     root = d.conclusion
@@ -674,18 +635,17 @@ def normalize_derivation(
             raise FuelExhausted(steps, d)
         d = norm_terms(apply_head_reduction(d, cut, rels, fns), fns)
         steps += 1
-        if check:
-            try:
-                dd.check_derivation(d, rels, fns)
-            except dd.DeductionError as e:
-                raise HygieneError(
-                    f"{cut.kind} rewrite at {cut.path} broke the derivation: {e}") from e
-            if not _sequent_eq(d.conclusion, root, fns):
-                raise NormalizationError(
-                    f"internal: {cut.kind} rewrite changed the root sequent")
-            if not dd.free_term_vars(d) <= base_vars:
-                raise HygieneError(
-                    f"{cut.kind} rewrite at {cut.path} freed a term variable")
+        try:
+            dd.check_derivation(d, rels, fns)
+        except dd.DeductionError as e:
+            raise HygieneError(
+                f"{cut.kind} rewrite at {cut.path} broke the derivation: {e}") from e
+        if not _sequent_eq(d.conclusion, root, fns):
+            raise NormalizationError(
+                f"internal: {cut.kind} rewrite changed the root sequent")
+        if not dd.free_term_vars(d) <= base_vars:
+            raise HygieneError(
+                f"{cut.kind} rewrite at {cut.path} freed a term variable")
         if trace is not None:
             where = ".".join(map(str, cut.path)) or "root"
             stamp = hashlib.sha1(repr(_at(d, cut.path).conclusion).encode()).hexdigest()[:12]

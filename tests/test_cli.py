@@ -259,6 +259,20 @@ def test_demo_convex_angle(capsys):
 
 
 @pytest.mark.parametrize(
+    "demo, flag, value, expected",
+    [
+        (("demo", "least-element", "--precision", "4"), "--values", "-3,5", "index: 0"),
+        (("demo", "convex-angle"), "--points", "-1,0;1,0;0,2", "angle: 0 1 2"),
+    ],
+)
+def test_demo_lists_may_start_with_a_minus_sign(capsys, demo, flag, value, expected):
+    spaced = run_cli(capsys, *demo, flag, value)
+    assert spaced == run_cli(capsys, *demo, f"{flag}={value}")
+    rc, out, err = spaced
+    assert rc == 0 and err == "" and expected in out.splitlines()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("demo", "least-element", "--values", "5,x", "--precision", "2"),

@@ -1,5 +1,7 @@
 """Head cuts, permutations, witness extraction and normal shapes."""
 
+import json
+import pathlib
 import random
 import re
 
@@ -147,6 +149,188 @@ def test_immediate_simplification_drops_dead_splits():
     assert nd == base
 
 
+@pytest.mark.parametrize("shape", ["or", "exists"])
+def test_immediate_simplification_of_an_opaque_major(shape):
+    # the major premiss is a hypothesis, so no proper cut or permutation
+    # applies; the minor branches ignore their hypothesis
+    if shape == "or":
+        ctx = (("u", Or(Atom("top"), Atom("bot"))),)
+        branches = tuple(_s(ctx + (("c", f),), Atom("top"))
+                         for f in (Atom("top"), Atom("bot")))
+        d = Derivation(dd.OrE("c"), _s(ctx, Atom("top")),
+                       (dd.assume(ctx, "u"), *(Derivation(dd.AtomI(), b) for b in branches)))
+    else:
+        # a hypothesis mentioning w would count as a use of w
+        ctx = (("u", Exists("x", Atom("=", (tnum(2), tnum(2))))),)
+        minor = Derivation(dd.AtomI(), _s(ctx + (("c", Atom("=", (tnum(2), tnum(2)))),),
+                                          Atom("top")))
+        d = Derivation(dd.ExistsE("c", "w"), _s(ctx, Atom("top")),
+                       (dd.assume(ctx, "u"), minor))
+    dd.check_derivation(d)
+    cut = find_head_cut(d)
+    assert cut == HeadCut((), IMMEDIATE_SIMPL, shape)
+    assert find_head_cut(d, simplify=False) is None
+    new = apply_head_reduction(d, cut)
+    assert new == Derivation(dd.AtomI(), _s(ctx, Atom("top")))
+    trace: list[str] = []
+    assert normalize_derivation(d, trace=trace) == new
+    assert trace[0].startswith(f"{IMMEDIATE_SIMPL}/{shape} at root")
+
+
+# ---------------------------------------------------------------------------
+# every elimination over every discharging split
+
+_A = Atom("=", (tnum(1), tnum(1)))
+_B = Atom("<", (tnum(0), tnum(1)))
+_DEAD = Atom("<", (tnum(1), tnum(0)))
+
+
+def _atom(ctx, goal):
+    return Derivation(dd.AtomI(), _s(ctx, goal))
+
+
+def _major_proof(elim: str):
+    """prove(ctx): a proof of the formula the elimination takes apart."""
+    v = TVar("v")
+    shapes = {
+        "and": lambda ctx: Derivation(dd.AndI(), _s(ctx, And(_A, _B)),
+                                      (_atom(ctx, _A), _atom(ctx, _B))),
+        "or": lambda ctx: Derivation(dd.OrIL(), _s(ctx, Or(_A, _DEAD)), (_atom(ctx, _A),)),
+        "imply": lambda ctx: Derivation(dd.ImplyI("k"), _s(ctx, Imply(_A, _B)),
+                                        (_atom(ctx + (("k", _A),), _B),)),
+        "forall": lambda ctx: Derivation(
+            dd.ForallI("v"), _s(ctx, Forall("v", Atom("=", (v, v)))),
+            (Derivation(dd.AtomPost("refl"), _s(ctx, Atom("=", (v, v)))),)),
+        "exists": lambda ctx: Derivation(
+            dd.ExistsI(tnum(2)), _s(ctx, Exists("x", Atom("=", (TVar("x"), tnum(2))))),
+            (_atom(ctx, Atom("=", (tnum(2), tnum(2)))),)),
+        # the body ignores the bound variable, so the split variable may be anything
+        "vacuous-exists": lambda ctx: Derivation(
+            dd.ExistsI(tnum(0)), _s(ctx, Exists("x", _A)), (_atom(ctx, _A),)),
+    }
+    return shapes[elim.split("/")[0].removesuffix("-left").removesuffix("-right")]
+
+
+def _eliminate(elim: str, major: Derivation) -> Derivation:
+    """The elimination named elim on top of major; "/relabel" variants reuse
+    the split's label "c", "/clash" variants reuse its variable "y"."""
+    goal = major.conclusion.goal
+    label = "c" if elim.endswith("/relabel") else "h"
+    if elim == "and-left":
+        return Derivation(dd.AndEL(), _s((), goal.left), (major,))
+    if elim == "and-right":
+        return Derivation(dd.AndER(), _s((), goal.right), (major,))
+    if elim.startswith("or"):
+        left = dd.assume(((label, goal.left),), label)
+        right = _atom(((label, goal.right),), goal.left)
+        return Derivation(dd.OrE(label), _s((), goal.left), (major, left, right))
+    if elim == "imply":
+        return Derivation(dd.ImplyE(), _s((), goal.right), (major, _atom((), goal.left)))
+    if elim.startswith("forall"):
+        term = TVar("y") if elim.endswith("/clash") else tnum(3)
+        inst = arith.subst_formula(goal.body, goal.var, term)
+        return Derivation(dd.ForallE(term), _s((), inst), (major,))
+    var = "y" if elim.endswith("/clash") else "w"
+    hyp = arith.subst_formula(goal.body, goal.var, TVar(var))
+    return Derivation(dd.ExistsE(label, var), _s((), _A), (major, _atom(((label, hyp),), _A)))
+
+
+def _split(kind: str, prove) -> Derivation:
+    """A closed derivation ending with the discharging rule kind (label "c",
+    variable "y") whose branches each conclude with prove(ctx)."""
+    if kind == "em":
+        univ = Forall("y", Atom("<=", (tnum(0), TVar("y"))))
+        left, right = prove((("c", univ),)), prove((("c", arith.neg(univ.body)),))
+        return Derivation(dd.EM("c", "y"), _s((), left.conclusion.goal), (left, right))
+    if kind == "or":
+        major = Derivation(dd.OrIL(), _s((), Or(_A, _DEAD)), (_atom((), _A),))
+        b1, b2 = prove((("c", _A),)), prove((("c", _DEAD),))
+        return Derivation(dd.OrE("c"), _s((), b1.conclusion.goal), (major, b1, b2))
+    packed = Exists("z", Atom("=", (TVar("z"), tnum(2))))
+    major = Derivation(dd.ExistsI(tnum(2)), _s((), packed),
+                       (_atom((), Atom("=", (tnum(2), tnum(2)))),))
+    branch = prove((("c", Atom("=", (TVar("y"), tnum(2)))),))
+    return Derivation(dd.ExistsE("c", "y"), _s((), branch.conclusion.goal), (major, branch))
+
+
+_ELIMS = ("and-left", "and-right", "or", "or/relabel", "imply", "forall", "forall/clash",
+          "exists", "exists/relabel", "vacuous-exists/clash")
+_BRANCHES = {"em": (0, 1), "or": (1, 2), "exists": (1,)}
+
+
+@pytest.mark.parametrize("elim", _ELIMS)
+@pytest.mark.parametrize("split", sorted(_BRANCHES))
+def test_permutation_pushes_the_elimination_into_every_branch(split, elim):
+    d = _eliminate(elim, _split(split, _major_proof(elim)))
+    dd.check_derivation(d)
+    cut = find_head_cut(d)
+    if split == "em":
+        assert cut == HeadCut((), EM_PERMUTE, nz._ELIM_NAME[type(d.rule)])
+    else:
+        assert cut == HeadCut((), OR_EXISTS_PERMUTE, split)
+    new = apply_head_reduction(d, cut)
+    dd.check_derivation(new)
+    assert new.conclusion == d.conclusion
+    assert type(new.rule) is type(d.premisses[0].rule)
+    for i in _BRANCHES[split]:
+        assert type(new.premisses[i].rule) is type(d.rule)
+    nd = normalize_derivation(d)
+    assert _seq_eq(nd.conclusion, d.conclusion)
+    assert find_head_cut(nd) is None
+
+
+def _stuck_em() -> Derivation:
+    """The universal hypothesis is only ever queried at an open point, so
+    the excluded-middle node survives normalization."""
+    univ = Forall("y", Atom("=", (TVar("y"), TVar("y"))))
+    goal = Exists("x", Atom("=", (TVar("x"), tnum(0))))
+    cl = (("u", univ),)
+    ch = Forall("z", Imply(Atom("<", (TVar("z"), TVar("v"))),
+                           Atom("=", (TVar("z"), TVar("z")))))
+    cm = cl + (("ch", ch),)
+    use = Derivation(dd.ForallE(TVar("v")), _s(cm, Atom("=", (TVar("v"), TVar("v")))),
+                     (dd.assume(cm, "u"),))
+    cind = Derivation(dd.CInd("ch", "v"),
+                      _s(cl, Forall("v", Atom("=", (TVar("v"), TVar("v"))))), (use,))
+    picked = Derivation(dd.ForallE(tnum(0)), _s(cl, Atom("=", (tnum(0), tnum(0)))), (cind,))
+    left = Derivation(dd.ExistsI(tnum(0)), _s(cl, goal), (picked,))
+    cr = (("u", arith.neg(Atom("=", (TVar("y"), TVar("y"))))),)
+    right = Derivation(dd.ExistsI(tnum(0)), _s(cr, goal),
+                       (Derivation(dd.AtomI(), _s(cr, Atom("=", (tnum(0), tnum(0))))),))
+    return Derivation(dd.EM("u", "y"), _s((), goal), (left, right))
+
+
+# a node of each kind's rule shape that lacks the kind's pattern
+_NEAR_MISSES = {
+    PROPER: lambda: _eliminate("and-left", _split("em", _major_proof("and"))),
+    EM_PERMUTE: lambda: _eliminate("and-left", _major_proof("and")(())),
+    OR_EXISTS_PERMUTE: lambda: _eliminate("and-left", _split("em", _major_proof("and"))),
+    IND: lambda: Derivation(
+        dd.Ind("ih", "v", Atom("=", (TVar("v"), TVar("v"))), TVar("n")),
+        _s((), Atom("=", (TVar("n"), TVar("n")))),
+        (Derivation(dd.AtomPost("refl"), _s((), Atom("=", (tnum(0), tnum(0))))),
+         Derivation(dd.AtomPost("refl"),
+                    _s((("ih", Atom("=", (TVar("v"), TVar("v")))),),
+                       Atom("=", (arith.TApp("S", (TVar("v"),)),) * 2))))),
+    EM_WITNESS: _stuck_em,
+    IMMEDIATE_SIMPL: lambda: Derivation(
+        dd.OrE("c"), _s((), _A),
+        (Derivation(dd.OrIL(), _s((), Or(_A, _A)), (_atom((), _A),)),
+         dd.assume((("c", _A),), "c"), dd.assume((("c", _A),), "c"))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NEAR_MISSES))
+def test_stale_cut_of_each_kind_rejected(kind):
+    d = _NEAR_MISSES[kind]()
+    dd.check_derivation(d)
+    assert find_head_cut(d) is None or find_head_cut(d).kind != kind
+    with pytest.raises(nz.InvalidCut):
+        apply_head_reduction(d, HeadCut((), kind))
+    with pytest.raises(nz.InvalidCut):
+        apply_head_reduction(_atom((), _A), HeadCut((), kind))
+
+
 # ---------------------------------------------------------------------------
 # the loop: preservation, tracing, fuel
 
@@ -239,26 +423,8 @@ def test_extract_witness_input_validation():
 
 
 def test_stuck_em_reports_its_shape():
-    # the universal hypothesis is only ever queried at an open point, so
-    # the excluded-middle node survives normalization
-    univ = Forall("y", Atom("=", (TVar("y"), TVar("y"))))
-    goal = Exists("x", Atom("=", (TVar("x"), tnum(0))))
-    cl = (("u", univ),)
-    ch = Forall("z", Imply(Atom("<", (TVar("z"), TVar("v"))),
-                           Atom("=", (TVar("z"), TVar("z")))))
-    cm = cl + (("ch", ch),)
-    use = Derivation(dd.ForallE(TVar("v")), _s(cm, Atom("=", (TVar("v"), TVar("v")))),
-                     (dd.assume(cm, "u"),))
-    cind = Derivation(dd.CInd("ch", "v"),
-                      _s(cl, Forall("v", Atom("=", (TVar("v"), TVar("v"))))), (use,))
-    picked = Derivation(dd.ForallE(tnum(0)), _s(cl, Atom("=", (tnum(0), tnum(0)))), (cind,))
-    left = Derivation(dd.ExistsI(tnum(0)), _s(cl, goal), (picked,))
-    cr = (("u", arith.neg(Atom("=", (TVar("y"), TVar("y"))))),)
-    right = Derivation(dd.ExistsI(tnum(0)), _s(cr, goal),
-                       (Derivation(dd.AtomI(), _s(cr, Atom("=", (tnum(0), tnum(0))))),))
-    d = Derivation(dd.EM("u", "y"), _s((), goal), (left, right))
+    d = _stuck_em()
     dd.check_derivation(d)
-
     nd = normalize_derivation(d)
     assert isinstance(nd.rule, dd.EM)
     with pytest.raises(nz.ShapeViolation):
@@ -294,3 +460,21 @@ def test_principal_branches_cover_intro_premisses():
     assert all(b[0] == () for b in branches)
     leaves = {b[-1] for b in branches}
     assert len(leaves) == len(branches)
+
+
+# ---------------------------------------------------------------------------
+# regression pin
+
+
+_TRACES = pathlib.Path(__file__).parent / "data" / "normalizer_traces.json"
+
+
+@pytest.mark.parametrize("simplify", [True, False])
+def test_corpus_traces_are_pinned(simplify):
+    expected = json.loads(_TRACES.read_text())[f"simplify={simplify}"]
+    pf = corpus.corpus_file()
+    assert set(expected) == set(pf.derivs)
+    for name, d in pf.derivs.items():
+        trace: list[str] = []
+        normalize_derivation(d, simplify=simplify, rels=pf.rels, fns=pf.fns, trace=trace)
+        assert trace == expected[name], name
