@@ -8,12 +8,25 @@ give every closed term a numeral normal form).
 
 Truth (top) and absurdity (bot) are distinguished 0-ary atoms; negation is
 notation for implication into bot.
+
+Evaluation costs term size, not numeral value.  `eval_prim` looks a function
+up by object identity in `_NATIVE`, which evaluates the standard `+ * pred
+monus`, the characteristics of `= < <=` and their helpers on Python ints
+whenever every argument is a non-negative int.  Every other function -- a
+user definition, or a structurally equal copy of a built-in -- is evaluated
+by structural recursion, and a composed definition still reaches the natives
+for its built-in parts; structural evaluation of a copy is the reference the
+natives are tested against.  Terms read S and 0 as successor and zero, as
+every table built on FUNCTIONS does (a proof file cannot rebind them):
+`norm_aterm` builds a numeral once per maximal closed subterm in one
+bottom-up pass, and S chains are walked with loops, so deep numerals need no
+stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional
 
 
 class ArithError(Exception):
@@ -113,6 +126,9 @@ def eval_prim(f: PrimFn, args: Iterable[int]) -> int:
     args = tuple(args)
     if len(args) != f.arity:
         raise ArityMismatch(f"{len(args)} arguments for arity {f.arity}")
+    native = _NATIVE.get(id(f))
+    if native is not None and all(type(a) is int and a >= 0 for a in args):
+        return native(*args)
     match f:
         case Zero():
             return 0
@@ -167,6 +183,21 @@ _le_char = Comp(_is_zero, (_monus,))  # x <= y  iff  x monus y == 0
 _lt_char = Comp(_le_char, (Comp(Succ(), (Proj(2, 1),)), Proj(2, 2)))
 _eq_char = Comp(MUL, (_le_char, Comp(_le_char, (Proj(2, 2), Proj(2, 1)))))
 
+# native evaluators of the tables above, keyed by object identity; each agrees
+# with structural evaluation on non-negative ints
+_NATIVE: dict[int, Callable[..., int]] = {
+    id(_one): lambda: 1,
+    id(_pred): lambda y: max(y - 1, 0),
+    id(_msub): lambda y, x: max(x - y, 0),
+    id(_monus): lambda x, y: max(x - y, 0),
+    id(_is_zero): lambda y: 1 if y == 0 else 0,
+    id(ADD): lambda y, x: y + x,
+    id(MUL): lambda y, x: y * x,
+    id(_le_char): lambda x, y: 1 if x <= y else 0,
+    id(_lt_char): lambda x, y: 1 if x < y else 0,
+    id(_eq_char): lambda x, y: 1 if x == y else 0,
+}
+
 FUNCTIONS: dict[str, PrimFn] = {
     "0": Zero(0),
     "S": Succ(),
@@ -211,27 +242,50 @@ def tnum(n: int) -> ATerm:
     return t
 
 
+def _peel_succ(t: ATerm) -> tuple[int, ATerm]:
+    """(k, u) with t = S^k(u) and u not an application of S to one argument."""
+    k = 0
+    while isinstance(t, TApp) and t.fn == "S" and len(t.args) == 1:
+        k += 1
+        t = t.args[0]
+    return k, t
+
+
+def numeral_value(t: ATerm) -> Optional[int]:
+    """n when t is the numeral S^n(0), else None."""
+    n, base = _peel_succ(t)
+    return n if isinstance(base, TApp) and base.fn == "0" and not base.args else None
+
+
 def aterm_vars(t: ATerm) -> frozenset[str]:
-    match t:
-        case TVar(name):
-            return frozenset((name,))
-        case TApp(_, args):
-            return frozenset().union(*(aterm_vars(a) for a in args)) if args else frozenset()
-    raise ArithError(f"not a term: {t!r}")
+    out: set[str] = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TVar):
+            out.add(t.name)
+        elif isinstance(t, TApp):
+            todo.extend(t.args)
+        else:
+            raise ArithError(f"not a term: {t!r}")
+    return frozenset(out)
 
 
 def reduce_aterm(t: ATerm, env: Mapping[str, int] = {}, fns: Mapping[str, PrimFn] = FUNCTIONS) -> int:
     """Value of t under env.  Raises UnboundTermVariable on a free variable."""
+    k, t = _peel_succ(t)
     match t:
         case TVar(name):
-            if name in env:
-                return env[name]
-            raise UnboundTermVariable(name)
+            if name not in env:
+                raise UnboundTermVariable(name)
+            value = env[name]
         case TApp(fn, args):
             if fn not in fns:
                 raise ArithError(f"unknown function symbol {fn!r}")
-            return eval_prim(fns[fn], [reduce_aterm(a, env, fns) for a in args])
-    raise ArithError(f"not a term: {t!r}")
+            value = eval_prim(fns[fn], [reduce_aterm(a, env, fns) for a in args])
+        case _:
+            raise ArithError(f"not a term: {t!r}")
+    return value + k
 
 
 def subst_aterm(t: ATerm, var: str, rep: ATerm) -> ATerm:
@@ -244,16 +298,34 @@ def subst_aterm(t: ATerm, var: str, rep: ATerm) -> ATerm:
 
 
 def norm_aterm(t: ATerm, fns: Mapping[str, PrimFn] = FUNCTIONS) -> ATerm:
-    """Collapse every closed subterm to its numeral."""
-    match t:
-        case TVar():
-            return t
-        case TApp(fn, args):
-            nargs = tuple(norm_aterm(a, fns) for a in args)
-            if all(not aterm_vars(a) for a in nargs):
-                return tnum(reduce_aterm(TApp(fn, nargs), {}, fns))
-            return TApp(fn, nargs)
-    raise ArithError(f"not a term: {t!r}")
+    """Collapse every closed subterm to its numeral; a numeral is returned as is."""
+    if numeral_value(t) is not None:
+        return t
+    r = _norm(t, fns)
+    return tnum(r) if isinstance(r, int) else r
+
+
+def _norm(t: ATerm, fns: Mapping[str, PrimFn]) -> int | ATerm:
+    """Value of a closed t, normal form of an open one (t itself if unchanged)."""
+    top = t
+    k, t = _peel_succ(t)
+    if isinstance(t, TVar):
+        return top
+    if not isinstance(t, TApp):
+        raise ArithError(f"not a term: {t!r}")
+    if t.fn == "0" and not t.args:
+        return k
+    parts = [_norm(a, fns) for a in t.args]
+    if all(isinstance(p, int) for p in parts):
+        if t.fn not in fns:
+            raise ArithError(f"unknown function symbol {t.fn!r}")
+        return eval_prim(fns[t.fn], parts) + k
+    if all(p is a for p, a in zip(parts, t.args)):
+        return top
+    r: ATerm = TApp(t.fn, tuple(tnum(p) if isinstance(p, int) else p for p in parts))
+    for _ in range(k):
+        r = TApp("S", (r,))
+    return r
 
 
 # ---------------------------------------------------------------------------

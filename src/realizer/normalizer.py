@@ -232,8 +232,9 @@ def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
         if not dd.uses_label(prem[1], rule.label) or not dd.uses_label(prem[2], rule.label):
             return "or"
     if isinstance(rule, dd.ExistsE):
+        # the unused witness hypothesis may mention the variable; drop it first
         if (not dd.uses_label(prem[1], rule.label)
-                and rule.var not in dd.free_term_vars(prem[1])):
+                and rule.var not in dd.free_term_vars(_strengthen(prem[1], rule.label))):
             return "exists"
     return None
 

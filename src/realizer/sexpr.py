@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from . import arith
 from . import deduction as dd
@@ -231,21 +231,8 @@ def read_aterm(node: Node, fns: Mapping[str, PrimFn]) -> ATerm:
     return TApp(head, tuple(read_aterm(a, fns) for a in args))
 
 
-def _aterm_as_int(t: ATerm) -> Optional[int]:
-    n = 0
-    while True:
-        match t:
-            case TApp("0", ()):
-                return n
-            case TApp("S", (inner,)):
-                n += 1
-                t = inner
-            case _:
-                return None
-
-
 def print_aterm(t: ATerm) -> str:
-    v = _aterm_as_int(t)
+    v = arith.numeral_value(t)
     if v is not None:
         return str(v)
     match t:

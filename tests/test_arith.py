@@ -1,11 +1,14 @@
 """Primitive recursion, first-order terms, formulas and the hierarchy."""
 
+import copy as copy_module
+import itertools
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith
+from realizer import arith, sexpr
 from realizer.arith import (
     ADD, MUL, And, ArityMismatch, Atom, BOT, Comp, Exists, Forall, FUNCTIONS,
     Imply, Or, PRec, Proj, RELATIONS, Relation, Succ, TApp, TVar, Zero,
@@ -101,6 +104,238 @@ def test_tnum_reduces_to_itself(a, b):
     t = TApp("+", (tnum(a), tnum(b)))
     assert reduce_aterm(t) == a + b
     assert norm_aterm(t) == tnum(a + b)
+
+
+# ---------------------------------------------------------------------------
+# native built-ins against structural evaluation
+
+
+def _structural(f):
+    """An equal copy of f sharing no object with the tables, so eval_prim
+    evaluates it (and everything inside it) by structural recursion."""
+    copy = sexpr.read_primfn(sexpr.read_nodes(sexpr.print_primfn(f))[0], {})
+    assert copy == f and copy is not f
+    return copy
+
+
+def _one_level(f):
+    """An equal copy of f's top node only: eval_prim unfolds f's own
+    definition structurally and runs the built-ins it is made of natively."""
+    copy = copy_module.copy(f)
+    assert copy == f and copy is not f
+    return copy
+
+
+_NATIVES = {
+    "one": arith._one, "pred": arith._pred, "msub": arith._msub,
+    "monus": arith._monus, "is_zero": arith._is_zero, "+": ADD, "*": MUL,
+    "<=": arith._le_char, "<": arith._lt_char, "=": arith._eq_char,
+}
+
+
+def _grid(arity, top):
+    return list(itertools.product(range(top + 1), repeat=arity))
+
+
+def test_native_table_is_the_listed_builtins():
+    assert set(arith._NATIVE) == {id(f) for f in _NATIVES.values()}
+    assert FUNCTIONS["+"] is ADD and FUNCTIONS["*"] is MUL
+    assert FUNCTIONS["pred"] is arith._pred and FUNCTIONS["monus"] is arith._monus
+    assert [RELATIONS[r].char for r in ("=", "<", "<=", "top")] == \
+        [arith._eq_char, arith._lt_char, arith._le_char, arith._one]
+
+
+@pytest.mark.parametrize("name", sorted(set(_NATIVES) - {"*"}))
+def test_native_agrees_with_structural_on_all_small_arguments(name):
+    f = _NATIVES[name]
+    ref = _structural(f)
+    for args in _grid(f.arity, 40):
+        assert eval_prim(f, args) == eval_prim(ref, args), args
+
+
+def test_native_multiplication_agrees_with_structural_on_all_small_arguments():
+    # structural * is cubic in its recursion argument (38 s for the whole
+    # grid), so the whole grid unfolds * over the native + (checked above)
+    # and a fully structural copy covers recursion arguments up to 12
+    ref, deep = _one_level(MUL), _structural(MUL)
+    for x, y in _grid(2, 40):
+        assert eval_prim(MUL, (x, y)) == eval_prim(ref, (x, y)) == x * y, (x, y)
+        if x <= 12:
+            assert eval_prim(deep, (x, y)) == x * y, (x, y)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in _NATIVES.items() if f.arity))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_native_agrees_with_structural_up_to_300(name, data):
+    f = _NATIVES[name]
+    args = tuple(data.draw(st.integers(0, 300)) for _ in range(f.arity))
+    got = eval_prim(f, args)
+    assert type(got) is int
+    ref = _one_level(f) if f is MUL else _structural(f)
+    assert got == eval_prim(ref, args)
+
+
+def test_non_natural_arguments_take_the_structural_path():
+    # outside the naturals the natives would disagree (+ ignores a negative
+    # recursion argument), so eval_prim evaluates structurally there
+    assert eval_prim(ADD, (-3, 4)) == eval_prim(_structural(ADD), (-3, 4)) == 4
+    assert eval_prim(MUL, (2, -5)) == eval_prim(_structural(MUL), (2, -5)) == -5
+    assert eval_prim(arith._eq_char, (True, 1)) == eval_prim(_structural(arith._eq_char), (True, 1))
+
+
+def test_user_definitions_reach_the_natives():
+    sq = sexpr.read_primfn(sexpr.read_nodes("(comp * (proj 1 1) (proj 1 1))")[0], FUNCTIONS)
+    assert sq.outer is MUL
+    assert eval_prim(sq, (1000,)) == 1_000_000
+
+
+def test_structural_eval_is_iterative():
+    assert eval_prim(_structural(ADD), (50_000, 1)) == 50_001
+
+
+def test_builtin_multiplication_is_fast():
+    assert min(timeit.repeat(lambda: eval_prim(MUL, (200, 200)), number=1, repeat=5)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one-pass normalization against the per-level reference
+
+
+def _old_aterm_vars(t):
+    match t:
+        case TVar(name):
+            return frozenset((name,))
+        case TApp(_, args):
+            return frozenset().union(*(_old_aterm_vars(a) for a in args))
+
+
+def _old_reduce_aterm(t, fns):
+    match t:
+        case TApp(fn, args):
+            if fn not in fns:
+                raise arith.ArithError(f"unknown function symbol {fn!r}")
+            return eval_prim(fns[fn], [_old_reduce_aterm(a, fns) for a in args])
+    raise arith.UnboundTermVariable(t.name)
+
+
+def _old_norm_aterm(t, fns=FUNCTIONS):
+    """norm_aterm as it was: normalize the arguments, then rebuild or re-read
+    and re-evaluate every level."""
+    match t:
+        case TVar():
+            return t
+        case TApp(fn, args):
+            nargs = tuple(_old_norm_aterm(a, fns) for a in args)
+            if all(not _old_aterm_vars(a) for a in nargs):
+                return tnum(_old_reduce_aterm(TApp(fn, nargs), fns))
+            return TApp(fn, nargs)
+
+
+def _old_norm_formula(f, fns=FUNCTIONS):
+    match f:
+        case Atom(rel, args):
+            return Atom(rel, tuple(_old_norm_aterm(t, fns) for t in args))
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            return type(f)(_old_norm_formula(a, fns), _old_norm_formula(b, fns))
+        case Forall(v, body) | Exists(v, body):
+            return type(f)(v, _old_norm_formula(body, fns))
+
+
+_FNS = dict(FUNCTIONS)
+_FNS["sq"] = sexpr.read_primfn(sexpr.read_nodes("(comp * (proj 1 1) (proj 1 1))")[0], _FNS)
+_FNS["dbl"] = sexpr.read_primfn(sexpr.read_nodes("(comp + (proj 1 1) (proj 1 1))")[0], _FNS)
+
+
+def _terms(closed: bool):
+    leaves = st.integers(0, 8).map(tnum)
+    if not closed:
+        leaves = leaves | st.sampled_from([TVar("x"), TVar("y")])
+
+    def grow(sub):
+        return (st.tuples(st.sampled_from(["+", "*", "monus"]), sub, sub)
+                .map(lambda p: TApp(p[0], p[1:]))
+                | st.tuples(st.sampled_from(["S", "pred", "sq", "dbl"]), sub)
+                .map(lambda p: TApp(p[0], p[1:]))
+                | st.tuples(st.integers(1, 20), sub)
+                .map(lambda p: TApp("+", (tnum(p[0]), p[1])) if p[0] % 2 else _succs(p[0], p[1])))
+    return st.recursive(leaves, grow, max_leaves=6).filter(_small)
+
+
+def _small(t):
+    """Every closed subterm of t is below 300: the reference recurses along
+    numerals, and so does == on them."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, TApp):
+            if not arith.aterm_vars(u) and reduce_aterm(u, {}, _FNS) >= 300:
+                return False
+            todo.extend(u.args)
+    return True
+
+
+def _succs(k, t):
+    for _ in range(k):
+        t = TApp("S", (t,))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(closed=False) | _terms(closed=True))
+def test_norm_aterm_matches_the_reference(t):
+    assert norm_aterm(t, _FNS) == _old_norm_aterm(t, _FNS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_terms(closed=False), min_size=2, max_size=4))
+def test_norm_formula_matches_the_reference(ts):
+    f = Forall("x", Imply(Atom("=", (ts[0], ts[1])),
+                          Exists("y", And(Atom("<", tuple(ts[1:3])) if len(ts) > 2 else Atom("top"),
+                                          Atom("<=", (ts[-1], ts[0]))))))
+    assert norm_formula(f, _FNS) == _old_norm_formula(f, _FNS)
+
+
+def test_norm_aterm_errors_match_the_reference():
+    for t in (TApp("exp", (tnum(2), tnum(3))),
+              TApp("+", (TVar("x"), TApp("exp", ()))),
+              TApp("S", (tnum(1), tnum(2))),
+              TApp("+", (tnum(1),))):
+        with pytest.raises(arith.ArithError) as new:
+            norm_aterm(t)
+        with pytest.raises(arith.ArithError) as old:
+            _old_norm_aterm(t)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+    unknown_open = TApp("exp", (TVar("x"),))
+    assert norm_aterm(unknown_open) == _old_norm_aterm(unknown_open) == unknown_open
+
+
+def test_norm_aterm_returns_numerals_and_unchanged_terms_as_they_are():
+    seven = tnum(7)
+    assert norm_aterm(seven) is seven
+    open_t = TApp("+", (TVar("x"), TApp("S", (TApp("S", (TVar("y"),)),))))
+    assert norm_aterm(open_t) is open_t
+
+
+def test_deep_numerals_need_no_stack():
+    n = 5000
+    assert arith.numeral_value(norm_aterm(TApp("+", (tnum(n), tnum(n))))) == 2 * n
+    assert reduce_aterm(tnum(n)) == n
+    deep_open = _succs(n, TVar("x"))
+    assert arith.aterm_vars(deep_open) == {"x"}
+    assert reduce_aterm(deep_open, {"x": 1}) == n + 1
+    assert norm_aterm(TApp("+", (deep_open, TApp("*", (tnum(2), tnum(3)))))) == \
+        TApp("+", (deep_open, tnum(6)))
+    assert sexpr.print_aterm(tnum(n)) == str(n)
+
+
+def test_numeral_value():
+    assert arith.numeral_value(tnum(0)) == 0
+    assert arith.numeral_value(tnum(12)) == 12
+    assert arith.numeral_value(TApp("S", (TVar("x"),))) is None
+    assert arith.numeral_value(TApp("+", (tnum(1), tnum(1)))) is None
+    assert arith.numeral_value(TApp("S", (tnum(1), tnum(1)))) is None
+    assert arith.numeral_value(TVar("x")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,35 @@ def test_immediate_simplification_of_an_opaque_major(shape):
     assert trace[0].startswith(f"{IMMEDIATE_SIMPL}/{shape} at root")
 
 
+def test_dead_split_over_a_non_vacuous_existential_collapses():
+    # the witness hypothesis mentions w, but only through the context the
+    # split itself adds, so the split is dead and collapses
+    ctx = (("u", Exists("x", Atom("=", (TVar("x"), tnum(2))))),)
+    inner = ctx + (("c", Atom("=", (TVar("w"), tnum(2)))),)
+    minor = Derivation(dd.AndI(), _s(inner, And(Atom("top"), Atom("=", (tnum(1), tnum(1))))),
+                       (Derivation(dd.AtomI(), _s(inner, Atom("top"))),
+                        Derivation(dd.AtomI(), _s(inner, Atom("=", (tnum(1), tnum(1)))))))
+    d = Derivation(dd.ExistsE("c", "w"), _s(ctx, minor.conclusion.goal),
+                   (dd.assume(ctx, "u"), minor))
+    dd.check_derivation(d)
+    cut = find_head_cut(d)
+    assert cut == HeadCut((), IMMEDIATE_SIMPL, "exists")
+    new = apply_head_reduction(d, cut)
+    dd.check_derivation(new)
+    assert new.conclusion == d.conclusion
+    assert new == nz._strengthen(minor, "c")
+    # a minor that uses w below its root keeps the split
+    w_eq_w = Atom("=", (TVar("w"), TVar("w")))
+    lemma = Derivation(dd.ImplyI("v"), _s(inner, Imply(w_eq_w, Atom("top"))),
+                       (Derivation(dd.AtomI(), _s(inner + (("v", w_eq_w),), Atom("top"))),))
+    uses_w = Derivation(dd.ImplyE(), _s(inner, Atom("top")),
+                        (lemma, Derivation(dd.AtomPost("refl"), _s(inner, w_eq_w))))
+    live = Derivation(dd.ExistsE("c", "w"), _s(ctx, Atom("top")),
+                      (dd.assume(ctx, "u"), uses_w))
+    dd.check_derivation(live)
+    assert find_head_cut(live) is None
+
+
 # ---------------------------------------------------------------------------
 # every elimination over every discharging split
 
