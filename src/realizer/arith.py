@@ -234,12 +234,18 @@ class TApp:
 ATerm = TVar | TApp
 
 
+# _NUMERALS[n] is S^n(0); every numeral tnum builds is a prefix of this one
+# chain, so equal numerals are one object and compare by identity instead of
+# recursing along their S chains
+_NUMERALS: list[ATerm] = [TApp("0")]
+
+
 def tnum(n: int) -> ATerm:
-    """Numeral S^n(0) as a first-order term."""
-    t: ATerm = TApp("0")
-    for _ in range(n):
-        t = TApp("S", (t,))
-    return t
+    """Numeral S^n(0) as a first-order term (shared: tnum(n) is tnum(n))."""
+    chain = _NUMERALS
+    while len(chain) <= n:
+        chain.append(TApp("S", (chain[-1],)))
+    return chain[max(n, 0)]
 
 
 def _peel_succ(t: ATerm) -> tuple[int, ATerm]:
@@ -289,12 +295,23 @@ def reduce_aterm(t: ATerm, env: Mapping[str, int] = {}, fns: Mapping[str, PrimFn
 
 
 def subst_aterm(t: ATerm, var: str, rep: ATerm) -> ATerm:
-    match t:
+    """t with rep for var; t itself (same object) when var does not occur."""
+    k, u = _peel_succ(t)
+    match u:
         case TVar(name):
-            return rep if name == var else t
+            if name != var:
+                return t
+            out = rep
         case TApp(fn, args):
-            return TApp(fn, tuple(subst_aterm(a, var, rep) for a in args))
-    raise ArithError(f"not a term: {t!r}")
+            parts = tuple(subst_aterm(a, var, rep) for a in args)
+            if all(p is a for p, a in zip(parts, args)):
+                return t
+            out = TApp(fn, parts)
+        case _:
+            raise ArithError(f"not a term: {u!r}")
+    for _ in range(k):
+        out = TApp("S", (out,))
+    return out
 
 
 def norm_aterm(t: ATerm, fns: Mapping[str, PrimFn] = FUNCTIONS) -> ATerm:

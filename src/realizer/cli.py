@@ -59,7 +59,6 @@ _USER_ERRORS = (
     learning.LearningError,
     reals.RealError,
     OSError,
-    ValueError,
 )
 
 
@@ -110,7 +109,15 @@ def _fuel(flag, fallback: int) -> int:
     if flag is not None:
         return flag
     env = os.environ.get("REALIZER_FUEL")
-    return int(env) if env else fallback
+    if not env:
+        return fallback
+    try:
+        fuel = int(env)
+    except ValueError:
+        fuel = -1  # reported with the negative values below
+    if fuel < 0:
+        raise UsageError(f"REALIZER_FUEL must be a non-negative integer, got {env!r}")
+    return fuel
 
 
 def _load(path: str) -> sexpr.ProofFile:
@@ -137,9 +144,12 @@ def _state_entries(specs: list[str], rels) -> learning.State:
         rel, _, inner = head[:-1].partition("(")
         try:
             args = tuple(int(a) for a in inner.split(",")) if inner else ()
-            entries[(rel, args)] = int(wit)
+            witness = int(wit)
         except ValueError:
             raise UsageError(f"non-numeric state entry {raw!r}") from None
+        if witness < 0 or any(a < 0 for a in args):
+            raise UsageError(f"negative number in state entry {raw!r}")
+        entries[(rel, args)] = witness
     return learning.State.of(entries, rels)
 
 
@@ -270,6 +280,8 @@ def cmd_convex_angle(args) -> int:
         ]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad --points: {e}") from None
+    if len(points) < 3:
+        raise UsageError(f"--points needs at least three points, got {len(points)}")
     machine = args.format == "sexpr"
     a, b, c, s, trace = reals.convex_angle(points, max_precision=args.precision)
     for line in trace:

@@ -263,7 +263,11 @@ def run_realizer(
             if isinstance(e, tm.Const) and e.kind == tm.K_EXC:
                 rel, eargs, w = e.tag
                 return Exceptional(Exc(rel, eargs, w))
-    raise tm.IllTyped(f"realizer produced a non-outcome normal form: {nf}")
+    # name the head only: formatting a whole normal form can take megabytes
+    what = head.kind if isinstance(head, tm.Const) else type(head).__name__
+    raise tm.IllTyped(
+        f"realizer produced a non-outcome normal form: {what} applied to {len(args)} arguments"
+    )
 
 
 @dataclass

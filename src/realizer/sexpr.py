@@ -121,8 +121,13 @@ def read_nodes(text: str) -> list[Node]:
         return Sym(val, line, col)
 
     out = []
-    while toks[pos][0] != "eof":
-        out.append(parse_one())
+    try:
+        while toks[pos][0] != "eof":
+            out.append(parse_one())
+    finally:
+        # parse_one refers to itself through its closure; breaking that cycle
+        # frees the token list now instead of at the next garbage collection
+        del parse_one
     return out
 
 

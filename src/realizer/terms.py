@@ -10,6 +10,16 @@ below the guard, and otherwise collapses to a type-directed dummy value.
 ``query``/``eval``/``exc`` constants are inert here unless an oracle is
 supplied to :func:`step`/:func:`normalize`; the learning module provides the
 oracle that interprets them against an ambient knowledge state.
+
+:func:`normalize` runs a call-by-value environment machine: closures pair a
+lambda with its environment, numerals are Python ints, beta costs O(1), and
+an explicit stack replaces Python recursion, so deep terms need no stack.
+The value is read back to a term at the end (a closure's body gets its
+environment substituted; nothing under a binder is reduced).  Fuel counts
+contractions -- beta, a constant rule, a ``Num`` expansion, an oracle
+answer -- which are exactly the steps of the substitution stepper
+:func:`step`, so a fuel bound means the same for both.  :func:`step` and
+:func:`subst` stay as the reference semantics the tests compare against.
 """
 
 from __future__ import annotations
@@ -328,30 +338,52 @@ def const_type(c: Const) -> Ty:
     raise IllTyped(f"unknown constant kind {c.kind!r}")
 
 
+_TYPE, _CLOSE_LAM, _CHECK_APP = range(3)
+
+
 def typecheck(t: Term, ctx: TyCtx = ()) -> Ty:
-    """Type of t in ctx.  Raises UnboundVariable or TypeMismatch."""
-    match t:
-        case Var(index):
-            if 0 <= index < len(ctx):
-                return ctx[index]
-            raise UnboundVariable(index, len(ctx))
-        case Lam(param, body):
-            return TArrow(param, typecheck(body, (param,) + ctx))
-        case App(fn, arg):
-            fty = typecheck(fn, ctx)
-            aty = typecheck(arg, ctx)
+    """Type of t in ctx.  Raises UnboundVariable or TypeMismatch.
+
+    The walk keeps an explicit stack, so deep terms need no Python recursion.
+    """
+    types: list[Ty] = []
+    # (_TYPE, term, ctx) pushes its type; (_CLOSE_LAM, param, _) wraps the
+    # body's type in an arrow; (_CHECK_APP, app, _) pops argument and head
+    work: list[tuple] = [(_TYPE, t, ctx)]
+    while work:
+        job, x, c = work.pop()
+        if job == _CLOSE_LAM:
+            types.append(TArrow(x, types.pop()))
+        elif job == _CHECK_APP:
+            aty = types.pop()
+            fty = types.pop()
             if not isinstance(fty, TArrow):
-                raise TypeMismatch("a function type", fty, f"application head {fn}")
+                raise TypeMismatch("a function type", fty, f"application head {x.fn}")
             if fty.dom != aty:
-                raise TypeMismatch(fty.dom, aty, f"argument {arg}")
-            return fty.cod
-        case Num(value):
-            if value < 0:
-                raise IllTyped("negative literal")
-            return NAT
-        case Const():
-            return const_type(t)
-    raise IllTyped(f"not a term: {t!r}")
+                raise TypeMismatch(fty.dom, aty, f"argument {x.arg}")
+            types.append(fty.cod)
+        else:
+            match x:
+                case Var(index):
+                    if not 0 <= index < len(c):
+                        raise UnboundVariable(index, len(c))
+                    types.append(c[index])
+                case Lam(param, body):
+                    work.append((_CLOSE_LAM, param, None))
+                    work.append((_TYPE, body, (param,) + c))
+                case App(fn, arg):
+                    work.append((_CHECK_APP, x, None))
+                    work.append((_TYPE, arg, c))
+                    work.append((_TYPE, fn, c))
+                case Num(value):
+                    if value < 0:
+                        raise IllTyped("negative literal")
+                    types.append(NAT)
+                case Const():
+                    types.append(const_type(x))
+                case _:
+                    raise IllTyped(f"not a term: {x!r}")
+    return types[0]
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +520,9 @@ def _step(t: Term, oracle: Optional[Oracle], rightmost: bool) -> Optional[Term]:
 def step(t: Term, oracle: Optional[Oracle] = None, strategy: str = "left") -> Optional[Term]:
     """One innermost reduction step, or None when t is (weak) normal.
 
-    strategy picks which argument of a spine to reduce first; "left" is the
-    default used everywhere, "right" exists for confluence sampling.
+    The reference semantics :func:`normalize` is tested against.  strategy
+    picks which argument of a spine to reduce first; "left" is the order
+    normalize follows, "right" exists for confluence sampling.
     """
     if strategy not in ("left", "right"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -500,16 +533,255 @@ def _is_ex_value(t: Term) -> bool:
     return isinstance(t, Const) and t.kind == "exc"
 
 
-def normalize(
-    t: Term,
-    fuel: int = DEFAULT_FUEL,
-    oracle: Optional[Oracle] = None,
-    strategy: str = "left",
-) -> Term:
-    """Reduce to weak normal form; FuelExhausted after fuel steps."""
-    for _ in range(fuel):
-        r = step(t, oracle, strategy)
-        if r is None:
-            return t
-        t = r
-    raise FuelExhausted(fuel, t)
+# ---------------------------------------------------------------------------
+# the reduction machine
+#
+# Machine values are Python ints (numerals), a Const or a free Var standing
+# alone, _Spine (a Const or free-Var head applied to values) and _Closure (a
+# Lam with its environment).  An environment is a chain of cells
+# (value, rest) ending in None, innermost binder first; an index past its end
+# names a free variable of the input, kept as Var(index - length).  Every
+# value lives at binder depth 0, because reduction never enters a Lam, and
+# no list held by a value is ever mutated.
+
+
+class _Closure:
+    __slots__ = ("lam", "env")
+
+    def __init__(self, lam: Lam, env):
+        self.lam = lam
+        self.env = env
+
+
+class _Spine:
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: Const | Var, args: list):
+        self.head = head
+        self.args = args
+
+
+def _head_value(h: Term, env):
+    """The value of a spine head (Var, Lam, Num or Const) in env."""
+    th = type(h)
+    if th is Var:
+        i = h.index
+        if i < 0:
+            return h
+        e = env
+        while e is not None:
+            if not i:
+                return e[0]
+            e = e[1]
+            i -= 1
+        return h if i == h.index else Var(i)
+    if th is Lam:
+        return _Closure(h, env)
+    if th is Num:
+        if h.value < 0:
+            raise IllTyped("negative literal")
+        return h.value
+    return 0 if h.kind == K_ZERO else h
+
+
+def _contract(c: Const, args: list, oracle: Optional[Oracle]):
+    """Rule for constant c applied to values args (at least one), as in _delta.
+
+    Returns (fn, rest, is_term): the contractum is fn applied to the values
+    rest, where fn is a value, or a closed term when is_term.  None when no
+    rule applies.
+    """
+    k = c.kind
+    if k == K_PRL or k == K_PRR:
+        p = args[0]
+        if type(p) is _Spine and type(p.head) is Const and p.head.kind == K_PAIR \
+                and len(p.args) == 2:
+            return p.args[0 if k == K_PRL else 1], args[1:], False
+    elif k == K_CASE:
+        s = args[0]
+        if len(args) >= 3 and type(s) is _Spine and type(s.head) is Const \
+                and s.head.kind in (K_INL, K_INR) and len(s.args) == 1:
+            return args[1 if s.head.kind == K_INL else 2], s.args + args[3:], False
+    elif k == K_REC:
+        if len(args) >= 2 and type(args[1]) is int:
+            m = args[1]
+            (res,) = c.tys
+            if c.tag is INFINITY or m < c.tag:
+                return args[0], [m, _Spine(rec_c(res, m), [args[0]])] + args[2:], False
+            return dummy(res), args[2:], True
+    elif k == K_EXMERGE:
+        if len(args) >= 2 and _is_ex_value(args[0]) and _is_ex_value(args[1]):
+            return args[0], args[2:], False
+    elif k == K_PRIM:
+        _, fn = c.tag
+        arity = fn.arity
+        vals = args[:arity]
+        if len(vals) == arity and all(type(a) is int for a in vals):
+            from . import arith
+
+            return arith.eval_prim(fn, vals), args[arity:], False
+    elif (k == K_QUERY or k == K_EVAL) and oracle is not None:
+        r = oracle(c, [_readback(a) for a in args])
+        if r is not None:
+            return r, [], True
+    return None
+
+
+def normalize(t: Term, fuel: int = DEFAULT_FUEL, oracle: Optional[Oracle] = None) -> Term:
+    """Reduce to weak normal form: the normal form :func:`step` reaches.
+
+    A call-by-value environment machine with an explicit stack.  It
+    evaluates the arguments of a spine left to right, then applies the head
+    to all of them at once, as the stepper contracts at a spine's head.
+    Fuel counts contractions (beta, a constant rule, a Num expansion, an
+    oracle answer), which are exactly the stepper's steps: fuel k succeeds
+    when the stepper needs fewer than k steps, and otherwise
+    FuelExhausted(fuel, t) is raised.  The oracle is handed read-back terms.
+    """
+    if fuel <= 0:
+        raise FuelExhausted(fuel, t)
+    left = fuel
+    # one frame per spine whose arguments are being evaluated:
+    # (head term, env, argument terms, their values so far, extra arguments)
+    frames: list[tuple] = []
+    term, env, extra = t, None, []
+    while True:
+        # evaluate term in env, then apply its value to extra
+        if type(term) is App:
+            args = []
+            while type(term) is App:
+                args.append(term.arg)
+                term = term.fn
+            args.reverse()
+            frames.append((term, env, args, [], extra))
+            term, extra = args[0], []
+            continue
+        if type(term) is Num:
+            left -= 1
+            if left <= 0:
+                raise FuelExhausted(fuel, t)
+        fn, args = _head_value(term, env), extra
+        while True:
+            # apply the value fn to the values args, then evaluate the next
+            # term in the outer loop: a contractum, the next argument of the
+            # innermost pending spine, or its head once the arguments are in
+            if args:
+                tf = type(fn)
+                if tf is _Closure:
+                    left -= 1
+                    if left <= 0:
+                        raise FuelExhausted(fuel, t)
+                    term, env, extra = fn.lam.body, (args[0], fn.env), args[1:]
+                    break
+                if tf is int:
+                    value = _Spine(succ, [fn - 1] + args) if fn else _Spine(zero, args)
+                elif tf is _Spine:
+                    fn, args = fn.head, fn.args + args
+                    continue
+                elif tf is Var:
+                    value = _Spine(fn, args)
+                elif fn.kind == K_SUCC:
+                    if type(args[0]) is int:
+                        fn, args = args[0] + 1, args[1:]
+                        continue
+                    value = _Spine(fn, args)
+                else:
+                    r = _contract(fn, args, oracle)
+                    if r is None:
+                        value = _Spine(fn, args)
+                    else:
+                        left -= 1
+                        if left <= 0:
+                            raise FuelExhausted(fuel, t)
+                        fn, args, is_term = r
+                        if is_term:
+                            term, env, extra = fn, None, args
+                            break
+                        continue
+            else:
+                value = fn
+            # hand value to the innermost pending spine
+            if not frames:
+                return _readback(value)
+            head, env, terms, vals, extra = frames[-1]
+            vals.append(value)
+            if len(vals) < len(terms):
+                term, extra = terms[len(vals)], []
+            else:
+                frames.pop()
+                term, extra = head, vals + extra if extra else vals
+            break
+
+
+# read-back jobs: a value at a binder depth, a closure body under binders,
+# and the two constructors that assemble their results
+_QUOTE, _BODY, _BUILD_APP, _BUILD_LAM = range(4)
+
+
+def _readback(value) -> Term:
+    """The term a machine value stands for, at binder depth 0.
+
+    A closure's body gets the read-back of its environment substituted under
+    the binder, each value shifted past the binders it lands under; literals
+    and redexes in the body stay as they are.
+    """
+    out: list[Term] = []
+    work: list[tuple] = [(_QUOTE, value, 0)]
+    while work:
+        job = work.pop()
+        op = job[0]
+        if op == _QUOTE:
+            _, v, d = job
+            tv = type(v)
+            if tv is int:
+                out.append(numeral(v))
+            elif tv is _Spine:
+                work.append((_BUILD_APP, len(v.args)))
+                work.extend((_QUOTE, a, d) for a in reversed(v.args))
+                work.append((_QUOTE, v.head, d))
+            elif tv is _Closure:
+                if v.env is None and d == 0:
+                    out.append(v.lam)
+                else:
+                    work.append((_BUILD_LAM, v.lam.param))
+                    work.append((_BODY, v.lam.body, v.env, 1, d))
+            elif tv is Var and d and v.index >= 0:
+                out.append(Var(v.index + d))
+            else:
+                out.append(v)
+        elif op == _BODY:
+            # t sits under b binders inside a closure over env read at depth d
+            _, t, env, b, d = job
+            tt = type(t)
+            if env is None and d == 0:
+                out.append(t)
+            elif tt is Var:
+                i = t.index - b
+                if i < 0:
+                    out.append(t)
+                    continue
+                e = env
+                while e is not None and i:
+                    e = e[1]
+                    i -= 1
+                if e is not None:
+                    work.append((_QUOTE, e[0], d + b))
+                else:
+                    out.append(Var(i + d + b))
+            elif tt is Lam:
+                work.append((_BUILD_LAM, t.param))
+                work.append((_BODY, t.body, env, b + 1, d))
+            elif tt is App:
+                work.append((_BUILD_APP, 1))
+                work.append((_BODY, t.arg, env, b, d))
+                work.append((_BODY, t.fn, env, b, d))
+            else:
+                out.append(t)
+        elif op == _BUILD_APP:
+            n = job[1]
+            args = out[len(out) - n:]
+            del out[len(out) - n:]
+            out.append(app(out.pop(), *args))
+        else:
+            out.append(Lam(job[1], out.pop()))
+    return out[0]

@@ -329,6 +329,42 @@ def test_deep_numerals_need_no_stack():
     assert sexpr.print_aterm(tnum(n)) == str(n)
 
 
+def _old_subst_aterm(t, var, rep):
+    """subst_aterm as it was: rebuild every node."""
+    match t:
+        case TVar(name):
+            return rep if name == var else t
+        case TApp(fn, args):
+            return TApp(fn, tuple(_old_subst_aterm(a, var, rep) for a in args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(closed=False), st.sampled_from(["x", "y", "z"]), _terms(closed=False))
+def test_subst_aterm_matches_the_reference(t, var, rep):
+    got = arith.subst_aterm(t, var, rep)
+    assert got == _old_subst_aterm(t, var, rep)
+    if var not in arith.aterm_vars(t):
+        assert got is t
+
+
+def test_subst_aterm_needs_no_stack():
+    n = 5000
+    t = TApp("+", (_succs(n, TVar("x")), tnum(n)))
+    got = arith.subst_aterm(t, "x", tnum(2))
+    assert got.args[1] is tnum(n)
+    assert reduce_aterm(got) == 2 * n + 2
+    assert arith.subst_aterm(t, "y", tnum(2)) is t
+
+
+def test_numerals_are_one_shared_chain():
+    assert tnum(300) is tnum(300)
+    assert tnum(300).args[0] is tnum(299)
+    assert tnum(0) is tnum(0) and tnum(0) == TApp("0")
+    # equal numerals built apart compare by identity, not along their chains
+    assert arith.formulas_equal(Atom("=", (tnum(3000), tnum(3000))),
+                                Atom("=", (tnum(3000), TApp("+", (tnum(2999), tnum(1))))))
+
+
 def test_numeral_value():
     assert arith.numeral_value(tnum(0)) == 0
     assert arith.numeral_value(tnum(12)) == 12

@@ -145,7 +145,8 @@ def test_run_accepts_seeded_state(corpus_path, capsys):
     assert rc == 0 and "exceptional" in out
 
 
-@pytest.mark.parametrize("entry", ["garbage", "<(5=2", "<(a)=2", "<(1)=5"])
+@pytest.mark.parametrize("entry", ["garbage", "<(5=2", "<(a)=2", "<(1)=5", "<(-1)=2",
+                                   "<(5)=-2"])
 def test_run_rejects_bad_state_entries(corpus_path, capsys, entry):
     rc, _, err = run_cli(capsys, "run", corpus_path, "--term", "raise-low",
                          "--state", entry)
@@ -174,6 +175,30 @@ def test_run_fuel_env_and_flag(corpus_path, capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "run", corpus_path, "--term", "const-seven",
                          "--fuel", "100000")
     assert rc == 0 and "regular" in out
+
+
+@pytest.mark.parametrize("fuel", ["lots", "-3", "1.5"])
+def test_run_rejects_a_bad_fuel_variable(corpus_path, capsys, monkeypatch, fuel):
+    monkeypatch.setenv("REALIZER_FUEL", fuel)
+    rc, _, err = run_cli(capsys, "run", corpus_path, "--term", "const-seven")
+    assert rc == 1 and err.startswith("error: REALIZER_FUEL")
+
+
+def test_run_of_a_deep_non_outcome_is_a_user_error(tmp_path, capsys):
+    p = tmp_path / "deep.proof"
+    p.write_text("(defterm t (app succ (num 3000)))")
+    rc, out, err = run_cli(capsys, "run", str(p), "--term", "t")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: realizer produced a non-outcome normal form: succ")
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_check_compares_deep_numerals(tmp_path, capsys, n):
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d (der (exists-i {n}) (seq (ctx) (exists x (atom = x {n})))"
+                 f" (der atom-i (seq (ctx) (atom = {n} {n})))))")
+    rc, out, _ = run_cli(capsys, "check", str(p))
+    assert rc == 0 and out.splitlines()[-1] == "ok: 1 definitions"
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +304,7 @@ def test_demo_lists_may_start_with_a_minus_sign(capsys, demo, flag, value, expec
         ("demo", "least-element", "--values", "1/0", "--precision", "2"),
         ("demo", "convex-angle", "--points", "0,0;1"),
         ("demo", "convex-angle", "--points", "0,0;1,1;2,2"),  # collinear
+        ("demo", "convex-angle", "--points", "0,0;1,1"),
     ],
 )
 def test_demo_input_errors(capsys, argv):
@@ -295,6 +321,16 @@ def test_unexpected_exceptions_exit_two(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "check", "whatever.proof")
     assert rc == 2
     assert err.startswith("internal error: ZeroDivisionError")
+
+
+def test_value_errors_inside_the_library_exit_two(corpus_path, capsys, monkeypatch):
+    def broken(text):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(sexpr, "parse_file", broken)
+    rc, _, err = run_cli(capsys, "check", corpus_path)
+    assert rc == 2
+    assert err.startswith("internal error: ValueError: bug")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith
+from realizer import arith, corpus, extraction, learning, monads
 from realizer import terms as tm
 from realizer.terms import (
     App, Const, Lam, Num, Var,
     NAT, UNIT, EX, STATE, TArrow, TProd, TSum,
     app, arrows, numeral, as_numeral, normalize, spine, step, typecheck,
 )
+
+import conftest as gen
 
 PLUS = tm.prim_c("+", arith.FUNCTIONS["+"])
 PRED = tm.prim_c("pred", arith.FUNCTIONS["pred"])
@@ -207,12 +209,179 @@ def test_reduction_preserves_types(seed):
         pytest.fail("term did not normalize in 400 steps")
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(150))
 def test_strategies_agree_on_normal_forms(seed):
     rng = random.Random(1000 + seed)
     ty = rng.choice(_GROUND)
-    t = _gen(rng, ty, (), 4)
-    assert normalize(t, strategy="left") == normalize(t, strategy="right")
+    t = _gen(rng, ty, (), 4 + seed // 50)
+    left, n_left = _stepper(t, strategy="left")
+    right, n_right = _stepper(t, strategy="right")
+    assert left == right and n_left == n_right
+    assert _agrees(t) == left
+
+
+# ---------------------------------------------------------------------------
+# the machine against the substitution stepper
+
+
+def _stepper(t, fuel=tm.DEFAULT_FUEL, oracle=None, strategy="left"):
+    """The reference semantics: step until normal; (normal form, steps)."""
+    for n in range(fuel):
+        r = step(t, oracle, strategy)
+        if r is None:
+            return t, n
+        t = r
+    raise tm.FuelExhausted(fuel, t)
+
+
+def _agrees(t, oracle=None, fuel=tm.DEFAULT_FUEL):
+    """normalize reaches the stepper's normal form with the same minimal
+    fuel (steps + 1 succeeds, steps raises), or both run out of fuel."""
+    try:
+        want, n = _stepper(t, fuel, oracle)
+    except tm.FuelExhausted:
+        with pytest.raises(tm.FuelExhausted):
+            normalize(t, fuel, oracle)
+        return None
+    assert normalize(t, n + 1, oracle) == want
+    with pytest.raises(tm.FuelExhausted):
+        normalize(t, n, oracle)
+    return want
+
+
+_CONSTS = [tm.succ, tm.zero, tm.unit_const, tm.staterep, tm.exmerge_const,
+           tm.pair_c(NAT, NAT), tm.prl_c(NAT, NAT), tm.prr_c(NAT, NAT),
+           tm.inl_c(NAT, NAT), tm.inr_c(NAT, NAT), tm.case_c(NAT, NAT, NAT),
+           tm.rec_c(NAT), tm.rec_c(NAT, 2), tm.rec_c(TArrow(NAT, NAT), 1), PLUS, PRED,
+           tm.prim_c("0", arith.FUNCTIONS["0"]), tm.exc_const("<", (1,), 0),
+           tm.query_c("<", 1), tm.eval_c("<", 1)]
+
+_open_terms = st.deferred(lambda: st.one_of(
+    st.integers(min_value=0, max_value=4).map(Var),
+    st.integers(min_value=0, max_value=4).map(Num),
+    st.sampled_from(_CONSTS),
+    st.tuples(_open_terms, _open_terms).map(lambda p: App(*p)),
+    st.tuples(_open_terms, _open_terms, _open_terms).map(lambda p: app(*p)),
+    _open_terms.map(lambda b: Lam(NAT, b)),
+))
+
+
+def _toy_oracle(head, args):
+    """query answers from a fixed table, eval compares; extra args ride along."""
+    if len(args) < 2 or as_numeral(args[1]) is None:
+        return None
+    n = as_numeral(args[1])
+    if head.kind == "query":
+        out = App(tm.inr_c(UNIT, NAT), numeral(n + 1)) if n % 2 else App(
+            tm.inl_c(UNIT, NAT), tm.unit_const)
+    elif as_numeral(args[0]) is None:
+        return None
+    else:
+        out = App(tm.inl_c(UNIT, EX), tm.unit_const)
+    return app(out, *args[2:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=_open_terms, with_oracle=st.booleans())
+def test_machine_agrees_on_open_and_ill_typed_terms(t, with_oracle):
+    # free variables, stuck constants, partial applications, literals under
+    # binders and divergence all have to come out as the stepper has them
+    _agrees(t, _toy_oracle if with_oracle else None, fuel=200)
+
+
+def test_readback_shifts_values_under_binders():
+    # (lam x. lam y. x) applied to a free variable and to a closure over one
+    k = Lam(NAT, Lam(NAT, Var(1)))
+    assert normalize(App(k, Var(3))) == Lam(NAT, Var(4))
+    # inner is lam b. (free 0) b (free 0), a closure whose environment holds
+    # a free variable; under one more binder both occurrences read Var(2)
+    inner = App(Lam(NAT, Lam(NAT, app(Var(1), Var(0), Var(2)))), Var(0))
+    assert _agrees(App(k, inner)) == Lam(NAT, Lam(NAT, app(Var(2), Var(0), Var(2))))
+    # a closure made at the top, with an empty environment, still shifts
+    assert _agrees(App(k, Lam(NAT, Var(5)))) == Lam(NAT, Lam(NAT, Var(6)))
+
+
+def test_ill_shaped_rule_arguments_stay_stuck():
+    pair = tm.pair_c(NAT, NAT)
+    for t in (App(tm.prl_c(NAT, NAT), app(pair, numeral(1), numeral(2), numeral(3))),
+              App(tm.prr_c(NAT, NAT), App(pair, numeral(1))),
+              app(tm.case_c(NAT, NAT, NAT), app(tm.inl_c(NAT, NAT), numeral(1), numeral(2)),
+                  Lam(NAT, Var(0)), Lam(NAT, Var(0))),
+              App(PLUS, numeral(3)),
+              app(tm.exmerge_const, tm.exc_const("<", (1,), 0), tm.unit_const),
+              app(tm.rec_c(NAT), Lam(NAT, Lam(TArrow(NAT, NAT), Var(1))), Var(0))):
+        assert _agrees(t) == t
+
+
+def test_deep_terms_need_no_stack():
+    assert typecheck(numeral(10**4)) == NAT
+    assert as_numeral(normalize(App(tm.succ, Num(10**4)))) == 10**4 + 1
+    # f m r = succ (r (pred m)) unfolds n times and counts back up
+    f = Lam(NAT, Lam(TArrow(NAT, NAT), App(tm.succ, App(Var(0), App(PRED, Var(1))))))
+    assert as_numeral(normalize(app(tm.rec_c(NAT), f, numeral(1000)))) == 1001
+
+
+def test_divergence_runs_out_of_the_default_fuel():
+    omega = Lam(NAT, App(Var(0), Var(0)))
+    with pytest.raises(tm.FuelExhausted, match=f"within {tm.DEFAULT_FUEL} steps"):
+        normalize(App(omega, omega))
+
+
+@pytest.fixture
+def checked_normalize(monkeypatch):
+    """Route every library call of terms.normalize through _agrees."""
+    seen = []
+
+    def checking(t, fuel=tm.DEFAULT_FUEL, oracle=None):
+        seen.append(_agrees(t, oracle, fuel))
+        return normalize(t, fuel, oracle)
+
+    monkeypatch.setattr(tm, "normalize", checking)
+    return seen
+
+
+@pytest.mark.parametrize("monad", [monads.IDENTITY, monads.EXCEPTION, monads.INTERACTIVE],
+                         ids=lambda m: m.name)
+def test_machine_agrees_on_monad_law_samples(checked_normalize, monad):
+    assert monads.check_laws(monad, samples=100, seed=5).ok
+    assert len(checked_normalize) >= 300
+
+
+def _learned_everywhere(d, rels=arith.RELATIONS, fns=arith.FUNCTIONS):
+    """Learn with the realizer of d: every state of the run goes through
+    terms.normalize."""
+    r = extraction.extract(d, monads.INTERACTIVE, rels, fns)
+    learning.learn(r, learning.State.empty(), rels)
+
+
+def test_machine_agrees_on_every_corpus_learning_run(checked_normalize):
+    pf = corpus.corpus_file()
+    ran = 0
+    for name, d in pf.derivs.items():
+        try:
+            _learned_everywhere(d, pf.rels, pf.fns)
+        except extraction.ExtractionError:
+            continue
+        ran += 1
+    assert ran == 11 and len(checked_normalize) > ran
+
+
+@pytest.mark.parametrize("family", ["ha_em", "sigma01", "em_cuts"])
+def test_machine_agrees_on_generated_learning_runs(checked_normalize, family):
+    rng = random.Random(77)
+    ran = 0
+    while ran < 12:
+        if family == "ha_em":
+            d = gen.decoratable_derivation(rng)
+        elif family == "sigma01":
+            d = gen.sigma01_derivation(rng, cuts=3)[0]
+        else:
+            d = gen.with_random_cuts(rng, gen.em_derivation(rng), 2)
+        if d.conclusion.context:
+            continue
+        _learned_everywhere(d)
+        ran += 1
+    assert len(checked_normalize) >= ran
 
 
 # ---------------------------------------------------------------------------
