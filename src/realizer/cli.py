@@ -17,6 +17,7 @@ invariant violation.  REALIZER_FUEL overrides the default fuel.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -62,6 +63,7 @@ _USER_ERRORS = (
 )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     p = _Parser(prog="realizer", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
@@ -219,7 +221,7 @@ def cmd_run(args) -> int:
     else:
         e = out.exc
         if machine:
-            print(f"(exceptional (exc {e.rel} ({' '.join(map(str, e.args))}) {e.witness}))")
+            print(f"(exceptional {sexpr.print_term(tm.exc_const(e.rel, e.args, e.witness))})")
         else:
             print("outcome: exceptional")
             print(f"exception: {e.rel}({','.join(map(str, e.args))})={e.witness}")

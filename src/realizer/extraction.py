@@ -81,6 +81,9 @@ def computation_type(f: Formula, m: mn.MonadSpec = mn.INTERACTIVE) -> Ty:
 Entry = tuple[str, str]  # ("lbl", name) or ("tvar", name)
 Env = tuple[Entry, ...]  # index 0 is the innermost binding
 
+# the binder of an administrative lambda, which no lookup finds
+_ADMIN: Entry = ("admin", "")
+
 
 def _push(env: Env, *entries: Entry) -> Env:
     # entries listed outermost first, so push order reverses them
@@ -219,8 +222,8 @@ def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> Term:
         case dd.OrE(label):
             major = prems[0].conclusion.goal
             a, b, c = rt(major.left), rt(major.right), rt(goal)
-            on_l = shift(rec(1, ("lbl", label)), 1, cutoff=1)
-            on_r = shift(rec(2, ("lbl", label)), 1, cutoff=1)
+            on_l = rec(1, _ADMIN, ("lbl", label))
+            on_r = rec(2, _ADMIN, ("lbl", label))
             f = Lam(
                 TSum(a, b),
                 app(
@@ -246,17 +249,18 @@ def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> Term:
         case dd.ForallE(term):
             major = prems[0].conclusion.goal
             body_rt = rt(major.body)
-            f = Lam(rt(major), App(tm.Var(0), shift(term_to_nat(term, env, fns), 1)))
+            f = Lam(rt(major), App(tm.Var(0), term_to_nat(term, _push(env, _ADMIN), fns)))
             return app(mn.star_n(m, 1, (rt(major),), body_rt), f, rec(0))
         case dd.ExistsI(term):
             b = rt(goal.body)
-            f = Lam(b, app(tm.pair_c(tm.NAT, b), shift(term_to_nat(term, env, fns), 1), tm.Var(0)))
+            n = term_to_nat(term, _push(env, _ADMIN), fns)
+            f = Lam(b, app(tm.pair_c(tm.NAT, b), n, tm.Var(0)))
             lift = mn.raise_n(m, 1, (b,), TProd(tm.NAT, b))
             return app(lift, f, rec(0))
         case dd.ExistsE(label, var):
             major = prems[0].conclusion.goal
             b, c = rt(major.body), rt(goal)
-            inner = shift(rec(1, ("tvar", var), ("lbl", label)), 1, cutoff=2)
+            inner = rec(1, _ADMIN, ("tvar", var), ("lbl", label))
             pr = TProd(tm.NAT, b)
             f = Lam(
                 pr,
@@ -272,7 +276,7 @@ def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> Term:
             ta = m.type_op(a)
             hyp = prems[0].conclusion.lookup(label)
             hyp_rt = rt(hyp)  # Nat -> T(Unit -> T|A|)
-            inner = shift(rec(0, ("tvar", var), ("lbl", label)), 1, cutoff=1)
+            inner = rec(0, ("tvar", var), _ADMIN, ("lbl", label))
             # lam z. unit (lam u. beta z), with beta the raw recursive call
             beta_feed = Lam(
                 tm.NAT,
@@ -293,8 +297,8 @@ def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> Term:
             not_p = TArrow(tm.UNIT, m.type_op(tm.UNIT))  # |not P|
             right = TProd(tm.NAT, not_p)
             c = rt(goal)
-            on_l = shift(rec(0, ("lbl", label)), 1, cutoff=1)
-            on_r = shift(rec(1, ("tvar", var), ("lbl", label)), 2, cutoff=2)
+            on_l = rec(0, _ADMIN, ("lbl", label))
+            on_r = rec(1, _ADMIN, _ADMIN, ("tvar", var), ("lbl", label))
             f = Lam(
                 TSum(left, right),
                 app(

@@ -51,11 +51,15 @@ class IterationLimit(LearningError):
 
 
 class ConflictingExtension(LearningError):
-    """Internal error: an exception disagreed with the ambient state."""
+    """An exception refuted a key that the state refutes with another witness.
+
+    A user-written term can raise one; the CLI exits 1."""
 
 
 class StalledLearning(LearningError):
-    """Internal error: an exception whose content the state already had."""
+    """An exception whose content the state already had, so learning stalls.
+
+    A user-written term can raise one: ``run corpus.sexp --term raise-low --learn`` exits 1."""
 
 
 class RelSpec(Protocol):

@@ -6,15 +6,27 @@ A proof file is a sequence of parenthesized top-level forms:
     (defterm NAME TERM)             (defder NAME DERIVATION)
 
 read in order, so definitions may use earlier ones and the built-in
-function and relation tables.  Comments run from ';' to end of line.
-Printing is the inverse on checked objects: parse(print(x)) == x.
+function and relation tables.  Comments run from ';' to end of line;
+whitespace is space, tab, CR and LF.
+
+read_nodes tokenizes with one regular expression and nests lists on an
+explicit stack.  A node keeps the offset where it starts in its text, and
+a ParseError counts line and column from that offset when it is built.
+Primitive functions, types, formulas, terms, rules and definitions each
+have one table of forms: a head, how the object is made from its
+arguments and split back into them, and the kind (a reader paired with a
+printer) of each argument.  read_X and print_X walk the same table with
+an explicit stack, so each head is spelled once and depth costs no Python
+stack.  Printing is the inverse on checked objects: parse(print(x)) == x.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import arith
 from . import deduction as dd
@@ -23,8 +35,8 @@ from .arith import (
     And, Atom, ATerm, Comp, Exists, Forall, Formula, Imply, Or, PRec, PrimFn,
     Proj, Relation, Succ, TApp, TVar, Zero, tnum,
 )
-from .deduction import Context, Derivation, Sequent
-from .terms import Const, Lam, Num, Term, Ty, Var
+from .deduction import Derivation, Sequent
+from .terms import Const, Lam, Num, Term, Var
 
 
 class ParseError(Exception):
@@ -39,116 +51,81 @@ class ParseError(Exception):
 # reading: tokens and nodes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sym:
     text: str
-    line: int = 0
-    col: int = 0
+    pos: int = 0  # offset of the first character in src
+    src: str = field(default="", compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntTok:
     value: int
-    line: int = 0
-    col: int = 0
+    pos: int = 0
+    src: str = field(default="", compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ListNode:
     items: tuple["Node", ...]
-    line: int = 0
-    col: int = 0
+    pos: int = 0
+    src: str = field(default="", compare=False, repr=False)
 
 
 Node = Union[Sym, IntTok, ListNode]
 
+# a comment, a parenthesis or an atom; what no match covers is whitespace
+_TOKEN = re.compile(r";[^\n]*|[()]|[^(); \t\r\n]+")
 _INT = re.compile(r"-?\d+$")
 
 
-def _tokens(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start, scol = i, col
-            while i < n and text[i] not in "(); \t\r\n":
-                i += 1
-                col += 1
-            yield ("atom", text[start:i], line, scol)
-    yield ("eof", "", line, col)
+def _error(text: str, pos: int, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
+
+
+def _err(node: Node, message: str) -> ParseError:
+    return _error(node.src, node.pos, message)
 
 
 def read_nodes(text: str) -> list[Node]:
     """All top-level nodes of text."""
-    toks = list(_tokens(text))
-    pos = 0
-
-    def parse_one() -> Node:
-        nonlocal pos
-        kind, val, line, col = toks[pos]
-        if kind == "(":
-            pos += 1
+    items: list[Node] = []  # of the innermost open list, or the top level
+    opened = []  # (offset, enclosing items) of each open list
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            opened.append((m.start(), items))
             items = []
-            while True:
-                k, _, l2, c2 = toks[pos]
-                if k == ")":
-                    pos += 1
-                    return ListNode(tuple(items), line, col)
-                if k == "eof":
-                    raise ParseError("unclosed parenthesis", line, col)
-                items.append(parse_one())
-        if kind == ")":
-            raise ParseError("unmatched ')'", line, col)
-        if kind == "eof":
-            raise ParseError("unexpected end of input", line, col)
-        pos += 1
-        if _INT.match(val):
-            return IntTok(int(val), line, col)
-        return Sym(val, line, col)
-
-    out = []
-    try:
-        while toks[pos][0] != "eof":
-            out.append(parse_one())
-    finally:
-        # parse_one refers to itself through its closure; breaking that cycle
-        # frees the token list now instead of at the next garbage collection
-        del parse_one
-    return out
-
-
-def _err(node: Node, message: str) -> ParseError:
-    return ParseError(message, node.line, node.col)
+        elif tok == ")":
+            if not opened:
+                raise _error(text, m.start(), "unmatched ')'")
+            pos, outer = opened.pop()
+            outer.append(ListNode(tuple(items), pos, text))
+            items = outer
+        elif _INT.match(tok):
+            items.append(IntTok(int(tok), m.start(), text))
+        elif tok[0] != ";":
+            items.append(Sym(tok, m.start(), text))
+    if opened:
+        raise _error(text, opened[-1][0], "unclosed parenthesis")
+    return items
 
 
 def _sym(node: Node, what: str) -> str:
-    if not isinstance(node, Sym):
+    if type(node) is not Sym:
         raise _err(node, f"expected {what}")
     return node.text
 
 
 def _int(node: Node, what: str) -> int:
-    if not isinstance(node, IntTok):
+    if type(node) is not IntTok:
         raise _err(node, f"expected {what}")
     return node.value
 
 
 def _list(node: Node, what: str) -> tuple[Node, ...]:
-    if not isinstance(node, ListNode):
+    if type(node) is not ListNode:
         raise _err(node, f"expected {what}")
     return node.items
 
@@ -157,405 +134,432 @@ def _form(node: Node, what: str) -> tuple[str, tuple[Node, ...]]:
     items = _list(node, what)
     if not items:
         raise _err(node, f"empty form where {what} was expected")
-    return _sym(items[0], f"{what} head"), items[1:]
+    if type(items[0]) is not Sym:
+        raise _err(items[0], f"expected {what} head")
+    return items[0].text, items[1:]
 
 
-def _arity(node: Node, items: tuple[Node, ...], n: int, what: str):
-    if len(items) != n:
-        raise _err(node, f"{what} takes {n} arguments, got {len(items)}")
+def _takes(node: Node, name: str, arity: int, got: int):
+    if arity != got:
+        raise _err(node, f"{name!r} takes {arity} arguments, got {got}")
+
+
+# ---------------------------------------------------------------------------
+# layout
+
+_WIDTH = 100
+
+
+def _flat(*parts: str) -> str:
+    return "(" + " ".join(parts) + ")"
+
+
+def _wrap(*parts: str) -> str:
+    flat = "(" + " ".join(parts) + ")"
+    if len(flat) <= _WIDTH or len(parts) == 1:
+        return flat
+    body = ("\n" + " " * 2).join(p.replace("\n", "\n" + " " * 2) for p in parts[1:])
+    return f"({parts[0]}\n  {body})"
+
+
+# ---------------------------------------------------------------------------
+# kinds, forms and the walker
+
+
+class _Kind(NamedTuple):
+    """How one argument is read, read(node, fns, rels), and printed, print(obj)."""
+
+    read: Callable
+    print: Callable
+
+
+@dataclass
+class _Form:
+    """One form (HEAD ARG ...) of a table."""
+
+    head: str
+    make: Callable  # the argument values -> the object
+    split: Callable  # the object -> the argument values
+    kinds: tuple  # of the leading arguments
+    rest: Optional[_Kind] = None  # of any further ones
+    least: Optional[int] = None  # fewest arguments, when not len(kinds)
+    short: str = ""  # the error for too few arguments, when not the arity one
+    check: Optional[Callable] = None  # (node, args, fns, rels), before reading
+    key: object = None  # the printer's key, when make is not a class
+    flat: bool = False  # printed on one line, however long
+
+    def __post_init__(self):
+        if self.least is None:
+            self.least = len(self.kinds)
+        self.reads = tuple(k.read for k in self.kinds)
+        self.prints = tuple(k.print for k in self.kinds)
+        self.join = partial(_flat if self.flat else _wrap, self.head)  # the printer's make
+
+
+def _walk(root: list, *ctx):
+    """Finish the open form root; ctx (fns, rels) goes to every reader.
+
+    An open form is a list [make, parts, node]: parts yields (reader or
+    printer, argument) pairs in order and make(*results) finishes it.  A
+    reader or printer returns its result, never a list, or a further open
+    form, which waits on the stack with its parts iterator where it
+    stopped.  A make raising ArityMismatch is reported at the form's node.
+    """
+    stack = [(root[0], iter(root[1]), root[2], [])]
+    while True:
+        make, parts, node, results = stack[-1]
+        for step, x in parts:
+            x = step(x, *ctx)
+            if type(x) is list:
+                stack.append((x[0], iter(x[1]), x[2], []))
+                break
+            results.append(x)
+        else:
+            stack.pop()
+            try:
+                value = make(*results)
+            except arith.ArityMismatch as e:
+                raise _err(node, str(e)) from e
+            if not stack:
+                return value
+            stack[-1][3].append(value)
+
+
+def _only(x):
+    return x
+
+
+def _read(kind: _Kind, node: Node, fns=None, rels=None):
+    """node read as kind; the public read_X are this with X's kind."""
+    return _walk([_only, [(kind.read, node)], node], fns, rels)
+
+
+def _print(kind: _Kind, obj) -> str:
+    """obj printed as kind; the public print_X are this with X's kind."""
+    return _walk([_only, [(kind.print, obj)], None])
+
+
+def _read_form(form: _Form, node: Node, args: tuple[Node, ...], fns, rels) -> list:
+    n, got = len(form.kinds), len(args)
+    if got < form.least or (got > n and form.rest is None):
+        raise _err(node, form.short or f"{form.head} takes {n} arguments, got {got}")
+    if form.check is not None:
+        form.check(node, args, fns, rels)
+    reads = form.reads if got <= n else form.reads + (form.rest.read,) * (got - n)
+    return [form.make, zip(reads, args), node]
+
+
+def _print_form(form: _Form, values) -> list:
+    prints = form.prints
+    if form.rest is not None:
+        prints += (form.rest.print,) * (len(values) - len(prints))
+    return [form.join, zip(prints, values), None]
+
+
+class _Table:
+    """The forms of one syntactic category, and the heads that stand alone.
+
+    The printer looks an object up by key(obj): a bare head by the key of
+    its object, a form by its make when that is a class, else by its head
+    (which for a term constant is the constant's kind).
+    """
+
+    def __init__(self, what: str, noun: str, key: Callable = type):
+        self.what, self.noun, self.key = what, noun, key
+        self.kind = _Kind(self.read, self.print)
+
+    def define(self, forms, bare: Optional[Mapping] = None):
+        self.bare = bare  # None: a symbol is never one of these
+        self.heads = {f.head: f for f in forms}
+        self.printed = {self.key(v): name for name, v in (bare or {}).items()}
+        for f in forms:
+            self.printed[f.key or (f.make if isinstance(f.make, type) else f.head)] = f
+
+    def read(self, node: Node, fns, rels):
+        if self.bare is not None and type(node) is Sym:
+            if node.text not in self.bare:
+                raise _err(node, f"unknown {self.noun} {node.text!r}")
+            return self.bare[node.text]
+        head, args = _form(node, self.what)
+        form = self.heads.get(head)
+        if form is None:
+            raise _err(node, f"unknown {self.noun} form {head!r}")
+        return _read_form(form, node, args, fns, rels)
+
+    def print(self, obj):
+        entry = self.printed.get(self.key(obj))
+        if entry is None:
+            raise ValueError(f"not {self.what}: {obj!r}")
+        return entry if type(entry) is str else _print_form(entry, entry.split(obj))
+
+
+def _symbol(what: str) -> _Kind:
+    return _Kind(lambda node, fns, rels: _sym(node, what), str)
+
+
+def _integer(what: str) -> _Kind:
+    return _Kind(lambda node, fns, rels: _int(node, what), str)
+
+
+def _fields(obj):
+    return vars(obj).values()
+
+
+_LABEL = _symbol("a label")
+_VARIABLE = _symbol("a variable")
+_ARITY = _integer("an arity")
+
+
+def _read_relation(node: Node, fns, rels) -> str:
+    rel = _sym(node, "a relation name")
+    if rel not in rels:
+        raise _err(node, f"unknown relation {rel!r}")
+    return rel
+
+
+def _read_function_name(node: Node, fns, rels) -> tuple[str, PrimFn]:
+    name = _sym(node, "a function name")
+    if name not in fns:
+        raise _err(node, f"unknown function {name!r}")
+    return name, fns[name]
+
+
+def _read_numerals(node: Node, fns, rels) -> tuple[int, ...]:
+    return tuple(_int(a, "a numeral") for a in _list(node, "arguments"))
+
+
+_RELATION = _Kind(_read_relation, str)
+_FUNCTION_NAME = _Kind(_read_function_name, lambda tag: tag[0])
+_NUMERALS = _Kind(_read_numerals, lambda args: _flat(*map(str, args)))
 
 
 # ---------------------------------------------------------------------------
 # primitive recursive functions
 
-
-def read_primfn(node: Node, fns: Mapping[str, PrimFn]) -> PrimFn:
-    if isinstance(node, Sym):
-        if node.text == "zero":
-            return Zero(0)
-        if node.text == "S":
-            return Succ()
-        if node.text in fns:
-            return fns[node.text]
-        raise _err(node, f"unknown function {node.text!r}")
-    head, args = _form(node, "a function")
-    try:
-        match head:
-            case "zero":
-                _arity(node, args, 1, "zero")
-                return Zero(_int(args[0], "an arity"))
-            case "proj":
-                _arity(node, args, 2, "proj")
-                return Proj(_int(args[0], "an arity"), _int(args[1], "an index"))
-            case "comp":
-                if not args:
-                    raise _err(node, "comp needs an outer function")
-                outer = read_primfn(args[0], fns)
-                return Comp(outer, tuple(read_primfn(a, fns) for a in args[1:]))
-            case "prec":
-                _arity(node, args, 2, "prec")
-                return PRec(read_primfn(args[0], fns), read_primfn(args[1], fns))
-    except arith.ArityMismatch as e:
-        raise _err(node, str(e)) from e
-    raise _err(node, f"unknown function form {head!r}")
+# (zero 0) prints as the bare zero; every other function by its class
+_PRIMFNS = _Table("a function", "function", key=lambda f: f if f == Zero(0) else type(f))
 
 
-def print_primfn(f: PrimFn) -> str:
-    match f:
-        case Zero(0):
-            return "zero"
-        case Zero(n):
-            return f"(zero {n})"
-        case Succ():
-            return "S"
-        case Proj(n, i):
-            return f"(proj {n} {i})"
-        case Comp(outer, inner):
-            return _wrap(["comp", print_primfn(outer)] + [print_primfn(g) for g in inner])
-        case PRec(base, step):
-            return _wrap(["prec", print_primfn(base), print_primfn(step)])
-    raise ValueError(f"not a primitive recursive function: {f!r}")
+def _read_primfn(node: Node, fns, rels) -> PrimFn:
+    # a symbol other than a bare head names a built-in or defined function
+    if type(node) is Sym and node.text not in _PRIMFNS.bare and node.text in fns:
+        return fns[node.text]
+    return _PRIMFNS.read(node, fns, rels)
+
+
+_FN = _Kind(_read_primfn, _PRIMFNS.print)
+_ZERO = _Form("zero", Zero, _fields, (_ARITY,), flat=True)
+_PRIMFNS.define(
+    (
+        _ZERO,
+        _Form("proj", Proj, _fields, (_ARITY, _integer("an index")), flat=True),
+        _Form("comp", lambda outer, *inner: Comp(outer, inner),
+              lambda c: (c.outer, *c.inner), (_FN,), rest=_FN,
+              short="comp needs an outer function", key=Comp),
+        _Form("prec", PRec, _fields, (_FN, _FN)),
+    ),
+    bare={_ZERO.head: Zero(0), "S": Succ()},
+)
+read_primfn = partial(_read, _FN)  # (node, fns)
+print_primfn = partial(_print, _FN)
 
 
 # ---------------------------------------------------------------------------
 # first-order terms and formulas
 
 
-def read_aterm(node: Node, fns: Mapping[str, PrimFn]) -> ATerm:
-    if isinstance(node, IntTok):
+def _read_aterm(node: Node, fns, rels) -> ATerm:
+    if type(node) is IntTok:
         if node.value < 0:
             raise _err(node, "negative numeral")
         return tnum(node.value)
-    if isinstance(node, Sym):
+    if type(node) is Sym:
         return TVar(node.text)
     head, args = _form(node, "a term")
     if head not in fns:
         raise _err(node, f"unknown function {head!r}")
-    if fns[head].arity != len(args):
-        raise _err(node, f"{head!r} takes {fns[head].arity} arguments, got {len(args)}")
-    return TApp(head, tuple(read_aterm(a, fns) for a in args))
+    _takes(node, head, fns[head].arity, len(args))
+    return [lambda *xs: TApp(head, xs), [(_read_aterm, a) for a in args], node]
 
 
-def print_aterm(t: ATerm) -> str:
+def _print_aterm(t: ATerm):
     v = arith.numeral_value(t)
     if v is not None:
         return str(v)
-    match t:
-        case TVar(name):
-            return name
-        case TApp(fn, args):
-            return _wrap([fn] + [print_aterm(a) for a in args])
+    if type(t) is TVar:
+        return t.name
+    if type(t) is TApp:
+        return [partial(_wrap, t.fn), [(_print_aterm, a) for a in t.args], None]
     raise ValueError(f"not a term: {t!r}")
 
 
-def read_formula(node: Node, fns, rels: Mapping[str, Relation]) -> Formula:
-    head, args = _form(node, "a formula")
-    match head:
-        case "atom":
-            if not args:
-                raise _err(node, "atom needs a relation name")
-            rel = _sym(args[0], "a relation name")
-            if rel not in rels:
-                raise _err(args[0], f"unknown relation {rel!r}")
-            if rels[rel].arity != len(args) - 1:
-                raise _err(node, f"{rel!r} takes {rels[rel].arity} arguments,"
-                                 f" got {len(args) - 1}")
-            return Atom(rel, tuple(read_aterm(a, fns) for a in args[1:]))
-        case "and" | "or" | "imply":
-            _arity(node, args, 2, head)
-            cls = {"and": And, "or": Or, "imply": Imply}[head]
-            return cls(read_formula(args[0], fns, rels), read_formula(args[1], fns, rels))
-        case "forall" | "exists":
-            _arity(node, args, 2, head)
-            var = _sym(args[0], "a variable")
-            cls = Forall if head == "forall" else Exists
-            return cls(var, read_formula(args[1], fns, rels))
-    raise _err(node, f"unknown formula form {head!r}")
+_ATERM = _Kind(_read_aterm, _print_aterm)
+read_aterm = partial(_read, _ATERM)  # (node, fns)
+print_aterm = partial(_print, _ATERM)
 
 
-def print_formula(f: Formula) -> str:
-    match f:
-        case Atom(rel, args):
-            return _wrap(["atom", rel] + [print_aterm(a) for a in args])
-        case And(l, r):
-            return _wrap(["and", print_formula(l), print_formula(r)])
-        case Or(l, r):
-            return _wrap(["or", print_formula(l), print_formula(r)])
-        case Imply(l, r):
-            return _wrap(["imply", print_formula(l), print_formula(r)])
-        case Forall(v, b):
-            return _wrap(["forall", v, print_formula(b)])
-        case Exists(v, b):
-            return _wrap(["exists", v, print_formula(b)])
-    raise ValueError(f"not a formula: {f!r}")
+def _relation_arity(node: Node, args: tuple[Node, ...], fns, rels):
+    rel = _read_relation(args[0], fns, rels)
+    _takes(node, rel, rels[rel].arity, len(args) - 1)
+
+
+_FORMULAS = _Table("a formula", "formula")
+_FORMULA = _FORMULAS.kind
+_FORMULAS.define((
+    _Form("atom", lambda rel, *args: Atom(rel, args), lambda a: (a.rel, *a.args),
+          (_RELATION,), rest=_ATERM, short="atom needs a relation name",
+          check=_relation_arity, key=Atom),
+    _Form("and", And, _fields, (_FORMULA, _FORMULA)),
+    _Form("or", Or, _fields, (_FORMULA, _FORMULA)),
+    _Form("imply", Imply, _fields, (_FORMULA, _FORMULA)),
+    _Form("forall", Forall, _fields, (_VARIABLE, _FORMULA)),
+    _Form("exists", Exists, _fields, (_VARIABLE, _FORMULA)),
+))
+read_formula = partial(_read, _FORMULA)  # (node, fns, rels)
+print_formula = partial(_print, _FORMULA)
 
 
 # ---------------------------------------------------------------------------
 # computation types and terms
 
-
-def read_type(node: Node) -> Ty:
-    if isinstance(node, Sym):
-        base = {"Unit": tm.UNIT, "Nat": tm.NAT, "State": tm.STATE, "Ex": tm.EX}
-        if node.text in base:
-            return base[node.text]
-        raise _err(node, f"unknown type {node.text!r}")
-    head, args = _form(node, "a type")
-    if head in ("arrow", "prod", "sum"):
-        _arity(node, args, 2, head)
-        cls = {"arrow": tm.TArrow, "prod": tm.TProd, "sum": tm.TSum}[head]
-        return cls(read_type(args[0]), read_type(args[1]))
-    raise _err(node, f"unknown type form {head!r}")
-
-
-def print_type(ty: Ty) -> str:
-    match ty:
-        case tm.TUnit():
-            return "Unit"
-        case tm.TNat():
-            return "Nat"
-        case tm.TState():
-            return "State"
-        case tm.TEx():
-            return "Ex"
-        case tm.TArrow(a, b):
-            return _wrap(["arrow", print_type(a), print_type(b)])
-        case tm.TProd(a, b):
-            return _wrap(["prod", print_type(a), print_type(b)])
-        case tm.TSum(a, b):
-            return _wrap(["sum", print_type(a), print_type(b)])
-    raise ValueError(f"not a type: {ty!r}")
+_TYPES = _Table("a type", "type")
+_TYPE = _TYPES.kind
+_TYPES.define(
+    (
+        _Form("arrow", tm.TArrow, _fields, (_TYPE, _TYPE)),
+        _Form("prod", tm.TProd, _fields, (_TYPE, _TYPE)),
+        _Form("sum", tm.TSum, _fields, (_TYPE, _TYPE)),
+    ),
+    bare={"Unit": tm.UNIT, "Nat": tm.NAT, "State": tm.STATE, "Ex": tm.EX},
+)
+read_type = partial(_read, _TYPE)  # (node)
+print_type = partial(_print, _TYPE)
 
 
-_BARE_CONSTS = {
-    "unit": tm.unit_const,
-    "zero": tm.zero,
-    "succ": tm.succ,
-    "exmerge": tm.exmerge_const,
-    "staterep": tm.staterep,
-}
+def _spine(t: Term) -> tuple[Term, ...]:
+    head, args = tm.spine(t)
+    return (head, *args)
 
 
-def read_term(node: Node, fns, rels) -> Term:
-    if isinstance(node, Sym):
-        if node.text in _BARE_CONSTS:
-            return _BARE_CONSTS[node.text]
-        raise _err(node, f"unknown term {node.text!r}")
-    head, args = _form(node, "a term")
-    match head:
-        case "var":
-            _arity(node, args, 1, "var")
-            return Var(_int(args[0], "an index"))
-        case "num":
-            _arity(node, args, 1, "num")
-            return Num(_int(args[0], "a natural"))
-        case "lam":
-            _arity(node, args, 2, "lam")
-            return Lam(read_type(args[0]), read_term(args[1], fns, rels))
-        case "app":
-            if len(args) < 2:
-                raise _err(node, "app needs a function and an argument")
-            out = read_term(args[0], fns, rels)
-            for a in args[1:]:
-                out = tm.App(out, read_term(a, fns, rels))
-            return out
-        case "pair" | "prl" | "prr" | "inl" | "inr":
-            _arity(node, args, 2, head)
-            mk = {"pair": tm.pair_c, "prl": tm.prl_c, "prr": tm.prr_c,
-                  "inl": tm.inl_c, "inr": tm.inr_c}[head]
-            return mk(read_type(args[0]), read_type(args[1]))
-        case "case":
-            _arity(node, args, 3, "case")
-            return tm.case_c(*(read_type(a) for a in args))
-        case "rec":
-            if len(args) == 1:
-                return tm.rec_c(read_type(args[0]))
-            _arity(node, args, 2, "rec")
-            return tm.rec_c(read_type(args[0]), _int(args[1], "a guard"))
-        case "query" | "eval":
-            _arity(node, args, 2, head)
-            rel = _sym(args[0], "a relation name")
-            if rel not in rels:
-                raise _err(args[0], f"unknown relation {rel!r}")
-            arity = _int(args[1], "an arity")
-            mk = tm.query_c if head == "query" else tm.eval_c
-            return mk(rel, arity)
-        case "prim":
-            _arity(node, args, 1, "prim")
-            name = _sym(args[0], "a function name")
-            if name not in fns:
-                raise _err(args[0], f"unknown function {name!r}")
-            return tm.prim_c(name, fns[name])
-        case "exc":
-            _arity(node, args, 3, "exc")
-            rel = _sym(args[0], "a relation name")
-            eargs = tuple(_int(a, "a numeral") for a in _list(args[1], "arguments"))
-            return tm.exc_const(rel, eargs, _int(args[2], "a witness"))
-    raise _err(node, f"unknown term form {head!r}")
-
-
-def print_term(t: Term) -> str:
-    match t:
-        case Var(i):
-            return f"(var {i})"
-        case Num(v):
-            return f"(num {v})"
-        case Lam(param, body):
-            return _wrap(["lam", print_type(param), print_term(body)])
-        case tm.App():
-            head, args = tm.spine(t)
-            return _wrap(["app", print_term(head)] + [print_term(a) for a in args])
-        case Const(kind, tys, tag):
-            if kind in _BARE_CONSTS:
-                return kind
-            if kind in ("pair", "prl", "prr", "inl", "inr", "case"):
-                return _wrap([kind] + [print_type(a) for a in tys])
-            if kind == "rec":
-                guard = [] if tag is None else [str(tag)]
-                return _wrap(["rec", print_type(tys[0])] + guard)
-            if kind in ("query", "eval"):
-                rel, arity = tag
-                return _wrap([kind, rel, str(arity)])
-            if kind == "prim":
-                return _wrap(["prim", tag[0]])
-            if kind == "exc":
-                rel, args, w = tag
-                inner = "(" + " ".join(str(a) for a in args) + ")"
-                return _wrap(["exc", rel, inner, str(w)])
-    raise ValueError(f"not printable: {t!r}")
+_tys, _tag = attrgetter("tys"), attrgetter("tag")
+# a constant prints by its kind, which is its head; other terms by class
+_TERMS = _Table("a term", "term", key=lambda t: t.kind if type(t) is Const else type(t))
+_TERM = _TERMS.kind
+_TERMS.define(
+    (
+        _Form("var", Var, _fields, (_integer("an index"),), flat=True),
+        _Form("num", Num, _fields, (_integer("a natural"),), flat=True),
+        _Form("lam", Lam, _fields, (_TYPE, _TERM)),
+        _Form("app", tm.app, _spine, (_TERM, _TERM), rest=_TERM,
+              short="app needs a function and an argument", key=tm.App),
+        _Form("pair", tm.pair_c, _tys, (_TYPE, _TYPE)),
+        _Form("prl", tm.prl_c, _tys, (_TYPE, _TYPE)),
+        _Form("prr", tm.prr_c, _tys, (_TYPE, _TYPE)),
+        _Form("inl", tm.inl_c, _tys, (_TYPE, _TYPE)),
+        _Form("inr", tm.inr_c, _tys, (_TYPE, _TYPE)),
+        _Form("case", tm.case_c, _tys, (_TYPE, _TYPE, _TYPE)),
+        _Form("rec", tm.rec_c, lambda c: c.tys if c.tag is None else (*c.tys, c.tag),
+              (_TYPE, _integer("a guard")), least=1),
+        _Form("query", tm.query_c, _tag, (_RELATION, _ARITY)),
+        _Form("eval", tm.eval_c, _tag, (_RELATION, _ARITY)),
+        _Form("prim", lambda tag: tm.prim_c(*tag), lambda c: (c.tag,), (_FUNCTION_NAME,)),
+        _Form("exc", tm.exc_const, _tag,
+              (_symbol("a relation name"), _NUMERALS, _integer("a witness"))),
+    ),
+    bare={c.kind: c for c in
+          (tm.unit_const, tm.zero, tm.succ, tm.exmerge_const, tm.staterep)},
+)
+read_term = partial(_read, _TERM)  # (node, fns, rels)
+print_term = partial(_print, _TERM)
 
 
 # ---------------------------------------------------------------------------
 # sequents, rules and derivations
 
-_BARE_RULES = {
-    "atom-i": dd.AtomI(),
-    "atom-e": dd.AtomE(),
-    "and-i": dd.AndI(),
-    "and-el": dd.AndEL(),
-    "and-er": dd.AndER(),
-    "or-il": dd.OrIL(),
-    "or-ir": dd.OrIR(),
-    "imply-e": dd.ImplyE(),
-    "false-e": dd.FalseE0(),
-}
+_RULES = _Table("a rule", "rule")
+_RULE = _RULES.kind
+_RULES.define(
+    (
+        _Form("id", dd.Id, _fields, (_LABEL,)),
+        _Form("atom-post", dd.AtomPost, _fields, (_symbol("a posited rule name"),)),
+        _Form("or-e", dd.OrE, _fields, (_LABEL,)),
+        _Form("imply-i", dd.ImplyI, _fields, (_LABEL,)),
+        _Form("forall-i", dd.ForallI, _fields, (_VARIABLE,)),
+        _Form("forall-e", dd.ForallE, _fields, (_ATERM,)),
+        _Form("exists-i", dd.ExistsI, _fields, (_ATERM,)),
+        _Form("exists-e", dd.ExistsE, _fields, (_LABEL, _VARIABLE)),
+        _Form("ind", dd.Ind, _fields, (_LABEL, _VARIABLE, _FORMULA, _ATERM)),
+        _Form("cind", dd.CInd, _fields, (_LABEL, _VARIABLE)),
+        _Form("em", dd.EM, _fields, (_LABEL, _VARIABLE)),
+    ),
+    bare={
+        "atom-i": dd.AtomI(),
+        "atom-e": dd.AtomE(),
+        "and-i": dd.AndI(),
+        "and-el": dd.AndEL(),
+        "and-er": dd.AndER(),
+        "or-il": dd.OrIL(),
+        "or-ir": dd.OrIR(),
+        "imply-e": dd.ImplyE(),
+        "false-e": dd.FalseE0(),
+    },
+)
 
 
-def read_sequent(node: Node, fns, rels) -> Sequent:
+def _read_entry(node: Node, fns, rels) -> list:
+    items = _list(node, "a context entry")
+    if len(items) != 2:
+        raise _err(node, "context entries are (LABEL FORMULA)")
+    return [lambda *entry: entry, [(_LABEL.read, items[0]), (_FORMULAS.read, items[1])], node]
+
+
+def _print_entry(entry: tuple[str, Formula]) -> list:
+    return [_wrap, [(_LABEL.print, entry[0]), (_FORMULAS.print, entry[1])], None]
+
+
+def _read_sequent(node: Node, fns, rels) -> list:
     head, args = _form(node, "a sequent")
     if head != "seq":
         raise _err(node, "expected (seq (ctx ...) GOAL)")
-    _arity(node, args, 2, "seq")
-    chead, centries = _form(args[0], "a context")
+    if len(args) != 2:
+        raise _err(node, f"{head} takes 2 arguments, got {len(args)}")
+    chead, entries = _form(args[0], "a context")
     if chead != "ctx":
         raise _err(args[0], "expected (ctx (LABEL FORMULA) ...)")
-    ctx = []
-    for e in centries:
-        items = _list(e, "a context entry")
-        if len(items) != 2:
-            raise _err(e, "context entries are (LABEL FORMULA)")
-        ctx.append((_sym(items[0], "a label"), read_formula(items[1], fns, rels)))
-    return Sequent(tuple(ctx), read_formula(args[1], fns, rels))
+    parts = [(_read_entry, e) for e in entries] + [(_FORMULAS.read, args[1])]
+    return [lambda *xs: Sequent(xs[:-1], xs[-1]), parts, node]
 
 
-def print_sequent(s: Sequent) -> str:
-    ctx = _wrap(["ctx"] + [_wrap([lbl, print_formula(f)]) for lbl, f in s.context])
-    return _wrap(["seq", ctx, print_formula(s.goal)])
+def _print_sequent(s: Sequent) -> list:
+    parts = [(_print_entry, e) for e in s.context] + [(_FORMULAS.print, s.goal)]
+    return [lambda *xs: _wrap("seq", _wrap("ctx", *xs[:-1]), xs[-1]), parts, None]
 
 
-def read_rule(node: Node, fns, rels) -> dd.RuleKind:
-    if isinstance(node, Sym):
-        if node.text in _BARE_RULES:
-            return _BARE_RULES[node.text]
-        raise _err(node, f"unknown rule {node.text!r}")
-    head, args = _form(node, "a rule")
-    match head:
-        case "id":
-            _arity(node, args, 1, "id")
-            return dd.Id(_sym(args[0], "a label"))
-        case "atom-post":
-            _arity(node, args, 1, "atom-post")
-            return dd.AtomPost(_sym(args[0], "a posited rule name"))
-        case "or-e":
-            _arity(node, args, 1, "or-e")
-            return dd.OrE(_sym(args[0], "a label"))
-        case "imply-i":
-            _arity(node, args, 1, "imply-i")
-            return dd.ImplyI(_sym(args[0], "a label"))
-        case "forall-i":
-            _arity(node, args, 1, "forall-i")
-            return dd.ForallI(_sym(args[0], "a variable"))
-        case "forall-e":
-            _arity(node, args, 1, "forall-e")
-            return dd.ForallE(read_aterm(args[0], fns))
-        case "exists-i":
-            _arity(node, args, 1, "exists-i")
-            return dd.ExistsI(read_aterm(args[0], fns))
-        case "exists-e":
-            _arity(node, args, 2, "exists-e")
-            return dd.ExistsE(_sym(args[0], "a label"), _sym(args[1], "a variable"))
-        case "ind":
-            _arity(node, args, 4, "ind")
-            return dd.Ind(
-                _sym(args[0], "a label"),
-                _sym(args[1], "a variable"),
-                read_formula(args[2], fns, rels),
-                read_aterm(args[3], fns),
-            )
-        case "cind":
-            _arity(node, args, 2, "cind")
-            return dd.CInd(_sym(args[0], "a label"), _sym(args[1], "a variable"))
-        case "em":
-            _arity(node, args, 2, "em")
-            return dd.EM(_sym(args[0], "a label"), _sym(args[1], "a variable"))
-    raise _err(node, f"unknown rule form {head!r}")
+_SEQUENT = _Kind(_read_sequent, _print_sequent)
 
 
-def print_rule(r: dd.RuleKind) -> str:
-    for name, bare in _BARE_RULES.items():
-        if r == bare:
-            return name
-    match r:
-        case dd.Id(label):
-            return _wrap(["id", label])
-        case dd.AtomPost(rule):
-            return _wrap(["atom-post", rule])
-        case dd.OrE(label):
-            return _wrap(["or-e", label])
-        case dd.ImplyI(label):
-            return _wrap(["imply-i", label])
-        case dd.ForallI(var):
-            return _wrap(["forall-i", var])
-        case dd.ForallE(term):
-            return _wrap(["forall-e", print_aterm(term)])
-        case dd.ExistsI(term):
-            return _wrap(["exists-i", print_aterm(term)])
-        case dd.ExistsE(label, var):
-            return _wrap(["exists-e", label, var])
-        case dd.Ind(label, var, template, main):
-            return _wrap(["ind", label, var, print_formula(template), print_aterm(main)])
-        case dd.CInd(label, var):
-            return _wrap(["cind", label, var])
-        case dd.EM(label, var):
-            return _wrap(["em", label, var])
-    raise ValueError(f"not printable: {r!r}")
-
-
-def read_derivation(node: Node, fns, rels) -> Derivation:
+def _read_derivation(node: Node, fns, rels) -> list:
     head, args = _form(node, "a derivation")
     if head != "der" or len(args) < 2:
         raise _err(node, "expected (der RULE SEQUENT PREMISSES...)")
-    rule = read_rule(args[0], fns, rels)
-    conclusion = read_sequent(args[1], fns, rels)
-    prems = tuple(read_derivation(a, fns, rels) for a in args[2:])
-    return Derivation(rule, conclusion, prems)
+    parts = [(_RULES.read, args[0]), (_read_sequent, args[1])]
+    parts += [(_read_derivation, a) for a in args[2:]]
+    return [lambda rule, seq, *prems: Derivation(rule, seq, prems), parts, node]
 
 
-def print_derivation(d: Derivation) -> str:
-    return _wrap(
-        ["der", print_rule(d.rule), print_sequent(d.conclusion)]
-        + [print_derivation(p) for p in d.premisses]
-    )
+def _print_derivation(d: Derivation) -> list:
+    parts = [(_RULES.print, d.rule), (_print_sequent, d.conclusion)]
+    parts += [(_print_derivation, p) for p in d.premisses]
+    return [partial(_wrap, "der"), parts, None]
+
+
+_DERIVATION = _Kind(_read_derivation, _print_derivation)
+read_rule = partial(_read, _RULE)  # (node, fns, rels)
+print_rule = partial(_print, _RULE)
+read_sequent = partial(_read, _SEQUENT)  # (node, fns, rels)
+print_sequent = partial(_print, _SEQUENT)
+read_derivation = partial(_read, _DERIVATION)  # (node, fns, rels)
+print_derivation = partial(_print, _DERIVATION)
 
 
 # ---------------------------------------------------------------------------
@@ -573,36 +577,36 @@ class ProofFile:
     order: tuple[tuple[str, str], ...] = ()  # user definitions, in file order
 
 
+def _value(name: str, value):
+    return value
+
+
+_NAME = _symbol("a name")
+# head -> (the ProofFile table it fills, its form over (name, value))
+_DEFINITIONS = {
+    f.head: (attr, f) for attr, f in (
+        ("fns", _Form("deffn", _value, _only, (_NAME, _FN))),
+        ("rels", _Form("defrel", Relation, lambda e: (e[0], e[1].arity, e[1].char),
+                       (_NAME, _ARITY, _FN))),
+        ("terms", _Form("defterm", _value, _only, (_NAME, _TERM))),
+        ("derivs", _Form("defder", _value, _only, (_NAME, _DERIVATION))),
+    )
+}
+
+
 def parse_file(text: str) -> ProofFile:
     pf = ProofFile()
     order = []
     for node in read_nodes(text):
         head, args = _form(node, "a definition")
-        if head not in ("deffn", "defrel", "defterm", "defder"):
+        if head not in _DEFINITIONS:
             raise _err(node, f"unknown top-level form {head!r}")
+        attr, form = _DEFINITIONS[head]
+        table = getattr(pf, attr)
         name = _sym(args[0] if args else node, "a name")
-        table = {"deffn": pf.fns, "defrel": pf.rels,
-                 "defterm": pf.terms, "defder": pf.derivs}[head]
         if name in table:
             raise _err(args[0], f"duplicate name {name!r}")
-        match head:
-            case "deffn":
-                _arity(node, args, 2, "deffn")
-                table[name] = read_primfn(args[1], pf.fns)
-            case "defrel":
-                _arity(node, args, 3, "defrel")
-                arity = _int(args[1], "an arity")
-                char = read_primfn(args[2], pf.fns)
-                try:
-                    table[name] = Relation(name, arity, char)
-                except arith.ArityMismatch as e:
-                    raise _err(node, str(e)) from e
-            case "defterm":
-                _arity(node, args, 2, "defterm")
-                table[name] = read_term(args[1], pf.fns, pf.rels)
-            case "defder":
-                _arity(node, args, 2, "defder")
-                table[name] = read_derivation(args[1], pf.fns, pf.rels)
+        table[name] = _walk(_read_form(form, node, args, pf.fns, pf.rels), pf.fns, pf.rels)
         order.append((head, name))
     pf.order = tuple(order)
     return pf
@@ -610,29 +614,8 @@ def parse_file(text: str) -> ProofFile:
 
 def print_file(pf: ProofFile) -> str:
     lines = []
-    for kind, name in pf.order:
-        match kind:
-            case "deffn":
-                lines.append(_wrap(["deffn", name, print_primfn(pf.fns[name])]))
-            case "defrel":
-                r = pf.rels[name]
-                lines.append(_wrap(["defrel", name, str(r.arity), print_primfn(r.char)]))
-            case "defterm":
-                lines.append(_wrap(["defterm", name, print_term(pf.terms[name])]))
-            case "defder":
-                lines.append(_wrap(["defder", name, print_derivation(pf.derivs[name])]))
+    for head, name in pf.order:
+        attr, form = _DEFINITIONS[head]
+        value = getattr(pf, attr)[name]
+        lines.append(_walk(_print_form(form, form.split((name, value)))))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# layout
-
-_WIDTH = 100
-
-
-def _wrap(parts: list[str]) -> str:
-    flat = "(" + " ".join(parts) + ")"
-    if len(flat) <= _WIDTH or len(parts) == 1:
-        return flat
-    body = ("\n" + " " * 2).join(p.replace("\n", "\n" + " " * 2) for p in parts[1:])
-    return f"({parts[0]}\n  {body})"

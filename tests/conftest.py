@@ -5,8 +5,11 @@ check_derivation before it is handed to a test, so failures point at the
 code under test rather than at the generator.
 """
 
+import functools
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from realizer import arith
 from realizer import deduction as dd
@@ -22,6 +25,16 @@ CORPUS_WITNESSES = {
     "em-granted": 7, "em-under-elim": 5, "em-bounded": 1, "ind-two": 2,
     "square-fn": 3,
 }
+
+
+@functools.cache
+def bench_gen():
+    """bench/gen.py, the benchmark's input generators, loaded by file path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _checked(d: Derivation) -> Derivation:

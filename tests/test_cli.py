@@ -153,6 +153,17 @@ def test_run_rejects_bad_state_entries(corpus_path, capsys, entry):
     assert rc == 1 and err.startswith("error: ")
 
 
+def test_successive_calls_share_no_state_entries(corpus_path, capsys):
+    # one parser serves every call in a process
+    assert cli._build_parser() is cli._build_parser()
+    for entry in ("<(5)=2", "<(6)=3"):
+        rc, out, _ = run_cli(capsys, "run", corpus_path, "--term", "const-seven", "--learn",
+                             "--state", entry)
+        assert rc == 0 and out.splitlines()[0] == f"state: {entry}"
+    rc, _, err = run_cli(capsys, "run", corpus_path, "--state", "<(5)=2")
+    assert rc == 1 and "--term" in err
+
+
 def test_run_learn_traces_and_returns(corpus_path, capsys):
     rc, out, _ = run_cli(capsys, "run", corpus_path, "--term", "const-seven",
                          "--learn", "--trace")
@@ -190,6 +201,15 @@ def test_run_of_a_deep_non_outcome_is_a_user_error(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "run", str(p), "--term", "t")
     assert rc == 1 and out == ""
     assert err.startswith("error: realizer produced a non-outcome normal form: succ")
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_check_reads_deeply_nested_terms(tmp_path, capsys, depth):
+    p = tmp_path / "deep.proof"
+    p.write_text("(defterm t " + "(app succ " * depth + "(num 0)" + ")" * depth + ")")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["term t : Nat", "ok: 1 definitions"]
 
 
 @pytest.mark.parametrize("n", [300, 3000])

@@ -1,10 +1,11 @@
 """Realizer types, decoration, and extraction of closed realizers."""
 
 import random
+import sys
 
 import pytest
 
-from realizer import arith, corpus
+from realizer import arith, corpus, sexpr
 from realizer import deduction as dd
 from realizer import extraction as ex
 from realizer import monads as mn
@@ -188,3 +189,75 @@ def test_term_to_nat():
         ex.term_to_nat(TVar("x"), (), arith.FUNCTIONS)
     with pytest.raises(ex.ExtractionError):
         ex.term_to_nat(arith.TApp("exp", (tnum(1),)), (), arith.FUNCTIONS)
+
+
+def test_decoration_shifts_no_decorated_premiss(monkeypatch):
+    # each premiss is decorated under its final binders, so extraction is
+    # linear in depth; only em_realizer still shifts its parameters
+    bench = gen.bench_gen()
+    d = bench.em_chain(bench.Stratified(6), 6)
+    callers = []
+
+    def spy(t, by, cutoff=0):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(t, by, cutoff)
+
+    real = tm.shift
+    monkeypatch.setattr(tm, "shift", spy)
+    monkeypatch.setattr(ex, "shift", spy)
+    t = extract(d, mn.INTERACTIVE)
+    assert callers and "_decorate" not in callers
+    assert typecheck(t) == computation_type(d.conclusion.goal)
+
+
+# each derivation reaches an outer hypothesis h, and where the rule binds
+# one its variable, from under the administrative binders of its last rule
+_UNDER_BINDERS = """
+(defder or-e
+  (der (or-e l) (seq (ctx (h {imp})) {imp})
+    (der or-il (seq (ctx (h {imp})) (or (atom top) (atom top)))
+      (der atom-i (seq (ctx (h {imp})) (atom top))))
+    (der (id h) (seq (ctx (h {imp}) (l (atom top))) {imp}))
+    (der (id h) (seq (ctx (h {imp}) (l (atom top))) {imp}))))
+(defder exists-e
+  (der (exists-e l w) (seq (ctx (h {imp})) {imp})
+    (der (exists-i 0) (seq (ctx (h {imp})) (exists x (atom = x x)))
+      (der atom-i (seq (ctx (h {imp})) (atom = 0 0))))
+    (der (id h) (seq (ctx (h {imp}) (l (atom = w w))) {imp}))))
+(defder cind
+  (der (cind c v) (seq (ctx (h {all})) (forall v (atom = v v)))
+    (der (forall-e v) (seq (ctx (h {all}) (c {below})) (atom = v v))
+      (der (id h) (seq (ctx (h {all}) (c {below})) {all})))))
+(defder em
+  (der (em u y) (seq (ctx (h {all})) (exists x (atom = x x)))
+    (der (exists-i 0) (seq (ctx (h {all}) (u {guess})) (exists x (atom = x x)))
+      (der (forall-e 0) (seq (ctx (h {all}) (u {guess})) (atom = 0 0))
+        (der (id h) (seq (ctx (h {all}) (u {guess})) {all}))))
+    (der (exists-i y) (seq (ctx (h {all}) (u {refuted})) (exists x (atom = x x)))
+      (der (forall-e y) (seq (ctx (h {all}) (u {refuted})) (atom = y y))
+        (der (id h) (seq (ctx (h {all}) (u {refuted})) {all}))))))
+(defder forall-e
+  (der (forall-i x) (seq (ctx (h {all})) (forall x (atom = x x)))
+    (der (forall-e x) (seq (ctx (h {all})) (atom = x x))
+      (der (id h) (seq (ctx (h {all})) {all})))))
+(defder exists-i
+  (der (forall-i x) (seq (ctx (h {all})) (forall x (exists y (atom = y x))))
+    (der (exists-i x) (seq (ctx (h {all})) (exists y (atom = y x)))
+      (der (forall-e x) (seq (ctx (h {all})) (atom = x x))
+        (der (id h) (seq (ctx (h {all})) {all}))))))
+""".format(imp="(imply (atom top) (atom top))", all="(forall q (atom = q q))",
+           below="(forall z (imply (atom < z v) (atom = z z)))",
+           guess="(forall y (atom <= 0 y))", refuted="(imply (atom <= 0 y) (atom bot))")
+
+
+@pytest.mark.parametrize("name", ["or-e", "exists-e", "cind", "em", "forall-e", "exists-i"])
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_decoration_reaches_past_administrative_binders(name, m):
+    d = sexpr.parse_file(_UNDER_BINDERS).derivs[name]
+    if name == "em" and m is not mn.INTERACTIVE:
+        with pytest.raises(ex.UnsupportedRule):
+            extract(d, m)
+        return
+    t = extract(d, m)
+    hyp = d.conclusion.context[0][1]
+    assert typecheck(t) == TArrow(realizer_type(hyp, m), computation_type(d.conclusion.goal, m))

@@ -1,13 +1,18 @@
 """Reading and printing of proof files: parse/print round trips, positions."""
 
+import bisect
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizer import arith, corpus, sexpr
 from realizer import deduction as dd
+from realizer import monads as mn
 from realizer import terms as tm
 from realizer.arith import Atom, Comp, Forall, PRec, Proj, Succ, TApp, TVar, Zero, tnum
+from realizer.extraction import extract
 from realizer.sexpr import (
     IntTok, ListNode, ParseError, Sym, parse_file, print_derivation,
     print_file, print_formula, print_primfn, print_term, print_type,
@@ -30,10 +35,19 @@ def roundtrip_formula(f):
 
 def test_read_nodes_tracks_positions():
     a, b = read_nodes("(a b)\n  (c -3)")
-    assert isinstance(a, ListNode) and (a.line, a.col) == (1, 1)
-    assert a.items == (Sym("a", 1, 2), Sym("b", 1, 4))
-    assert isinstance(b, ListNode) and (b.line, b.col) == (2, 3)
-    assert b.items[1] == IntTok(-3, 2, 6)
+    assert isinstance(a, ListNode) and a.pos == 0
+    assert a.items == (Sym("a", 1), Sym("b", 3))
+    assert isinstance(b, ListNode) and b.pos == 8
+    assert b.items[1] == IntTok(-3, 11)
+    # errors at a node count its line and column from the offset
+    for read, node, where in [
+        (lambda n: read_formula(n, FNS, RELS), a, (1, 1)),
+        (lambda n: read_formula(n, FNS, RELS), b, (2, 3)),
+        (lambda n: sexpr.read_aterm(n, FNS), b.items[1], (2, 6)),
+    ]:
+        with pytest.raises(ParseError) as info:
+            read(node)
+        assert (info.value.line, info.value.col) == where
 
 
 def test_comments_are_skipped():
@@ -56,6 +70,142 @@ def test_token_errors_carry_positions(text, line, col, needle):
     assert (info.value.line, info.value.col) == (line, col)
     assert needle in info.value.message
     assert str(info.value).startswith(f"{line}:{col}:")
+
+
+# ---------------------------------------------------------------------------
+# the reader against the per-character reader it replaced
+
+_REF_INT = re.compile(r"-?\d+$")
+
+
+def _ref_tokens(text: str):
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield (ch, ch, line, col)
+            col += 1
+            i += 1
+        else:
+            start, scol = i, col
+            while i < n and text[i] not in "(); \t\r\n":
+                i += 1
+                col += 1
+            yield ("atom", text[start:i], line, scol)
+    yield ("eof", "", line, col)
+
+
+def _ref_read_nodes(text: str) -> list:
+    """The recursive reader sexpr.read_nodes replaced, with nodes as tuples
+    ("list" | "sym" | "int", content, line, col)."""
+    toks = list(_ref_tokens(text))
+    pos = 0
+
+    def parse_one():
+        nonlocal pos
+        kind, val, line, col = toks[pos]
+        if kind == "(":
+            pos += 1
+            items = []
+            while True:
+                k, _, l2, c2 = toks[pos]
+                if k == ")":
+                    pos += 1
+                    return ("list", tuple(items), line, col)
+                if k == "eof":
+                    raise ParseError("unclosed parenthesis", line, col)
+                items.append(parse_one())
+        if kind == ")":
+            raise ParseError("unmatched ')'", line, col)
+        if kind == "eof":
+            raise ParseError("unexpected end of input", line, col)
+        pos += 1
+        if _REF_INT.match(val):
+            return ("int", int(val), line, col)
+        return ("sym", val, line, col)
+
+    out = []
+    while toks[pos][0] != "eof":
+        out.append(parse_one())
+    return out
+
+
+def _as_tuples(line_starts: list[int], node):
+    line = bisect.bisect_right(line_starts, node.pos)
+    where = (line, node.pos - line_starts[line - 1] + 1)
+    if isinstance(node, ListNode):
+        return ("list", tuple(_as_tuples(line_starts, n) for n in node.items), *where)
+    if isinstance(node, IntTok):
+        return ("int", node.value, *where)
+    return ("sym", node.text, *where)
+
+
+def _outcome(read, text):
+    try:
+        return "nodes", read(text)
+    except ParseError as e:
+        return "error", (e.message, e.line, e.col, str(e))
+
+
+def _agrees_with_reference(text):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    new = _outcome(lambda t: [_as_tuples(line_starts, n) for n in read_nodes(t)], text)
+    assert new == _outcome(_ref_read_nodes, text)
+
+
+def _printed_bench_files() -> list[str]:
+    bench = gen.bench_gen()
+    rng = bench.Stratified(5)
+    ds = [bench.em_chain(rng, depth, wrapped) for depth in (1, 3, 5) for wrapped in (False, True)]
+    ds += [bench.sigma01_cuts(rng, kinds) for kinds in bench.cut_kinds(rng, [1, 3, 6])]
+    ds += [bench.ind_n(4), bench.square(7)]
+    texts = []
+    for i, d in enumerate(ds):
+        pf = sexpr.ProofFile(derivs={f"d{i}": d}, order=(("defder", f"d{i}"),))
+        texts.append(print_file(pf))
+    realizer = extract(ds[4], mn.INTERACTIVE)  # the wrapped depth-5 chain
+    texts.append(f"(defterm r {print_term(realizer)})\n")
+    return texts
+
+
+def test_reader_agrees_with_the_reference_on_printed_files():
+    for text in [corpus.corpus_text(), *_printed_bench_files()]:
+        _agrees_with_reference(text)
+        assert read_nodes(text)  # the files are well formed
+
+
+_PIECES = ["(", ")", " ", "\t", "\r", "\n", ";", "; c (d)", "a", "ab", "-", "-12", "7",
+           "x-3", "00", "\u00e9", "\u0661", "\x0b", "\r\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_reader_agrees_with_the_reference_on_token_soup(text):
+    _agrees_with_reference(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_agrees_with_the_reference_on_damaged_files(data):
+    text = corpus.corpus_text()
+    cut = data.draw(st.integers(0, len(text)))
+    at = data.draw(st.integers(0, len(text)))
+    damage = data.draw(st.sampled_from(["truncate", ")", "(", ";", "\t", "\r", "\r\n"]))
+    if damage == "truncate":
+        text = text[:cut]
+    else:
+        text = text[:at] + damage + text[at:]
+    _agrees_with_reference(text)
 
 
 # ---------------------------------------------------------------------------
