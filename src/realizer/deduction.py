@@ -20,6 +20,20 @@ may assume the formula below the bound variable.  The simple base/step
 induction rule (ind) is also a rule kind; it records its template formula and
 main term so instances are checkable, and it is the shape the derivation
 normalizer unrolls.
+
+Each rule class has one entry in RULE_SHAPES, which says how the rule uses
+its premisses: how many it takes, which of them discharge the rule's label
+(their context is the conclusion's plus that label, appended last), in which
+one the rule's variable is bound, whether that variable must also stay out of
+the conclusion, and whether it can be renamed without touching the
+conclusion.  The discharge and eigenvariable conditions are Prawitz's
+(Natural Deduction, 1965): the variable is free in no open assumption, and
+for exists-elimination and excluded middle not in the conclusion either.
+The checker enforces premiss count, premiss contexts and eigenvariable
+conditions from the entry; each rule case checks only formula shapes and
+names the formulas its discharging premisses assume.  Free variables,
+substitution, label collection and the normalizer's relabelling and binder
+renaming read the same entry.
 """
 
 from __future__ import annotations
@@ -200,6 +214,44 @@ ELIM_RULES = (AndEL, AndER, OrE, ImplyE, ForallE, ExistsE)
 INTRO_RULES = (AndI, OrIL, OrIR, ImplyI, ForallI, ExistsI)
 
 
+@dataclass(frozen=True)
+class RuleShape:
+    """How a rule uses its premisses (see the module docstring).
+
+    A rule with discharges has a label and one with binds a var.
+    """
+
+    arity: Optional[int]  # None: the rule's own check decides (atom-post)
+    discharges: tuple[int, ...] = ()  # premisses assuming the rule's label
+    binds: Optional[int] = None  # premiss in which the rule's variable is bound
+    fresh_in_goal: bool = False  # the variable must stay out of the conclusion too
+    renamable: bool = True  # False when the conclusion names the variable
+
+
+RULE_SHAPES: dict[type, RuleShape] = {
+    Id: RuleShape(0),
+    AtomI: RuleShape(0),
+    AtomE: RuleShape(1),
+    AtomPost: RuleShape(None),
+    AndI: RuleShape(2),
+    AndEL: RuleShape(1),
+    AndER: RuleShape(1),
+    OrIL: RuleShape(1),
+    OrIR: RuleShape(1),
+    OrE: RuleShape(3, discharges=(1, 2)),
+    ImplyI: RuleShape(1, discharges=(0,)),
+    ImplyE: RuleShape(2),
+    ForallI: RuleShape(1, binds=0, renamable=False),
+    ForallE: RuleShape(1),
+    ExistsI: RuleShape(1),
+    ExistsE: RuleShape(2, discharges=(1,), binds=1, fresh_in_goal=True),
+    FalseE0: RuleShape(1),
+    Ind: RuleShape(2, discharges=(1,), binds=1),
+    CInd: RuleShape(1, discharges=(0,), binds=0, renamable=False),
+    EM: RuleShape(2, discharges=(0, 1), binds=1, fresh_in_goal=True),
+}
+
+
 # ---------------------------------------------------------------------------
 # sequents and derivations
 
@@ -233,20 +285,25 @@ def seq(context: Context, goal: Formula) -> Sequent:
 
 
 def walk(d: Derivation, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Derivation]]:
-    yield path, d
-    for i, p in enumerate(d.premisses):
-        yield from walk(p, path + (i,))
+    """Every node of d with its premiss path, in preorder."""
+    stack = [(path, d)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.premisses) - 1, -1, -1):
+            stack.append((path + (i,), node.premisses[i]))
 
 
 def uses_label(d: Derivation, label: str) -> bool:
     """Does any id leaf of d consume the assumption named label?"""
-    if isinstance(d.rule, Id) and d.rule.label == label:
-        return True
-    for p in d.premisses:
-        # a premiss that rebinds the label shadows it; our checker forbids
-        # rebinding, so plain recursion is enough
-        if uses_label(p, label):
+    # a premiss that rebinds the label would shadow it; the checker forbids
+    # rebinding, so every id leaf counts
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node.rule, Id) and node.rule.label == label:
             return True
+        stack.extend(node.premisses)
     return False
 
 
@@ -261,22 +318,6 @@ def _formula_vars_of_node(d: Derivation) -> frozenset[str]:
     return out
 
 
-def _binder_of(rule: RuleKind) -> Optional[tuple[int, str]]:
-    """(premiss index, variable) bound by the rule in that subderivation."""
-    match rule:
-        case ForallI(var):
-            return 0, var
-        case ExistsE(_, var):
-            return 1, var
-        case Ind(_, var, _, _):
-            return 1, var
-        case CInd(_, var):
-            return 0, var
-        case EM(_, var):
-            return 1, var
-    return None
-
-
 def _rule_term_vars(rule: RuleKind) -> frozenset[str]:
     match rule:
         case ForallE(term) | ExistsI(term):
@@ -289,14 +330,15 @@ def _rule_term_vars(rule: RuleKind) -> frozenset[str]:
 
 def free_term_vars(d: Derivation) -> frozenset[str]:
     """Variables free in a formula or rule term and not bound by a rule."""
-    out = _formula_vars_of_node(d) | _rule_term_vars(d.rule)
-    binder = _binder_of(d.rule)
-    for i, p in enumerate(d.premisses):
-        sub = free_term_vars(p)
-        if binder is not None and binder[0] == i:
-            sub -= {binder[1]}
-        out |= sub
-    return out
+    out: set[str] = set()
+    stack = [(d, frozenset())]  # a node and the variables bound above it
+    while stack:
+        node, bound = stack.pop()
+        out |= (_formula_vars_of_node(node) | _rule_term_vars(node.rule)) - bound
+        binds = RULE_SHAPES[type(node.rule)].binds
+        for i, p in enumerate(node.premisses):
+            stack.append((p, bound | {node.rule.var} if i == binds else bound))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +368,11 @@ def subst_derivation(d: Derivation, var: str, t: ATerm) -> Derivation:
     Rule binders stop the substitution in their premiss; if a binder occurs
     free in t, CaptureRisk is raised (rename the derivation first).
     """
-    binder = _binder_of(d.rule)
+    binds = RULE_SHAPES[type(d.rule)].binds
     new_premisses = []
     for i, p in enumerate(d.premisses):
-        if binder is not None and binder[0] == i:
-            bvar = binder[1]
+        if i == binds:
+            bvar = d.rule.var
             if bvar == var:
                 new_premisses.append(p)
                 continue
@@ -346,31 +388,30 @@ def subst_derivation(d: Derivation, var: str, t: ATerm) -> Derivation:
 # ---------------------------------------------------------------------------
 # checking
 
+# A node's position is passed down as a trail: None at the root, and
+# (trail of the parent, premiss index) below it.  Building the premiss path
+# from it only when an error is raised keeps checking linear in depth.
+Trail = Optional[tuple]
 
-def _ctx_plus(ctx: Context, label: str, f: Formula, path) -> Context:
-    if any(lbl == label for lbl, _ in ctx):
-        raise DischargeMismatch(label, f"label reused at {path}")
-    return ctx + ((label, f),)
+
+def _path(trail: Trail) -> tuple[int, ...]:
+    out = []
+    while trail is not None:
+        trail, i = trail
+        out.append(i)
+    return tuple(reversed(out))
 
 
-def _expect(cond: bool, path, message: str):
+def _expect(cond: bool, trail: Trail, message: str):
     if not cond:
-        raise RuleShapeError(tuple(path), message)
-
-
-def _feq(a: Formula, b: Formula, fns) -> bool:
-    return formulas_equal(a, b, fns)
+        raise RuleShapeError(_path(trail), message)
 
 
 def _ctx_equal(a: Context, b: Context, fns) -> bool:
     return (
         len(a) == len(b)
-        and all(la == lb and _feq(fa, fb, fns) for (la, fa), (lb, fb) in zip(a, b))
+        and all(la == lb and formulas_equal(fa, fb, fns) for (la, fa), (lb, fb) in zip(a, b))
     )
-
-
-def _atomic(f: Formula) -> bool:
-    return isinstance(f, Atom)
 
 
 def _replaced(a: ATerm, b: ATerm, old: ATerm, new: ATerm) -> bool:
@@ -385,77 +426,77 @@ def _replaced(a: ATerm, b: ATerm, old: ATerm, new: ATerm) -> bool:
     return False
 
 
-def _check_atom_post(rule: AtomPost, d: Derivation, path, fns) -> None:
+def _check_atom_post(rule: AtomPost, d: Derivation, trail: Trail, fns) -> None:
     goal = d.conclusion.goal
     prems = [p.conclusion.goal for p in d.premisses]
 
     def eq_parts(f: Formula, what: str) -> tuple[ATerm, ATerm]:
-        _expect(isinstance(f, Atom) and f.rel == "=" and len(f.args) == 2, path,
+        _expect(isinstance(f, Atom) and f.rel == "=" and len(f.args) == 2, trail,
                 f"{what} of {rule.rule} must be an equality")
         return f.args  # type: ignore[union-attr]
 
     n = len(prems)
     match rule.rule:
         case "refl":
-            _expect(n == 0, path, "refl has no premisses")
+            _expect(n == 0, trail, "refl has no premisses")
             t, u = eq_parts(goal, "conclusion")
-            _expect(arith.norm_aterm(t, fns) == arith.norm_aterm(u, fns), path,
+            _expect(arith.norm_aterm(t, fns) == arith.norm_aterm(u, fns), trail,
                     "refl needs identical sides")
         case "sym":
-            _expect(n == 1, path, "sym has one premiss")
+            _expect(n == 1, trail, "sym has one premiss")
             t, u = eq_parts(prems[0], "premiss")
             g1, g2 = eq_parts(goal, "conclusion")
             _expect((arith.norm_aterm(g1, fns), arith.norm_aterm(g2, fns))
                     == (arith.norm_aterm(u, fns), arith.norm_aterm(t, fns)),
-                    path, "sym must flip the premiss")
+                    trail, "sym must flip the premiss")
         case "trans":
-            _expect(n == 2, path, "trans has two premisses")
+            _expect(n == 2, trail, "trans has two premisses")
             t, u = eq_parts(prems[0], "first premiss")
             u2, v = eq_parts(prems[1], "second premiss")
-            _expect(arith.norm_aterm(u, fns) == arith.norm_aterm(u2, fns), path,
+            _expect(arith.norm_aterm(u, fns) == arith.norm_aterm(u2, fns), trail,
                     "middle terms differ")
             g1, g2 = eq_parts(goal, "conclusion")
             _expect(arith.norm_aterm(g1, fns) == arith.norm_aterm(t, fns)
                     and arith.norm_aterm(g2, fns) == arith.norm_aterm(v, fns),
-                    path, "trans endpoints differ")
+                    trail, "trans endpoints differ")
         case "sub-fn":
-            _expect(n == 1, path, "sub-fn has one premiss")
+            _expect(n == 1, trail, "sub-fn has one premiss")
             t, u = eq_parts(prems[0], "premiss")
             g1, g2 = eq_parts(goal, "conclusion")
-            _expect(_replaced(g1, g2, t, u), path,
+            _expect(_replaced(g1, g2, t, u), trail,
                     "right side must rewrite occurrences of the premiss")
         case "sub-rel":
-            _expect(n == 2, path, "sub-rel has two premisses")
+            _expect(n == 2, trail, "sub-rel has two premisses")
             t, u = eq_parts(prems[0], "first premiss")
             a = prems[1]
-            _expect(_atomic(a) and _atomic(goal), path, "sub-rel is atomic")
-            _expect(a.rel == goal.rel and len(a.args) == len(goal.args), path,  # type: ignore[union-attr]
+            _expect(isinstance(a, Atom) and isinstance(goal, Atom), trail, "sub-rel is atomic")
+            _expect(a.rel == goal.rel and len(a.args) == len(goal.args), trail,  # type: ignore[union-attr]
                     "sub-rel must keep the relation")
             _expect(all(_replaced(x, y, t, u) for x, y in zip(a.args, goal.args)),  # type: ignore[union-attr]
-                    path, "conclusion must rewrite occurrences of the premiss")
+                    trail, "conclusion must rewrite occurrences of the premiss")
         case "zero":
-            _expect(n == 1, path, "zero has one premiss")
+            _expect(n == 1, trail, "zero has one premiss")
             t, u = eq_parts(prems[0], "premiss")
-            _expect(isinstance(t, arith.TApp) and t.fn == "S", path,
+            _expect(isinstance(t, arith.TApp) and t.fn == "S", trail,
                     "premiss must equate a successor with zero")
-            _expect(u == arith.TApp("0"), path, "premiss right side must be zero")
-            _expect(_feq(goal, BOT, fns), path, "conclusion must be absurdity")
+            _expect(u == arith.TApp("0"), trail, "premiss right side must be zero")
+            _expect(formulas_equal(goal, BOT, fns), trail, "conclusion must be absurdity")
         case "succ":
-            _expect(n == 1, path, "succ has one premiss")
+            _expect(n == 1, trail, "succ has one premiss")
             t, u = eq_parts(prems[0], "premiss")
             _expect(isinstance(t, arith.TApp) and t.fn == "S"
-                    and isinstance(u, arith.TApp) and u.fn == "S", path,
+                    and isinstance(u, arith.TApp) and u.fn == "S", trail,
                     "premiss must equate successors")
             g1, g2 = eq_parts(goal, "conclusion")
-            _expect(g1 == t.args[0] and g2 == u.args[0], path,  # type: ignore[union-attr]
+            _expect(g1 == t.args[0] and g2 == u.args[0], trail,  # type: ignore[union-attr]
                     "conclusion must strip the successors")
         case "add-zero":
-            _expect(n == 0, path, "add-zero has no premisses")
+            _expect(n == 0, trail, "add-zero has no premisses")
             t, u = eq_parts(goal, "conclusion")
-            _expect(t == arith.TApp("+", (u, arith.TApp("0"))), path,
+            _expect(t == arith.TApp("+", (u, arith.TApp("0"))), trail,
                     "conclusion must be t + 0 = t")
         case "add-succ":
-            _expect(n == 0, path, "add-succ has no premisses")
+            _expect(n == 0, trail, "add-succ has no premisses")
             lhs, rhs = eq_parts(goal, "conclusion")
             ok = (isinstance(lhs, arith.TApp) and lhs.fn == "+"
                   and isinstance(lhs.args[1], arith.TApp) and lhs.args[1].fn == "S"
@@ -463,191 +504,150 @@ def _check_atom_post(rule: AtomPost, d: Derivation, path, fns) -> None:
                   and isinstance(rhs.args[0], arith.TApp) and rhs.args[0].fn == "S"
                   and lhs.args[0] == rhs.args[0].args[0]
                   and lhs.args[1].args[0] == rhs.args[1])
-            _expect(ok, path, "conclusion must be t + S(u) = S(t) + u")
+            _expect(ok, trail, "conclusion must be t + S(u) = S(t) + u")
         case "mul-zero":
-            _expect(n == 0, path, "mul-zero has no premisses")
+            _expect(n == 0, trail, "mul-zero has no premisses")
             lhs, rhs = eq_parts(goal, "conclusion")
             _expect(isinstance(lhs, arith.TApp) and lhs.fn == "*"
                     and lhs.args[1] == arith.TApp("0") and rhs == arith.TApp("0"),
-                    path, "conclusion must be t * 0 = 0")
+                    trail, "conclusion must be t * 0 = 0")
         case "mul-succ":
-            _expect(n == 0, path, "mul-succ has no premisses")
+            _expect(n == 0, trail, "mul-succ has no premisses")
             lhs, rhs = eq_parts(goal, "conclusion")
             ok = (isinstance(lhs, arith.TApp) and lhs.fn == "*"
                   and isinstance(lhs.args[1], arith.TApp) and lhs.args[1].fn == "S"
                   and isinstance(rhs, arith.TApp) and rhs.fn == "+"
                   and rhs.args[0] == arith.TApp("*", (lhs.args[0], lhs.args[1].args[0]))
                   and rhs.args[1] == lhs.args[0])
-            _expect(ok, path, "conclusion must be t * S(u) = t * u + t")
+            _expect(ok, trail, "conclusion must be t * S(u) = t * u + t")
         case other:
-            raise RuleShapeError(tuple(path), f"unknown posited rule {other!r}")
+            raise RuleShapeError(_path(trail), f"unknown posited rule {other!r}")
 
 
 def _check_node(
     d: Derivation,
-    path: tuple[int, ...],
+    trail: Trail,
     rels: Mapping[str, Relation],
     fns,
 ) -> None:
     ctx, goal = d.conclusion.context, d.conclusion.goal
     labels = [lbl for lbl, _ in ctx]
     if len(set(labels)) != len(labels):
-        raise DischargeMismatch(labels[0], f"duplicate context labels at {path}")
-    prems = d.premisses
+        raise DischargeMismatch(labels[0], f"duplicate context labels at {_path(trail)}")
+    rule, prems = d.rule, d.premisses
+    shape = RULE_SHAPES.get(type(rule))
+    if shape is None:
+        raise RuleShapeError(_path(trail), f"unknown rule {rule!r}")
+    if shape.arity is not None and len(prems) != shape.arity:
+        raise RuleShapeError(_path(trail),
+                             f"{type(rule).__name__} expects {shape.arity} premisses")
+    for i, p in enumerate(prems):
+        if i not in shape.discharges and not _ctx_equal(p.conclusion.context, ctx, fns):
+            raise RuleShapeError(_path((trail, i)), "context does not match the rule")
 
-    def prem_ctx_is(i: int, expected: Context):
-        if not _ctx_equal(prems[i].conclusion.context, expected, fns):
-            raise RuleShapeError(path + (i,), "context does not match the rule")
-
-    def arity(n: int):
-        _expect(len(prems) == n, path, f"{type(d.rule).__name__} expects {n} premisses")
-
-    def ctx_free_vars() -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for _, f in ctx:
-            out |= free_vars(f)
-        return out
-
-    match d.rule:
+    # formula shapes; a discharging rule names what each discharge assumes
+    assumed: tuple[Formula, ...] = ()
+    match rule:
         case Id(label):
-            arity(0)
             f = d.conclusion.lookup(label)
             if f is None:
-                raise DischargeMismatch(label, f"not in context at {path}")
-            _expect(_feq(f, goal, fns), path, "goal differs from the assumption")
+                raise DischargeMismatch(label, f"not in context at {_path(trail)}")
+            _expect(formulas_equal(f, goal, fns), trail, "goal differs from the assumption")
         case AtomI():
-            arity(0)
-            _expect(_atomic(goal), path, "atom axiom needs an atomic goal")
-            _expect(not free_vars(goal), path, "atom axiom needs a closed goal")
-            _expect(atomic_truth(goal, rels, fns), path, "atom axiom needs a true atom")
+            _expect(isinstance(goal, Atom), trail, "atom axiom needs an atomic goal")
+            _expect(not free_vars(goal), trail, "atom axiom needs a closed goal")
+            _expect(atomic_truth(goal, rels, fns), trail, "atom axiom needs a true atom")
         case AtomE():
-            arity(1)
             prem = prems[0].conclusion.goal
-            prem_ctx_is(0, ctx)
-            _expect(_atomic(prem) and not free_vars(prem), path,
+            _expect(isinstance(prem, Atom) and not free_vars(prem), trail,
                     "absurdity elimination needs a closed atomic premiss")
-            _expect(not atomic_truth(prem, rels, fns), path,
+            _expect(not atomic_truth(prem, rels, fns), trail,
                     "absurdity elimination needs a false atom")
-            _expect(_feq(goal, BOT, fns), path, "conclusion must be absurdity")
+            _expect(formulas_equal(goal, BOT, fns), trail, "conclusion must be absurdity")
         case AtomPost():
-            for i in range(len(prems)):
-                prem_ctx_is(i, ctx)
-                _expect(_atomic(prems[i].conclusion.goal), path + (i,),
+            for i, p in enumerate(prems):
+                _expect(isinstance(p.conclusion.goal, Atom), (trail, i),
                         "posited rules take atomic premisses")
-            _expect(_atomic(goal), path, "posited rules conclude atoms")
-            _check_atom_post(d.rule, d, path, fns)
+            _expect(isinstance(goal, Atom), trail, "posited rules conclude atoms")
+            _check_atom_post(rule, d, trail, fns)
         case AndI():
-            arity(2)
-            prem_ctx_is(0, ctx)
-            prem_ctx_is(1, ctx)
-            _expect(isinstance(goal, And), path, "conclusion must be a conjunction")
-            _expect(_feq(prems[0].conclusion.goal, goal.left, fns)
-                    and _feq(prems[1].conclusion.goal, goal.right, fns),
-                    path, "premisses must be the two conjuncts")
+            _expect(isinstance(goal, And), trail, "conclusion must be a conjunction")
+            _expect(formulas_equal(prems[0].conclusion.goal, goal.left, fns)
+                    and formulas_equal(prems[1].conclusion.goal, goal.right, fns),
+                    trail, "premisses must be the two conjuncts")
         case AndEL() | AndER():
-            arity(1)
-            prem_ctx_is(0, ctx)
             prem = prems[0].conclusion.goal
-            _expect(isinstance(prem, And), path, "major premiss must be a conjunction")
-            side = prem.left if isinstance(d.rule, AndEL) else prem.right
-            _expect(_feq(goal, side, fns), path, "conclusion must be that conjunct")
+            _expect(isinstance(prem, And), trail, "major premiss must be a conjunction")
+            side = prem.left if isinstance(rule, AndEL) else prem.right
+            _expect(formulas_equal(goal, side, fns), trail, "conclusion must be that conjunct")
         case OrIL() | OrIR():
-            arity(1)
-            prem_ctx_is(0, ctx)
-            _expect(isinstance(goal, Or), path, "conclusion must be a disjunction")
-            side = goal.left if isinstance(d.rule, OrIL) else goal.right
-            _expect(_feq(prems[0].conclusion.goal, side, fns), path,
+            _expect(isinstance(goal, Or), trail, "conclusion must be a disjunction")
+            side = goal.left if isinstance(rule, OrIL) else goal.right
+            _expect(formulas_equal(prems[0].conclusion.goal, side, fns), trail,
                     "premiss must be the injected disjunct")
-        case OrE(label):
-            arity(3)
-            prem_ctx_is(0, ctx)
+        case OrE():
             major = prems[0].conclusion.goal
-            _expect(isinstance(major, Or), path, "major premiss must be a disjunction")
-            prem_ctx_is(1, _ctx_plus(ctx, label, major.left, path))
-            prem_ctx_is(2, _ctx_plus(ctx, label, major.right, path))
-            _expect(_feq(prems[1].conclusion.goal, goal, fns)
-                    and _feq(prems[2].conclusion.goal, goal, fns),
-                    path, "minor premisses must conclude the goal")
-        case ImplyI(label):
-            arity(1)
-            _expect(isinstance(goal, Imply), path, "conclusion must be an implication")
-            prem_ctx_is(0, _ctx_plus(ctx, label, goal.left, path))
-            _expect(_feq(prems[0].conclusion.goal, goal.right, fns), path,
+            _expect(isinstance(major, Or), trail, "major premiss must be a disjunction")
+            _expect(formulas_equal(prems[1].conclusion.goal, goal, fns)
+                    and formulas_equal(prems[2].conclusion.goal, goal, fns),
+                    trail, "minor premisses must conclude the goal")
+            assumed = (major.left, major.right)
+        case ImplyI():
+            _expect(isinstance(goal, Imply), trail, "conclusion must be an implication")
+            _expect(formulas_equal(prems[0].conclusion.goal, goal.right, fns), trail,
                     "premiss must conclude the consequent")
+            assumed = (goal.left,)
         case ImplyE():
-            arity(2)
-            prem_ctx_is(0, ctx)
-            prem_ctx_is(1, ctx)
             major = prems[0].conclusion.goal
-            _expect(isinstance(major, Imply), path, "major premiss must be an implication")
-            _expect(_feq(prems[1].conclusion.goal, major.left, fns), path,
+            _expect(isinstance(major, Imply), trail, "major premiss must be an implication")
+            _expect(formulas_equal(prems[1].conclusion.goal, major.left, fns), trail,
                     "minor premiss must be the antecedent")
-            _expect(_feq(goal, major.right, fns), path, "conclusion must be the consequent")
+            _expect(formulas_equal(goal, major.right, fns), trail,
+                    "conclusion must be the consequent")
         case ForallI(var):
-            arity(1)
-            prem_ctx_is(0, ctx)
-            _expect(isinstance(goal, Forall), path, "conclusion must be universal")
-            _expect(goal.var == var, path, "bound variable differs from the rule")
-            _expect(_feq(prems[0].conclusion.goal, goal.body, fns), path,
+            _expect(isinstance(goal, Forall), trail, "conclusion must be universal")
+            _expect(goal.var == var, trail, "bound variable differs from the rule")
+            _expect(formulas_equal(prems[0].conclusion.goal, goal.body, fns), trail,
                     "premiss must be the body")
-            if var in ctx_free_vars():
-                raise EigenvariableViolation(var, path, "free in an open assumption")
         case ForallE(term):
-            arity(1)
-            prem_ctx_is(0, ctx)
             major = prems[0].conclusion.goal
-            _expect(isinstance(major, Forall), path, "premiss must be universal")
-            _expect(_feq(goal, subst_formula(major.body, major.var, term), fns),
-                    path, "conclusion must be the instance at the rule's term")
+            _expect(isinstance(major, Forall), trail, "premiss must be universal")
+            _expect(formulas_equal(goal, subst_formula(major.body, major.var, term), fns),
+                    trail, "conclusion must be the instance at the rule's term")
         case ExistsI(term):
-            arity(1)
-            prem_ctx_is(0, ctx)
-            _expect(isinstance(goal, Exists), path, "conclusion must be existential")
-            _expect(_feq(prems[0].conclusion.goal,
-                         subst_formula(goal.body, goal.var, term), fns),
-                    path, "premiss must be the instance at the rule's term")
-        case ExistsE(label, var):
-            arity(2)
-            prem_ctx_is(0, ctx)
+            _expect(isinstance(goal, Exists), trail, "conclusion must be existential")
+            _expect(formulas_equal(prems[0].conclusion.goal,
+                                   subst_formula(goal.body, goal.var, term), fns),
+                    trail, "premiss must be the instance at the rule's term")
+        case ExistsE(_, var):
             major = prems[0].conclusion.goal
-            _expect(isinstance(major, Exists), path, "major premiss must be existential")
-            _expect(var == major.var or var not in free_vars(major.body), path,
+            _expect(isinstance(major, Exists), trail, "major premiss must be existential")
+            _expect(var == major.var or var not in free_vars(major.body), trail,
                     "the split variable must be fresh for the matrix")
-            inst = subst_formula(major.body, major.var, TVar(var))
-            prem_ctx_is(1, _ctx_plus(ctx, label, inst, path))
-            _expect(_feq(prems[1].conclusion.goal, goal, fns), path,
+            _expect(formulas_equal(prems[1].conclusion.goal, goal, fns), trail,
                     "minor premiss must conclude the goal")
-            if var in ctx_free_vars():
-                raise EigenvariableViolation(var, path, "free in an open assumption")
-            if var in free_vars(goal):
-                raise EigenvariableViolation(var, path, "free in the conclusion")
+            assumed = (subst_formula(major.body, major.var, TVar(var)),)
         case FalseE0():
-            arity(1)
-            prem_ctx_is(0, ctx)
-            _expect(_feq(prems[0].conclusion.goal, BOT, fns), path,
+            _expect(formulas_equal(prems[0].conclusion.goal, BOT, fns), trail,
                     "premiss must be absurdity")
-            _expect(_atomic(goal), path, "restricted absurdity rule concludes atoms")
-        case Ind(label, var, template, main):
-            arity(2)
-            prem_ctx_is(0, ctx)
-            _expect(_feq(prems[0].conclusion.goal,
-                         subst_formula(template, var, arith.TApp("0")), fns),
-                    path, "base premiss must be the template at zero")
-            prem_ctx_is(1, _ctx_plus(ctx, label, template, path))
-            _expect(_feq(prems[1].conclusion.goal,
-                         subst_formula(template, var, arith.TApp("S", (TVar(var),))), fns),
-                    path, "step premiss must be the template at the successor")
-            _expect(_feq(goal, subst_formula(template, var, main), fns), path,
+            _expect(isinstance(goal, Atom), trail, "restricted absurdity rule concludes atoms")
+        case Ind(_, var, template, main):
+            _expect(formulas_equal(prems[0].conclusion.goal,
+                                   subst_formula(template, var, arith.TApp("0")), fns),
+                    trail, "base premiss must be the template at zero")
+            _expect(formulas_equal(prems[1].conclusion.goal,
+                                   subst_formula(template, var, arith.TApp("S", (TVar(var),))),
+                                   fns),
+                    trail, "step premiss must be the template at the successor")
+            _expect(formulas_equal(goal, subst_formula(template, var, main), fns), trail,
                     "conclusion must be the template at the main term")
-            if var in ctx_free_vars():
-                raise EigenvariableViolation(var, path, "free in an open assumption")
+            assumed = (template,)
         case CInd(label, var):
-            arity(1)
-            _expect(isinstance(goal, Forall) and goal.var == var, path,
+            _expect(isinstance(goal, Forall) and goal.var == var, trail,
                     "conclusion must be universal in the rule variable")
             body = goal.body
             hyp = prems[0].conclusion.lookup(label)
-            _expect(hyp is not None, path, "premiss must assume the induction hypothesis")
+            _expect(hyp is not None, trail, "premiss must assume the induction hypothesis")
             ok = False
             if isinstance(hyp, Forall) and isinstance(hyp.body, Imply):
                 guard, below = hyp.body.left, hyp.body.right
@@ -655,35 +655,36 @@ def _check_node(
                 ok = (
                     guard == Atom("<", (TVar(z), TVar(var)))
                     and z != var
-                    and _feq(below, subst_formula(body, var, TVar(z)), fns)
+                    and formulas_equal(below, subst_formula(body, var, TVar(z)), fns)
                 )
-            _expect(ok, path, "hypothesis must be the course-of-values assumption")
-            prem_ctx_is(0, _ctx_plus(ctx, label, hyp, path))
-            _expect(_feq(prems[0].conclusion.goal, body, fns), path,
+            _expect(ok, trail, "hypothesis must be the course-of-values assumption")
+            _expect(formulas_equal(prems[0].conclusion.goal, body, fns), trail,
                     "premiss must conclude the template")
-            if var in ctx_free_vars():
-                raise EigenvariableViolation(var, path, "free in an open assumption")
+            assumed = (hyp,)
         case EM(label, var):
-            arity(2)
             univ = prems[0].conclusion.lookup(label)
             _expect(univ is not None and isinstance(univ, Forall)
-                    and _atomic(univ.body), path,
+                    and isinstance(univ.body, Atom), trail,
                     "left premiss must assume a universal atomic formula")
-            _expect(var == univ.var or var not in free_vars(univ), path,
+            _expect(var == univ.var or var not in free_vars(univ), trail,
                     "the witness variable must be fresh for the matrix")
-            prem_ctx_is(0, _ctx_plus(ctx, label, univ, path))
-            _expect(_feq(prems[0].conclusion.goal, goal, fns), path,
+            _expect(formulas_equal(prems[0].conclusion.goal, goal, fns), trail,
                     "left premiss must conclude the goal")
-            inst = subst_formula(univ.body, univ.var, TVar(var))
-            prem_ctx_is(1, _ctx_plus(ctx, label, neg(inst), path))
-            _expect(_feq(prems[1].conclusion.goal, goal, fns), path,
+            _expect(formulas_equal(prems[1].conclusion.goal, goal, fns), trail,
                     "right premiss must conclude the goal")
-            if var in ctx_free_vars():
-                raise EigenvariableViolation(var, path, "free in an open assumption")
-            if var in free_vars(goal):
-                raise EigenvariableViolation(var, path, "free in the conclusion")
-        case other:
-            raise RuleShapeError(tuple(path), f"unknown rule {other!r}")
+            assumed = (univ, neg(subst_formula(univ.body, univ.var, TVar(var))))
+
+    if shape.discharges:
+        if rule.label in labels:
+            raise DischargeMismatch(rule.label, f"label reused at {_path(trail)}")
+        for i, f in zip(shape.discharges, assumed):
+            if not _ctx_equal(prems[i].conclusion.context, ctx + ((rule.label, f),), fns):
+                raise RuleShapeError(_path((trail, i)), "context does not match the rule")
+    if shape.binds is not None:
+        if any(rule.var in free_vars(f) for _, f in ctx):
+            raise EigenvariableViolation(rule.var, _path(trail), "free in an open assumption")
+        if shape.fresh_in_goal and rule.var in free_vars(goal):
+            raise EigenvariableViolation(rule.var, _path(trail), "free in the conclusion")
 
 
 def check_derivation(
@@ -691,9 +692,13 @@ def check_derivation(
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, arith.PrimFn] = arith.FUNCTIONS,
 ) -> Sequent:
-    """Validate every node; returns the root sequent."""
-    for path, node in walk(d):
-        _check_node(node, path, rels, fns)
+    """Validate every node, in preorder; returns the root sequent."""
+    stack: list[tuple[Derivation, Trail]] = [(d, None)]
+    while stack:
+        node, trail = stack.pop()
+        _check_node(node, trail, rels, fns)
+        for i in range(len(node.premisses) - 1, -1, -1):
+            stack.append((node.premisses[i], (trail, i)))
     return d.conclusion
 
 
@@ -749,11 +754,8 @@ def _labels_inside(d: Derivation) -> set[str]:
     out: set[str] = set()
     for _, node in walk(d):
         out.update(node.conclusion.labels())
-        match node.rule:
-            case OrE(l) | ImplyI(l) | ExistsE(l, _) | Ind(l, _, _, _) | CInd(l, _) | EM(l, _) | Id(l):
-                out.add(l)
-            case _:
-                pass
+        if isinstance(node.rule, Id) or RULE_SHAPES[type(node.rule)].discharges:
+            out.add(node.rule.label)
     return out
 
 

@@ -93,28 +93,33 @@ def _exc_star(a: Ty, b: Ty) -> Term:
     )
 
 
-def _exc_merge(a: Ty, b: Ty) -> Term:
+def _merge_branches(a: Ty, b: Ty, right: Term) -> tuple[Term, Term]:
+    """merge's branches on the left outcome, (on a value, on an exception).
+
+    Each cases on the right outcome, which right reaches from inside the
+    branch; both monads merge into A x B + Ex.
+    """
     prod = TProd(a, b)
-    tout = _exc_t(prod)
-    # outer case on the left computation, inner case on the right one
-    on_left = Lam(
-        a,
-        app(
-            case_c(b, tm.EX, tout),
-            Var(1),  # the right computation
-            Lam(b, App(inl_c(prod, tm.EX), app(pair_c(a, b), Var(1), Var(0)))),
-            Lam(tm.EX, App(inr_c(prod, tm.EX), Var(0))),
-        ),
-    )
-    on_ex = Lam(
-        tm.EX,
-        app(
-            case_c(b, tm.EX, tout),
-            Var(1),
-            Lam(b, App(inr_c(prod, tm.EX), Var(1))),
-            Lam(tm.EX, App(inr_c(prod, tm.EX), app(exmerge_const, Var(1), Var(0)))),
-        ),
-    )
+    out = TSum(prod, tm.EX)
+    on_left = Lam(a, app(
+        case_c(b, tm.EX, out),
+        right,
+        Lam(b, App(inl_c(prod, tm.EX), app(pair_c(a, b), Var(1), Var(0)))),
+        Lam(tm.EX, App(inr_c(prod, tm.EX), Var(0))),
+    ))
+    on_ex = Lam(tm.EX, app(
+        case_c(b, tm.EX, out),
+        right,
+        Lam(b, App(inr_c(prod, tm.EX), Var(1))),
+        Lam(tm.EX, App(inr_c(prod, tm.EX), app(exmerge_const, Var(1), Var(0)))),
+    ))
+    return on_left, on_ex
+
+
+def _exc_merge(a: Ty, b: Ty) -> Term:
+    # under lam x. lam y and a branch binder, the right computation is Var 1
+    on_left, on_ex = _merge_branches(a, b, Var(1))
+    tout = _exc_t(TProd(a, b))
     return Lam(_exc_t(a), Lam(_exc_t(b), app(case_c(a, tm.EX, tout), Var(1), on_left, on_ex)))
 
 
@@ -161,27 +166,9 @@ def _ir_star(a: Ty, b: Ty) -> Term:
 
 
 def _ir_merge(a: Ty, b: Ty) -> Term:
-    prod = TProd(a, b)
-    sum_out = TSum(prod, tm.EX)
-    # under lam x. lam y. lam s:  x = Var 2, y = Var 1, s = Var 0
-    on_left = Lam(
-        a,
-        app(
-            case_c(b, tm.EX, sum_out),
-            App(Var(2), Var(1)),  # y s
-            Lam(b, App(inl_c(prod, tm.EX), app(pair_c(a, b), Var(1), Var(0)))),
-            Lam(tm.EX, App(inr_c(prod, tm.EX), Var(0))),
-        ),
-    )
-    on_ex = Lam(
-        tm.EX,
-        app(
-            case_c(b, tm.EX, sum_out),
-            App(Var(2), Var(1)),
-            Lam(b, App(inr_c(prod, tm.EX), Var(1))),
-            Lam(tm.EX, App(inr_c(prod, tm.EX), app(exmerge_const, Var(1), Var(0)))),
-        ),
-    )
+    # under lam x. lam y. lam s and a branch binder, the right outcome is y s
+    on_left, on_ex = _merge_branches(a, b, App(Var(2), Var(1)))
+    sum_out = TSum(TProd(a, b), tm.EX)
     return Lam(
         _ir_t(a),
         Lam(

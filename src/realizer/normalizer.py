@@ -26,7 +26,9 @@ find_head_cut tries the patterns in table order at every principal node;
 apply_head_reduction re-runs the cut's pattern, so a stale cut raises
 InvalidCut, and then calls its reducer.  Both permutation kinds share one
 reducer, which pushes the elimination into every branch of the discharging
-rule above it.
+rule above it.  Which premisses a rule discharges its label in, and which
+one binds its variable, is read from deduction.RULE_SHAPES, by that reducer
+and by the relabelling and binder renaming that keep grafts hygienic.
 
 Reductions preserve the root sequent and never invent assumptions or free
 term variables; normalize_derivation re-checks the tree after every rewrite
@@ -270,16 +272,6 @@ def find_head_cut(
 # ---------------------------------------------------------------------------
 # hygiene: relabelling, binder renaming, weakening, grafting
 
-_DISCHARGE_PREMS: dict[type, tuple[int, ...]] = {
-    dd.OrE: (1, 2),
-    dd.ImplyI: (0,),
-    dd.ExistsE: (1,),
-    dd.Ind: (1,),
-    dd.CInd: (0,),
-    dd.EM: (0, 1),
-}
-
-
 def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a hypothesis label in every context entry and id leaf of d."""
     ctx = tuple((new if l == old else l, f) for l, f in d.conclusion.context)
@@ -292,13 +284,23 @@ def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
 
 def _relabel(d: Derivation, new_label: str) -> Derivation:
     """Change the discharge label of d's root rule."""
-    idxs = _DISCHARGE_PREMS[type(d.rule)]
     old = d.rule.label
     prem = list(d.premisses)
-    for i in idxs:
+    for i in dd.RULE_SHAPES[type(d.rule)].discharges:
         prem[i] = _rename_hyp(prem[i], old, new_label)
     return Derivation(dataclasses.replace(d.rule, label=new_label),
                       d.conclusion, tuple(prem))
+
+
+def _rename_binder(d: Derivation, new_var: str) -> Derivation:
+    """Change the variable d's root rule binds, in the rule and its premiss."""
+    rule = d.rule
+    i, old = dd.RULE_SHAPES[type(rule)].binds, rule.var
+    prem = list(d.premisses)
+    prem[i] = dd.subst_derivation(prem[i], old, TVar(new_var))
+    if isinstance(rule, dd.Ind):
+        rule = dataclasses.replace(rule, template=subst_formula(rule.template, old, TVar(new_var)))
+    return Derivation(dataclasses.replace(rule, var=new_var), d.conclusion, tuple(prem))
 
 
 def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
@@ -309,7 +311,7 @@ def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
         node = Derivation(node.rule, node.conclusion,
                           tuple(go(p) for p in node.premisses))
         rule = node.rule
-        if type(rule) in _DISCHARGE_PREMS and rule.label in avoid:
+        if dd.RULE_SHAPES[type(rule)].discharges and rule.label in avoid:
             new = arith._fresh(rule.label, taken)
             taken.add(new)
             node = _relabel(node, new)
@@ -324,37 +326,28 @@ def _all_term_vars(d: Derivation) -> set[str]:
     for _, n in dd.walk(d):
         out |= dd._formula_vars_of_node(n)
         out |= dd._rule_term_vars(n.rule)
-        b = dd._binder_of(n.rule)
-        if b is not None:
-            out.add(b[1])
+        if dd.RULE_SHAPES[type(n.rule)].binds is not None:
+            out.add(n.rule.var)
     return out
 
 
 def _freshen_binders(d: Derivation, clash: set[str]) -> Derivation:
-    """Rename exists/em/ind binders of d away from the clash set.
+    """Rename the renamable binders of d away from the clash set.
 
-    Universal introductions and complete induction mention their variable in
-    the conclusion, so they cannot be renamed without alpha-converting a
+    Binders whose conclusion names the variable (universal introduction,
+    complete induction) cannot be renamed without alpha-converting a
     formula; they are left alone and the substitution reports the capture.
     """
     taken = set(clash) | _all_term_vars(d)
 
     def go(node: Derivation) -> Derivation:
-        prem = [go(p) for p in node.premisses]
-        rule = node.rule
-        b = dd._binder_of(rule)
-        if (b is not None and b[1] in clash
-                and not isinstance(rule, (dd.ForallI, dd.CInd))):
-            i, v = b
-            nv = arith._fresh(v, frozenset(taken))
+        node = Derivation(node.rule, node.conclusion, tuple(go(p) for p in node.premisses))
+        shape = dd.RULE_SHAPES[type(node.rule)]
+        if shape.binds is not None and shape.renamable and node.rule.var in clash:
+            nv = arith._fresh(node.rule.var, frozenset(taken))
             taken.add(nv)
-            prem[i] = dd.subst_derivation(prem[i], v, TVar(nv))
-            if isinstance(rule, dd.Ind):
-                rule = dataclasses.replace(
-                    rule, var=nv, template=subst_formula(rule.template, v, TVar(nv)))
-            else:
-                rule = dataclasses.replace(rule, var=nv)
-        return Derivation(rule, node.conclusion, tuple(prem))
+            node = _rename_binder(node, nv)
+        return node
 
     return go(d)
 
@@ -489,41 +482,35 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
 def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
     """Push an elimination into the branches of its discharging major premiss."""
     split, *minors = node.premisses
-    erule = node.rule
     ctx, goal = node.conclusion.context, node.conclusion.goal
+    shape = dd.RULE_SHAPES[type(split.rule)]
 
     label = split.rule.label
     clash_labels = set().union(*(dd._labels_inside(m) for m in minors))
     if label in clash_labels:
         split = _relabel(split, arith._fresh(label, clash_labels | dd._labels_inside(split)))
 
-    binder = dd._binder_of(split.rule)
-    if binder is not None:
-        i, var = binder
-        clash_vars = free_vars(goal) | dd._rule_term_vars(erule)
+    if shape.binds is not None:
+        clash_vars = free_vars(goal) | dd._rule_term_vars(node.rule)
         for m in minors:
             clash_vars |= _all_term_vars(m)
-        if var in clash_vars:
-            nv = arith._fresh(var, frozenset(clash_vars | _all_term_vars(split)))
-            prem = list(split.premisses)
-            prem[i] = dd.subst_derivation(prem[i], var, TVar(nv))
-            split = Derivation(dataclasses.replace(split.rule, var=nv),
-                               split.conclusion, tuple(prem))
+        if split.rule.var in clash_vars:
+            taken = frozenset(clash_vars | _all_term_vars(split))
+            split = _rename_binder(split, arith._fresh(split.rule.var, taken))
 
     # discharge appends, so each branch's hypothesis is its last context entry
-    branches = _DISCHARGE_PREMS[type(split.rule)]
-    hyps = [split.premisses[i].conclusion.context[-1] for i in branches]
+    hyps = [split.premisses[i].conclusion.context[-1] for i in shape.discharges]
 
     # keep the elimination's own binder fresh for the hypotheses moving above it
-    if isinstance(erule, dd.ExistsE):
+    if dd.RULE_SHAPES[type(node.rule)].binds is not None:
         bad = set().union(*(free_vars(f) for _, f in hyps))
-        if erule.var in bad:
-            nv = arith._fresh(erule.var, frozenset(bad | _all_term_vars(node)))
-            minors[0] = dd.subst_derivation(minors[0], erule.var, TVar(nv))
-            erule = dataclasses.replace(erule, var=nv)
+        if node.rule.var in bad:
+            taken = frozenset(bad | _all_term_vars(node))
+            node = _rename_binder(node, arith._fresh(node.rule.var, taken))
+    erule, minors = node.rule, node.premisses[1:]
 
     prem = list(split.premisses)
-    for i, hyp in zip(branches, hyps):
+    for i, hyp in zip(shape.discharges, hyps):
         wminors = (dd.weaken(m, (hyp,), at=len(ctx)) for m in minors)
         prem[i] = Derivation(erule, Sequent(ctx + (hyp,), goal), (prem[i], *wminors))
     return Derivation(split.rule, node.conclusion, tuple(prem))

@@ -104,7 +104,12 @@ def read_nodes(text: str) -> list[Node]:
             outer.append(ListNode(tuple(items), pos, text))
             items = outer
         elif _INT.match(tok):
-            items.append(IntTok(int(tok), m.start(), text))
+            try:
+                value = int(tok)
+            except ValueError:  # more digits than the interpreter converts
+                raise _error(text, m.start(),
+                             f"numeral of {len(tok)} characters is too long") from None
+            items.append(IntTok(value, m.start(), text))
         elif tok[0] != ";":
             items.append(Sym(tok, m.start(), text))
     if opened:

@@ -221,6 +221,33 @@ def test_check_compares_deep_numerals(tmp_path, capsys, n):
     assert rc == 0 and out.splitlines()[-1] == "ok: 1 definitions"
 
 
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_check_accepts_deep_derivations(tmp_path, capsys, depth):
+    a, b = "(atom = 1 1)", "(atom = 2 2)"
+    d = f"(der atom-i (seq (ctx) {a}))"
+    for _ in range(depth // 2):  # an and-el over an and-i per two levels
+        d = (f"(der and-el (seq (ctx) {a}) (der and-i (seq (ctx) (and {a} {b}))"
+             f" {d} (der atom-i (seq (ctx) {b}))))")
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d {d})")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["der d proves (atom = 1 1)", "ok: 1 definitions"]
+
+
+@pytest.mark.parametrize("text, col", [
+    ("(defterm t (num {n}))", 17),
+    ("(defder d (der (exists-i {n}) (seq (ctx) (exists x (atom = x 0)))"
+     " (der atom-i (seq (ctx) (atom = 0 0)))))", 26),
+])
+def test_check_refuses_numerals_too_long_to_convert(tmp_path, capsys, text, col):
+    p = tmp_path / "long.proof"
+    p.write_text(text.format(n="1" * 5000))
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, out) == (1, "")
+    assert err == f"error: 1:{col}: numeral of 5000 characters is too long\n"
+
+
 # ---------------------------------------------------------------------------
 # normalize and extract-witness
 

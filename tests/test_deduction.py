@@ -1,5 +1,6 @@
 """Natural deduction checking: rule shapes, hygiene, helpers."""
 
+import dataclasses
 import random
 
 import pytest
@@ -48,6 +49,18 @@ def test_cut_wrappers_preserve_the_sequent(seed):
     wrapped = gen.with_random_cuts(rng, d, 3)
     assert wrapped.conclusion == d.conclusion
     assert wrapped is not d
+
+
+def test_every_rule_kind_has_one_shape():
+    kinds = dd.RuleKind.__args__
+    assert len(set(kinds)) == len(kinds)
+    assert set(dd.RULE_SHAPES) == set(kinds)
+    for kind, shape in dd.RULE_SHAPES.items():
+        fields = {f.name for f in dataclasses.fields(kind)}
+        assert ("label" in fields) >= bool(shape.discharges), kind
+        assert ("var" in fields) == (shape.binds is not None), kind
+        assert shape.binds is None or shape.arity > shape.binds, kind
+        assert all(i < shape.arity for i in shape.discharges), kind
 
 
 # ---------------------------------------------------------------------------
