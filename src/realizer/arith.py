@@ -20,7 +20,11 @@ natives are tested against.  Terms read S and 0 as successor and zero, as
 every table built on FUNCTIONS does (a proof file cannot rebind them):
 `norm_aterm` builds a numeral once per maximal closed subterm in one
 bottom-up pass, and S chains are walked with loops, so deep numerals need no
-stack.
+stack.  A numeral costs a node per unit, so `tnum` refuses values above
+MAX_NUMERAL with a typed error.  Normalization returns a term or formula
+that is already normal as the same object, and `formulas_equal` compares
+syntactically first, so callers that pass normal formulas around pay for no
+rebuilding.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ class NotClosed(ArithError):
 
 
 class NotPrenex(ArithError):
+    pass
+
+
+class NumeralTooLarge(ArithError):
     pass
 
 
@@ -239,9 +247,18 @@ ATerm = TVar | TApp
 # recursing along their S chains
 _NUMERALS: list[ATerm] = [TApp("0")]
 
+# a unary numeral costs one node per unit and the chain is kept, so tnum
+# refuses values above this; the chain up to it holds a million nodes
+MAX_NUMERAL = 10**6
+
 
 def tnum(n: int) -> ATerm:
-    """Numeral S^n(0) as a first-order term (shared: tnum(n) is tnum(n))."""
+    """Numeral S^n(0) as a first-order term (shared: tnum(n) is tnum(n)).
+
+    Raises NumeralTooLarge above MAX_NUMERAL.
+    """
+    if n > MAX_NUMERAL:
+        raise NumeralTooLarge(f"numeral above the bound {MAX_NUMERAL}")
     chain = _NUMERALS
     while len(chain) <= n:
         chain.append(TApp("S", (chain[-1],)))
@@ -337,9 +354,10 @@ def _norm(t: ATerm, fns: Mapping[str, PrimFn]) -> int | ATerm:
         if t.fn not in fns:
             raise ArithError(f"unknown function symbol {t.fn!r}")
         return eval_prim(fns[t.fn], parts) + k
-    if all(p is a for p, a in zip(parts, t.args)):
+    args = tuple(tnum(p) if isinstance(p, int) else p for p in parts)
+    if all(p is a for p, a in zip(args, t.args)):
         return top
-    r: ATerm = TApp(t.fn, tuple(tnum(p) if isinstance(p, int) else p for p in parts))
+    r: ATerm = TApp(t.fn, args)
     for _ in range(k):
         r = TApp("S", (r,))
     return r
@@ -439,25 +457,29 @@ def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
 
 
 def norm_formula(f: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> Formula:
-    """Normalize all first-order terms inside f (closed subterms to numerals)."""
+    """Normalize all first-order terms inside f (closed subterms to numerals);
+    f itself (same object) when no term changes."""
     match f:
         case Atom(rel, args):
-            return Atom(rel, tuple(norm_aterm(t, fns) for t in args))
-        case And(a, b):
-            return And(norm_formula(a, fns), norm_formula(b, fns))
-        case Or(a, b):
-            return Or(norm_formula(a, fns), norm_formula(b, fns))
-        case Imply(a, b):
-            return Imply(norm_formula(a, fns), norm_formula(b, fns))
-        case Forall(v, body):
-            return Forall(v, norm_formula(body, fns))
-        case Exists(v, body):
-            return Exists(v, norm_formula(body, fns))
+            new = tuple(norm_aterm(t, fns) for t in args)
+            return f if all(n is t for n, t in zip(new, args)) else Atom(rel, new)
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            na, nb = norm_formula(a, fns), norm_formula(b, fns)
+            return f if na is a and nb is b else type(f)(na, nb)
+        case Forall(v, body) | Exists(v, body):
+            nb = norm_formula(body, fns)
+            return f if nb is body else type(f)(v, nb)
     raise ArithError(f"not a formula: {f!r}")
 
 
 def formulas_equal(a: Formula, b: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> bool:
-    return norm_formula(a, fns) == norm_formula(b, fns)
+    """Equality up to normalization of closed subterms.
+
+    Syntactically equal formulas are equal without being normalized, so a
+    closed term with an unknown function symbol raises ArithError only when
+    the two sides differ.
+    """
+    return a == b or norm_formula(a, fns) == norm_formula(b, fns)
 
 
 def atomic_truth(

@@ -328,17 +328,34 @@ def _rule_term_vars(rule: RuleKind) -> frozenset[str]:
             return frozenset()
 
 
-def free_term_vars(d: Derivation) -> frozenset[str]:
-    """Variables free in a formula or rule term and not bound by a rule."""
-    out: set[str] = set()
-    stack = [(d, frozenset())]  # a node and the variables bound above it
+# A memo maps id(node) to (node, value): holding the node keeps its id from
+# being reused while the memo lives.
+Memo = dict[int, tuple[Derivation, object]]
+
+
+def free_term_vars(d: Derivation, memo: Optional[Memo] = None) -> frozenset[str]:
+    """Variables free in a formula or rule term and not bound by a rule.
+
+    Computed bottom-up; memo, when given, holds the set of every node
+    already scanned, which is not scanned again, and receives the rest.
+    """
+    memo = {} if memo is None else memo
+    stack = [(d, False)]  # a node, and whether its premisses are done
     while stack:
-        node, bound = stack.pop()
-        out |= (_formula_vars_of_node(node) | _rule_term_vars(node.rule)) - bound
+        node, ready = stack.pop()
+        if id(node) in memo:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.premisses)
+            continue
+        out = _formula_vars_of_node(node) | _rule_term_vars(node.rule)
         binds = RULE_SHAPES[type(node.rule)].binds
         for i, p in enumerate(node.premisses):
-            stack.append((p, bound | {node.rule.var} if i == binds else bound))
-    return frozenset(out)
+            inner = memo[id(p)][1]
+            out |= inner - {node.rule.var} if i == binds else inner
+        memo[id(node)] = (node, out)
+    return memo[id(d)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +708,26 @@ def check_derivation(
     d: Derivation,
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, arith.PrimFn] = arith.FUNCTIONS,
+    checked: Optional[Memo] = None,
 ) -> Sequent:
-    """Validate every node, in preorder; returns the root sequent."""
+    """Validate every node, in preorder; returns the root sequent.
+
+    A node's validity depends only on the node, its premisses' conclusions,
+    rels and fns, so a subtree checked once under the same tables need not
+    be checked again.  checked, when given, holds such nodes: the walk skips
+    their subtrees and adds every node it checks, so it holds only valid
+    nodes once the call returns; after a DeductionError, drop it.  The walk
+    still starts at the root, so an error names the same node and path as a
+    whole-tree check.
+    """
+    checked = {} if checked is None else checked
     stack: list[tuple[Derivation, Trail]] = [(d, None)]
     while stack:
         node, trail = stack.pop()
+        if id(node) in checked:
+            continue
         _check_node(node, trail, rels, fns)
+        checked[id(node)] = (node, None)
         for i in range(len(node.premisses) - 1, -1, -1):
             stack.append((node.premisses[i], (trail, i)))
     return d.conclusion

@@ -31,11 +31,16 @@ one binds its variable, is read from deduction.RULE_SHAPES, by that reducer
 and by the relabelling and binder renaming that keep grafts hygienic.
 
 Reductions preserve the root sequent and never invent assumptions or free
-term variables; normalize_derivation re-checks the tree after every rewrite
-and raises HygieneError if a rewrite would need alpha-renaming that the
-syntactic formula identity cannot express.  extract_witness drives a closed
-derivation of ex x A (A atomic) to its normal form, which must end with the
-existence introduction naming a correct witness.
+term variables.  After every rewrite normalize_derivation term-normalizes
+the tree, checks it and scans it for free term variables, and raises
+HygieneError if a rewrite would need alpha-renaming that the syntactic
+formula identity cannot express.  Nodes are immutable and a node's validity
+depends only on itself and its premisses' conclusions, so these passes
+remember the nodes they have visited, by identity, for the length of the
+call: a rewrite builds a few new nodes and carries the rest over, and only
+the new ones are visited.  extract_witness drives a closed derivation of
+ex x A (A atomic) to its normal form, which must end with the existence
+introduction naming a correct witness.
 """
 
 from __future__ import annotations
@@ -158,11 +163,15 @@ def _at(d: Derivation, path: tuple[int, ...]) -> Derivation:
 
 
 def _replace(d: Derivation, path: tuple[int, ...], sub: Derivation) -> Derivation:
-    if not path:
-        return sub
-    prem = list(d.premisses)
-    prem[path[0]] = _replace(prem[path[0]], path[1:], sub)
-    return Derivation(d.rule, d.conclusion, tuple(prem))
+    """d with sub at path; only the spine above it is rebuilt."""
+    spine = [d]
+    for i in path[:-1]:
+        spine.append(spine[-1].premisses[i])
+    for node, i in zip(reversed(spine), reversed(path)):
+        prem = list(node.premisses)
+        prem[i] = sub
+        sub = Derivation(node.rule, node.conclusion, tuple(prem))
+    return sub
 
 
 def _principal_closed_instance(left: Derivation, label: str) -> bool:
@@ -304,7 +313,11 @@ def _rename_binder(d: Derivation, new_var: str) -> Derivation:
 
 
 def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
-    """Rename every discharging label of d that lies in avoid."""
+    """Rename every discharging label of d that lies in avoid; d itself
+    when none does."""
+    if not any(dd.RULE_SHAPES[type(n.rule)].discharges and n.rule.label in avoid
+               for _, n in dd.walk(d)):
+        return d
     taken = set(avoid) | dd._labels_inside(d)
 
     def go(node: Derivation) -> Derivation:
@@ -331,13 +344,25 @@ def _all_term_vars(d: Derivation) -> set[str]:
     return out
 
 
+def _renamable_binders(d: Derivation) -> set[str]:
+    out = set()
+    for _, n in dd.walk(d):
+        shape = dd.RULE_SHAPES[type(n.rule)]
+        if shape.binds is not None and shape.renamable:
+            out.add(n.rule.var)
+    return out
+
+
 def _freshen_binders(d: Derivation, clash: set[str]) -> Derivation:
-    """Rename the renamable binders of d away from the clash set.
+    """Rename the renamable binders of d away from the clash set; d itself
+    when none is in it.
 
     Binders whose conclusion names the variable (universal introduction,
     complete induction) cannot be renamed without alpha-converting a
     formula; they are left alone and the substitution reports the capture.
     """
+    if not _renamable_binders(d) & clash:
+        return d
     taken = set(clash) | _all_term_vars(d)
 
     def go(node: Derivation) -> Derivation:
@@ -384,7 +409,8 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
     if pos is None:
         raise NormalizationError(f"label {label} is not free at the graft root")
     repl = _freshen_labels(repl, dd._labels_inside(body))
-    repl = _freshen_binders(repl, _all_term_vars(body))
+    if _renamable_binders(repl):  # else spare the scan of body
+        repl = _freshen_binders(repl, _all_term_vars(body))
 
     def go(node: Derivation) -> Derivation:
         ctx = node.conclusion.context
@@ -563,33 +589,63 @@ def _sequent_eq(a: Sequent, b: Sequent, fns) -> bool:
 # term normalization inside a derivation
 
 
-def norm_terms(d: Derivation, fns: Mapping[str, PrimFn] = arith.FUNCTIONS) -> Derivation:
+def _norm_rule(rule, fns):
+    match rule:
+        case dd.ForallE(term) | dd.ExistsI(term):
+            t = norm_aterm(term, fns)
+            return rule if t is term else type(rule)(t)
+        case dd.Ind(label, var, template, main):
+            tp, m = norm_formula(template, fns), norm_aterm(main, fns)
+            return rule if tp is template and m is main else dd.Ind(label, var, tp, m)
+    return rule
+
+
+def _norm_sequent(s: Sequent, keep_goal: bool, fns) -> Sequent:
+    goal = s.goal if keep_goal else norm_formula(s.goal, fns)
+    ctx = tuple((l, norm_formula(f, fns)) for l, f in s.context)
+    if all(n is f for (_, n), (_, f) in zip(ctx, s.context)):
+        ctx = s.context
+    return s if ctx is s.context and goal is s.goal else Sequent(ctx, goal)
+
+
+def norm_terms(
+    d: Derivation,
+    fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
+    memo: Optional[dict] = None,
+) -> Derivation:
     """Collapse closed arithmetic subterms to numerals everywhere.
 
     The posited equality rules constrain their premiss and conclusion shapes
     syntactically, so goals touching one of those nodes keep their terms.
+    A node whose terms are already normal is returned as itself.  memo, when
+    given, maps (id(node), keep_goal) to (node, result) for nodes already
+    normalized, results included, and receives the rest; normalize_derivation
+    shares one across its rewrites, so each node is normalized once.
     """
-
-    def nrule(rule):
-        match rule:
-            case dd.ForallE(term):
-                return dd.ForallE(norm_aterm(term, fns))
-            case dd.ExistsI(term):
-                return dd.ExistsI(norm_aterm(term, fns))
-            case dd.Ind(label, var, template, main):
-                return dd.Ind(label, var, norm_formula(template, fns),
-                              norm_aterm(main, fns))
-            case _:
-                return rule
-
-    def go(n: Derivation, keep_goal: bool) -> Derivation:
-        post = isinstance(n.rule, dd.AtomPost)
-        goal = n.conclusion.goal if keep_goal or post else norm_formula(n.conclusion.goal, fns)
-        ctx = tuple((l, norm_formula(f, fns)) for l, f in n.conclusion.context)
-        return Derivation(nrule(n.rule), Sequent(ctx, goal),
-                          tuple(go(p, post) for p in n.premisses))
-
-    return go(d, False)
+    memo = {} if memo is None else memo
+    # (node, keep_goal, its normalized rule and sequent once its premisses
+    # are queued); terms are normalized in preorder, nodes built in postorder
+    stack: list[tuple[Derivation, bool, Optional[tuple]]] = [(d, False, None)]
+    while stack:
+        node, keep, parts = stack.pop()
+        if (id(node), keep) in memo:
+            continue
+        post = isinstance(node.rule, dd.AtomPost)
+        if parts is None:
+            concl = _norm_sequent(node.conclusion, keep or post, fns)
+            stack.append((node, keep, (_norm_rule(node.rule, fns), concl)))
+            stack.extend((p, post, None) for p in reversed(node.premisses))
+            continue
+        rule, concl = parts
+        prem = tuple(memo[id(p), post][1] for p in node.premisses)
+        if (rule is node.rule and concl is node.conclusion
+                and all(n is p for n, p in zip(prem, node.premisses))):
+            new = node
+        else:
+            new = Derivation(rule, concl, prem)
+        memo[id(node), keep] = (node, new)
+        memo[id(new), keep] = (new, new)
+    return memo[id(d), False][1]
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +663,20 @@ def normalize_derivation(
 ) -> Derivation:
     """Rewrite until no head cut remains along any principal branch.
 
-    The root sequent is preserved (up to term normalization) and the whole
-    tree is re-checked after every rewrite; fuel bounds the number of
-    rewrites and FuelExhausted carries the partly reduced derivation.
+    The root sequent is preserved (up to term normalization) and the tree
+    is term-normalized, checked and scanned for free term variables after
+    every rewrite.  Each of the three passes has a memo keyed by node
+    identity that lives for this call, so a node is visited once: after a
+    rewrite only the nodes the reducer built are, and the subtrees it
+    carried over are skipped.  Fuel bounds the number of rewrites and
+    FuelExhausted carries the partly reduced derivation.
     """
-    d = norm_terms(d, fns)
+    normed: dict = {}
+    checked: dd.Memo = {}
+    scanned: dd.Memo = {}
+    d = norm_terms(d, fns, normed)
     root = d.conclusion
-    base_vars = dd.free_term_vars(d)
+    base_vars = dd.free_term_vars(d, scanned)
     steps = 0
     while True:
         cut = find_head_cut(d, simplify=simplify, fns=fns)
@@ -621,17 +684,17 @@ def normalize_derivation(
             return d
         if steps >= fuel:
             raise FuelExhausted(steps, d)
-        d = norm_terms(apply_head_reduction(d, cut, rels, fns), fns)
+        d = norm_terms(apply_head_reduction(d, cut, rels, fns), fns, normed)
         steps += 1
         try:
-            dd.check_derivation(d, rels, fns)
+            dd.check_derivation(d, rels, fns, checked)
         except dd.DeductionError as e:
             raise HygieneError(
                 f"{cut.kind} rewrite at {cut.path} broke the derivation: {e}") from e
         if not _sequent_eq(d.conclusion, root, fns):
             raise NormalizationError(
                 f"internal: {cut.kind} rewrite changed the root sequent")
-        if not dd.free_term_vars(d) <= base_vars:
+        if not dd.free_term_vars(d, scanned) <= base_vars:
             raise HygieneError(
                 f"{cut.kind} rewrite at {cut.path} freed a term variable")
         if trace is not None:

@@ -407,6 +407,95 @@ def test_formulas_equal_up_to_term_reduction():
     assert norm_formula(nested) == Forall("x", And(b, Atom("<", (TVar("x"), tnum(9)))))
 
 
+# ---------------------------------------------------------------------------
+# normal formulas are kept as they are; formulas_equal skips normalizing
+# syntactically equal sides
+
+
+def _formulas():
+    terms = _terms(closed=False)
+    atoms = (st.tuples(st.sampled_from(["=", "<", "<="]), terms, terms)
+             .map(lambda p: Atom(p[0], p[1:]))
+             | st.sampled_from([Atom("top"), BOT]))
+
+    def grow(sub):
+        return (st.tuples(st.sampled_from([And, Or, Imply]), sub, sub)
+                .map(lambda p: p[0](p[1], p[2]))
+                | st.tuples(st.sampled_from([Forall, Exists]), st.sampled_from(["x", "y"]), sub)
+                .map(lambda p: p[0](p[1], p[2])))
+    return st.recursive(atoms, grow, max_leaves=4)
+
+
+def _disguise_term(t):
+    """t with every maximal closed subterm written as a sum with zero."""
+    if not arith.aterm_vars(t):
+        return TApp("+", (t, tnum(0)))
+    if isinstance(t, TApp):
+        return TApp(t.fn, tuple(_disguise_term(a) for a in t.args))
+    return t
+
+
+def _disguise(f):
+    """A formula equal to f after normalization that differs in syntax
+    wherever f has a closed term."""
+    match f:
+        case Atom(rel, args):
+            return Atom(rel, tuple(_disguise_term(t) for t in args))
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            return type(f)(_disguise(a), _disguise(b))
+        case Forall(v, body) | Exists(v, body):
+            return type(f)(v, _disguise(body))
+
+
+def test_norm_formula_returns_a_normal_formula_itself():
+    f = Forall("x", Imply(Atom("<", (TApp("+", (TVar("x"), tnum(3))), tnum(5))),
+                          Exists("y", Atom("=", (TVar("y"), TApp("S", (TVar("x"),)))))))
+    assert norm_formula(f) is f
+    g = And(f, Atom("=", (TApp("+", (tnum(1), tnum(1))), tnum(2))))
+    ng = norm_formula(g)
+    assert ng is not g and ng.left is f
+    assert ng == And(f, Atom("=", (tnum(2), tnum(2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas())
+def test_norm_formula_keeps_normal_formulas_and_matches_the_reference(f):
+    g = norm_formula(f, _FNS)
+    assert g == _old_norm_formula(f, _FNS)
+    assert norm_formula(g, _FNS) is g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), _formulas(), st.booleans())
+def test_formulas_equal_agrees_with_normalizing_both_sides(a, b, disguised):
+    if disguised:
+        b = _disguise(a)
+    expected = norm_formula(a, _FNS) == norm_formula(b, _FNS)
+    assert formulas_equal(a, b, _FNS) == expected
+    assert formulas_equal(b, a, _FNS) == expected
+    assert expected or not disguised
+
+
+def test_formulas_equal_on_an_unknown_function_symbol():
+    odd = Atom("=", (TApp("exp", (tnum(2),)), tnum(1)))
+    with pytest.raises(arith.ArithError, match="unknown function symbol 'exp'"):
+        norm_formula(odd)
+    # syntactically equal sides are equal without being normalized, so the
+    # unknown symbol is reported only when the sides differ
+    assert formulas_equal(odd, odd)
+    with pytest.raises(arith.ArithError, match="unknown function symbol 'exp'"):
+        formulas_equal(odd, Atom("=", (tnum(2), tnum(1))))
+
+
+def test_numerals_above_the_bound_are_refused():
+    assert issubclass(arith.NumeralTooLarge, arith.ArithError)
+    with pytest.raises(arith.NumeralTooLarge, match="numeral above the bound 1000000"):
+        tnum(arith.MAX_NUMERAL + 1)
+    with pytest.raises(arith.NumeralTooLarge):
+        norm_aterm(TApp("*", (tnum(1001), tnum(1000))))
+    assert reduce_aterm(TApp("*", (tnum(1001), tnum(1000)))) == 1001000
+
+
 def test_atomic_truth():
     assert atomic_truth(Atom("<", (tnum(2), tnum(3))))
     assert not atomic_truth(Atom("<", (tnum(3), tnum(3))))

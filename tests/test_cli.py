@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output formats, fuel, demos."""
 
 import re
+import time
 
 import pytest
 
@@ -221,18 +222,59 @@ def test_check_compares_deep_numerals(tmp_path, capsys, n):
     assert rc == 0 and out.splitlines()[-1] == "ok: 1 definitions"
 
 
-@pytest.mark.parametrize("depth", [1200, 10**4])
-def test_check_accepts_deep_derivations(tmp_path, capsys, depth):
-    a, b = "(atom = 1 1)", "(atom = 2 2)"
-    d = f"(der atom-i (seq (ctx) {a}))"
-    for _ in range(depth // 2):  # an and-el over an and-i per two levels
+_ATOM_LEAF = ("(atom = 1 1)", "(der atom-i (seq (ctx) (atom = 1 1)))")
+_EXISTS_LEAF = ("(exists x (atom = x 1))",
+                "(der (exists-i 1) (seq (ctx) (exists x (atom = x 1)))"
+                " (der atom-i (seq (ctx) (atom = 1 1))))")
+
+
+def _and_chain(tmp_path, depth, leaf=_ATOM_LEAF) -> str:
+    """A proof file whose derivation d is depth levels of and-el over and-i
+    (one proper cut per two levels) around leaf, a (goal, derivation) pair."""
+    a, d = leaf
+    b = "(atom = 2 2)"
+    for _ in range(depth // 2):
         d = (f"(der and-el (seq (ctx) {a}) (der and-i (seq (ctx) (and {a} {b}))"
              f" {d} (der atom-i (seq (ctx) {b}))))")
     p = tmp_path / "deep.proof"
     p.write_text(f"(defder d {d})")
-    rc, out, err = run_cli(capsys, "check", str(p))
+    return str(p)
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_check_accepts_deep_derivations(tmp_path, capsys, depth):
+    rc, out, err = run_cli(capsys, "check", _and_chain(tmp_path, depth))
     assert (rc, err) == (0, "")
     assert out.splitlines() == ["der d proves (atom = 1 1)", "ok: 1 definitions"]
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_normalize_accepts_deep_derivations(tmp_path, capsys, depth):
+    # each proper cut returns a subtree the normalizer has already checked
+    rc, out, err = run_cli(capsys, "normalize", _and_chain(tmp_path, depth), "--deriv", "d")
+    assert (rc, err) == (0, "")
+    assert out == _ATOM_LEAF[1] + "\n"
+
+
+def test_extract_witness_of_a_deep_derivation(tmp_path, capsys):
+    path = _and_chain(tmp_path, 1200, _EXISTS_LEAF)
+    rc, out, err = run_cli(capsys, "extract-witness", path, "--deriv", "d")
+    assert (rc, out, err) == (0, "witness: 1\n", "")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("(defder d (der (exists-i (* {n} {n})) (seq (ctx) (exists x (atom = x 0)))"
+     " (der atom-i (seq (ctx) (atom = 0 0)))))", 29),
+    ("(defder d (der atom-i (seq (ctx) (atom = (* {n} {n}) 0))))", 45),
+])
+def test_check_refuses_numerals_above_the_bound(tmp_path, capsys, text, col):
+    p = tmp_path / "big.proof"
+    p.write_text(text.format(n="7" * 3000))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err == f"error: 1:{col}: numeral above the bound 1000000\n"
 
 
 @pytest.mark.parametrize("text, col", [
