@@ -256,14 +256,31 @@ def cmd_extract_witness(args) -> int:
     return 0
 
 
+def _precision(value: int) -> int:
+    if value < 0:
+        raise UsageError(f"--precision must be a non-negative integer, got {value}")
+    return value
+
+
+def _point(chunk: str) -> reals.Point:
+    coords = chunk.split(",")
+    if len(coords) != 2:
+        raise UsageError(f"bad --points: each point needs two coordinates, got {chunk!r}")
+    try:
+        return reals.point(*(Fraction(c) for c in coords))
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"bad --points: {e}") from None
+
+
 def cmd_least_element(args) -> int:
     try:
         values = [Fraction(v) for v in args.values.split(",")]
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad --values: {e}") from None
+    precision = _precision(args.precision)
     machine = args.format == "sexpr"
     index, s, trace = reals.least_element(
-        [reals.constant(v) for v in values], args.precision)
+        [reals.constant(v) for v in values], precision)
     for line in trace:
         _say(line, machine)
     if machine:
@@ -275,17 +292,12 @@ def cmd_least_element(args) -> int:
 
 
 def cmd_convex_angle(args) -> int:
-    try:
-        points = [
-            reals.point(*(Fraction(c) for c in chunk.split(",")))
-            for chunk in args.points.split(";")
-        ]
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --points: {e}") from None
+    points = [_point(chunk) for chunk in args.points.split(";")]
     if len(points) < 3:
         raise UsageError(f"--points needs at least three points, got {len(points)}")
+    precision = _precision(args.precision)
     machine = args.format == "sexpr"
-    a, b, c, s, trace = reals.convex_angle(points, max_precision=args.precision)
+    a, b, c, s, trace = reals.convex_angle(points, max_precision=precision)
     for line in trace:
         _say(line, machine)
     if machine:

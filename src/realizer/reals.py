@@ -24,7 +24,11 @@ convex_angle does the same one level up: the lowest-point candidate comes
 from the comparison state, a sweep collects orientation certificates for the
 bounding condition, and when the sweep runs into a cycle of left turns the
 three-point inequality chain computes a refuting precision for one of the
-guessed comparisons.
+guessed comparisons.  A convex_angle run shares its determinants: one table,
+alive for that call only, builds each coordinate difference once per (point,
+apex) pair and each orientation determinant once per ordered index triple, so
+the sweep, its rechecks and the certificate check all read the same memoized
+intervals instead of rebuilding and re-evaluating a fresh tree per question.
 
 Each demo defines only its pass; learning.learn_loop, the driver behind
 learning.learn, grows the state and restarts the pass until it is regular.
@@ -83,6 +87,7 @@ class RealRep:
         self.parts = parts
         self._fn = fn
         self._memo: dict[int, tuple[Rat, Rat]] = {}
+        self._envelopes: dict[int, Rat] = {}
 
     def interval(self, k: int) -> tuple[Rat, Rat]:
         if k < 0:
@@ -91,6 +96,18 @@ class RealRep:
         if got is None:
             got = self._fn(k)
             self._memo[k] = got
+        return got
+
+    def envelope(self, k: int) -> Rat:
+        """max(|lo|, |hi|) of the k-th interval, memoized like the interval.
+
+        Not max(-lo, hi): a table row may be deliberately broken (lo > hi),
+        and there the two differ.
+        """
+        got = self._envelopes.get(k)
+        if got is None:
+            lo, hi = self.interval(k)
+            got = self._envelopes[k] = max(abs(lo), abs(hi))
         return got
 
     def describe(self) -> str:
@@ -157,22 +174,18 @@ def sub(r: RealRep, s: RealRep) -> RealRep:
     return add(r, neg(s))
 
 
-def _envelope(r: RealRep, l: int) -> Rat:
-    lo, hi = r.interval(l)
-    return max(abs(lo), abs(hi))
-
-
 def mul_search_precision(r: RealRep, s: RealRep, k: int, fuel: int = MUL_SEARCH_FUEL) -> int:
     """Smallest operand precision making the product interval narrow enough.
 
     The product of two intervals of width at most 2^-l varies by at most
     (env_r(l) + env_s(l)) * 2^-l, with envelopes on absolute values so the
-    bound survives sign changes; we want that below 2^-k.
+    bound survives sign changes; we want that below 2^-k.  With envelopes
+    p/q and u/v that is (p*v + u*q) * 2^k <= q*v * 2^l, a test on integers.
     """
-    goal = Rat(1, 2**k)
     for l in range(fuel):
-        bound = (_envelope(r, l) + _envelope(s, l)) * Rat(1, 2**l)
-        if bound <= goal:
+        e, f = r.envelope(l), s.envelope(l)
+        p, q, u, v = e.numerator, e.denominator, f.numerator, f.denominator
+        if (p * v + u * q) << k <= (q * v) << l:
             return l
     raise PrecisionSearchExhausted(
         f"no product precision reaches width 2^-{k} within {fuel} candidates"
@@ -245,8 +258,65 @@ def point(x: RatLike, y: RatLike) -> Point:
     return Point(constant(x), constant(y))
 
 
-def _det(a: Point, b: Point, c: Point) -> RealRep:
-    return sub(mul(sub(b.x, a.x), sub(c.y, a.y)), mul(sub(c.x, a.x), sub(b.y, a.y)))
+class _Determinants:
+    """The orientation determinants of one point set, built on demand.
+
+    det(a, b, c) is (x_b - x_a)(y_c - y_a) - (x_c - x_a)(y_b - y_a), its sign
+    the side of the oriented line a->b that c falls on.  It is assembled from
+    shared parts: each difference p_i - p_a once per (point, apex) pair and
+    each product of differences once per ordered triple, so swapping b and c
+    reuses both products.  Every determinant is built once, and observing it
+    again reads its interval memo.
+    """
+
+    def __init__(self, points: Sequence[Point]):
+        self.points = points
+        self._zero = constant(0)
+        self._diffs: dict[tuple[int, int], Point] = {}
+        self._products: dict[tuple[int, int, int], RealRep] = {}
+        self._dets: dict[tuple[int, int, int], RealRep] = {}
+
+    def _diff(self, i: int, a: int) -> Point:
+        got = self._diffs.get((i, a))
+        if got is None:
+            p, q = self.points[i], self.points[a]
+            got = self._diffs[(i, a)] = Point(sub(p.x, q.x), sub(p.y, q.y))
+        return got
+
+    def _product(self, a: int, i: int, j: int) -> RealRep:
+        got = self._products.get((a, i, j))
+        if got is None:
+            got = self._products[(a, i, j)] = mul(self._diff(i, a).x, self._diff(j, a).y)
+        return got
+
+    def det(self, a: int, b: int, c: int) -> RealRep:
+        got = self._dets.get((a, b, c))
+        if got is None:
+            got = self._dets[(a, b, c)] = sub(self._product(a, b, c), self._product(a, c, b))
+        return got
+
+    def side(self, a: int, b: int, c: int, precisions: Iterable[int]) -> Optional[tuple[str, int]]:
+        """The one decision loop: the side det(a, b, c) shows at the first of
+        the precisions that separates it from zero, and that precision."""
+        d, zero = self.det(a, b, c), self._zero
+        for k in precisions:
+            if op_at(zero, d, k):
+                return (LEFT, k)
+            if op_at(d, zero, k):
+                return (RIGHT, k)
+        return None
+
+    def orientation(self, a: int, b: int, c: int, max_precision: int) -> tuple[str, int]:
+        got = self.side(a, b, c, range(max_precision + 1))
+        if got is None:
+            raise PrecisionExhausted(
+                f"no side at precision {max_precision}; the points look collinear"
+            )
+        return got
+
+    def side_at(self, a: int, b: int, c: int, k: int) -> Optional[str]:
+        got = self.side(a, b, c, (k,))
+        return None if got is None else got[0]
 
 
 def orientation(
@@ -254,26 +324,11 @@ def orientation(
 ) -> tuple[str, int]:
     """Which side of the oriented line a->b the point c falls on, and the
     first precision whose intervals show it."""
-    d = _det(a, b, c)
-    zero = constant(0)
-    for k in range(max_precision + 1):
-        if op_at(zero, d, k):
-            return (LEFT, k)
-        if op_at(d, zero, k):
-            return (RIGHT, k)
-    raise PrecisionExhausted(
-        f"no side at precision {max_precision}; the points look collinear"
-    )
+    return _Determinants((a, b, c)).orientation(0, 1, 2, max_precision)
 
 
 def _side_at(a: Point, b: Point, c: Point, k: int) -> Optional[str]:
-    d = _det(a, b, c)
-    zero = constant(0)
-    if op_at(zero, d, k):
-        return LEFT
-    if op_at(d, zero, k):
-        return RIGHT
-    return None
+    return _Determinants((a, b, c)).side_at(0, 1, 2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +471,18 @@ class _Cycle:
     at: tuple[int, int, int]  # certificate precisions, same order
 
 
-def _recheck(points, a, new, checks, expect, max_precision):
+def _recheck(dets, a, new, checks, expect, max_precision):
     """Re-certify every kept point against the replacement edge a->new."""
     fresh: dict[int, int] = {}
     for x in checks:
-        side, k = orientation(points[a], points[new], points[x], max_precision)
+        side, k = dets.orientation(a, new, x, max_precision)
         if side != expect:
             return (x, k), fresh
         fresh[x] = k
     return None, fresh
 
 
-def _sweep(points, a: int, max_precision: int):
+def _sweep(dets: _Determinants, a: int, max_precision: int):
     """One pass of the angle narrowing under lowest-point candidate a.
 
     Returns an _Angle whose certificates witness the bounding condition, or
@@ -438,22 +493,22 @@ def _sweep(points, a: int, max_precision: int):
     two non-apex points negates the interval at every precision, so each
     certificate doubles as a certificate for the flipped reading.
     """
-    others = [i for i in range(len(points)) if i != a]
+    others = [i for i in range(len(dets.points)) if i != a]
     b, c = others[0], others[1]
-    side, pair = orientation(points[a], points[b], points[c], max_precision)
+    side, pair = dets.orientation(a, b, c, max_precision)
     if side == RIGHT:
         b, c = c, b
     # invariant: "c left of ab" (hence b right of ac) certified at pair;
     # checks[x] certifies x left of ab and x right of ac
     checks: dict[int, tuple[int, int]] = {}
     for d in others[2:]:
-        s1, k1 = orientation(points[a], points[b], points[d], max_precision)
-        s2, k2 = orientation(points[a], points[c], points[d], max_precision)
+        s1, k1 = dets.orientation(a, b, d, max_precision)
+        s2, k2 = dets.orientation(a, c, d, max_precision)
         if s1 == LEFT and s2 == RIGHT:
             checks[d] = (k1, k2)
         elif s1 == RIGHT and s2 == RIGHT:
             # d becomes the left edge; kept points must stay left of it
-            bad, fresh = _recheck(points, a, d, checks, LEFT, max_precision)
+            bad, fresh = _recheck(dets, a, d, checks, LEFT, max_precision)
             if bad is not None:
                 x, k3 = bad
                 return _Cycle((x, d, b), (k3, k1, checks[x][0]))
@@ -462,7 +517,7 @@ def _sweep(points, a: int, max_precision: int):
             checks[b] = (k1, pair)
             b, pair = d, k2
         elif s1 == LEFT and s2 == LEFT:
-            bad, fresh = _recheck(points, a, d, checks, RIGHT, max_precision)
+            bad, fresh = _recheck(dets, a, d, checks, RIGHT, max_precision)
             if bad is not None:
                 x, k3 = bad
                 return _Cycle((c, d, x), (k2, k3, checks[x][1]))
@@ -512,15 +567,14 @@ def _three_points_witness(points, a: int, cycle: _Cycle, max_precision: int) -> 
     )
 
 
-def _verify_bounding(points, a: int, angle: _Angle) -> None:
+def _verify_bounding(dets: _Determinants, a: int, angle: _Angle) -> None:
     """Re-check every certificate of the angle; a false one is an internal error."""
-    pa = points[a]
-    if _side_at(pa, points[angle.b], points[angle.c], angle.pair) != LEFT:
+    if dets.side_at(a, angle.b, angle.c, angle.pair) != LEFT:
         raise RuntimeError(f"edge {angle.c} not certified left of {a}->{angle.b}")
     for d, (kl, kr) in angle.checks.items():
-        if _side_at(pa, points[angle.b], points[d], kl) != LEFT:
+        if dets.side_at(a, angle.b, d, kl) != LEFT:
             raise RuntimeError(f"point {d} not certified left of {a}->{angle.b}")
-        if _side_at(pa, points[angle.c], points[d], kr) != RIGHT:
+        if dets.side_at(a, angle.c, d, kr) != RIGHT:
             raise RuntimeError(f"point {d} not certified right of {a}->{angle.c}")
 
 
@@ -538,19 +592,21 @@ def convex_angle(
     the three-point chain computes a precision refuting one of the guessed
     comparisons "y_a <= y_q", the state grows by that entry, and everything
     restarts; an enumeration whose first point is already lowest therefore
-    goes through with zero backtracking.
+    goes through with zero backtracking.  Every pass reads its orientations
+    from one determinant table, freed when the call returns.
     """
     points = tuple(points)
     if len(points) < 3:
         raise ValueError("need at least three points")
     ys = tuple(p.y for p in points)
     rels = comparison_rels(ys)
+    dets = _Determinants(points)
 
     def run_once(s: State):
         a, decisions = _rmin(ys, s)
-        got = _sweep(points, a, max_precision)
+        got = _sweep(dets, a, max_precision)
         if isinstance(got, _Angle):
-            _verify_bounding(points, a, got)
+            _verify_bounding(dets, a, got)
             return a, learning.Regular((a, got))
         j, p = _three_points_witness(points, a, got, max_precision)
         key, w = _blame(decisions, j, p)

@@ -401,6 +401,23 @@ def test_demo_input_errors(capsys, argv):
     assert rc == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "demo",
+    [("least-element", "--values", "1,2"), ("convex-angle", "--points", "0,0;1,0;0,1")],
+)
+def test_demo_negative_precision_is_a_usage_error(capsys, demo):
+    rc, out, err = run_cli(capsys, "demo", *demo, "--precision", "-1")
+    assert (rc, out) == (1, "")
+    assert err == "error: --precision must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("points, chunk", [("0,0;1,0;0,1,5", "0,1,5"), ("0,0;1,0;5", "5")])
+def test_demo_points_need_two_coordinates(capsys, points, chunk):
+    rc, out, err = run_cli(capsys, "demo", "convex-angle", "--points", points)
+    assert (rc, out) == (1, "")
+    assert err == f"error: bad --points: each point needs two coordinates, got '{chunk}'\n"
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 

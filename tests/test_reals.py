@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizer import cli, learning, reals
 from realizer.learning import State
@@ -72,6 +73,56 @@ def test_product_precision_search():
         mul_search_precision(one, one, 5, fuel=3)
     with pytest.raises(PrecisionSearchExhausted):
         mul(one, one, fuel=3).interval(5)
+
+
+def _reference_search(r, s, k, fuel):
+    """The search with Fraction envelopes and a Fraction bound, rebuilt on
+    every candidate: the oracle for the memoized integer test."""
+
+    def envelope(t, l):
+        lo, hi = t.interval(l)
+        return max(abs(lo), abs(hi))
+
+    goal = F(1, 2**k)
+    for l in range(fuel):
+        if (envelope(r, l) + envelope(s, l)) * F(1, 2**l) <= goal:
+            return l
+    raise PrecisionSearchExhausted(
+        f"no product precision reaches width 2^-{k} within {fuel} candidates"
+    )
+
+
+def _search_outcome(search, r, s, k, fuel):
+    try:
+        return search(r, s, k, fuel)
+    except PrecisionSearchExhausted as e:
+        return str(e)
+
+
+_rationals = st.fractions(min_value=-64, max_value=64, max_denominator=1000)
+# table rows are taken as given, so lo > hi comes up too
+_search_operands = st.one_of(
+    _rationals.map(constant),
+    st.just(0).map(constant),
+    st.lists(st.tuples(_rationals, _rationals), min_size=1, max_size=8).map(table),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_operands, _search_operands,
+       st.lists(st.integers(min_value=0, max_value=64), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=80))
+def test_product_precision_search_matches_the_fraction_loop(r, s, ks, fuel):
+    # several precisions on the same operands: later searches read the memo
+    for k in ks:
+        got = _search_outcome(mul_search_precision, r, s, k, fuel)
+        assert got == _search_outcome(_reference_search, r, s, k, fuel)
+
+
+def test_envelope_of_a_broken_row_uses_absolute_values():
+    t = table([(3, -5)] * 4)
+    assert t.envelope(0) == 5  # max(-lo, hi) would say -3 and stop at l = 0
+    assert mul_search_precision(t, constant(0), 0) == 3
 
 
 def test_real_arith_dispatch():
@@ -348,3 +399,155 @@ def test_convex_angle_bounds_random_point_sets(seed):
     _assert_bounding(coords, a, b, c)
     assert trace[-1].endswith("outcome=regular")
     assert len(s) == len(trace) - 1
+
+
+# ---------------------------------------------------------------------------
+# the shared determinant table against a fresh determinant per observation
+
+
+def _reference_recheck(points, a, new, checks, expect, max_precision):
+    fresh = {}
+    for x in checks:
+        side, k = orientation(points[a], points[new], points[x], max_precision)
+        if side != expect:
+            return (x, k), fresh
+        fresh[x] = k
+    return None, fresh
+
+
+def _reference_sweep(points, a, max_precision):
+    """The sweep as it was before the determinant table: every orientation
+    question builds its determinant afresh through the public orientation."""
+    others = [i for i in range(len(points)) if i != a]
+    b, c = others[0], others[1]
+    side, pair = orientation(points[a], points[b], points[c], max_precision)
+    if side == RIGHT:
+        b, c = c, b
+    checks = {}
+    for d in others[2:]:
+        s1, k1 = orientation(points[a], points[b], points[d], max_precision)
+        s2, k2 = orientation(points[a], points[c], points[d], max_precision)
+        if s1 == LEFT and s2 == RIGHT:
+            checks[d] = (k1, k2)
+        elif s1 == RIGHT and s2 == RIGHT:
+            bad, fresh = _reference_recheck(points, a, d, checks, LEFT, max_precision)
+            if bad is not None:
+                x, k3 = bad
+                return reals._Cycle((x, d, b), (k3, k1, checks[x][0]))
+            for x, kx in fresh.items():
+                checks[x] = (kx, checks[x][1])
+            checks[b] = (k1, pair)
+            b, pair = d, k2
+        elif s1 == LEFT and s2 == LEFT:
+            bad, fresh = _reference_recheck(points, a, d, checks, RIGHT, max_precision)
+            if bad is not None:
+                x, k3 = bad
+                return reals._Cycle((c, d, x), (k2, k3, checks[x][1]))
+            for x, kx in fresh.items():
+                checks[x] = (checks[x][0], kx)
+            checks[c] = (pair, k2)
+            c, pair = d, k1
+        else:
+            return reals._Cycle((d, b, c), (k1, pair, k2))
+    return reals._Angle(b, c, checks, pair)
+
+
+def _reference_verify(points, a, angle):
+    pa = points[a]
+    if reals._side_at(pa, points[angle.b], points[angle.c], angle.pair) != LEFT:
+        raise RuntimeError(f"edge {angle.c} not certified left of {a}->{angle.b}")
+    for d, (kl, kr) in angle.checks.items():
+        if reals._side_at(pa, points[angle.b], points[d], kl) != LEFT:
+            raise RuntimeError(f"point {d} not certified left of {a}->{angle.b}")
+        if reals._side_at(pa, points[angle.c], points[d], kr) != RIGHT:
+            raise RuntimeError(f"point {d} not certified right of {a}->{angle.c}")
+
+
+def _reference_convex_angle(points, max_precision):
+    points = tuple(points)
+    ys = tuple(p.y for p in points)
+    rels = comparison_rels(ys)
+
+    def run_once(s):
+        a, decisions = reals._rmin(ys, s)
+        got = _reference_sweep(points, a, max_precision)
+        if isinstance(got, reals._Angle):
+            _reference_verify(points, a, got)
+            return a, learning.Regular((a, got))
+        j, p = reals._three_points_witness(points, a, got, max_precision)
+        key, w = reals._blame(decisions, j, p)
+        return a, learning.Exceptional(learning.make_exc("leq", key, w, rels))
+
+    s, (a, angle), trace = learning.learn_loop(run_once, State.empty(), 2 ** len(points))
+    return a, angle.b, angle.c, s, trace.lines
+
+
+def _observed(monkeypatch, run, points, max_precision):
+    """The outcome of run, or its PrecisionExhausted message, and the op_at
+    observations it made, in order, as (precision, answer)."""
+    seen = []
+
+    def recording(r, s, k):
+        got = op_at(r, s, k)
+        seen.append((k, got))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(reals, "op_at", recording)
+        try:
+            outcome = run(points, max_precision=max_precision)
+        except PrecisionExhausted as e:
+            outcome = str(e)
+    return outcome, seen
+
+
+def _assert_same_as_reference(monkeypatch, make_points, max_precision=reals.DEFAULT_MAX_PRECISION):
+    # fresh reals for each run, so neither run reads the other's memos
+    got = _observed(monkeypatch, convex_angle, make_points(), max_precision)
+    want = _observed(monkeypatch, _reference_convex_angle, make_points(), max_precision)
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_determinants_agree_with_fresh_ones(monkeypatch, seed):
+    bench = gen.bench_gen()
+    rng = bench.Stratified(7000 + seed)
+    backtracked = 0
+    for n in range(3, 13):
+        coords = bench.general_position_points(rng, n)
+        for order in (coords, bench.lowest_first(coords)):
+            (a, b, c, s, trace), _ = _assert_same_as_reference(
+                monkeypatch, lambda: [point(x, y) for x, y in order])
+            _assert_bounding(order, a, b, c)
+            backtracked += len(s)
+    assert backtracked  # some random orders went through the three-point chain
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_determinants_agree_on_fuzzy_points(monkeypatch, seed):
+    # dyadic coordinates around small points: orientations need precision
+    bench = gen.bench_gen()
+    rng = bench.Stratified(8000 + seed)
+    deepest = 0
+    for n in range(3, 8):
+        coords = [(x / 64, y / 64) for x, y in bench.general_position_points(rng, n)]
+        for order in (coords, bench.lowest_first(coords)):
+            (a, b, c, _, _), seen = _assert_same_as_reference(
+                monkeypatch, lambda: [reals.Point(dyadic(x), dyadic(y)) for x, y in order])
+            _assert_bounding(order, a, b, c)
+            deepest = max(deepest, max(k for k, _ in seen))
+    assert deepest > 0
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(0, 0), (1, 1), (2, 2), (3, 5)],  # the first three are collinear
+        [(0, 0), (1, 0), (0, 1), (0, 0)],  # a repeated point
+    ],
+)
+def test_shared_determinants_agree_on_degenerate_points(monkeypatch, coords):
+    message, _ = _assert_same_as_reference(
+        monkeypatch, lambda: [point(x, y) for x, y in coords], max_precision=8)
+    assert message == "no side at precision 8; the points look collinear"
