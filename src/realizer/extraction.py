@@ -21,10 +21,39 @@ realizer that consults the knowledge state:
 The guess is honest only against the run-time state, which is why realizers
 of classical proofs are run under the learning loop rather than once.
 
-Hypothesis labels and rule-bound first-order variables both live in one
-de Bruijn environment, so decorations of open sub-derivations carry free
-variables; extract closes over the root context and demands that no
-first-order variable stays free.
+raise^k and star^k are the monad's meta-level combinators (monads.raise_k,
+monads.star_k), so a realizer holds no administrative redex: under the
+interactive monad a rule's term is one abstraction over the state, lam s.
+case (x s) (lam v. ...) inr, whose premiss computations run at s in place.
+A call-by-value redex is contracted when its argument is a variable, or a
+value its body uses at most once.  The redexes that remain have an argument
+that is not a value, or a value used twice.  Under the interactive monad:
+
+    (lam x. inl x) e              raise^k of a function whose result e is
+                                  not a value, as and-elimination's
+                                  projection
+    (lam x. (lam y. f x y) (prr z)) (prl z)
+                                  star^k, k >= 2, splitting the merged pair
+    (lam w. (lam l. b) (prr p)) (prl p)
+                                  exists-elimination and the refuted
+                                  branch of excluded middle
+    (lam y. ... (y s) ... (y s) ...) c
+                                  merge, which runs c on either branch
+    (lam h. b) (lam z. ...)       complete induction whose hypothesis is
+                                  used twice or more
+    (lam x. b) t                  a quantifier cut at a term t that is not
+                                  a value
+
+Under the exception and identity monads a computation is rarely a value, so
+a premiss that the interactive monad would run in place stays bound the
+same way.
+
+Hypothesis labels and rule-bound first-order variables are names while a
+realizer is built: a preorder pass gives each premiss its scope, the rules
+are then built children first, and monads.close turns the names into de
+Bruijn indices once, so no decorated premiss is shifted or substituted into
+and no step recurses.  extract closes over the root context and demands that
+no first-order variable stays free.
 """
 
 from __future__ import annotations
@@ -33,6 +62,7 @@ from typing import Mapping, Optional
 
 from . import arith, deduction as dd, monads as mn, terms as tm
 from .arith import And, Atom, ATerm, Exists, Forall, Formula, Imply, Or, TApp, TVar
+from .monads import NLam, NVar, Name
 from .terms import App, Lam, Term, TArrow, TProd, TSum, Ty, app, shift
 
 
@@ -76,46 +106,49 @@ def computation_type(f: Formula, m: mn.MonadSpec = mn.INTERACTIVE) -> Ty:
 
 
 # ---------------------------------------------------------------------------
-# environments: one de Bruijn scope for labels and first-order variables
+# environments: one scope for labels and first-order variables
 
 Entry = tuple[str, str]  # ("lbl", name) or ("tvar", name)
-Env = tuple[Entry, ...]  # index 0 is the innermost binding
-
-# the binder of an administrative lambda, which no lookup finds
-_ADMIN: Entry = ("admin", "")
+# (entry, its binder's name, the enclosing scope); () is the empty scope
+Env = tuple
 
 
-def _push(env: Env, *entries: Entry) -> Env:
-    # entries listed outermost first, so push order reverses them
-    out = env
-    for e in entries:
-        out = (e,) + out
-    return out
-
-
-def _lookup(env: Env, entry: Entry) -> int:
-    for i, e in enumerate(env):
+def _lookup(env: Env, entry: Entry) -> Name:
+    while env:
+        e, name, env = env
         if e == entry:
-            return i
+            return name
     kind, name = entry
     what = "hypothesis" if kind == "lbl" else "term variable"
     raise ExtractionError(f"{what} {name!r} is not bound here")
 
 
 def term_to_nat(t: ATerm, env: Env, fns: Mapping[str, arith.PrimFn]) -> Term:
-    """The Nat-typed term denoting a first-order term, variables via env."""
-    match t:
-        case TVar(name):
-            return tm.Var(_lookup(env, ("tvar", name)))
-        case TApp("0", ()):
-            return tm.zero
-        case TApp("S", (a,)):
-            return App(tm.succ, term_to_nat(a, env, fns))
-        case TApp(fn, args):
-            if fn not in fns:
-                raise ExtractionError(f"unknown function symbol {fn!r}")
-            return app(tm.prim_c(fn, fns[fn]), *(term_to_nat(a, env, fns) for a in args))
-    raise ExtractionError(f"not a first-order term: {t!r}")
+    """The Nat-typed term denoting a first-order term, variables named via env."""
+    out: list[Term] = []
+    work: list = [t]
+    while work:
+        x = work.pop()
+        if type(x) is tuple:  # (head, k): apply head to the last k results
+            head, k = x
+            args = out[len(out) - k:]
+            del out[len(out) - k:]
+            out.append(app(head, *args))
+        elif isinstance(x, TVar):
+            out.append(mn.var(_lookup(env, ("tvar", x.name))))
+        elif not isinstance(x, TApp):
+            raise ExtractionError(f"not a first-order term: {x!r}")
+        elif x.fn == "0" and not x.args:
+            out.append(tm.zero)
+        elif x.fn == "S" and len(x.args) == 1:
+            work.append((tm.succ, 1))
+            work.append(x.args[0])
+        elif x.fn in fns:
+            work.append((tm.prim_c(x.fn, fns[x.fn]), len(x.args)))
+            work.extend(reversed(x.args))
+        else:
+            raise ExtractionError(f"unknown function symbol {x.fn!r}")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +164,27 @@ def em_realizer(rel: str, params: tuple[Term, ...], m: mn.MonadSpec = mn.INTERAC
     """
     if m.name != "ir":
         raise UnsupportedRule("excluded middle extracts only under the interactive monad")
+    return Lam(tm.STATE, _em_outcome(rel, tuple(shift(p, 1) for p in params), tm.Var(0)))
+
+
+def _em_outcome(rel: str, params: tuple[Term, ...], state: Term) -> Term:
+    """The guess's outcome at state: inl of the case split on the query.
+
+    params are in scope where the outcome stands; the forward function
+    reaches them from under its three binders, which shifts their de Bruijn
+    variables and leaves extraction's named ones as they are.
+    """
     k = len(params)
-    t_unit = m.type_op(tm.UNIT)
+    t_unit = mn.INTERACTIVE.type_op(tm.UNIT)
     left = TArrow(tm.NAT, t_unit)  # |all x P|
     not_p = TArrow(tm.UNIT, t_unit)  # |not P|
     right = TProd(tm.NAT, not_p)  # |ex y not P|
     guess = TSum(left, right)
 
-    # under lam s. ... lam u. lam y. lam s'. the params shift by 4
+    # under lam u. lam y. lam s'. the params shift by 3
     fwd = Lam(
         tm.NAT,
-        Lam(tm.STATE, app(tm.eval_c(rel, k), *(shift(p, 4) for p in params), tm.Var(1))),
+        Lam(tm.STATE, app(tm.eval_c(rel, k), *(shift(p, 3) for p in params), tm.Var(1))),
     )
     on_unknown = Lam(tm.UNIT, App(tm.inl_c(left, right), fwd))
     refuter = Lam(tm.UNIT, Lam(tm.STATE, App(tm.inl_c(tm.UNIT, tm.EX), tm.unit_const)))
@@ -149,9 +192,9 @@ def em_realizer(rel: str, params: tuple[Term, ...], m: mn.MonadSpec = mn.INTERAC
         tm.NAT,
         App(tm.inr_c(left, right), app(tm.pair_c(tm.NAT, not_p), tm.Var(0), refuter)),
     )
-    q = app(tm.query_c(rel, k), tm.Var(0), *(shift(p, 1) for p in params))
+    q = app(tm.query_c(rel, k), state, *params)
     body = app(tm.case_c(tm.UNIT, tm.NAT, guess), q, on_unknown, on_witness)
-    return Lam(tm.STATE, App(tm.inl_c(guess, tm.EX), body))
+    return App(tm.inl_c(guess, tm.EX), body)
 
 
 def _em_split(univ: Forall) -> tuple[str, tuple[ATerm, ...]]:
@@ -179,147 +222,163 @@ def _em_split(univ: Forall) -> tuple[str, tuple[ATerm, ...]]:
 # decoration
 
 
-def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> Term:
+def _decorate(d: dd.Derivation, env: Env, m: mn.MonadSpec, fns) -> object:
+    """The realizer of d in env as a named term, built without recursion.
+
+    A preorder pass gives each premiss its scope, with a fresh name for each
+    binder its rule adds, and counts the uses of every hypothesis.  Then each
+    node is built from its premisses' terms, children first.
+    """
+    # per node: (derivation, scope, names bound per premiss, own name, parent)
+    nodes: list[tuple] = []
+    todo = [(d, env, -1)]
+    while todo:
+        node, env, parent = todo.pop()
+        rule = node.rule
+        if isinstance(rule, dd.Ind):
+            raise UnsupportedRule(
+                "base/step induction has no direct decoration; normalize it away first"
+            )
+        own = None
+        if isinstance(rule, dd.Id):
+            own = _lookup(env, ("lbl", rule.label))
+            own.uses += 1
+        elif isinstance(rule, dd.CInd):
+            own = Name()  # the recursor's call for smaller arguments
+        prems = node.premisses
+        shape = dd.RULE_SHAPES.get(type(rule))
+        bound = []
+        scopes = []
+        for j in range(len(prems)):
+            names = ()
+            inner = env
+            if shape is not None and j == shape.binds:
+                names += (Name(),)
+                inner = (("tvar", rule.var), names[-1], inner)
+            if shape is not None and j in shape.discharges:
+                names += (Name(),)
+                inner = (("lbl", rule.label), names[-1], inner)
+            bound.append(names)
+            scopes.append(inner)
+        i = len(nodes)
+        nodes.append((node, env, bound, own, parent))
+        for j in range(len(prems) - 1, -1, -1):
+            todo.append((prems[j], scopes[j], i))
+    # a hypothesis of complete induction used at most once takes its term in place
+    for node, _, bound, own, _ in nodes:
+        if isinstance(node.rule, dd.CInd) and bound[0][1].uses <= 1:
+            bound[0][1].bound = _feed(m, own, node.conclusion.goal)
+    # children come after their parent in preorder, so backwards each node
+    # finds its premisses' terms done, last premiss first; the root's parent
+    # -1 is the extra last list
+    done: list = [[] for _ in range(len(nodes) + 1)]
+    for i in range(len(nodes) - 1, -1, -1):
+        node, env, bound, own, parent = nodes[i]
+        done[i].reverse()
+        done[parent].append(_rule(node, env, bound, own, done[i], m, fns))
+        done[i] = None
+    return done[-1][0]
+
+
+def _feed(m: mn.MonadSpec, call: Name, goal: Forall):
+    """lam z. unit (lam u. call z): the hypothesis of complete induction."""
+    ta = computation_type(goal.body, m)
+    return mn.lam(tm.NAT, lambda z: m.unit(
+        mn.lam(tm.UNIT, lambda u: App(mn.var(call), mn.var(z))), TArrow(tm.UNIT, ta)))
+
+
+def _rule(d: dd.Derivation, env: Env, bound: list, own, xs: list, m: mn.MonadSpec, fns):
+    """The named term of d's rule over its premisses' terms xs."""
     goal = d.conclusion.goal
     prems = d.premisses
-
-    def rec(i: int, *entries: Entry) -> Term:
-        return _decorate(prems[i], _push(env, *entries), m, fns)
+    xs = tuple(xs)
 
     def rt(f: Formula) -> Ty:
         return realizer_type(f, m)
 
-    def atomic_lift() -> Term:
-        k = len(prems)
-        f: Term = tm.unit_const
-        for _ in range(k):
-            f = Lam(tm.UNIT, f)
-        lift = mn.raise_n(m, k, (tm.UNIT,) * k, tm.UNIT)
-        return app(lift, f, *(rec(i) for i in range(k)))
-
     match d.rule:
         case dd.Id(label):
-            a = d.conclusion.lookup(label)
-            lift = mn.raise_n(m, 0, (), rt(a))
-            return App(lift, tm.Var(_lookup(env, ("lbl", label))))
+            return m.unit(NVar(own), rt(d.conclusion.lookup(label)))
         case dd.AtomI() | dd.AtomE() | dd.AtomPost() | dd.FalseE0():
-            return atomic_lift()
+            return mn.raise_k(m, lambda *_: tm.unit_const, xs, (tm.UNIT,) * len(xs), tm.UNIT)
         case dd.AndI():
             a, b = rt(goal.left), rt(goal.right)
-            lift = mn.raise_n(m, 2, (a, b), TProd(a, b))
-            return app(lift, tm.pair_c(a, b), rec(0), rec(1))
+            return mn.raise_k(m, lambda x, y: app(tm.pair_c(a, b), x, y), xs, (a, b),
+                              TProd(a, b))
         case dd.AndEL() | dd.AndER():
             major = prems[0].conclusion.goal
             a, b = rt(major.left), rt(major.right)
-            proj = tm.prl_c(a, b) if isinstance(d.rule, dd.AndEL) else tm.prr_c(a, b)
-            side = a if isinstance(d.rule, dd.AndEL) else b
-            return app(mn.raise_n(m, 1, (TProd(a, b),), side), proj, rec(0))
+            left = isinstance(d.rule, dd.AndEL)
+            proj = tm.prl_c(a, b) if left else tm.prr_c(a, b)
+            return mn.raise_k(m, lambda p: App(proj, p), xs, (TProd(a, b),), a if left else b)
         case dd.OrIL() | dd.OrIR():
             a, b = rt(goal.left), rt(goal.right)
-            inj = tm.inl_c(a, b) if isinstance(d.rule, dd.OrIL) else tm.inr_c(a, b)
-            side = a if isinstance(d.rule, dd.OrIL) else b
-            return app(mn.raise_n(m, 1, (side,), TSum(a, b)), inj, rec(0))
-        case dd.OrE(label):
+            left = isinstance(d.rule, dd.OrIL)
+            inj = tm.inl_c(a, b) if left else tm.inr_c(a, b)
+            return mn.raise_k(m, lambda v: App(inj, v), xs, (a if left else b,), TSum(a, b))
+        case dd.OrE():
             major = prems[0].conclusion.goal
             a, b, c = rt(major.left), rt(major.right), rt(goal)
-            on_l = rec(1, _ADMIN, ("lbl", label))
-            on_r = rec(2, _ADMIN, ("lbl", label))
-            f = Lam(
-                TSum(a, b),
-                app(
-                    tm.case_c(a, b, m.type_op(c)),
-                    tm.Var(0),
-                    Lam(a, on_l),
-                    Lam(b, on_r),
-                ),
-            )
-            return app(mn.star_n(m, 1, (TSum(a, b),), c), f, rec(0))
-        case dd.ImplyI(label):
-            f = Lam(rt(goal.left), rec(0, ("lbl", label)))
-            return App(mn.raise_n(m, 0, (), rt(goal)), f)
+            (on_l,), (on_r,) = bound[1], bound[2]
+            return m.star(lambda z: app(tm.case_c(a, b, m.type_op(c)), z,
+                                        NLam(on_l, a, xs[1]), NLam(on_r, b, xs[2])),
+                          xs[0], TSum(a, b), c)
+        case dd.ImplyI():
+            (h,) = bound[0]
+            return m.unit(NLam(h, rt(goal.left), xs[0]), rt(goal))
         case dd.ImplyE():
             major = prems[0].conclusion.goal
-            fn_ty, arg_ty = rt(major), rt(major.left)
-            f = Lam(fn_ty, Lam(arg_ty, App(tm.Var(1), tm.Var(0))))
-            lift = mn.star_n(m, 2, (fn_ty, arg_ty), rt(major.right))
-            return app(lift, f, rec(0), rec(1))
-        case dd.ForallI(var):
-            f = Lam(tm.NAT, rec(0, ("tvar", var)))
-            return App(mn.raise_n(m, 0, (), rt(goal)), f)
+            return mn.star_k(m, mn.beta, xs, (rt(major), rt(major.left)), rt(major.right))
+        case dd.ForallI():
+            (x,) = bound[0]
+            return m.unit(NLam(x, tm.NAT, xs[0]), rt(goal))
         case dd.ForallE(term):
             major = prems[0].conclusion.goal
-            body_rt = rt(major.body)
-            f = Lam(rt(major), App(tm.Var(0), term_to_nat(term, _push(env, _ADMIN), fns)))
-            return app(mn.star_n(m, 1, (rt(major),), body_rt), f, rec(0))
+            n = term_to_nat(term, env, fns)
+            return m.star(lambda g: mn.beta(g, n), xs[0], rt(major), rt(major.body))
         case dd.ExistsI(term):
             b = rt(goal.body)
-            n = term_to_nat(term, _push(env, _ADMIN), fns)
-            f = Lam(b, app(tm.pair_c(tm.NAT, b), n, tm.Var(0)))
-            lift = mn.raise_n(m, 1, (b,), TProd(tm.NAT, b))
-            return app(lift, f, rec(0))
-        case dd.ExistsE(label, var):
+            n = term_to_nat(term, env, fns)
+            return mn.raise_k(m, lambda v: app(tm.pair_c(tm.NAT, b), n, v), xs, (b,),
+                              TProd(tm.NAT, b))
+        case dd.ExistsE():
             major = prems[0].conclusion.goal
             b, c = rt(major.body), rt(goal)
-            inner = rec(1, _ADMIN, ("tvar", var), ("lbl", label))
+            w, h = bound[1]
             pr = TProd(tm.NAT, b)
-            f = Lam(
-                pr,
-                app(
-                    Lam(tm.NAT, Lam(b, inner)),
-                    App(tm.prl_c(tm.NAT, b), tm.Var(0)),
-                    App(tm.prr_c(tm.NAT, b), tm.Var(0)),
-                ),
-            )
-            return app(mn.star_n(m, 1, (pr,), c), f, rec(0))
-        case dd.CInd(label, var):
-            a = rt(goal.body)
-            ta = m.type_op(a)
-            hyp = prems[0].conclusion.lookup(label)
-            hyp_rt = rt(hyp)  # Nat -> T(Unit -> T|A|)
-            inner = rec(0, ("tvar", var), _ADMIN, ("lbl", label))
-            # lam z. unit (lam u. beta z), with beta the raw recursive call
-            beta_feed = Lam(
-                tm.NAT,
-                App(
-                    m.unit_of(TArrow(tm.UNIT, ta)),
-                    Lam(tm.UNIT, App(tm.Var(2), tm.Var(1))),
-                ),
-            )
-            f = Lam(tm.NAT, Lam(TArrow(tm.NAT, ta), App(Lam(hyp_rt, inner), beta_feed)))
-            body = App(tm.rec_c(ta), f)
-            return App(mn.raise_n(m, 0, (), rt(goal)), body)
-        case dd.EM(label, var):
+            inner = NLam(w, tm.NAT, NLam(h, b, xs[1]))
+            # lam p. (lam w. lam h. inner) (prl p) (prr p)
+            return m.star(lambda p: mn.let(p, pr, lambda p: mn.beta(
+                inner, App(tm.prl_c(tm.NAT, b), p), App(tm.prr_c(tm.NAT, b), p)), uses=2),
+                xs[0], pr, c)
+        case dd.CInd(label):
+            ta = computation_type(goal.body, m)
+            v, hyp = bound[0]
+            body = xs[0]
+            if hyp.bound is None:
+                hyp_rt = rt(prems[0].conclusion.lookup(label))
+                body = App(NLam(hyp, hyp_rt, body), _feed(m, own, goal))
+            step = NLam(v, tm.NAT, NLam(own, TArrow(tm.NAT, ta), body))
+            return m.unit(App(tm.rec_c(ta), step), rt(goal))
+        case dd.EM(label):
+            if m.name != "ir":
+                raise UnsupportedRule("excluded middle extracts only under the interactive monad")
             univ = prems[0].conclusion.lookup(label)
             rel, fo_params = _em_split(univ)
             params = tuple(term_to_nat(t, env, fns) for t in fo_params)
-            guess = em_realizer(rel, params, m)
             left = rt(univ)
             not_p = TArrow(tm.UNIT, m.type_op(tm.UNIT))  # |not P|
             right = TProd(tm.NAT, not_p)
             c = rt(goal)
-            on_l = rec(0, _ADMIN, ("lbl", label))
-            on_r = rec(1, _ADMIN, _ADMIN, ("tvar", var), ("lbl", label))
-            f = Lam(
-                TSum(left, right),
-                app(
-                    tm.case_c(left, right, m.type_op(c)),
-                    tm.Var(0),
-                    Lam(left, on_l),
-                    Lam(
-                        right,
-                        app(
-                            Lam(tm.NAT, Lam(not_p, on_r)),
-                            App(tm.prl_c(tm.NAT, not_p), tm.Var(0)),
-                            App(tm.prr_c(tm.NAT, not_p), tm.Var(0)),
-                        ),
-                    ),
-                ),
-            )
-            return app(mn.star_n(m, 1, (TSum(left, right),), c), f, guess)
-        case dd.Ind():
-            raise UnsupportedRule(
-                "base/step induction has no direct decoration; normalize it away first"
-            )
+            (on_l,), (y, on_r) = bound
+            refuted = NLam(y, tm.NAT, NLam(on_r, not_p, xs[1]))
+            # lam g. case g (lam l. left branch) (lam p. (lam y. lam l. right) (prl p) (prr p))
+            return m.star(lambda g: app(
+                tm.case_c(left, right, m.type_op(c)), g, NLam(on_l, left, xs[0]),
+                mn.lam(right, lambda p: mn.beta(refuted, App(tm.prl_c(tm.NAT, not_p), mn.var(p)),
+                                             App(tm.prr_c(tm.NAT, not_p), mn.var(p))))),
+                mn.lam(tm.STATE, lambda s: _em_outcome(rel, params, mn.var(s))),
+                TSum(left, right), c)
         case other:
             raise UnsupportedRule(f"no decoration for {type(other).__name__}")
 
@@ -337,9 +396,12 @@ def decorate(
     """
     fns = arith.FUNCTIONS if fns is None else fns
     env: Env = ()
+    free = []
     for lbl, _ in d.conclusion.context:
-        env = _push(env, ("lbl", lbl))
-    return _decorate(d, env, m, fns)
+        name = Name()
+        env = (("lbl", lbl), name, env)
+        free.append(name)
+    return mn.close(_decorate(d, env, m, fns), tuple(free))
 
 
 def extract(

@@ -13,17 +13,32 @@ Three instances are provided: the identity monad, the exception monad
 checked extensionally at ground types: both sides are applied to sampled
 arguments (and, for the interactive monad, to a state under a sampled
 knowledge state) and compared as normal forms.
+
+Each monad's unit, star and merge are meta-level combinators: Python
+functions that take the terms they combine and build the applied result,
+with the function arguments of star given as Python functions from terms to
+terms.  They build with named variables (Name, NVar, NLam) and contract as
+they go, so no administrative redex is ever built (Danvy & Filinski,
+"Representing Control", 1992; Danvy & Nielsen, "A first-order one-pass CPS
+transformation", 2003).  beta contracts a call-by-value redex when its
+argument is a variable, or a value the body uses at most once; an argument
+that is not a value stays bound by a redex in the place where it is
+evaluated, so evaluation order and cost never change.  close turns a named
+term into de Bruijn form in one pass.  The closed combinators (unit_of,
+star_of, merge_of, star_n, raise_n) are the eta-expansions of the meta-level
+ones.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from . import terms as tm
 from .terms import (
     App,
+    Const,
     Lam,
     Term,
     Ty,
@@ -42,37 +57,272 @@ from .terms import (
 )
 
 
+# ---------------------------------------------------------------------------
+# named construction
+
+
+class Name:
+    """The identity of one binder while a term is built.
+
+    uses counts the variables made for it, bound is the term a contracted
+    redex put in its place, and level is its binder depth while close runs.
+    """
+
+    __slots__ = ("uses", "bound", "level")
+
+    def __init__(self):
+        self.uses = 0
+        self.bound: Optional[Term] = None
+        self.level: Optional[int] = None
+
+
+class NVar:
+    """An occurrence of a named variable."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: Name):
+        self.name = name
+
+
+class NLam:
+    """An abstraction binding a name."""
+
+    __slots__ = ("name", "param", "body")
+
+    def __init__(self, name: Name, param: Ty, body):
+        self.name = name
+        self.param = param
+        self.body = body
+
+
+def var(n: Name) -> NVar:
+    """A fresh occurrence of n; make one per place the variable is used."""
+    n.uses += 1
+    return NVar(n)
+
+
+def lam(ty: Ty, body: Callable[[Name], object]) -> NLam:
+    """lam x:ty. body(x), with x a fresh name."""
+    n = Name()
+    return NLam(n, ty, body(n))
+
+
+# constructors the machine leaves unevaluated, with the most arguments they take
+_INERT = {tm.K_PAIR: 2, tm.K_INL: 1, tm.K_INR: 1, tm.K_SUCC: 1, tm.K_REC: 1}
+
+
+def _is_value(t) -> bool:
+    """A call-by-value value: a variable, an abstraction, a constant, a
+    literal, or a constructor (or a recursor short of its numeral) applied
+    to values -- what evaluates without a contraction."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        n = 0
+        while type(t) is App:
+            todo.append(t.arg)
+            t = t.fn
+            n += 1
+        if n and (type(t) is not Const or n > _INERT.get(t.kind, 0)):
+            return False
+    return True
+
+
+def beta(fn, *args):
+    """fn applied to args, one at a time, each redex contracted when it can be.
+
+    A redex (lam x. b) a becomes b with a for x when a is a variable, or a
+    value and x is used at most once; the substitution is recorded on x's
+    name and made by close.  A redex kept in head position, ((lam x. b) e) a,
+    becomes (lam x. b a) e, which evaluates e and a in the same order, so
+    that the inner abstraction can meet a.
+    """
+    for a in args:
+        fn = _beta1(fn, a)
+    return fn
+
+
+def _beta1(fn, a):
+    h = fn
+    while type(h) is NVar and h.name.bound is not None:
+        h = h.name.bound
+    if type(h) is NLam:
+        n = h.name
+        if type(a) is NVar:
+            _resolve(a.name).uses += n.uses - 1
+            n.bound = a
+            return h.body
+        if n.uses <= 1 and _is_value(a):
+            n.bound = a
+            return h.body
+        fn = h
+    elif type(fn) is App and type(fn.fn) is NLam:
+        kept = fn.fn
+        return App(NLam(kept.name, kept.param, _beta1(kept.body, a)), fn.arg)
+    return App(fn, a)
+
+
+def let(arg, ty: Ty, body: Callable[[object], object], uses: int = 1):
+    """body(x) for x standing for arg, where body uses x `uses` times.
+
+    arg goes in place when it is a variable, or a value used at most once;
+    otherwise the result is (lam x. body(x)) arg, so arg is evaluated once,
+    where it stood.
+    """
+    if type(arg) is NVar:
+        _resolve(arg.name).uses += uses - 1
+        return body(arg)
+    if uses <= 1 and _is_value(arg):
+        return body(arg)
+    n = Name()
+    n.uses = uses
+    return App(NLam(n, ty, body(NVar(n))), arg)
+
+
+def _lams(tys, body: Callable[..., object]):
+    """lam x1. ... lam xk. body(x1, ..., xk) over the types tys."""
+    def under(i: int, xs: tuple):
+        if i == len(tys):
+            return body(*xs)
+        return lam(tys[i], lambda n: under(i + 1, xs + (var(n),)))
+    return under(0, ())
+
+
+_APPLY = object()  # close's marker: apply the last two results
+
+
+def _resolve(n: Name) -> Name:
+    """The last name of the chain of variables n was bound to.
+
+    Each name on the way is bound straight to the last one, so that a chain
+    is walked once however often its names are met.
+    """
+    last = n
+    while type(last.bound) is NVar:
+        last = last.bound.name
+    while n is not last:
+        n.bound, n = NVar(last), n.bound.name
+    return last
+
+
+def close(t, free: tuple[Name, ...] = ()) -> Term:
+    """The de Bruijn term of the named term t, in one pass.
+
+    free lists the names t may use without binding them, outermost first;
+    they become its free variables, the last one Var 0.  A name bound by a
+    contracted redex is replaced by its term.  Plain Lam and Var nodes pass
+    through unchanged: they come from a de Bruijn subterm whose variables all
+    refer to binders inside it.
+    """
+    for i, n in enumerate(free):
+        n.level = i - len(free)
+    out: list = []
+    # terms to translate, _APPLY, and (param,) closing an abstraction; the
+    # binder depth d is that of the next term on the stack
+    work: list = [t]
+    d = 0
+    while work:
+        x = work.pop()
+        tx = type(x)
+        if tx is App:
+            work += (_APPLY, x.arg, x.fn)
+        elif x is _APPLY:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif tx is tuple:
+            d -= 1
+            out[-1] = Lam(x[0], out[-1])
+        elif tx is NVar:
+            n = _resolve(x.name)
+            if n.bound is not None:
+                work.append(n.bound)
+            elif n.level is None:
+                raise ValueError("a variable outside the scope of its binder")
+            else:
+                out.append(Var(d - n.level - 1))
+        elif tx is NLam:
+            x.name.level = d
+            d += 1
+            work += ((x.param,), x.body)
+        elif tx is Lam:
+            d += 1
+            work += ((x.param,), x.body)
+        else:
+            out.append(x)
+    return out[0]
+
+
+# ---------------------------------------------------------------------------
+# monads
+
+
 @dataclass(frozen=True)
 class MonadSpec:
+    """A monad: its type operator, its closed combinators (type-indexed) and
+    its meta-level ones, unit(v, a), star(f, x, a, b) and merge(x, y, a, b),
+    with f a Python function from a term of type a to one of type T b."""
+
     name: str
     type_op: Callable[[Ty], Ty]
     unit_of: Callable[[Ty], Term]
     star_of: Callable[[Ty, Ty], Term]
     merge_of: Callable[[Ty, Ty], Term]
+    unit: Optional[Callable] = None
+    star: Optional[Callable] = None
+    merge: Optional[Callable] = None
 
 
-# ---------------------------------------------------------------------------
-# identity monad
+def _monad(name, type_op, unit, star, merge) -> MonadSpec:
+    """The monad whose closed combinators eta-expand the meta-level ones."""
+
+    def unit_of(a: Ty) -> Term:
+        return close(lam(a, lambda x: unit(var(x), a)))
+
+    def star_of(a: Ty, b: Ty) -> Term:
+        return close(_lams((TArrow(a, type_op(b)), type_op(a)),
+                          lambda f, x: star(lambda v: beta(f, v), x, a, b)))
+
+    def merge_of(a: Ty, b: Ty) -> Term:
+        return close(_lams((type_op(a), type_op(b)), lambda x, y: merge(x, y, a, b)))
+
+    return MonadSpec(name, type_op, unit_of, star_of, merge_of, unit, star, merge)
 
 
-def _id_unit(a: Ty) -> Term:
-    return Lam(a, Var(0))
+def _merge_branches(a: Ty, b: Ty, right: Callable[[], object]) -> tuple[NLam, NLam]:
+    """merge's branches on the left outcome, (on a value, on an exception).
+
+    Each cases on the right outcome, which right() builds inside the
+    branch; both monads merge into A x B + Ex.
+    """
+    prod = TProd(a, b)
+    out = TSum(prod, tm.EX)
+    on_left = lam(a, lambda x: app(
+        case_c(b, tm.EX, out),
+        right(),
+        lam(b, lambda y: App(inl_c(prod, tm.EX), app(pair_c(a, b), var(x), var(y)))),
+        lam(tm.EX, lambda e: App(inr_c(prod, tm.EX), var(e))),
+    ))
+    on_ex = lam(tm.EX, lambda e: app(
+        case_c(b, tm.EX, out),
+        right(),
+        lam(b, lambda y: App(inr_c(prod, tm.EX), var(e))),
+        lam(tm.EX, lambda e2: App(inr_c(prod, tm.EX), app(exmerge_const, var(e), var(e2)))),
+    ))
+    return on_left, on_ex
 
 
-def _id_star(a: Ty, b: Ty) -> Term:
-    return Lam(TArrow(a, b), Var(0))
+# identity monad: TA = A
 
-
-IDENTITY = MonadSpec(
-    name="id",
-    type_op=lambda a: a,
-    unit_of=_id_unit,
-    star_of=_id_star,
-    merge_of=lambda a, b: pair_c(a, b),
+IDENTITY = _monad(
+    "id",
+    lambda a: a,
+    lambda v, a: v,
+    lambda f, x, a, b: let(x, a, f),
+    lambda x, y, a, b: app(pair_c(a, b), x, y),
 )
 
 
-# ---------------------------------------------------------------------------
 # exception monad: TA = A + Ex
 
 
@@ -80,59 +330,24 @@ def _exc_t(a: Ty) -> Ty:
     return TSum(a, tm.EX)
 
 
-def _exc_unit(a: Ty) -> Term:
-    return Lam(a, App(inl_c(a, tm.EX), Var(0)))
+def _exc_star(f, x, a: Ty, b: Ty):
+    # case x (lam v. f v) inr
+    return let(x, _exc_t(a), lambda x: app(
+        case_c(a, tm.EX, _exc_t(b)), x, lam(a, lambda v: f(var(v))), inr_c(b, tm.EX)))
 
 
-def _exc_star(a: Ty, b: Ty) -> Term:
-    tb = _exc_t(b)
-    # lam f. lam x. case x f inr
-    return Lam(
-        TArrow(a, tb),
-        Lam(_exc_t(a), app(case_c(a, tm.EX, tb), Var(0), Var(1), inr_c(b, tm.EX))),
-    )
+def _exc_pair(x, y, a: Ty, b: Ty):
+    # case x (lam v. case y ...) (lam e. case y ...)
+    out = _exc_t(TProd(a, b))
+    return let(x, _exc_t(a), lambda x: let(y, _exc_t(b), lambda y: app(
+        case_c(a, tm.EX, out), x, *_merge_branches(a, b, lambda: y)), uses=2))
 
 
-def _merge_branches(a: Ty, b: Ty, right: Term) -> tuple[Term, Term]:
-    """merge's branches on the left outcome, (on a value, on an exception).
-
-    Each cases on the right outcome, which right reaches from inside the
-    branch; both monads merge into A x B + Ex.
-    """
-    prod = TProd(a, b)
-    out = TSum(prod, tm.EX)
-    on_left = Lam(a, app(
-        case_c(b, tm.EX, out),
-        right,
-        Lam(b, App(inl_c(prod, tm.EX), app(pair_c(a, b), Var(1), Var(0)))),
-        Lam(tm.EX, App(inr_c(prod, tm.EX), Var(0))),
-    ))
-    on_ex = Lam(tm.EX, app(
-        case_c(b, tm.EX, out),
-        right,
-        Lam(b, App(inr_c(prod, tm.EX), Var(1))),
-        Lam(tm.EX, App(inr_c(prod, tm.EX), app(exmerge_const, Var(1), Var(0)))),
-    ))
-    return on_left, on_ex
+EXCEPTION = _monad("exc", _exc_t, lambda v, a: App(inl_c(a, tm.EX), v), _exc_star, _exc_pair)
+# the closed combinators, for monads assembled by hand from this one's parts
+_exc_unit, _exc_merge = EXCEPTION.unit_of, EXCEPTION.merge_of
 
 
-def _exc_merge(a: Ty, b: Ty) -> Term:
-    # under lam x. lam y and a branch binder, the right computation is Var 1
-    on_left, on_ex = _merge_branches(a, b, Var(1))
-    tout = _exc_t(TProd(a, b))
-    return Lam(_exc_t(a), Lam(_exc_t(b), app(case_c(a, tm.EX, tout), Var(1), on_left, on_ex)))
-
-
-EXCEPTION = MonadSpec(
-    name="exc",
-    type_op=_exc_t,
-    unit_of=_exc_unit,
-    star_of=_exc_star,
-    merge_of=_exc_merge,
-)
-
-
-# ---------------------------------------------------------------------------
 # interactive monad: TA = State -> A + Ex
 
 
@@ -140,54 +355,39 @@ def _ir_t(a: Ty) -> Ty:
     return TArrow(tm.STATE, TSum(a, tm.EX))
 
 
-def _ir_unit(a: Ty) -> Term:
-    return Lam(a, Lam(tm.STATE, App(inl_c(a, tm.EX), Var(1))))
+def _ir_unit(v, a: Ty):
+    # lam s. inl v
+    return let(v, a, lambda v: lam(tm.STATE, lambda s: App(inl_c(a, tm.EX), v)))
 
 
-def _ir_star(a: Ty, b: Ty) -> Term:
+def _ir_star(f, x, a: Ty, b: Ty):
+    # lam s. case (x s) (lam v. f v s) inr
+    return let(x, _ir_t(a), lambda x: lam(tm.STATE, lambda s: app(
+        case_c(a, tm.EX, TSum(b, tm.EX)),
+        beta(x, var(s)),
+        lam(a, lambda v: beta(f(var(v)), var(s))),
+        inr_c(b, tm.EX),
+    )))
+
+
+def _ir_merge(x, y, a: Ty, b: Ty):
+    # lam s. case (x s) (lam v. case (y s) ...) (lam e. case (y s) ...); a y
+    # that is a value is bound under the state binder, so the merge stays a value
     ta, tb = _ir_t(a), _ir_t(b)
-    sum_b = TSum(b, tm.EX)
-    # lam f. lam x. lam s. case (x s) (lam v. f v s) inr
-    return Lam(
-        TArrow(a, tb),
-        Lam(
-            ta,
-            Lam(
-                tm.STATE,
-                app(
-                    case_c(a, tm.EX, sum_b),
-                    App(Var(1), Var(0)),
-                    Lam(a, app(Var(3), Var(0), Var(1))),
-                    inr_c(b, tm.EX),
-                ),
-            ),
-        ),
-    )
+    out = TSum(TProd(a, b), tm.EX)
+
+    def run(x, y, s: Name):
+        return app(case_c(a, tm.EX, out), beta(x, var(s)),
+                   *_merge_branches(a, b, lambda: beta(y, var(s))))
+
+    if _is_value(y):
+        return let(x, ta, lambda x: lam(tm.STATE, lambda s: let(
+            y, tb, lambda y: run(x, y, s), uses=2)))
+    return let(x, ta, lambda x: let(y, tb, lambda y: lam(
+        tm.STATE, lambda s: run(x, y, s)), uses=2))
 
 
-def _ir_merge(a: Ty, b: Ty) -> Term:
-    # under lam x. lam y. lam s and a branch binder, the right outcome is y s
-    on_left, on_ex = _merge_branches(a, b, App(Var(2), Var(1)))
-    sum_out = TSum(TProd(a, b), tm.EX)
-    return Lam(
-        _ir_t(a),
-        Lam(
-            _ir_t(b),
-            Lam(
-                tm.STATE,
-                app(case_c(a, tm.EX, sum_out), App(Var(2), Var(0)), on_left, on_ex),
-            ),
-        ),
-    )
-
-
-INTERACTIVE = MonadSpec(
-    name="ir",
-    type_op=_ir_t,
-    unit_of=_ir_unit,
-    star_of=_ir_star,
-    merge_of=_ir_merge,
-)
+INTERACTIVE = _monad("ir", _ir_t, _ir_unit, _ir_star, _ir_merge)
 
 BUILTIN_MONADS: dict[str, MonadSpec] = {
     "id": IDENTITY,
@@ -200,48 +400,64 @@ BUILTIN_MONADS: dict[str, MonadSpec] = {
 # n-ary lifts
 
 
-def star_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
-    """star^k : (A1 -> ... -> Ak -> TB) -> TA1 -> ... -> TAk -> TB.
+def star_k(m: MonadSpec, f: Callable, xs: tuple, arg_tys: tuple[Ty, ...], result: Ty):
+    """star^k f x1 ... xk, built contracted, for k = len(xs).
 
-    star^0 is the identity on TB, star^1 is star, and star^(k+2) pairs the
-    first two computations with merge and reassociates the function.
+    f is a Python function of k terms returning a TB term; xs are the
+    computations.  star^0 f is f(), star^1 is star, and star^(k+2) pairs the
+    first two computations with merge and splits the pair for f.
+    """
+    k = len(xs)
+    if k == 0:
+        return f()
+    if k == 1:
+        return m.star(f, xs[0], arg_tys[0], result)
+    a1, a2, rest = arg_tys[0], arg_tys[1], arg_tys[2:]
+    prod = TProd(a1, a2)
+
+    def split(z, *more):
+        # lam z. f (prl z) (prr z) more...
+        return let(z, prod, lambda z: let(
+            App(prl_c(a1, a2), z), a1, lambda x: let(
+                App(prr_c(a1, a2), z), a2, lambda y: f(x, y, *more))), uses=2)
+
+    return star_k(m, split, (m.merge(xs[0], xs[1], a1, a2),) + tuple(xs[2:]),
+                  (prod,) + tuple(rest), result)
+
+
+def raise_k(m: MonadSpec, g: Callable, xs: tuple, arg_tys: tuple[Ty, ...], result: Ty):
+    """raise^k g x1 ... xk = star^k (lam y1 ... yk. unit (g y1 ... yk)) x1 ... xk.
+
+    g is a Python function of k terms returning a B term.
+    """
+    return star_k(m, lambda *ys: m.unit(g(*ys), result), xs, arg_tys, result)
+
+
+def star_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
+    """star^k : (A1 -> ... -> Ak -> TB) -> TA1 -> ... -> TAk -> TB, closed.
+
+    The eta-expansion of star_k: lam f. lam x1 ... xk. star^k f x1 ... xk,
+    built contracted.  star^0 is the identity on TB.
     """
     if len(arg_tys) != k:
         raise ValueError(f"star_{k} over {len(arg_tys)} argument types")
-    if k == 0:
-        return Lam(m.type_op(result), Var(0))
-    if k == 1:
-        return m.star_of(arg_tys[0], result)
-    a1, a2, rest = arg_tys[0], arg_tys[1], arg_tys[2:]
-    prod = TProd(a1, a2)
-    fty = tm.arrows(*arg_tys, m.type_op(result))
-    inner = star_n(m, k - 1, (prod,) + rest, result)
-    # lam f. lam x. lam y. star^(k-1) (lam z. f (prl z) (prr z)) (merge x y)
-    split = Lam(prod, app(Var(3), App(prl_c(a1, a2), Var(0)), App(prr_c(a1, a2), Var(0))))
-    return Lam(
-        fty,
-        Lam(
-            m.type_op(a1),
-            Lam(
-                m.type_op(a2),
-                app(inner, split, app(m.merge_of(a1, a2), Var(1), Var(0))),
-            ),
-        ),
-    )
+    return _eta(star_k, m, tm.arrows(*arg_tys, m.type_op(result)), arg_tys, result)
 
 
 def raise_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
-    """raise^k : (A1 -> ... -> Ak -> B) -> TA1 -> ... -> TAk -> TB.
+    """raise^k : (A1 -> ... -> Ak -> B) -> TA1 -> ... -> TAk -> TB, closed.
 
-    Defined as star^k composed with unit under k abstractions.
+    The eta-expansion of raise_k, built contracted.
     """
     if len(arg_tys) != k:
         raise ValueError(f"raise_{k} over {len(arg_tys)} argument types")
-    fty = tm.arrows(*arg_tys, result)
-    body: Term = App(m.unit_of(result), app(Var(k), *(Var(k - 1 - i) for i in range(k))))
-    for ty in reversed(arg_tys):
-        body = Lam(ty, body)
-    return Lam(fty, app(star_n(m, k, arg_tys, result), body))
+    return _eta(raise_k, m, tm.arrows(*arg_tys, result), arg_tys, result)
+
+
+def _eta(lift: Callable, m: MonadSpec, fty: Ty, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
+    """lam f:fty. lam x1 ... xk. lift f x1 ... xk, closed."""
+    return close(_lams((fty,) + tuple(m.type_op(a) for a in arg_tys), lambda f, *xs: lift(
+        m, lambda *ys: beta(f, *ys), xs, arg_tys, result)))
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,57 @@ def _takes(node: Node, name: str, arity: int, got: int):
 _WIDTH = 100
 
 
+class _Block:
+    """A printed form that does not fit on one line, laid out once printing ends.
+
+    (HEAD ARG ...) breaks after its head and puts each argument on its own
+    line, two spaces in from the form's own lines.  A form with a block among
+    its parts cannot fit on one line either.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+
 def _flat(*parts: str) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def _wrap(*parts: str) -> str:
-    flat = "(" + " ".join(parts) + ")"
-    if len(flat) <= _WIDTH or len(parts) == 1:
-        return flat
-    body = ("\n" + " " * 2).join(p.replace("\n", "\n" + " " * 2) for p in parts[1:])
-    return f"({parts[0]}\n  {body})"
+def _wrap(*parts):
+    """(HEAD ARG ...) on one line when that fits in _WIDTH, else a _Block.
+
+    parts are single-line strings or blocks.
+    """
+    if not any(type(p) is _Block for p in parts):
+        flat = "(" + " ".join(parts) + ")"
+        if len(flat) <= _WIDTH or len(parts) == 1:
+            return flat
+    return _Block(parts)
+
+
+def _text(x) -> str:
+    """The text of a printed object, each line indented once, top down."""
+    if type(x) is not _Block:
+        return x
+    out: list[str] = []
+    work: list = [(x, 0)]  # (block, indent of its lines after the first), or text
+    while work:
+        job = work.pop()
+        if type(job) is str:
+            out.append(job)
+            continue
+        block, indent = job
+        inner = indent + 2
+        work.append(")")
+        for p in reversed(block.parts[1:]):
+            work.append((p, inner) if type(p) is _Block else p)
+            work.append("\n" + " " * inner)
+        head = block.parts[0]
+        work.append((head, indent) if type(head) is _Block else head)
+        work.append("(")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +282,7 @@ def _read(kind: _Kind, node: Node, fns=None, rels=None):
 
 def _print(kind: _Kind, obj) -> str:
     """obj printed as kind; the public print_X are this with X's kind."""
-    return _walk([_only, [(kind.print, obj)], None])
+    return _text(_walk([_only, [(kind.print, obj)], None]))
 
 
 def _read_form(form: _Form, node: Node, args: tuple[Node, ...], fns, rels) -> list:
@@ -624,5 +665,5 @@ def print_file(pf: ProofFile) -> str:
     for head, name in pf.order:
         attr, form = _DEFINITIONS[head]
         value = getattr(pf, attr)[name]
-        lines.append(_walk(_print_form(form, form.split((name, value)))))
+        lines.append(_text(_walk(_print_form(form, form.split((name, value))))))
     return "\n".join(lines) + ("\n" if lines else "")

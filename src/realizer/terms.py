@@ -338,51 +338,57 @@ def const_type(c: Const) -> Ty:
     raise IllTyped(f"unknown constant kind {c.kind!r}")
 
 
-_TYPE, _CLOSE_LAM, _CHECK_APP = range(3)
+_CLOSE_LAM, _CHECK_APP = object(), object()
 
 
 def typecheck(t: Term, ctx: TyCtx = ()) -> Ty:
     """Type of t in ctx.  Raises UnboundVariable or TypeMismatch.
 
-    The walk keeps an explicit stack, so deep terms need no Python recursion.
+    The walk keeps an explicit stack, so deep terms need no Python recursion,
+    and one list of binder types, so each binder costs the same at any depth.
     """
     types: list[Ty] = []
-    # (_TYPE, term, ctx) pushes its type; (_CLOSE_LAM, param, _) wraps the
-    # body's type in an arrow; (_CHECK_APP, app, _) pops argument and head
-    work: list[tuple] = [(_TYPE, t, ctx)]
+    scope = list(reversed(ctx))  # the innermost binder last
+    # terms push their type; (_CLOSE_LAM, param) leaves a binder and wraps the
+    # body's type in an arrow; (_CHECK_APP, app) pops argument and head
+    work: list = [t]
     while work:
-        job, x, c = work.pop()
-        if job == _CLOSE_LAM:
-            types.append(TArrow(x, types.pop()))
-        elif job == _CHECK_APP:
+        x = work.pop()
+        if type(x) is tuple:
+            job, y = x
+            if job is _CLOSE_LAM:
+                scope.pop()
+                types.append(TArrow(y, types.pop()))
+                continue
             aty = types.pop()
             fty = types.pop()
             if not isinstance(fty, TArrow):
-                raise TypeMismatch("a function type", fty, f"application head {x.fn}")
+                raise TypeMismatch("a function type", fty, f"application head {y.fn}")
             if fty.dom != aty:
-                raise TypeMismatch(fty.dom, aty, f"argument {x.arg}")
+                raise TypeMismatch(fty.dom, aty, f"argument {y.arg}")
             types.append(fty.cod)
-        else:
-            match x:
-                case Var(index):
-                    if not 0 <= index < len(c):
-                        raise UnboundVariable(index, len(c))
-                    types.append(c[index])
-                case Lam(param, body):
-                    work.append((_CLOSE_LAM, param, None))
-                    work.append((_TYPE, body, (param,) + c))
-                case App(fn, arg):
-                    work.append((_CHECK_APP, x, None))
-                    work.append((_TYPE, arg, c))
-                    work.append((_TYPE, fn, c))
-                case Num(value):
-                    if value < 0:
-                        raise IllTyped("negative literal")
-                    types.append(NAT)
-                case Const():
-                    types.append(const_type(x))
-                case _:
-                    raise IllTyped(f"not a term: {x!r}")
+            continue
+        match x:
+            case Var(index):
+                if not 0 <= index < len(scope):
+                    raise UnboundVariable(index, len(scope))
+                types.append(scope[-1 - index])
+            case Lam(param, body):
+                scope.append(param)
+                work.append((_CLOSE_LAM, param))
+                work.append(body)
+            case App(fn, arg):
+                work.append((_CHECK_APP, x))
+                work.append(arg)
+                work.append(fn)
+            case Num(value):
+                if value < 0:
+                    raise IllTyped("negative literal")
+                types.append(NAT)
+            case Const():
+                types.append(const_type(x))
+            case _:
+                raise IllTyped(f"not a term: {x!r}")
     return types[0]
 
 

@@ -256,6 +256,13 @@ def test_normalize_accepts_deep_derivations(tmp_path, capsys, depth):
     assert out == _ATOM_LEAF[1] + "\n"
 
 
+def test_extract_of_a_deep_derivation(tmp_path, capsys):
+    # 300 and-el/and-i pairs: decoration used to recurse once per level
+    rc, out, err = run_cli(capsys, "extract", _and_chain(tmp_path, 600), "--deriv", "d")
+    assert (rc, err) == (0, "")
+    assert out.startswith("type: (arrow State (sum Unit Ex))\n(lam\n  State\n")
+
+
 def test_extract_witness_of_a_deep_derivation(tmp_path, capsys):
     path = _and_chain(tmp_path, 1200, _EXISTS_LEAF)
     rc, out, err = run_cli(capsys, "extract-witness", path, "--deriv", "d")

@@ -13,10 +13,13 @@ from realizer import terms as tm
 from realizer.arith import And, Atom, Exists, Forall, Imply, Or, TVar, tnum
 from realizer.deduction import Derivation, Sequent
 from realizer.extraction import computation_type, decorate, em_realizer, extract, realizer_type
-from realizer.learning import Exceptional, Regular, State, run_realizer, spot_check_realizes
+from realizer.learning import (
+    Exceptional, Regular, State, learn, run_realizer, spot_check_realizes,
+)
 from realizer.terms import EX, NAT, STATE, UNIT, TArrow, TProd, TSum, typecheck
 
 import conftest as gen
+import reference_extraction as ref
 
 ALL = (mn.IDENTITY, mn.EXCEPTION, mn.INTERACTIVE)
 RELS = arith.RELATIONS
@@ -261,3 +264,198 @@ def test_decoration_reaches_past_administrative_binders(name, m):
     t = extract(d, m)
     hyp = d.conclusion.context[0][1]
     assert typecheck(t) == TArrow(realizer_type(hyp, m), computation_type(d.conclusion.goal, m))
+
+
+# ---------------------------------------------------------------------------
+# deep derivations
+
+
+def _and_chain(levels: int) -> Derivation:
+    """levels levels of and-el over and-i around an atom."""
+    a, b = Atom("=", (tnum(1), tnum(1))), Atom("=", (tnum(2), tnum(2)))
+    d = Derivation(dd.AtomI(), Sequent((), a))
+    side = Derivation(dd.AtomI(), Sequent((), b))
+    for _ in range(levels // 2):
+        both = Derivation(dd.AndI(), Sequent((), And(a, b)), (d, side))
+        d = Derivation(dd.AndEL(), Sequent((), a), (both,))
+    return d
+
+
+@pytest.mark.parametrize("levels", [1200, 10**4])
+def test_deep_derivations_extract_without_recursion(levels):
+    limit = sys.getrecursionlimit()
+    t = extract(_and_chain(levels))
+    assert sys.getrecursionlimit() == limit
+    assert typecheck(t) == computation_type(Atom("=", (tnum(1), tnum(1))))
+
+
+# ---------------------------------------------------------------------------
+# differential test against the closed combinators applied with tm.app
+
+
+def _nodes(t) -> int:
+    n, todo = 0, [t]
+    while todo:
+        x = todo.pop()
+        n += 1
+        if type(x) is tm.Lam:
+            todo.append(x.body)
+        elif type(x) is tm.App:
+            todo += (x.fn, x.arg)
+    return n
+
+
+# constructors the machine leaves alone, with the most arguments they take
+_INERT = {"pair": 2, "inl": 1, "inr": 1, "succ": 1, "rec": 1}
+
+
+def _value(t) -> bool:
+    head, args = tm.spine(t)
+    if not args:
+        return True
+    return (type(head) is tm.Const and len(args) <= _INERT.get(head.kind, 0)
+            and all(_value(a) for a in args))
+
+
+def _uses_of_the_binder(body) -> int:
+    """How often body, under one binder, uses that binder's variable."""
+    n, todo = 0, [(body, 0)]
+    while todo:
+        x, depth = todo.pop()
+        if type(x) is tm.Var:
+            n += x.index == depth
+        elif type(x) is tm.Lam:
+            todo.append((x.body, depth + 1))
+        elif type(x) is tm.App:
+            todo += ((x.fn, depth), (x.arg, depth))
+    return n
+
+
+def _contractible_redexes(t) -> list:
+    """Every (lam x. b) a in t with a a variable, or a value b uses at most once."""
+    found, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is tm.App:
+            if type(x.fn) is tm.Lam and (type(x.arg) is tm.Var or (
+                    _value(x.arg) and _uses_of_the_binder(x.fn.body) <= 1)):
+                found.append(x)
+            todo += (x.fn, x.arg)
+        elif type(x) is tm.Lam:
+            todo.append(x.body)
+    return found
+
+
+def _same_behaviour(v, w, f, s, rels, depth=2) -> bool:
+    """v and w realize f alike under s: equal first-order data, and functions
+    that give the same outcomes on sampled arguments."""
+    if v == w:
+        return True
+    match f:
+        case And(left, right) | Or(left, right):
+            (hv, av), (hw, aw) = tm.spine(v), tm.spine(w)
+            if hv != hw or len(av) != len(aw):
+                return False
+            if isinstance(f, And):
+                parts = (left, right)
+            else:
+                parts = (left,) if hv.kind == "inl" else (right,)
+            return all(_same_behaviour(x, y, g, s, rels, depth)
+                       for x, y, g in zip(av, aw, parts))
+        case Exists(var, body):
+            (_, av), (_, aw) = tm.spine(v), tm.spine(w)
+            if av[0] != aw[0]:
+                return False
+            inst = arith.subst_formula(body, var, tnum(tm.as_numeral(av[0])))
+            return _same_behaviour(av[1], aw[1], inst, s, rels, depth)
+        case Forall() | Imply() if depth:
+            if isinstance(f, Forall):
+                samples = [(tm.numeral(n), arith.subst_formula(f.body, f.var, tnum(n)))
+                           for n in range(3)]
+            else:
+                samples = [(tm.unit_const, f.right)] if isinstance(f.left, Atom) else []
+            for x, g in samples:
+                a = run_realizer(tm.App(v, x), s, rels)
+                b = run_realizer(tm.App(w, x), s, rels)
+                if type(a) is not type(b):
+                    return False
+                if isinstance(a, Exceptional) and a != b:
+                    return False
+                if isinstance(a, Regular) and not _same_behaviour(a.value, b.value, g, s, rels,
+                                                                  depth - 1):
+                    return False
+            return True
+    return False
+
+
+def _least_fuel(r, rels) -> int:
+    """The least fuel with which learning on r comes to a regular run."""
+    def enough(fuel):
+        try:
+            learn(r, State.empty(), rels, fuel)
+        except tm.FuelExhausted:
+            return False
+        return True
+
+    lo, hi = 0, 16  # no run succeeds with fuel 0
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+def _agrees_with_reference(d, m=mn.INTERACTIVE, rels=RELS, fns=arith.FUNCTIONS):
+    new = extract(d, m, rels, fns)
+    old = ref.reference_extract(d, m, rels, fns)
+    assert typecheck(new) == typecheck(old)
+    assert _nodes(new) <= _nodes(old)
+    assert _contractible_redexes(new) == []
+    if m is not mn.INTERACTIVE or d.conclusion.context:
+        return
+    (s, v, trace), (s_old, v_old, trace_old) = (learn(t, State.empty(), rels) for t in (new, old))
+    assert (s, trace.lines) == (s_old, trace_old.lines)
+    assert _same_behaviour(v, v_old, d.conclusion.goal, s, rels)
+    assert _least_fuel(new, rels) <= _least_fuel(old, rels)
+
+
+def test_corpus_agrees_with_the_reference_construction():
+    from realizer import normalizer
+
+    pf = corpus.corpus_file()
+    ran = 0
+    for name, d in pf.derivs.items():
+        if not _guessable(d):
+            continue
+        if any(isinstance(n.rule, dd.Ind) for _, n in dd.walk(d)):
+            d = normalizer.normalize_derivation(d, rels=pf.rels, fns=pf.fns)
+        _agrees_with_reference(d, mn.INTERACTIVE, pf.rels, pf.fns)
+        ran += 1
+    assert ran == 12
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_bench_em_chains_agree_with_the_reference_construction(depth, wrapped):
+    bench = gen.bench_gen()
+    _agrees_with_reference(bench.em_chain(bench.Stratified(depth), depth, wrapped))
+
+
+def test_bench_cut_chains_agree_with_the_reference_construction():
+    bench = gen.bench_gen()
+    rng = bench.Stratified(3)
+    for kinds in bench.cut_kinds(rng, list(range(1, 9))):
+        _agrees_with_reference(bench.sigma01_cuts(rng, kinds))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_derivations_agree_with_the_reference_construction(seed):
+    rng = random.Random(900 + seed)
+    ds = [gen.decoratable_derivation(rng), gen.sigma01_derivation(rng, cuts=3)[0],
+          gen.with_random_cuts(rng, gen.em_derivation(rng), 2), gen.open_derivation(rng),
+          gen.cind_derivation(rng)]
+    for d in ds:
+        has_em = any(isinstance(n.rule, dd.EM) for _, n in dd.walk(d))
+        for m in (mn.INTERACTIVE,) if has_em else ALL:
+            _agrees_with_reference(d, m)

@@ -1,5 +1,7 @@
 """Monad instances, n-ary lifts and the law checker."""
 
+import random
+
 import pytest
 
 from realizer import arith
@@ -10,6 +12,8 @@ from realizer.terms import (
     App, Lam, Var, EX, NAT, UNIT, TArrow, TProd, TSum, app, arrows, numeral,
     normalize, typecheck,
 )
+
+import reference_extraction as ref
 
 ALL = (IDENTITY, EXCEPTION, INTERACTIVE)
 SAMPLE_TYPES = (NAT, UNIT, TProd(NAT, UNIT), TSum(NAT, NAT))
@@ -135,3 +139,73 @@ def test_star_n_arity_validation():
         mn.star_n(IDENTITY, 2, (NAT,), NAT)
     with pytest.raises(ValueError):
         mn.raise_n(IDENTITY, 1, (NAT, NAT), NAT)
+
+
+# ---------------------------------------------------------------------------
+# the closed lifts against the combinators applied with tm.app
+
+
+def _observed(m, t):
+    return normalize(App(t, tm.staterep)) if m.name == "ir" else normalize(t)
+
+
+def _lams(tys, body):
+    for ty in reversed(tys):
+        body = Lam(ty, body)
+    return body
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+@pytest.mark.parametrize("k", range(4))
+def test_lifts_agree_with_the_applied_combinators(m, k):
+    old = ref.OLD_MONADS[m.name]
+    rng = random.Random(k)
+    arg_tys = (NAT, UNIT, TProd(NAT, UNIT))[:k]
+    body = App(tm.succ, Var(k - 1)) if k else numeral(2)  # S x1, or 2 for k = 0
+    pure, monadic = _lams(arg_tys, body), _lams(arg_tys, App(m.unit_of(NAT), body))
+    for _ in range(20):
+        xs = [mn._sample_computation(rng, m, a) for a in arg_tys]
+        for lift, ref_lift, f in ((mn.raise_n, ref.raise_n, pure),
+                                  (mn.star_n, ref.star_n, monadic)):
+            got = app(lift(m, k, arg_tys, NAT), f, *xs)
+            want = app(ref_lift(old, k, arg_tys, NAT), f, *xs)
+            assert _observed(m, got) == _observed(m, want)
+
+
+# ---------------------------------------------------------------------------
+# building with named variables
+
+
+PAIR = tm.pair_c(NAT, NAT)
+
+
+def _twice():
+    return mn.lam(NAT, lambda x: app(PAIR, mn.var(x), mn.var(x)))  # lam x. pair x x
+
+
+def _once():
+    return mn.lam(NAT, lambda x: App(tm.succ, mn.var(x)))  # lam x. S x
+
+
+def _under_y(body):
+    """lam y. body(y), closed."""
+    return mn.close(mn.lam(NAT, body))
+
+
+def test_beta_contracts_exactly_the_administrative_redexes():
+    # a variable goes in place however often it is used
+    assert _under_y(lambda y: mn.beta(_twice(), mn.var(y))) == Lam(NAT, app(PAIR, Var(0), Var(0)))
+    # a value goes in place when it is used once, and stays bound when used twice
+    assert _under_y(lambda y: mn.beta(_once(), numeral(2))) == Lam(NAT, App(tm.succ, numeral(2)))
+    assert _under_y(lambda y: mn.beta(_twice(), numeral(2))) == Lam(
+        NAT, App(Lam(NAT, app(PAIR, Var(0), Var(0))), numeral(2)))
+    # an argument that still has to be evaluated stays bound, even when used once
+    step = Lam(NAT, Lam(TArrow(NAT, NAT), Var(1)))
+    assert _under_y(lambda y: mn.beta(_once(), app(tm.rec_c(NAT), step, mn.var(y)))) == Lam(
+        NAT, App(Lam(NAT, App(tm.succ, Var(0))), app(tm.rec_c(NAT), step, Var(0))))
+    # a redex kept in head position takes the next argument inside:
+    # ((lam x. lam z. pair x z) e) y = (lam x. pair x y) e
+    e = App(tm.prl_c(NAT, NAT), app(PAIR, numeral(1), numeral(2)))
+    kept = mn.beta(mn.lam(NAT, lambda x: mn.lam(NAT, lambda z: app(PAIR, mn.var(x), mn.var(z)))), e)
+    assert _under_y(lambda y: mn.beta(kept, mn.var(y))) == Lam(
+        NAT, App(Lam(NAT, app(PAIR, Var(0), Var(1))), e))

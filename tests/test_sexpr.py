@@ -3,6 +3,7 @@
 import bisect
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,3 +370,58 @@ def test_error_positions_point_into_multiline_files():
     with pytest.raises(ParseError) as info:
         parse_file(text)
     assert (info.value.line, info.value.col) == (2, 8)
+
+
+# ---------------------------------------------------------------------------
+# layout, against the string-rewriting wrap it replaced
+
+
+def _rewriting_wrap(*parts: str) -> str:
+    """The old layout step: a form that does not fit re-indents every line
+    of its parts, so each nesting level rewrites all the text below it."""
+    flat = "(" + " ".join(parts) + ")"
+    if len(flat) <= 100 or len(parts) == 1:
+        return flat
+    body = ("\n" + " " * 2).join(p.replace("\n", "\n" + " " * 2) for p in parts[1:])
+    return f"({parts[0]}\n  {body})"
+
+
+def _rewritten(layout) -> str:
+    if type(layout) is str:
+        return layout
+    return _rewriting_wrap(*(_rewritten(p) for p in layout.parts))
+
+
+def _agrees_with_rewriting_layout(pf: sexpr.ProofFile):
+    texts = []
+    for head, name in pf.order:
+        attr, form = sexpr._DEFINITIONS[head]
+        value = getattr(pf, attr)[name]
+        texts.append(_rewritten(sexpr._walk(sexpr._print_form(form, form.split((name, value))))))
+    assert print_file(pf) == "".join(t + "\n" for t in texts)
+
+
+def test_layout_agrees_with_the_rewriting_wrap():
+    _agrees_with_rewriting_layout(corpus.corpus_file())
+    bench = gen.bench_gen()
+    rng = bench.Stratified(9)
+    ds = [bench.em_chain(rng, depth, wrapped) for depth in (1, 4, 6) for wrapped in (False, True)]
+    ds += [bench.sigma01_cuts(rng, kinds) for kinds in bench.cut_kinds(rng, [1, 4, 8])]
+    ds += [bench.ind_n(5), bench.square(9)]
+    for i, d in enumerate(ds):
+        pf = sexpr.ProofFile(derivs={"d": d}, order=(("defder", "d"),))
+        _agrees_with_rewriting_layout(pf)
+        if i < len(ds) - 2:  # ind_n only extracts after normalization
+            pf = sexpr.ProofFile(terms={"r": extract(d, mn.INTERACTIVE)}, order=(("defterm", "r"),))
+            _agrees_with_rewriting_layout(pf)
+
+
+def test_deep_terms_print_in_linear_time():
+    t = tm.zero
+    for _ in range(2000):
+        t = tm.App(tm.succ, t)
+    start = time.monotonic()
+    text = print_term(t)
+    assert time.monotonic() - start < 2.0  # 16.5 s when every level re-indented
+    assert len(text) == 7962116  # as the rewriting layout printed it
+    assert print_term(read_term(read_nodes(text)[0], FNS, RELS)) == text
