@@ -30,6 +30,7 @@ rebuilding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional
 
 
@@ -434,25 +435,23 @@ def _fresh(base: str, taken: AbstractSet[str]) -> str:
 
 
 def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
-    """Capture-avoiding substitution f[var := rep]."""
+    """Capture-avoiding substitution f[var := rep]; f itself (same object)
+    when var is not free in f."""
     match f:
         case Atom(rel, args):
-            return Atom(rel, tuple(subst_aterm(t, var, rep) for t in args))
-        case And(a, b):
-            return And(subst_formula(a, var, rep), subst_formula(b, var, rep))
-        case Or(a, b):
-            return Or(subst_formula(a, var, rep), subst_formula(b, var, rep))
-        case Imply(a, b):
-            return Imply(subst_formula(a, var, rep), subst_formula(b, var, rep))
+            new = tuple([subst_aterm(t, var, rep) for t in args])
+            return f if all(map(is_, new, args)) else Atom(rel, new)
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            na, nb = subst_formula(a, var, rep), subst_formula(b, var, rep)
+            return f if na is a and nb is b else type(f)(na, nb)
         case Forall(v, body) | Exists(v, body):
-            klass = type(f)
             if v == var:
                 return f
             if v in aterm_vars(rep) and var in free_vars(body):
                 w = _fresh(v, aterm_vars(rep) | free_vars(body))
-                body = subst_formula(body, v, TVar(w))
-                v = w
-            return klass(v, subst_formula(body, var, rep))
+                return type(f)(w, subst_formula(subst_formula(body, v, TVar(w)), var, rep))
+            nb = subst_formula(body, var, rep)
+            return f if nb is body else type(f)(v, nb)
     raise ArithError(f"not a formula: {f!r}")
 
 

@@ -34,12 +34,20 @@ conditions from the entry; each rule case checks only formula shapes and
 names the formulas its discharging premisses assume.  Free variables,
 substitution, label collection and the normalizer's relabelling and binder
 renaming read the same entry.
+
+Every rewrite of a derivation is one local edit per node through rebuild,
+which walks the tree on an explicit stack: substitution and renaming
+(_rename), weakening, and the normalizer's grafting and strengthening.  So
+derivations of any depth are rewritten without recursion.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from itertools import repeat
+from operator import is_
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import arith
 from .arith import (
@@ -359,24 +367,86 @@ def free_term_vars(d: Derivation, memo: Optional[Memo] = None) -> frozenset[str]
 
 
 # ---------------------------------------------------------------------------
-# substitution of a term for a free variable
+# rebuilding with local edits
+
+# What rebuild's enter returns for a node: a derivation to take its place
+# as it is, or its new rule and sequent with one state per premiss.
+Edit = Derivation | tuple[RuleKind, Sequent, Sequence[object]]
 
 
-def _subst_context(ctx: Context, var: str, t: ATerm) -> Context:
-    return tuple((lbl, subst_formula(f, var, t)) for lbl, f in ctx)
+def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
+            state: object = True) -> Derivation:
+    """d rebuilt by one local edit per node, on an explicit stack.
+
+    enter(node, state) is called on the nodes the walk reaches, in preorder
+    and left to right, starting with (d, state).  It returns a derivation
+    that takes the node's place as it is, or the node's new rule and
+    sequent with one state per premiss: the premiss is rebuilt with that
+    state, or kept as it is when the state is None.  A node whose rule,
+    sequent and premisses all come back as the same objects is returned as
+    itself.
+    """
+    done: list[Derivation] = []  # rebuilt subtrees, in postorder
+    # (node, state, None) to enter a node; (node, state, its edit) to
+    # assemble it once its premisses are done
+    stack: list[tuple[Derivation, object, Optional[tuple]]] = [(d, state, None)]
+    while stack:
+        node, state, edit = stack.pop()
+        prem = node.premisses
+        if edit is None:
+            edit = node if state is None else enter(node, state)
+            if isinstance(edit, Derivation):
+                done.append(edit)
+                continue
+            if len(edit[2]) != len(prem):
+                raise DeductionError(f"rebuild: {len(edit[2])} states for {len(prem)} premisses")
+            if prem:
+                stack.append((node, state, edit))
+                stack.extend(zip(reversed(prem), reversed(edit[2]), repeat(None)))
+                continue
+            new: tuple[Derivation, ...] = ()
+        else:
+            new = tuple(done[len(done) - len(prem):])
+            del done[len(done) - len(prem):]
+        rule, concl, _ = edit
+        if rule is not node.rule or concl is not node.conclusion or not all(map(is_, new, prem)):
+            node = Derivation(rule, concl, new)
+        done.append(node)
+    return done[0]
 
 
-def _subst_rule(rule: RuleKind, var: str, t: ATerm) -> RuleKind:
+def _map_sequent(s: Sequent, keep_goal: bool, fn, *args) -> Sequent:
+    """s with fn(formula, *args) for each formula, the goal too unless
+    keep_goal; s itself when fn returns each formula as itself."""
+    ctx = s.context
+    if ctx:
+        new = tuple([(lbl, fn(f, *args)) for lbl, f in ctx])
+        if any(n[1] is not f[1] for n, f in zip(new, ctx)):
+            ctx = new
+    goal = s.goal if keep_goal else fn(s.goal, *args)
+    return s if ctx is s.context and goal is s.goal else Sequent(ctx, goal)
+
+
+def _map_rule(rule: RuleKind, term_fn, template_fn, *args) -> RuleKind:
+    """rule with term_fn(term, *args) for its terms and template_fn(template,
+    *args) for an induction's template; rule itself when nothing changes."""
     match rule:
-        case ForallE(term):
-            return ForallE(subst_aterm(term, var, t))
-        case ExistsI(term):
-            return ExistsI(subst_aterm(term, var, t))
-        case Ind(label, v, template, main):
-            return Ind(label, v, template if v == var else subst_formula(template, var, t),
-                       subst_aterm(main, var, t))
-        case _:
-            return rule
+        case ForallE(term) | ExistsI(term):
+            new = term_fn(term, *args)
+            return rule if new is term else type(rule)(new)
+        case Ind(label, var, template, main):
+            tp, m = template_fn(template, *args), term_fn(main, *args)
+            return rule if tp is template and m is main else Ind(label, var, tp, m)
+    return rule
+
+
+def _keep(x, *_):
+    """x itself: the map that changes nothing."""
+    return x
+
+
+# ---------------------------------------------------------------------------
+# substitution of terms for free variables, and renaming
 
 
 def subst_derivation(d: Derivation, var: str, t: ATerm) -> Derivation:
@@ -385,21 +455,65 @@ def subst_derivation(d: Derivation, var: str, t: ATerm) -> Derivation:
     Rule binders stop the substitution in their premiss; if a binder occurs
     free in t, CaptureRisk is raised (rename the derivation first).
     """
-    binds = RULE_SHAPES[type(d.rule)].binds
-    new_premisses = []
-    for i, p in enumerate(d.premisses):
-        if i == binds:
-            bvar = d.rule.var
-            if bvar == var:
-                new_premisses.append(p)
-                continue
-            if bvar in aterm_vars(t) and var in free_term_vars(p):
-                raise CaptureRisk(f"substituting {t} for {var} under binder {bvar}")
-        new_premisses.append(subst_derivation(p, var, t))
-    rule = _subst_rule(d.rule, var, t)
-    concl = Sequent(_subst_context(d.conclusion.context, var, t),
-                    subst_formula(d.conclusion.goal, var, t))
-    return Derivation(rule, concl, tuple(new_premisses))
+    return _rename(d, {}, ((var, t),))
+
+
+def _rename(
+    d: Derivation,
+    picks: Mapping[int, tuple[Optional[str], Optional[str]]],
+    subs: tuple[tuple[str, ATerm], ...] = (),
+) -> Derivation:
+    """d with the substitutions subs made in every formula and rule term,
+    the last one first, and with the rules of some nodes renamed.
+
+    picks maps the position of a node in preorder, counting each occurrence
+    of a shared subtree, to a new discharge label and a new bound variable
+    for its rule (None keeps a name); the discharges and the bound
+    occurrences are renamed with it.  A binder stops the substitution of
+    its own variable in its premiss, and raises CaptureRisk when another
+    substitution would carry the binder's variable into a premiss that uses
+    the substituted one.
+    """
+    scanned: Memo = {}
+    last, count = max(picks, default=-1), -1
+
+    def enter(node: Derivation, env) -> Edit:
+        nonlocal count
+        count += 1
+        labels, subs, binder = env  # binder: the variable bound just above node
+        for var, t in subs if binder is not None else ():
+            if binder in aterm_vars(t) and var in free_term_vars(node, scanned):
+                raise CaptureRisk(f"substituting {t} for {var} under binder {binder}")
+        rule, concl, shape = node.rule, node.conclusion, RULE_SHAPES[type(node.rule)]
+        if labels:
+            concl = Sequent(tuple((labels.get(l, l), f) for l, f in concl.context), concl.goal)
+            rule = Id(labels.get(rule.label, rule.label)) if isinstance(rule, Id) else rule
+        new_label, new_var = picks.get(count, (None, None))
+        labels_in, subs_in, old = labels, subs, None  # for discharges, for the bound premiss
+        if new_label is not None:
+            labels_in = {**labels, rule.label: new_label}
+            rule = dataclasses.replace(rule, label=new_label)
+        if shape.binds is not None:
+            old = rule.var
+            subs_in = tuple(s for s in subs if s[0] != old)
+            if new_var is not None:
+                subs_in += ((old, TVar(new_var)),)
+                rule = _map_rule(dataclasses.replace(rule, var=new_var), _keep, subst_formula,
+                                 old, TVar(new_var))
+        for var, t in reversed(subs):
+            # an induction's own variable binds its template
+            stop = isinstance(rule, Ind) and rule.var == var
+            rule = _map_rule(rule, subst_aterm, _keep if stop else subst_formula, var, t)
+            concl = _map_sequent(concl, False, subst_formula, var, t)
+        states = []
+        for i in range(len(node.premisses)):
+            bound = i == shape.binds
+            env = (labels_in if i in shape.discharges else labels,
+                   subs_in if bound else subs, old if bound and subs_in else None)
+            states.append(env if count < last or env[0] or env[1] else None)
+        return rule, concl, states
+
+    return rebuild(d, enter, ({}, subs, None))
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +917,11 @@ def weaken(d: Derivation, extra: Context, at: int = 0) -> Derivation:
     if clashes:
         raise DischargeMismatch(sorted(clashes)[0], "weakening collides with d")
 
-    def go(node: Derivation) -> Derivation:
-        ctx = node.conclusion.context
-        concl = Sequent(ctx[:at] + tuple(extra) + ctx[at:], node.conclusion.goal)
-        return Derivation(node.rule, concl, tuple(go(p) for p in node.premisses))
+    extra = tuple(extra)
 
-    return go(d)
+    def enter(node: Derivation, _) -> Edit:
+        ctx = node.conclusion.context
+        return (node.rule, Sequent(ctx[:at] + extra + ctx[at:], node.conclusion.goal),
+                (True,) * len(node.premisses))
+
+    return rebuild(d, enter)

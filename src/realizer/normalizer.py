@@ -28,7 +28,10 @@ InvalidCut, and then calls its reducer.  Both permutation kinds share one
 reducer, which pushes the elimination into every branch of the discharging
 rule above it.  Which premisses a rule discharges its label in, and which
 one binds its variable, is read from deduction.RULE_SHAPES, by that reducer
-and by the relabelling and binder renaming that keep grafts hygienic.
+and by the relabelling and binder renaming that keep grafts hygienic.  Every
+reducer rewrites through deduction.rebuild, one local edit per node on an
+explicit stack: grafting, substituting, weakening, strengthening and
+renaming handle bodies of any depth.
 
 Reductions preserve the root sequent and never invent assumptions or free
 term variables.  After every rewrite normalize_derivation term-normalizes
@@ -45,7 +48,6 @@ introduction naming a correct witness.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass
@@ -62,7 +64,6 @@ from .arith import (
     PrimFn,
     Relation,
     TApp,
-    TVar,
     aterm_vars,
     atomic_truth,
     free_vars,
@@ -164,14 +165,19 @@ def _at(d: Derivation, path: tuple[int, ...]) -> Derivation:
 
 def _replace(d: Derivation, path: tuple[int, ...], sub: Derivation) -> Derivation:
     """d with sub at path; only the spine above it is rebuilt."""
-    spine = [d]
-    for i in path[:-1]:
-        spine.append(spine[-1].premisses[i])
-    for node, i in zip(reversed(spine), reversed(path)):
-        prem = list(node.premisses)
-        prem[i] = sub
-        sub = Derivation(node.rule, node.conclusion, tuple(prem))
-    return sub
+    def enter(node: Derivation, depth: int) -> dd.Edit:
+        if depth == len(path):
+            return sub
+        states = [None] * len(node.premisses)
+        states[path[depth]] = depth + 1
+        return node.rule, node.conclusion, states
+    return dd.rebuild(d, enter, 0)
+
+
+def _closed_query(n: Derivation, label: str) -> bool:
+    """Does n query the universal assumption label at a closed point?"""
+    return (isinstance(n.rule, dd.ForallE) and len(n.premisses) == 1
+            and n.premisses[0].rule == dd.Id(label) and not free_vars(n.conclusion.goal))
 
 
 def _principal_closed_instance(left: Derivation, label: str) -> bool:
@@ -180,12 +186,7 @@ def _principal_closed_instance(left: Derivation, label: str) -> bool:
     stack = [left]
     while stack:
         n = stack.pop()
-        if (
-            isinstance(n.rule, dd.ForallE)
-            and n.premisses
-            and n.premisses[0].rule == dd.Id(label)
-            and not free_vars(n.conclusion.goal)
-        ):
+        if _closed_query(n, label):
             return True
         if n.premisses:
             if _major_limited(n.rule):
@@ -279,58 +280,7 @@ def find_head_cut(
 
 
 # ---------------------------------------------------------------------------
-# hygiene: relabelling, binder renaming, weakening, grafting
-
-def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
-    """Rename a hypothesis label in every context entry and id leaf of d."""
-    ctx = tuple((new if l == old else l, f) for l, f in d.conclusion.context)
-    rule = d.rule
-    if isinstance(rule, dd.Id) and rule.label == old:
-        rule = dd.Id(new)
-    return Derivation(rule, Sequent(ctx, d.conclusion.goal),
-                      tuple(_rename_hyp(p, old, new) for p in d.premisses))
-
-
-def _relabel(d: Derivation, new_label: str) -> Derivation:
-    """Change the discharge label of d's root rule."""
-    old = d.rule.label
-    prem = list(d.premisses)
-    for i in dd.RULE_SHAPES[type(d.rule)].discharges:
-        prem[i] = _rename_hyp(prem[i], old, new_label)
-    return Derivation(dataclasses.replace(d.rule, label=new_label),
-                      d.conclusion, tuple(prem))
-
-
-def _rename_binder(d: Derivation, new_var: str) -> Derivation:
-    """Change the variable d's root rule binds, in the rule and its premiss."""
-    rule = d.rule
-    i, old = dd.RULE_SHAPES[type(rule)].binds, rule.var
-    prem = list(d.premisses)
-    prem[i] = dd.subst_derivation(prem[i], old, TVar(new_var))
-    if isinstance(rule, dd.Ind):
-        rule = dataclasses.replace(rule, template=subst_formula(rule.template, old, TVar(new_var)))
-    return Derivation(dataclasses.replace(rule, var=new_var), d.conclusion, tuple(prem))
-
-
-def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
-    """Rename every discharging label of d that lies in avoid; d itself
-    when none does."""
-    if not any(dd.RULE_SHAPES[type(n.rule)].discharges and n.rule.label in avoid
-               for _, n in dd.walk(d)):
-        return d
-    taken = set(avoid) | dd._labels_inside(d)
-
-    def go(node: Derivation) -> Derivation:
-        node = Derivation(node.rule, node.conclusion,
-                          tuple(go(p) for p in node.premisses))
-        rule = node.rule
-        if dd.RULE_SHAPES[type(rule)].discharges and rule.label in avoid:
-            new = arith._fresh(rule.label, taken)
-            taken.add(new)
-            node = _relabel(node, new)
-        return node
-
-    return go(d)
+# hygiene: renaming, grafting, strengthening
 
 
 def _all_term_vars(d: Derivation) -> set[str]:
@@ -344,43 +294,48 @@ def _all_term_vars(d: Derivation) -> set[str]:
     return out
 
 
-def _renamable_binders(d: Derivation) -> set[str]:
-    out = set()
-    for _, n in dd.walk(d):
-        shape = dd.RULE_SHAPES[type(n.rule)]
-        if shape.binds is not None and shape.renamable:
-            out.add(n.rule.var)
-    return out
+def _freshen(d: Derivation, labels, term_vars) -> Derivation:
+    """Rename the discharge labels of d that lie in labels and its renamable
+    binders that lie in term_vars; d itself when none does.
 
-
-def _freshen_binders(d: Derivation, clash: set[str]) -> Derivation:
-    """Rename the renamable binders of d away from the clash set; d itself
-    when none is in it.
-
-    Binders whose conclusion names the variable (universal introduction,
-    complete induction) cannot be renamed without alpha-converting a
-    formula; they are left alone and the substitution reports the capture.
+    New names are picked in postorder, each fresh for d, the clash sets and
+    the names picked before it; then one rebuild renames them all.  Binders
+    whose conclusion names the variable (universal introduction, complete
+    induction) cannot be renamed without alpha-converting a formula; they
+    are left alone and a substitution reports the capture.
     """
-    if not _renamable_binders(d) & clash:
-        return d
-    taken = set(clash) | _all_term_vars(d)
+    picks: dict[int, tuple[Optional[str], Optional[str]]] = {}
+    taken: dict[str, set[str]] = {}  # names taken, once needed
 
-    def go(node: Derivation) -> Derivation:
-        node = Derivation(node.rule, node.conclusion, tuple(go(p) for p in node.premisses))
+    def pick(name: str, kind: str, scan) -> str:
+        if kind not in taken:
+            taken[kind] = set(labels if kind == "label" else term_vars) | scan(d)
+        new = arith._fresh(name, taken[kind])
+        taken[kind].add(new)
+        return new
+
+    count = 0
+    stack: list[tuple[Derivation, Optional[int]]] = [(d, None)]  # with its position once entered
+    while stack:
+        node, k = stack.pop()
         shape = dd.RULE_SHAPES[type(node.rule)]
-        if shape.binds is not None and shape.renamable and node.rule.var in clash:
-            nv = arith._fresh(node.rule.var, frozenset(taken))
-            taken.add(nv)
-            node = _rename_binder(node, nv)
-        return node
-
-    return go(d)
+        relabel = bool(shape.discharges) and node.rule.label in labels
+        rebind = shape.binds is not None and shape.renamable and node.rule.var in term_vars
+        if k is None:
+            if relabel or rebind:
+                stack.append((node, count))
+            count += 1
+            stack.extend((p, None) for p in reversed(node.premisses))
+        else:
+            picks[k] = (pick(node.rule.label, "label", dd._labels_inside) if relabel else None,
+                        pick(node.rule.var, "var", _all_term_vars) if rebind else None)
+    return dd._rename(d, picks) if picks else d
 
 
 def _subst_hygienic(d: Derivation, var: str, t: ATerm) -> Derivation:
     clash = aterm_vars(t)
     if clash:
-        d = _freshen_binders(d, set(clash))
+        d = _freshen(d, (), clash)
     try:
         return dd.subst_derivation(d, var, t)
     except dd.CaptureRisk as e:
@@ -389,11 +344,10 @@ def _subst_hygienic(d: Derivation, var: str, t: ATerm) -> Derivation:
 
 def _strengthen(d: Derivation, label: str) -> Derivation:
     """Drop an unused hypothesis from every context of d."""
-    def go(n: Derivation) -> Derivation:
+    def enter(n: Derivation, _) -> dd.Edit:
         ctx = tuple((l, f) for l, f in n.conclusion.context if l != label)
-        return Derivation(n.rule, Sequent(ctx, n.conclusion.goal),
-                          tuple(go(p) for p in n.premisses))
-    return go(d)
+        return n.rule, Sequent(ctx, n.conclusion.goal), (True,) * len(n.premisses)
+    return dd.rebuild(d, enter)
 
 
 def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
@@ -408,11 +362,12 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
     pos = next((i for i, (l, _) in enumerate(root_ctx) if l == label), None)
     if pos is None:
         raise NormalizationError(f"label {label} is not free at the graft root")
-    repl = _freshen_labels(repl, dd._labels_inside(body))
-    if _renamable_binders(repl):  # else spare the scan of body
-        repl = _freshen_binders(repl, _all_term_vars(body))
+    # scan body for its term variables only when repl has a binder to rename
+    binders = any(sh.binds is not None and sh.renamable
+                  for sh in (dd.RULE_SHAPES[type(n.rule)] for _, n in dd.walk(repl)))
+    repl = _freshen(repl, dd._labels_inside(body), _all_term_vars(body) if binders else ())
 
-    def go(node: Derivation) -> Derivation:
+    def enter(node: Derivation, _) -> dd.Edit:
         ctx = node.conclusion.context
         if ctx[pos][0] != label:
             raise NormalizationError(f"label {label} moved inside the graft body")
@@ -420,10 +375,9 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
         if isinstance(node.rule, dd.Id) and node.rule.label == label:
             extra = new_ctx[pos:]
             return dd.weaken(repl, extra, at=pos) if extra else repl
-        return Derivation(node.rule, Sequent(new_ctx, node.conclusion.goal),
-                          tuple(go(p) for p in node.premisses))
+        return node.rule, Sequent(new_ctx, node.conclusion.goal), (True,) * len(node.premisses)
 
-    return go(body)
+    return dd.rebuild(body, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +422,18 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
     rule = node.rule
     left, right = node.premisses
     univ = left.conclusion.lookup(rule.label)
-    insts = [
-        (p, n) for p, n in dd.walk(left)
-        if isinstance(n.rule, dd.ForallE)
-        and n.premisses[0].rule == dd.Id(rule.label)
-        and not free_vars(n.conclusion.goal)
-    ]
     refuted = next(
-        (n for _, n in insts
-         if not atomic_truth(norm_formula(n.conclusion.goal, fns), rels, fns)),
+        (n for _, n in dd.walk(left) if _closed_query(n, rule.label)
+         and not atomic_truth(norm_formula(n.conclusion.goal, fns), rels, fns)),
         None,
     )
     if refuted is None:
         # every known instance holds: answer the queries with the atom axiom
-        new_left = left
-        for p, n in insts:
-            new_left = _replace(new_left, p, Derivation(dd.AtomI(), n.conclusion))
+        def enter(n: Derivation, _) -> dd.Edit:
+            if _closed_query(n, rule.label):
+                return Derivation(dd.AtomI(), n.conclusion)
+            return n.rule, n.conclusion, (True,) * len(n.premisses)
+        new_left = dd.rebuild(left, enter)
         if dd.uses_label(new_left, rule.label):
             return Derivation(rule, node.conclusion, (new_left, right))
         return _strengthen(new_left, rule.label)
@@ -511,18 +461,19 @@ def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
     ctx, goal = node.conclusion.context, node.conclusion.goal
     shape = dd.RULE_SHAPES[type(split.rule)]
 
-    label = split.rule.label
+    # rename the split's label and variable away from the minors
+    new_label = new_var = None
     clash_labels = set().union(*(dd._labels_inside(m) for m in minors))
-    if label in clash_labels:
-        split = _relabel(split, arith._fresh(label, clash_labels | dd._labels_inside(split)))
-
+    if split.rule.label in clash_labels:
+        new_label = arith._fresh(split.rule.label, clash_labels | dd._labels_inside(split))
     if shape.binds is not None:
         clash_vars = free_vars(goal) | dd._rule_term_vars(node.rule)
         for m in minors:
             clash_vars |= _all_term_vars(m)
         if split.rule.var in clash_vars:
             taken = frozenset(clash_vars | _all_term_vars(split))
-            split = _rename_binder(split, arith._fresh(split.rule.var, taken))
+            new_var = arith._fresh(split.rule.var, taken)
+    split = dd._rename(split, {0: (new_label, new_var)})
 
     # discharge appends, so each branch's hypothesis is its last context entry
     hyps = [split.premisses[i].conclusion.context[-1] for i in shape.discharges]
@@ -532,7 +483,7 @@ def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
         bad = set().union(*(free_vars(f) for _, f in hyps))
         if node.rule.var in bad:
             taken = frozenset(bad | _all_term_vars(node))
-            node = _rename_binder(node, arith._fresh(node.rule.var, taken))
+            node = dd._rename(node, {0: (None, arith._fresh(node.rule.var, taken))})
     erule, minors = node.rule, node.premisses[1:]
 
     prem = list(split.premisses)
@@ -589,25 +540,6 @@ def _sequent_eq(a: Sequent, b: Sequent, fns) -> bool:
 # term normalization inside a derivation
 
 
-def _norm_rule(rule, fns):
-    match rule:
-        case dd.ForallE(term) | dd.ExistsI(term):
-            t = norm_aterm(term, fns)
-            return rule if t is term else type(rule)(t)
-        case dd.Ind(label, var, template, main):
-            tp, m = norm_formula(template, fns), norm_aterm(main, fns)
-            return rule if tp is template and m is main else dd.Ind(label, var, tp, m)
-    return rule
-
-
-def _norm_sequent(s: Sequent, keep_goal: bool, fns) -> Sequent:
-    goal = s.goal if keep_goal else norm_formula(s.goal, fns)
-    ctx = tuple((l, norm_formula(f, fns)) for l, f in s.context)
-    if all(n is f for (_, n), (_, f) in zip(ctx, s.context)):
-        ctx = s.context
-    return s if ctx is s.context and goal is s.goal else Sequent(ctx, goal)
-
-
 def norm_terms(
     d: Derivation,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
@@ -632,8 +564,9 @@ def norm_terms(
             continue
         post = isinstance(node.rule, dd.AtomPost)
         if parts is None:
-            concl = _norm_sequent(node.conclusion, keep or post, fns)
-            stack.append((node, keep, (_norm_rule(node.rule, fns), concl)))
+            concl = dd._map_sequent(node.conclusion, keep or post, norm_formula, fns)
+            stack.append((node, keep, (dd._map_rule(node.rule, norm_aterm, norm_formula, fns),
+                                       concl)))
             stack.extend((p, post, None) for p in reversed(node.premisses))
             continue
         rule, concl = parts
@@ -742,18 +675,15 @@ def extract_witness(
 
 def principal_branches(d: Derivation) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Node paths of every principal branch, root first, leaf last."""
-
-    def go(node, path, acc):
-        acc = acc + (path,)
+    stack = [(d, (), ())]
+    while stack:
+        node, path, acc = stack.pop()
+        acc += (path,)
         if not node.premisses:
             yield acc
-        elif _major_limited(node.rule):
-            yield from go(node.premisses[0], path + (0,), acc)
-        else:
-            for i, p in enumerate(node.premisses):
-                yield from go(p, path + (i,), acc)
-
-    yield from go(d, (), ())
+            continue
+        n = 1 if _major_limited(node.rule) else len(node.premisses)
+        stack.extend((node.premisses[i], path + (i,), acc) for i in range(n - 1, -1, -1))
 
 
 def check_open_normal(

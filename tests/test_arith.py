@@ -465,6 +465,34 @@ def test_norm_formula_keeps_normal_formulas_and_matches_the_reference(f):
     assert norm_formula(g, _FNS) is g
 
 
+def _old_subst_formula(f, var, rep):
+    """subst_formula as it was: every formula node rebuilt."""
+    match f:
+        case Atom(rel, args):
+            return Atom(rel, tuple(arith.subst_aterm(t, var, rep) for t in args))
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            return type(f)(_old_subst_formula(a, var, rep), _old_subst_formula(b, var, rep))
+        case Forall(v, body) | Exists(v, body):
+            if v == var:
+                return f
+            if v in arith.aterm_vars(rep) and var in arith.free_vars(body):
+                w = arith._fresh(v, arith.aterm_vars(rep) | arith.free_vars(body))
+                body = _old_subst_formula(body, v, TVar(w))
+                v = w
+            return type(f)(v, _old_subst_formula(body, var, rep))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas(), st.sampled_from(["x", "y", "z"]), _terms(closed=False))
+def test_subst_formula_matches_the_reference_and_keeps_untouched_formulas(f, var, rep):
+    got = arith.subst_formula(f, var, rep)
+    assert got == _old_subst_formula(f, var, rep)
+    if var not in arith.free_vars(f):
+        assert got is f
+    elif rep != TVar(var):
+        assert got is not f
+
+
 @settings(max_examples=200, deadline=None)
 @given(_formulas(), _formulas(), st.booleans())
 def test_formulas_equal_agrees_with_normalizing_both_sides(a, b, disguised):

@@ -256,6 +256,21 @@ def test_normalize_accepts_deep_derivations(tmp_path, capsys, depth):
     assert out == _ATOM_LEAF[1] + "\n"
 
 
+def test_normalize_grafts_into_a_deep_body(tmp_path, capsys):
+    # imply-e over imply-i u whose body, 3000 levels deep, uses u at its top
+    a, b, ctx = "(atom = 1 1)", "(atom = 2 2)", "(ctx (u (atom = 1 1)))"
+    d = f"(der (id u) (seq {ctx} {a}))"
+    for _ in range(1500):
+        d = (f"(der and-el (seq {ctx} {a}) (der and-i (seq {ctx} (and {a} {b}))"
+             f" {d} (der atom-i (seq {ctx} {b}))))")
+    p = tmp_path / "graft.proof"
+    p.write_text(f"(defder d (der imply-e (seq (ctx) {a})"
+                 f" (der (imply-i u) (seq (ctx) (imply {a} {a})) {d})"
+                 f" (der atom-i (seq (ctx) {a}))))")
+    rc, out, err = run_cli(capsys, "normalize", str(p), "--deriv", "d")
+    assert (rc, out, err) == (0, _ATOM_LEAF[1] + "\n", "")
+
+
 def test_extract_of_a_deep_derivation(tmp_path, capsys):
     # 300 and-el/and-i pairs: decoration used to recurse once per level
     rc, out, err = run_cli(capsys, "extract", _and_chain(tmp_path, 600), "--deriv", "d")

@@ -361,6 +361,124 @@ def test_stale_cut_of_each_kind_rejected(kind):
 
 
 # ---------------------------------------------------------------------------
+# rewrites that rebuild a deep subtree
+
+_LEVELS = 3000  # well past the interpreter's recursion limit
+
+
+def _chain(ctx, leaf, right=None):
+    """_LEVELS levels of and-el over and-i above leaf, all in ctx (one
+    proper cut per two levels); right, when given, is the innermost
+    and-i's right premiss."""
+    d = leaf
+    for i in range(_LEVELS // 2):
+        r = right if right is not None and i == 0 else _atom(ctx, _B)
+        both = Derivation(dd.AndI(), _s(ctx, And(leaf.conclusion.goal, r.conclusion.goal)), (d, r))
+        d = Derivation(dd.AndEL(), _s(ctx, leaf.conclusion.goal), (both,))
+    return d
+
+
+def _apply(body, label, arg):
+    """imply-e over imply-i label with body, applied to arg."""
+    hyp, goal = body.conclusion.context[-1][1], body.conclusion.goal
+    ctx = arg.conclusion.context
+    lam = Derivation(dd.ImplyI(label), _s(ctx, Imply(hyp, goal)), (body,))
+    return Derivation(dd.ImplyE(), _s(ctx, goal), (lam, arg))
+
+
+def _deep_imply():
+    ctx = (("u", _A),)
+    return _apply(_chain(ctx, dd.assume(ctx, "u")), "u", _atom((), _A)), _atom((), _A)
+
+
+def _deep_or():
+    major = Derivation(dd.OrIL(), _s((), Or(_A, _DEAD)), (_atom((), _A),))
+    cl = (("c", _A),)
+    d = Derivation(dd.OrE("c"), _s((), _A),
+                   (major, _chain(cl, dd.assume(cl, "c")), _atom((("c", _DEAD),), _A)))
+    return d, _atom((), _A)
+
+
+def _deep_exists():
+    two = Atom("=", (tnum(2), tnum(2)))
+    major = Derivation(dd.ExistsI(tnum(2)), _s((), Exists("z", Atom("=", (TVar("z"), tnum(2))))),
+                       (_atom((), two),))
+    cw = (("c", Atom("=", (TVar("w"), tnum(2)))),)
+    minor = _chain(cw, _atom(cw, _A), right=dd.assume(cw, "c"))
+    return Derivation(dd.ExistsE("c", "w"), _s((), _A), (major, minor)), _atom((), _A)
+
+
+def _deep_forall():
+    xx = Atom("=", (TVar("x"), TVar("x")))
+    body = _chain((), Derivation(dd.AtomPost("refl"), _s((), xx)))
+    alls = Derivation(dd.ForallI("x"), _s((), Forall("x", xx)), (body,))
+    three = Atom("=", (tnum(3), tnum(3)))
+    d = Derivation(dd.ForallE(tnum(3)), _s((), three), (alls,))
+    return d, Derivation(dd.AtomPost("refl"), _s((), three))
+
+
+def _deep_ind():
+    v = TVar("v")
+    template, sv = Atom("=", (v, v)), arith.TApp("S", (v,))
+    base = Derivation(dd.AtomPost("refl"), _s((), Atom("=", (tnum(0), tnum(0)))))
+    cs = (("ih", template),)
+    leaf = Derivation(dd.AtomPost("sub-fn"), _s(cs, Atom("=", (sv, sv))), (dd.assume(cs, "ih"),))
+    d = Derivation(dd.Ind("ih", "v", template, tnum(2)), _s((), Atom("=", (tnum(2), tnum(2)))),
+                   (base, _chain(cs, leaf)))
+    # sub-fn from 1 = 1, from 0 = 0
+    expected = base
+    for k in (1, 2):
+        expected = Derivation(dd.AtomPost("sub-fn"), _s((), Atom("=", (tnum(k), tnum(k)))),
+                              (expected,))
+    return d, expected
+
+
+def _deep_em_permute():
+    # the minor premiss is weakened into both branches of the split
+    d = Derivation(dd.ImplyE(), _s((), _B),
+                   (_split("em", _major_proof("imply")), _chain((), _atom((), _A))))
+    return d, _atom((), _B)
+
+
+def _deep_strengthen():
+    ctx = (("u", Or(_A, _DEAD)),)
+    cl = ctx + (("c", _A),)
+    d = Derivation(dd.OrE("c"), _s(ctx, _A),
+                   (dd.assume(ctx, "u"), _chain(cl, _atom(cl, _A)),
+                    _atom(ctx + (("c", _DEAD),), _A)))
+    return d, _atom(ctx, _A)
+
+
+def _deep_freshen():
+    # the body discharges k, and so does the deep replacement at its bottom
+    ctx = (("u", _A),)
+    body = _apply(dd.assume(ctx + (("k", _B),), "u"), "k", _atom(ctx, _B))
+    repl = _chain((), _apply(_atom((("k", _B),), _A), "k", _atom((), _B)))
+    return _apply(body, "u", repl), _atom((), _A)
+
+
+_DEEP = {
+    "proper/imply": _deep_imply,
+    "proper/or": _deep_or,
+    "proper/exists": _deep_exists,
+    "proper/forall": _deep_forall,
+    IND: _deep_ind,
+    "em-permute/imply": _deep_em_permute,
+    "immediate-simpl/or": _deep_strengthen,
+    "proper/imply at root, freshening": _deep_freshen,
+}
+
+
+@pytest.mark.parametrize("case", list(_DEEP))
+def test_rewrites_rebuild_deep_subtrees(case):
+    d, expected = _DEEP[case]()
+    dd.check_derivation(d)
+    trace: list[str] = []
+    assert normalize_derivation(d, trace=trace) == expected
+    assert trace[0].startswith(case.partition(",")[0])
+
+
+# ---------------------------------------------------------------------------
 # the loop: preservation, tracing, fuel
 
 
@@ -489,6 +607,13 @@ def test_principal_branches_cover_intro_premisses():
     assert all(b[0] == () for b in branches)
     leaves = {b[-1] for b in branches}
     assert len(leaves) == len(branches)
+    # a deep normal form: one branch through 1200 posited rules
+    xx = Atom("=", (TVar("x"), TVar("x")))
+    deep = Derivation(dd.AtomPost("refl"), _s((), xx))
+    for _ in range(1200):
+        deep = Derivation(dd.AtomPost("sym"), _s((), xx), (deep,))
+    assert list(nz.principal_branches(deep)) == [tuple((0,) * k for k in range(1201))]
+    assert check_open_normal(deep)
 
 
 # ---------------------------------------------------------------------------

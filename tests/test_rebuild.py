@@ -1,0 +1,226 @@
+"""The one derivation rebuilder against the recursive rebuilders it replaced.
+
+Every rewrite in deduction and the normalizer is a per-node edit through
+deduction.rebuild.  reference_rebuild keeps the seven recursive rebuilders
+that did that work before.  With the references monkeypatched in,
+normalize_derivation must reach the same normal form with the same trace,
+or raise the same error; weaken and subst_derivation must agree with their
+references directly, errors included.
+"""
+
+import functools
+import random
+
+import pytest
+
+from realizer import arith, corpus
+from realizer import deduction as dd
+from realizer import normalizer as nz
+from realizer.arith import And, Atom, Forall, Imply, TApp, TVar, tnum
+from realizer.deduction import Derivation, Sequent
+
+import conftest as gen
+import reference_rebuild as ref
+from test_normalizer import _BRANCHES, _ELIMS, _eliminate, _major_proof, _split
+
+
+def _root_rename(d, picks, subs=()):
+    """dd._rename as the permutation reducer calls it, through the references."""
+    if subs or set(picks) != {0}:
+        raise ValueError(f"not a rename of the root: {picks!r}, {subs!r}")
+    label, var = picks[0]
+    if label is not None:
+        d = ref._relabel(d, label)
+    if var is not None:
+        d = ref._rename_binder(d, var)
+    return d
+
+
+def _use_references(m, calls):
+    """Patch the references in through m, counting the calls in calls."""
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kw)
+        return wrapper
+
+    m.setattr(dd, "weaken", counted("weaken", ref.weaken))
+    m.setattr(dd, "subst_derivation", counted("subst_derivation", ref.subst_derivation))
+    m.setattr(dd, "_rename", counted("_rename", _root_rename))
+    for name in ("_strengthen", "_graft", "_subst_hygienic"):
+        m.setattr(nz, name, counted(name, getattr(ref, name)))
+
+
+def _capture() -> Derivation:
+    """forall-e y over forall-i x over forall-i y: substituting y for x
+    under the binder y, which cannot be renamed, is a hygiene error."""
+    xx = Atom("=", (TVar("x"), TVar("x")))
+    inner = Derivation(dd.ForallI("y"), Sequent((), Forall("y", xx)),
+                       (Derivation(dd.AtomPost("refl"), Sequent((), xx)),))
+    outer = Derivation(dd.ForallI("x"), Sequent((), Forall("x", inner.conclusion.goal)), (inner,))
+    goal = arith.subst_formula(inner.conclusion.goal, "x", TVar("y"))
+    return Derivation(dd.ForallE(TVar("y")), Sequent((), goal), (outer,))
+
+
+def _graft_into(body: Derivation, repl: Derivation) -> Derivation:
+    """imply-e over imply-i u with body, applied to repl."""
+    hyp, goal = body.conclusion.context[0][1], body.conclusion.goal
+    lam = Derivation(dd.ImplyI("u"), Sequent((), Imply(hyp, goal)), (body,))
+    return Derivation(dd.ImplyE(), Sequent((), goal), (lam, repl))
+
+
+def _pair(ctx, left: Derivation, right: Derivation) -> Derivation:
+    goal = And(left.conclusion.goal, right.conclusion.goal)
+    return Derivation(dd.AndI(), Sequent(ctx, goal), (left, right))
+
+
+def _clashing_labels() -> Derivation:
+    """A graft whose replacement discharges k twice, and so does its body:
+    both of repl's k are renamed, apart, and stay in the normal form."""
+    a, b = Atom("=", (tnum(1), tnum(1))), Atom("=", (tnum(2), tnum(2)))
+
+    def lam(ctx):
+        leaf = Derivation(dd.AtomI(), Sequent(ctx + (("k", b),), a))
+        return Derivation(dd.ImplyI("k"), Sequent(ctx, Imply(b, a)), (leaf,))
+
+    repl = _pair((), lam(()), lam(()))
+    ctx = (("u", repl.conclusion.goal),)
+    return _graft_into(_pair(ctx, dd.assume(ctx, "u"), lam(ctx)), repl)
+
+
+def _clashing_binders() -> Derivation:
+    """A graft whose replacement binds v in two inductions over an open
+    main term, and whose body binds v too: both inductions are renamed."""
+    v, n = TVar("v"), TVar("n")
+
+    def ind():
+        sv = TApp("S", (v,))
+        step = Derivation(dd.AtomPost("refl"),
+                          Sequent((("ih", Atom("=", (v, v))),), Atom("=", (sv, sv))))
+        base = Derivation(dd.AtomPost("refl"), Sequent((), Atom("=", (tnum(0), tnum(0)))))
+        return Derivation(dd.Ind("ih", "v", Atom("=", (v, v)), n),
+                          Sequent((), Atom("=", (n, n))), (base, step))
+
+    repl = _pair((), ind(), ind())
+    ctx = (("u", repl.conclusion.goal),)
+    refl = Derivation(dd.AtomPost("refl"), Sequent(ctx, Atom("=", (v, v))))
+    alls = Derivation(dd.ForallI("v"), Sequent(ctx, Forall("v", refl.conclusion.goal)), (refl,))
+    return _graft_into(_pair(ctx, dd.assume(ctx, "u"), alls), repl)
+
+
+@functools.cache
+def _inputs():
+    """(name, derivation, keyword arguments) triples."""
+    pf = corpus.corpus_file()
+    out = [(f"corpus/{name}", d, dict(rels=pf.rels, fns=pf.fns)) for name, d in pf.derivs.items()]
+    bench = gen.bench_gen()
+    for seed in range(3):
+        rng = bench.Stratified(f"rebuild/{seed}")
+        for depth in range(1, 5):
+            out.append((f"em/{seed}/{depth}", bench.em_chain(rng, depth), {}))
+            out.append((f"em-wrapped/{seed}/{depth}", bench.em_chain(rng, depth, True), {}))
+        counts = list(range(1, 9))
+        for c, kinds in zip(counts, bench.cut_kinds(rng, counts)):
+            out.append((f"cuts/{seed}/{c}", bench.sigma01_cuts(rng, kinds), {}))
+    out += [(f"ind/{n}", bench.ind_n(n), {}) for n in range(2, 7)]
+    out += [(f"square/{n}", bench.square(n), {}) for n in range(4, 9)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        out += [
+            (f"cuts3/{seed}", gen.with_random_cuts(rng, gen.closed_true_derivation(rng, (), 2), 3), {}),
+            (f"sigma01/{seed}", gen.sigma01_derivation(rng, cuts=2)[0], {}),
+            (f"em-cut/{seed}", gen.with_random_cuts(rng, gen.em_derivation(rng), 2), {}),
+            (f"ind-cut/{seed}", gen.with_random_cuts(rng, gen.ind_derivation(rng), 1), {}),
+            (f"cind/{seed}", gen.cind_derivation(rng), {}),
+        ]
+    for split in sorted(_BRANCHES):
+        for elim in _ELIMS:
+            out.append((f"permute/{split}/{elim}", _eliminate(elim, _split(split, _major_proof(elim))), {}))
+    out += [("capture", _capture(), {}), ("clashing-labels", _clashing_labels(), {}),
+            ("clashing-binders", _clashing_binders(), {})]
+    for name, d, kw in out:
+        dd.check_derivation(d, kw.get("rels", arith.RELATIONS), kw.get("fns", arith.FUNCTIONS))
+    return out
+
+
+def _outcome(d, **kw):
+    trace = []
+    try:
+        return "normal", nz.normalize_derivation(d, trace=trace, **kw), trace
+    except nz.FuelExhausted as e:
+        return "fuel", (e.steps, e.derivation), trace
+    except (nz.NormalizationError, dd.DeductionError, arith.ArithError) as e:
+        return type(e), str(e), trace
+
+
+@pytest.mark.parametrize("simplify", [True, False])
+def test_normalization_matches_the_recursive_rebuilders(monkeypatch, simplify):
+    new = {name: _outcome(d, simplify=simplify, **kw) for name, d, kw in _inputs()}
+    calls = {}
+    with monkeypatch.context() as m:
+        _use_references(m, calls)
+        old = {name: _outcome(d, simplify=simplify, **kw) for name, d, kw in _inputs()}
+    for name in new:
+        assert new[name] == old[name], name
+    assert new["capture"][0] is nz.HygieneError
+    # every reference took part
+    assert set(calls) == {"weaken", "subst_derivation", "_rename", "_strengthen", "_graft",
+                          "_subst_hygienic"}, calls
+
+
+def _result(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (dd.DeductionError, arith.ArithError) as e:
+        return type(e), str(e)
+
+
+@functools.cache
+def _subtrees():
+    """The distinct subtrees of the inputs that are proper derivations."""
+    seen = {}
+    for _, d, _ in _inputs():
+        for _, node in dd.walk(d):
+            seen.setdefault(id(node), node)
+    return list(seen.values())
+
+
+def _binders(d):
+    return sorted({n.rule.var for _, n in dd.walk(d)
+                   if dd.RULE_SHAPES[type(n.rule)].binds is not None})
+
+
+def test_subst_derivation_matches_the_recursive_one():
+    errors = set()
+    for node in _subtrees():
+        names = sorted(dd.free_term_vars(node)) + _binders(node)
+        terms = [tnum(2), TApp("+", (TVar("n"), tnum(1)))] + [TVar(v) for v in names]
+        for var in names:
+            for t in terms:
+                got = _result(dd.subst_derivation, node, var, t)
+                assert got == _result(ref.subst_derivation, node, var, t), (node, var, t)
+                errors.add(got[0])
+    assert dd.CaptureRisk in errors and "ok" in errors
+
+
+def test_weaken_matches_the_recursive_one():
+    errors = set()
+    fact = Atom("=", (tnum(1), tnum(1)))
+    for node in _subtrees():
+        n = len(node.conclusion.context)
+        for label in ["fresh"] + sorted(dd._labels_inside(node)):
+            for at in (0, n, n + 1):
+                got = _result(dd.weaken, node, ((label, fact),), at)
+                assert got == _result(ref.weaken, node, ((label, fact),), at), (node, label, at)
+                errors.add(got[0])
+    assert {dd.DischargeMismatch, dd.DeductionError, "ok"} <= errors
+
+
+def test_rebuild_rejects_a_wrong_number_of_premiss_states():
+    leaf = Derivation(dd.AtomI(), Sequent((), Atom("top")))
+    d = Derivation(dd.AndEL(), Sequent((), Atom("top")), (leaf,))
+    with pytest.raises(dd.DeductionError, match="states for"):
+        dd.rebuild(d, lambda node, _: (node.rule, node.conclusion, ()))
+    same = dd.rebuild(d, lambda node, _: (node.rule, node.conclusion, (True,) * len(node.premisses)))
+    assert same is d
