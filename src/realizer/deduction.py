@@ -35,10 +35,15 @@ names the formulas its discharging premisses assume.  Free variables,
 substitution, label collection and the normalizer's relabelling and binder
 renaming read the same entry.
 
-Every rewrite of a derivation is one local edit per node through rebuild,
-which walks the tree on an explicit stack: substitution and renaming
-(_rename), weakening, and the normalizer's grafting and strengthening.  So
-derivations of any depth are rewritten without recursion.
+Four loops here walk a derivation's nodes, each on an explicit stack, so
+derivations of any depth are walked without recursion.  walk yields the
+nodes in preorder for the scans that read one node at a time: uses_label,
+_labels_inside and the normalizer's variable and query scans.  rebuild
+makes one local edit per node: substitution and renaming (_rename),
+weakening, and the normalizer's grafting, strengthening and term
+normalization.  check_derivation checks in preorder with a trail per node,
+from which an error's premiss path is built, and skips subtrees checked
+before.  free_term_vars folds bottom-up over a memo.
 """
 
 from __future__ import annotations
@@ -292,27 +297,20 @@ def seq(context: Context, goal: Formula) -> Sequent:
     return Sequent(tuple(context), goal)
 
 
-def walk(d: Derivation, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Derivation]]:
-    """Every node of d with its premiss path, in preorder."""
-    stack = [(path, d)]
+def walk(d: Derivation) -> Iterator[Derivation]:
+    """Every node of d in preorder, left to right."""
+    stack = [d]
     while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in range(len(node.premisses) - 1, -1, -1):
-            stack.append((path + (i,), node.premisses[i]))
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.premisses))
 
 
 def uses_label(d: Derivation, label: str) -> bool:
     """Does any id leaf of d consume the assumption named label?"""
     # a premiss that rebinds the label would shadow it; the checker forbids
     # rebinding, so every id leaf counts
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if isinstance(node.rule, Id) and node.rule.label == label:
-            return True
-        stack.extend(node.premisses)
-    return False
+    return any(isinstance(n.rule, Id) and n.rule.label == label for n in walk(d))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +373,7 @@ Edit = Derivation | tuple[RuleKind, Sequent, Sequence[object]]
 
 
 def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
-            state: object = True) -> Derivation:
+            state: object = True, memo: Optional[dict] = None) -> Derivation:
     """d rebuilt by one local edit per node, on an explicit stack.
 
     enter(node, state) is called on the nodes the walk reaches, in preorder
@@ -385,6 +383,11 @@ def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
     state, or kept as it is when the state is None.  A node whose rule,
     sequent and premisses all come back as the same objects is returned as
     itself.
+
+    memo, when given, maps (id(node), state) to (node, result) for the nodes
+    already rebuilt, which are not entered again, and receives every node
+    this call assembles, its result too: a memo is for edits that give a
+    result back unchanged when it is rebuilt with the same state.
     """
     done: list[Derivation] = []  # rebuilt subtrees, in postorder
     # (node, state, None) to enter a node; (node, state, its edit) to
@@ -394,6 +397,9 @@ def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
         node, state, edit = stack.pop()
         prem = node.premisses
         if edit is None:
+            if memo is not None and (id(node), state) in memo:
+                done.append(memo[id(node), state][1])
+                continue
             edit = node if state is None else enter(node, state)
             if isinstance(edit, Derivation):
                 done.append(edit)
@@ -409,9 +415,13 @@ def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
             new = tuple(done[len(done) - len(prem):])
             del done[len(done) - len(prem):]
         rule, concl, _ = edit
+        out = node
         if rule is not node.rule or concl is not node.conclusion or not all(map(is_, new, prem)):
-            node = Derivation(rule, concl, new)
-        done.append(node)
+            out = Derivation(rule, concl, new)
+        if memo is not None:
+            memo[id(node), state] = (node, out)
+            memo[id(out), state] = (out, out)
+        done.append(out)
     return done[0]
 
 
@@ -897,7 +907,7 @@ def ex_falso(bottom: Derivation, goal: Formula) -> Derivation:
 
 def _labels_inside(d: Derivation) -> set[str]:
     out: set[str] = set()
-    for _, node in walk(d):
+    for node in walk(d):
         out.update(node.conclusion.labels())
         if isinstance(node.rule, Id) or RULE_SHAPES[type(node.rule)].discharges:
             out.add(node.rule.label)

@@ -90,7 +90,7 @@ def _check_sound(rel: str, args: tuple[int, ...], witness: int, rels: Rels) -> N
 class State:
     """Finite sound partial map; build with State.empty().extended(...)."""
 
-    entries: tuple[tuple[Key, int], ...] = ()
+    _witnesses: Mapping[Key, int] = field(default_factory=dict)
 
     @staticmethod
     def empty() -> "State":
@@ -100,28 +100,30 @@ class State:
     def of(entries: Mapping[Key, int], rels: Rels) -> "State":
         for (rel, args), witness in entries.items():
             _check_sound(rel, tuple(args), witness, rels)
-        return State(tuple(sorted(((rel, tuple(args)), w) for (rel, args), w in entries.items())))
+        return State({(rel, tuple(args)): w for (rel, args), w in entries.items()})
+
+    @property
+    def entries(self) -> tuple[tuple[Key, int], ...]:
+        """The entries sorted by key, the order they print in."""
+        return tuple(sorted(self._witnesses.items()))
 
     def mapping(self) -> dict[Key, int]:
-        return dict(self.entries)
+        return dict(self._witnesses)
 
     def get(self, key: Key) -> Optional[int]:
-        for k, w in self.entries:
-            if k == key:
-                return w
-        return None
+        return self._witnesses.get(key)
 
     def leq(self, other: "State") -> bool:
-        theirs = other.mapping()
-        return all(theirs.get(k) == w for k, w in self.entries)
+        return all(other._witnesses.get(k) == w for k, w in self._witnesses.items())
 
     def with_entry(self, key: Key, witness: int) -> "State":
-        items = dict(self.entries)
-        items[key] = witness
-        return State(tuple(sorted(items.items())))
+        return State({**self._witnesses, key: witness})
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._witnesses)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._witnesses.items()))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,13 @@ collapse to that branch.
 Each kind has one entry in the table _KINDS: a pattern that tells whether a
 node is a head cut of that kind (and names its detail, e.g. "and-left"), the
 reducer that rewrites such a node, and whether the kind needs simplify.
-find_head_cut tries the patterns in table order at every principal node;
-apply_head_reduction re-runs the cut's pattern, so a stale cut raises
+One breadth-first walk, _principal, yields the nodes on principal branches,
+outermost first and left to right among equals, each with a parent-link
+trail.  find_head_cut tries the patterns in table order at each of them and
+builds a premiss path only for the cut it returns; the excluded-middle
+witness pattern looks for closed queries along the left branch's principal
+branches; check_open_normal compares rule phases across each principal
+edge.  apply_head_reduction re-runs the cut's pattern, so a stale cut raises
 InvalidCut, and then calls its reducer.  Both permutation kinds share one
 reducer, which pushes the elimination into every branch of the discharging
 rule above it.  Which premisses a rule discharges its label in, and which
@@ -31,7 +36,8 @@ one binds its variable, is read from deduction.RULE_SHAPES, by that reducer
 and by the relabelling and binder renaming that keep grafts hygienic.  Every
 reducer rewrites through deduction.rebuild, one local edit per node on an
 explicit stack: grafting, substituting, weakening, strengthening and
-renaming handle bodies of any depth.
+renaming handle bodies of any depth, and norm_terms is one more edit
+through it.
 
 Reductions preserve the root sequent and never invent assumptions or free
 term variables.  After every rewrite normalize_derivation term-normalizes
@@ -129,29 +135,35 @@ class HeadCut:
     detail: str = ""
 
 
-_PROPER_MATCH: dict[type, tuple[type, ...]] = {
-    dd.AndEL: (dd.AndI,),
-    dd.AndER: (dd.AndI,),
-    dd.OrE: (dd.OrIL, dd.OrIR),
-    dd.ImplyE: (dd.ImplyI,),
-    dd.ForallE: (dd.ForallI,),
-    dd.ExistsE: (dd.ExistsI,),
-}
-
-# proper cuts drop the side: "and-left" and "and-right" are both "and"
-_ELIM_NAME = {
-    dd.AndEL: "and-left",
-    dd.AndER: "and-right",
-    dd.OrE: "or",
-    dd.ImplyE: "imply",
-    dd.ForallE: "forall",
-    dd.ExistsE: "exists",
+# elimination -> its name in cut details, and the introductions it cuts
+# against; proper cuts drop the side: "and-left" and "and-right" are both "and"
+_ELIMINATIONS: dict[type, tuple[str, tuple[type, ...]]] = {
+    dd.AndEL: ("and-left", (dd.AndI,)),
+    dd.AndER: ("and-right", (dd.AndI,)),
+    dd.OrE: ("or", (dd.OrIL, dd.OrIR)),
+    dd.ImplyE: ("imply", (dd.ImplyI,)),
+    dd.ForallE: ("forall", (dd.ForallI,)),
+    dd.ExistsE: ("exists", (dd.ExistsI,)),
 }
 
 
-def _major_limited(rule) -> bool:
-    """Do principal branches have to enter this rule through premiss 0?"""
-    return isinstance(rule, dd.ELIM_RULES) or isinstance(rule, dd.EM)
+# a principal branch enters these rules through their major premiss only
+_MAJOR_ONLY = (*dd.ELIM_RULES, dd.EM)
+
+
+def _principal_premisses(node: Derivation) -> tuple[Derivation, ...]:
+    return node.premisses[:1] if isinstance(node.rule, _MAJOR_ONLY) else node.premisses
+
+
+def _principal(d: Derivation) -> Iterator[tuple[Derivation, dd.Trail]]:
+    """Every node on a principal branch of d with its trail, breadth first:
+    outermost first, left to right among equals."""
+    queue: deque[tuple[Derivation, dd.Trail]] = deque([(d, None)])
+    while queue:
+        node, trail = queue.popleft()
+        yield node, trail
+        for i, p in enumerate(_principal_premisses(node)):
+            queue.append((p, (trail, i)))
 
 
 def _at(d: Derivation, path: tuple[int, ...]) -> Derivation:
@@ -180,22 +192,6 @@ def _closed_query(n: Derivation, label: str) -> bool:
             and n.premisses[0].rule == dd.Id(label) and not free_vars(n.conclusion.goal))
 
 
-def _principal_closed_instance(left: Derivation, label: str) -> bool:
-    """Is the universal assumption queried at a closed point on a principal
-    path of the branch derivation?"""
-    stack = [left]
-    while stack:
-        n = stack.pop()
-        if _closed_query(n, label):
-            return True
-        if n.premisses:
-            if _major_limited(n.rule):
-                stack.append(n.premisses[0])
-            else:
-                stack.extend(n.premisses)
-    return False
-
-
 def _major(node: Derivation):
     """The major premiss's rule when node is an elimination."""
     if isinstance(node.rule, dd.ELIM_RULES) and node.premisses:
@@ -208,18 +204,17 @@ def _major(node: Derivation):
 
 
 def _proper_cut(node: Derivation, fns) -> Optional[str]:
-    if isinstance(_major(node), _PROPER_MATCH.get(type(node.rule), ())):
-        return _ELIM_NAME[type(node.rule)].partition("-")[0]
-    return None
+    name, intros = _ELIMINATIONS.get(type(node.rule), ("", ()))
+    return name.partition("-")[0] if isinstance(_major(node), intros) else None
 
 
 def _em_permute_cut(node: Derivation, fns) -> Optional[str]:
-    return _ELIM_NAME[type(node.rule)] if isinstance(_major(node), dd.EM) else None
+    return _ELIMINATIONS[type(node.rule)][0] if isinstance(_major(node), dd.EM) else None
 
 
 def _or_exists_permute_cut(node: Derivation, fns) -> Optional[str]:
     major = _major(node)
-    return _ELIM_NAME[type(major)] if isinstance(major, (dd.OrE, dd.ExistsE)) else None
+    return _ELIMINATIONS[type(major)][0] if isinstance(major, (dd.OrE, dd.ExistsE)) else None
 
 
 def _ind_cut(node: Derivation, fns) -> Optional[str]:
@@ -232,8 +227,9 @@ def _ind_cut(node: Derivation, fns) -> Optional[str]:
 
 def _em_witness_cut(node: Derivation, fns) -> Optional[str]:
     rule, prem = node.rule, node.premisses
-    if isinstance(rule, dd.EM) and (not dd.uses_label(prem[0], rule.label)
-                                    or _principal_closed_instance(prem[0], rule.label)):
+    if isinstance(rule, dd.EM) and (
+            not dd.uses_label(prem[0], rule.label)
+            or any(_closed_query(n, rule.label) for n, _ in _principal(prem[0]))):
         return ""
     return None
 
@@ -251,31 +247,18 @@ def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
     return None
 
 
-def _cut_at(node: Derivation, path: tuple[int, ...], simplify: bool, fns) -> Optional[HeadCut]:
-    for kind, (pattern, _, simplify_only) in _KINDS.items():
-        if simplify or not simplify_only:
-            detail = pattern(node, fns)
-            if detail is not None:
-                return HeadCut(path, kind, detail)
-    return None
-
-
 def find_head_cut(
     d: Derivation,
     simplify: bool = True,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
 ) -> Optional[HeadCut]:
     """Outermost head cut on a principal branch, leftmost among equals."""
-    queue: deque[tuple[tuple[int, ...], Derivation, bool]] = deque([((), d, True)])
-    while queue:
-        path, node, principal = queue.popleft()
-        if principal:
-            cut = _cut_at(node, path, simplify, fns)
-            if cut is not None:
-                return cut
-        limited = _major_limited(node.rule)
-        for i, p in enumerate(node.premisses):
-            queue.append((path + (i,), p, principal and (i == 0 or not limited)))
+    for node, trail in _principal(d):
+        for kind, (pattern, _, simplify_only) in _KINDS.items():
+            if simplify or not simplify_only:
+                detail = pattern(node, fns)
+                if detail is not None:
+                    return HeadCut(dd._path(trail), kind, detail)
     return None
 
 
@@ -286,7 +269,7 @@ def find_head_cut(
 def _all_term_vars(d: Derivation) -> set[str]:
     """Every variable visible anywhere in d: free, bound, or in a rule term."""
     out: set[str] = set()
-    for _, n in dd.walk(d):
+    for n in dd.walk(d):
         out |= dd._formula_vars_of_node(n)
         out |= dd._rule_term_vars(n.rule)
         if dd.RULE_SHAPES[type(n.rule)].binds is not None:
@@ -364,7 +347,7 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
         raise NormalizationError(f"label {label} is not free at the graft root")
     # scan body for its term variables only when repl has a binder to rename
     binders = any(sh.binds is not None and sh.renamable
-                  for sh in (dd.RULE_SHAPES[type(n.rule)] for _, n in dd.walk(repl)))
+                  for sh in (dd.RULE_SHAPES[type(n.rule)] for n in dd.walk(repl)))
     repl = _freshen(repl, dd._labels_inside(body), _all_term_vars(body) if binders else ())
 
     def enter(node: Derivation, _) -> dd.Edit:
@@ -423,7 +406,7 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
     left, right = node.premisses
     univ = left.conclusion.lookup(rule.label)
     refuted = next(
-        (n for _, n in dd.walk(left) if _closed_query(n, rule.label)
+        (n for n in dd.walk(left) if _closed_query(n, rule.label)
          and not atomic_truth(norm_formula(n.conclusion.goal, fns), rels, fns)),
         None,
     )
@@ -499,8 +482,8 @@ def _reduce_immediate_simpl(node: Derivation, rels, fns) -> Derivation:
     return _strengthen(branch, label)
 
 
-# kind -> (pattern, reducer, enabled only with simplify); _cut_at tries the
-# kinds in this order
+# kind -> (pattern, reducer, enabled only with simplify); find_head_cut tries
+# the kinds in this order
 _KINDS = {
     PROPER: (_proper_cut, _reduce_proper, False),
     EM_PERMUTE: (_em_permute_cut, _reduce_permute, False),
@@ -554,31 +537,12 @@ def norm_terms(
     normalized, results included, and receives the rest; normalize_derivation
     shares one across its rewrites, so each node is normalized once.
     """
-    memo = {} if memo is None else memo
-    # (node, keep_goal, its normalized rule and sequent once its premisses
-    # are queued); terms are normalized in preorder, nodes built in postorder
-    stack: list[tuple[Derivation, bool, Optional[tuple]]] = [(d, False, None)]
-    while stack:
-        node, keep, parts = stack.pop()
-        if (id(node), keep) in memo:
-            continue
+    def enter(node: Derivation, keep: bool) -> dd.Edit:
         post = isinstance(node.rule, dd.AtomPost)
-        if parts is None:
-            concl = dd._map_sequent(node.conclusion, keep or post, norm_formula, fns)
-            stack.append((node, keep, (dd._map_rule(node.rule, norm_aterm, norm_formula, fns),
-                                       concl)))
-            stack.extend((p, post, None) for p in reversed(node.premisses))
-            continue
-        rule, concl = parts
-        prem = tuple(memo[id(p), post][1] for p in node.premisses)
-        if (rule is node.rule and concl is node.conclusion
-                and all(n is p for n, p in zip(prem, node.premisses))):
-            new = node
-        else:
-            new = Derivation(rule, concl, prem)
-        memo[id(node), keep] = (node, new)
-        memo[id(new), keep] = (new, new)
-    return memo[id(d), False][1]
+        return (dd._map_rule(node.rule, norm_aterm, norm_formula, fns),
+                dd._map_sequent(node.conclusion, keep or post, norm_formula, fns),
+                (post,) * len(node.premisses))
+    return dd.rebuild(d, enter, False, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -673,17 +637,11 @@ def extract_witness(
 # shape of normal derivations
 
 
-def principal_branches(d: Derivation) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Node paths of every principal branch, root first, leaf last."""
-    stack = [(d, (), ())]
-    while stack:
-        node, path, acc = stack.pop()
-        acc += (path,)
-        if not node.premisses:
-            yield acc
-            continue
-        n = 1 if _major_limited(node.rule) else len(node.premisses)
-        stack.extend((node.premisses[i], path + (i,), acc) for i in range(n - 1, -1, -1))
+def _phase(rule: dd.RuleKind) -> int:
+    """Eliminations 0, introductions 2, every other rule 1."""
+    if isinstance(rule, dd.ELIM_RULES):
+        return 0
+    return 2 if isinstance(rule, dd.INTRO_RULES) else 1
 
 
 def check_open_normal(
@@ -702,17 +660,9 @@ def check_open_normal(
         return False
     if norm_terms(d, fns) != d:
         return False
-    for branch in principal_branches(d):
-        phase = 0
-        for path in reversed(branch[:-1]):
-            rule = _at(d, path).rule
-            if isinstance(rule, dd.ELIM_RULES):
-                k = 0
-            elif isinstance(rule, dd.INTRO_RULES):
-                k = 2
-            else:
-                k = 1
-            if k < phase:
-                return False
-            phase = k
+    # so, leaves aside, no principal premiss is in a later phase than its rule
+    for node, _ in _principal(d):
+        k = _phase(node.rule)
+        if any(p.premisses and _phase(p.rule) > k for p in _principal_premisses(node)):
+            return False
     return True

@@ -128,7 +128,7 @@ def with_random_cuts(rng: random.Random, d: Derivation, rounds: int = 1) -> Deri
 
 def _rule_bound_vars(d: Derivation) -> frozenset[str]:
     out: set[str] = set()
-    for _, node in dd.walk(d):
+    for node in dd.walk(d):
         match node.rule:
             case dd.ForallI(var) | dd.EM(_, var) | dd.ExistsE(_, var) | dd.CInd(_, var):
                 out.add(var)
@@ -294,7 +294,7 @@ def decoratable_derivation(rng: random.Random) -> Derivation:
     decorates after normalization."""
     from realizer import normalizer
     d = ha_em_derivation(rng)
-    if any(isinstance(node.rule, dd.Ind) for _, node in dd.walk(d)):
+    if any(isinstance(node.rule, dd.Ind) for node in dd.walk(d)):
         d = normalizer.normalize_derivation(d)
     return d
 

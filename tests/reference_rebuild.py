@@ -1,28 +1,60 @@
-"""The recursive derivation rebuilders that deduction.rebuild replaced,
-kept as a test oracle.
+"""The derivation rebuilders and walkers that deduction.rebuild,
+deduction.walk and the normalizer's principal walk replaced, kept as test
+oracles.
 
 weaken and subst_derivation as deduction had them, and the normalizer's
 relabelling, binder renaming, freshening, strengthening and grafting, each
 its own recursive walk.  They recurse once per derivation level, so they
 serve only inputs a few hundred levels deep.
+
+walk with premiss paths, uses_label, and the normalizer's head-cut search,
+principal branches and normal-form test as they were, each its own loop,
+with the cut patterns and the elimination tables they read.  They copy a
+path for every node they visit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from typing import Iterator, Optional
 
 from realizer import arith
 from realizer import deduction as dd
+from realizer import normalizer as nz
 from realizer.arith import ATerm, TVar, aterm_vars, subst_aterm, subst_formula
 from realizer.deduction import (
     CaptureRisk, Context, DeductionError, DischargeMismatch, Derivation, ExistsI, ForallE,
     Ind, RULE_SHAPES, RuleKind, Sequent, free_term_vars,
 )
-from realizer.normalizer import HygieneError, NormalizationError
+from realizer.normalizer import HeadCut, HygieneError, NormalizationError
 
 
 # ---------------------------------------------------------------------------
 # deduction
+
+
+def walk(d: Derivation, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Derivation]]:
+    """Every node of d with its premiss path, in preorder."""
+    stack = [(path, d)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.premisses) - 1, -1, -1):
+            stack.append((path + (i,), node.premisses[i]))
+
+
+def uses_label(d: Derivation, label: str) -> bool:
+    """Does any id leaf of d consume the assumption named label?"""
+    # a premiss that rebinds the label would shadow it; the checker forbids
+    # rebinding, so every id leaf counts
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node.rule, dd.Id) and node.rule.label == label:
+            return True
+        stack.extend(node.premisses)
+    return False
 
 
 def _subst_context(ctx: Context, var: str, t: ATerm) -> Context:
@@ -125,7 +157,7 @@ def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
     """Rename every discharging label of d that lies in avoid; d itself
     when none does."""
     if not any(dd.RULE_SHAPES[type(n.rule)].discharges and n.rule.label in avoid
-               for _, n in dd.walk(d)):
+               for _, n in walk(d)):
         return d
     taken = set(avoid) | dd._labels_inside(d)
 
@@ -145,7 +177,7 @@ def _freshen_labels(d: Derivation, avoid: set[str]) -> Derivation:
 def _all_term_vars(d: Derivation) -> set[str]:
     """Every variable visible anywhere in d: free, bound, or in a rule term."""
     out: set[str] = set()
-    for _, n in dd.walk(d):
+    for _, n in walk(d):
         out |= dd._formula_vars_of_node(n)
         out |= dd._rule_term_vars(n.rule)
         if dd.RULE_SHAPES[type(n.rule)].binds is not None:
@@ -155,7 +187,7 @@ def _all_term_vars(d: Derivation) -> set[str]:
 
 def _renamable_binders(d: Derivation) -> set[str]:
     out = set()
-    for _, n in dd.walk(d):
+    for _, n in walk(d):
         shape = dd.RULE_SHAPES[type(n.rule)]
         if shape.binds is not None and shape.renamable:
             out.add(n.rule.var)
@@ -233,3 +265,175 @@ def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
                           tuple(go(p) for p in node.premisses))
 
     return go(body)
+
+
+# ---------------------------------------------------------------------------
+# head cuts and principal branches
+
+
+_PROPER_MATCH: dict[type, tuple[type, ...]] = {
+    dd.AndEL: (dd.AndI,),
+    dd.AndER: (dd.AndI,),
+    dd.OrE: (dd.OrIL, dd.OrIR),
+    dd.ImplyE: (dd.ImplyI,),
+    dd.ForallE: (dd.ForallI,),
+    dd.ExistsE: (dd.ExistsI,),
+}
+
+# proper cuts drop the side: "and-left" and "and-right" are both "and"
+_ELIM_NAME = {
+    dd.AndEL: "and-left",
+    dd.AndER: "and-right",
+    dd.OrE: "or",
+    dd.ImplyE: "imply",
+    dd.ForallE: "forall",
+    dd.ExistsE: "exists",
+}
+
+
+def _major_limited(rule) -> bool:
+    """Do principal branches have to enter this rule through premiss 0?"""
+    return isinstance(rule, dd.ELIM_RULES) or isinstance(rule, dd.EM)
+
+
+def _principal_closed_instance(left: Derivation, label: str) -> bool:
+    """Is the universal assumption queried at a closed point on a principal
+    path of the branch derivation?"""
+    stack = [left]
+    while stack:
+        n = stack.pop()
+        if nz._closed_query(n, label):
+            return True
+        if n.premisses:
+            if _major_limited(n.rule):
+                stack.append(n.premisses[0])
+            else:
+                stack.extend(n.premisses)
+    return False
+
+
+def _major(node: Derivation):
+    """The major premiss's rule when node is an elimination."""
+    if isinstance(node.rule, dd.ELIM_RULES) and node.premisses:
+        return node.premisses[0].rule
+    return None
+
+
+def _proper_cut(node: Derivation, fns) -> Optional[str]:
+    if isinstance(_major(node), _PROPER_MATCH.get(type(node.rule), ())):
+        return _ELIM_NAME[type(node.rule)].partition("-")[0]
+    return None
+
+
+def _em_permute_cut(node: Derivation, fns) -> Optional[str]:
+    return _ELIM_NAME[type(node.rule)] if isinstance(_major(node), dd.EM) else None
+
+
+def _or_exists_permute_cut(node: Derivation, fns) -> Optional[str]:
+    major = _major(node)
+    return _ELIM_NAME[type(major)] if isinstance(major, (dd.OrE, dd.ExistsE)) else None
+
+
+def _ind_cut(node: Derivation, fns) -> Optional[str]:
+    if isinstance(node.rule, dd.Ind):
+        mt = arith.norm_aterm(node.rule.main, fns)
+        if mt == arith.TApp("0") or (isinstance(mt, arith.TApp) and mt.fn == "S"):
+            return ""
+    return None
+
+
+def _em_witness_cut(node: Derivation, fns) -> Optional[str]:
+    rule, prem = node.rule, node.premisses
+    if isinstance(rule, dd.EM) and (not uses_label(prem[0], rule.label)
+                                    or _principal_closed_instance(prem[0], rule.label)):
+        return ""
+    return None
+
+
+def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
+    rule, prem = node.rule, node.premisses
+    if isinstance(rule, dd.OrE):
+        if not uses_label(prem[1], rule.label) or not uses_label(prem[2], rule.label):
+            return "or"
+    if isinstance(rule, dd.ExistsE):
+        # the unused witness hypothesis may mention the variable; drop it first
+        if (not uses_label(prem[1], rule.label)
+                and rule.var not in dd.free_term_vars(nz._strengthen(prem[1], rule.label))):
+            return "exists"
+    return None
+
+
+# kind -> (pattern, enabled only with simplify), in the order _cut_at tries them
+_KINDS = {
+    nz.PROPER: (_proper_cut, False),
+    nz.EM_PERMUTE: (_em_permute_cut, False),
+    nz.OR_EXISTS_PERMUTE: (_or_exists_permute_cut, True),
+    nz.IND: (_ind_cut, False),
+    nz.EM_WITNESS: (_em_witness_cut, False),
+    nz.IMMEDIATE_SIMPL: (_immediate_simpl_cut, True),
+}
+
+
+def _cut_at(node: Derivation, path: tuple[int, ...], simplify: bool, fns) -> Optional[HeadCut]:
+    for kind, (pattern, simplify_only) in _KINDS.items():
+        if simplify or not simplify_only:
+            detail = pattern(node, fns)
+            if detail is not None:
+                return HeadCut(path, kind, detail)
+    return None
+
+
+def find_head_cut(d: Derivation, simplify: bool = True,
+                  fns=arith.FUNCTIONS) -> Optional[HeadCut]:
+    """Outermost head cut on a principal branch, leftmost among equals."""
+    queue: deque[tuple[tuple[int, ...], Derivation, bool]] = deque([((), d, True)])
+    while queue:
+        path, node, principal = queue.popleft()
+        if principal:
+            cut = _cut_at(node, path, simplify, fns)
+            if cut is not None:
+                return cut
+        limited = _major_limited(node.rule)
+        for i, p in enumerate(node.premisses):
+            queue.append((path + (i,), p, principal and (i == 0 or not limited)))
+    return None
+
+
+def principal_branches(d: Derivation) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Node paths of every principal branch, root first, leaf last."""
+    stack = [(d, (), ())]
+    while stack:
+        node, path, acc = stack.pop()
+        acc += (path,)
+        if not node.premisses:
+            yield acc
+            continue
+        n = 1 if _major_limited(node.rule) else len(node.premisses)
+        stack.extend((node.premisses[i], path + (i,), acc) for i in range(n - 1, -1, -1))
+
+
+def check_open_normal(d: Derivation, *, simplify: bool = True, fns=arith.FUNCTIONS) -> bool:
+    """Structural test for head-normal derivations.
+
+    No head cut remains, arithmetic terms are normal, and read from the
+    assumption end every principal branch is a run of eliminations, then
+    atomic, induction and excluded-middle rules, then introductions.
+    """
+    if find_head_cut(d, simplify=simplify, fns=fns) is not None:
+        return False
+    if nz.norm_terms(d, fns) != d:
+        return False
+    for branch in principal_branches(d):
+        phase = 0
+        for path in reversed(branch[:-1]):
+            rule = nz._at(d, path).rule
+            if isinstance(rule, dd.ELIM_RULES):
+                k = 0
+            elif isinstance(rule, dd.INTRO_RULES):
+                k = 2
+            else:
+                k = 1
+            if k < phase:
+                return False
+            phase = k
+    return True

@@ -40,7 +40,7 @@ def test_c2_decoration_typing():
     done = 0
     for _ in range(200):
         d = gen.decoratable_derivation(rng)
-        has_em = any(isinstance(n.rule, dd.EM) for _, n in dd.walk(d))
+        has_em = any(isinstance(n.rule, dd.EM) for n in dd.walk(d))
         monads = (mn.INTERACTIVE,) if has_em else (mn.IDENTITY, mn.EXCEPTION, mn.INTERACTIVE)
         for m in monads:
             body = extraction.decorate(d, m)

@@ -133,7 +133,7 @@ def _assumed(d: Derivation, hyp) -> Derivation:
 def _mutants(d: Derivation, path=()):
     """(path, tag, whole derivation with one fault at path)."""
     if not path:
-        bound = {node.rule.var for _, node in dd.walk(d) if hasattr(node.rule, "var")}
+        bound = {node.rule.var for node in dd.walk(d) if hasattr(node.rule, "var")}
         for v in sorted(bound):
             yield path, f"open {v}", _assumed(d, ("zz", Atom("=", (TVar(v), TVar(v)))))
     for tag, m in _node_mutations(d):

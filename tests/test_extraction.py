@@ -57,7 +57,7 @@ def test_realizer_type_nests_through_connectives():
 def test_decorations_typecheck_in_context(seed):
     rng = random.Random(seed)
     d = gen.decoratable_derivation(rng)
-    has_em = any(isinstance(n.rule, dd.EM) for _, n in dd.walk(d))
+    has_em = any(isinstance(n.rule, dd.EM) for n in dd.walk(d))
     for m in (mn.INTERACTIVE,) if has_em else ALL:
         body = decorate(d, m)
         ctx = tuple(realizer_type(f, m) for _, f in reversed(d.conclusion.context))
@@ -114,7 +114,7 @@ def test_ha_realizers_run_regular_and_realize(seed):
 
 def _guessable(d):
     """Every EM matrix has the quantified variable as its own last argument."""
-    for _, node in dd.walk(d):
+    for node in dd.walk(d):
         if isinstance(node.rule, dd.EM):
             univ = node.premisses[0].conclusion.lookup(node.rule.label)
             args = univ.body.args
@@ -133,7 +133,7 @@ def test_corpus_realizers_run_regular():
             with pytest.raises(ex.UnsupportedRule):
                 extract(d, mn.INTERACTIVE, pf.rels, pf.fns)
             continue
-        if any(isinstance(n.rule, dd.Ind) for _, n in dd.walk(d)):
+        if any(isinstance(n.rule, dd.Ind) for n in dd.walk(d)):
             d = normalizer.normalize_derivation(d, rels=pf.rels, fns=pf.fns)
         t = extract(d, mn.INTERACTIVE, pf.rels, pf.fns)
         out = run_realizer(t, State.empty(), pf.rels)
@@ -428,7 +428,7 @@ def test_corpus_agrees_with_the_reference_construction():
     for name, d in pf.derivs.items():
         if not _guessable(d):
             continue
-        if any(isinstance(n.rule, dd.Ind) for _, n in dd.walk(d)):
+        if any(isinstance(n.rule, dd.Ind) for n in dd.walk(d)):
             d = normalizer.normalize_derivation(d, rels=pf.rels, fns=pf.fns)
         _agrees_with_reference(d, mn.INTERACTIVE, pf.rels, pf.fns)
         ran += 1
@@ -456,6 +456,6 @@ def test_generated_derivations_agree_with_the_reference_construction(seed):
           gen.with_random_cuts(rng, gen.em_derivation(rng), 2), gen.open_derivation(rng),
           gen.cind_derivation(rng)]
     for d in ds:
-        has_em = any(isinstance(n.rule, dd.EM) for _, n in dd.walk(d))
+        has_em = any(isinstance(n.rule, dd.EM) for n in dd.walk(d))
         for m in (mn.INTERACTIVE,) if has_em else ALL:
             _agrees_with_reference(d, m)

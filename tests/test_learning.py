@@ -1,8 +1,10 @@
 """Knowledge states, the state oracle, and the learning loop."""
 
 import logging
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizer import arith
 from realizer import learning as ln
@@ -39,6 +41,74 @@ def test_state_entries_sorted_canonically():
     b = State.of({("<", (3,)): 0, ("=", (7,)): 2}, RELS)
     assert a == b
     assert a.entries == tuple(sorted(a.entries))
+
+
+@dataclass(frozen=True)
+class _SortedState:
+    """State as it was: a sorted tuple of entries that get scans and every
+    extension re-sorts."""
+
+    entries: tuple = ()
+
+    @staticmethod
+    def of(entries, rels):
+        for (rel, args), witness in entries.items():
+            ln._check_sound(rel, tuple(args), witness, rels)
+        return _SortedState(tuple(sorted(((rel, tuple(args)), w) for (rel, args), w in entries.items())))
+
+    def get(self, key):
+        for k, w in self.entries:
+            if k == key:
+                return w
+        return None
+
+    def leq(self, other):
+        theirs = dict(other.entries)
+        return all(theirs.get(k) == w for k, w in self.entries)
+
+    def with_entry(self, key, witness):
+        items = dict(self.entries)
+        items[key] = witness
+        return _SortedState(tuple(sorted(items.items())))
+
+    def __len__(self):
+        return len(self.entries)
+
+
+class _Refuted:
+    """A relation that never holds, so every entry is sound."""
+
+    def __init__(self, name, arity):
+        self.name, self.arity = name, arity
+
+    def holds(self, args):
+        return False
+
+
+_REFUTED = {"p": _Refuted("p", 2), "q": _Refuted("q", 3)}
+_KEYS = [("p", (a,)) for a in range(3)] + [("q", (a, b)) for a in range(2) for b in range(2)]
+_ENTRIES = st.dictionaries(st.sampled_from(_KEYS), st.integers(0, 3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES, _ENTRIES, st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(0, 3)),
+                                    max_size=4))
+def test_state_matches_the_sorted_tuple_state(first, second, extensions):
+    def build(cls):
+        a, b = cls.of(first, _REFUTED), cls.of(second, _REFUTED)
+        for key, w in extensions:
+            a = a.with_entry(key, w)
+        return a, b
+
+    (a, b), (ra, rb) = build(State), build(_SortedState)
+    for s, r in ((a, ra), (b, rb)):
+        assert s.entries == r.entries
+        assert len(s) == len(r)
+        assert all(s.get(k) == r.get(k) for k in _KEYS)
+        # the same entries in another order make an equal state
+        assert State.of(dict(reversed(r.entries)), _REFUTED) == s
+    assert (a == b) == (ra == rb)
+    assert (a.leq(b), b.leq(a)) == (ra.leq(rb), rb.leq(ra))
 
 
 def test_state_of_validates_soundness():

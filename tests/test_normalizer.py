@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import re
+import time
 
 import pytest
 
@@ -72,7 +73,7 @@ def test_induction_unfolds_to_numeral_depth():
     d = gen.ind_derivation(random.Random(8))
     assert find_head_cut(d).kind == IND
     nd = normalize_derivation(d)
-    assert all(not isinstance(n.rule, dd.Ind) for _, n in dd.walk(nd))
+    assert all(not isinstance(n.rule, dd.Ind) for n in dd.walk(nd))
     assert _seq_eq(nd.conclusion, d.conclusion)
 
 
@@ -81,7 +82,7 @@ def test_em_witness_refuted_instance():
     d = pf.derivs["em-refuted"]
     trace: list[str] = []
     nd = normalize_derivation(d, trace=trace)
-    assert all(not isinstance(n.rule, dd.EM) for _, n in dd.walk(nd))
+    assert all(not isinstance(n.rule, dd.EM) for n in dd.walk(nd))
     assert any(line.startswith(f"{EM_WITNESS} at") for line in trace)
     assert isinstance(nd.rule, dd.ExistsI)
 
@@ -89,7 +90,7 @@ def test_em_witness_refuted_instance():
 def test_em_witness_granted_instances():
     pf = corpus.corpus_file()
     nd = normalize_derivation(pf.derivs["em-granted"])
-    assert all(not isinstance(n.rule, dd.EM) for _, n in dd.walk(nd))
+    assert all(not isinstance(n.rule, dd.EM) for n in dd.walk(nd))
     assert isinstance(nd.rule, dd.ExistsI)
     assert arith.reduce_aterm(nd.rule.term, {}) == KNOWN_WITNESSES["em-granted"]
 
@@ -145,7 +146,7 @@ def test_immediate_simplification_drops_dead_splits():
         d = gen._one_cut(rng, base)
     nd = normalize_derivation(d)
     assert all(not isinstance(n.rule, (dd.OrE, dd.ExistsE))
-               for _, n in dd.walk(nd))
+               for n in dd.walk(nd))
     assert nd == base
 
 
@@ -294,7 +295,7 @@ def test_permutation_pushes_the_elimination_into_every_branch(split, elim):
     dd.check_derivation(d)
     cut = find_head_cut(d)
     if split == "em":
-        assert cut == HeadCut((), EM_PERMUTE, nz._ELIM_NAME[type(d.rule)])
+        assert cut == HeadCut((), EM_PERMUTE, nz._ELIMINATIONS[type(d.rule)][0])
     else:
         assert cut == HeadCut((), OR_EXISTS_PERMUTE, split)
     new = apply_head_reduction(d, cut)
@@ -603,17 +604,66 @@ def test_check_open_normal_rejects_cuts_and_unnormalized_terms():
 def test_principal_branches_cover_intro_premisses():
     rng = random.Random(77)
     d = gen.closed_true_derivation(rng, (), 2)
-    branches = list(nz.principal_branches(d))
-    assert all(b[0] == () for b in branches)
-    leaves = {b[-1] for b in branches}
-    assert len(leaves) == len(branches)
+    paths = [dd._path(trail) for _, trail in nz._principal(d)]
+    # outermost first, left to right among equals, each node once
+    assert paths == sorted(set(paths), key=lambda p: (len(p), p))
+    # every premiss of an introduction is on a principal branch
+    for node, trail in nz._principal(d):
+        assert nz._at(d, dd._path(trail)) is node
+        if isinstance(node.rule, dd.INTRO_RULES):
+            assert all(dd._path(trail) + (i,) in paths for i in range(len(node.premisses)))
     # a deep normal form: one branch through 1200 posited rules
     xx = Atom("=", (TVar("x"), TVar("x")))
     deep = Derivation(dd.AtomPost("refl"), _s((), xx))
     for _ in range(1200):
         deep = Derivation(dd.AtomPost("sym"), _s((), xx), (deep,))
-    assert list(nz.principal_branches(deep)) == [tuple((0,) * k for k in range(1201))]
+    assert [dd._path(trail) for _, trail in nz._principal(deep)] == [(0,) * k for k in range(1201)]
     assert check_open_normal(deep)
+
+
+# ---------------------------------------------------------------------------
+# walkers in linear time
+
+
+def _and_tower(n: int) -> Derivation:
+    """n and-i nodes, each over the one below and an atom-i leaf, all with
+    one goal: the walkers read no formula, so the tower need not check."""
+    top = Atom("top")
+    d = Derivation(dd.AtomI(), _s((), top))
+    for _ in range(n):
+        d = Derivation(dd.AndI(), _s((), top), (d, Derivation(dd.AtomI(), _s((), top))))
+    return d
+
+
+def _sym_chain(n: int) -> Derivation:
+    xx = Atom("=", (TVar("x"), TVar("x")))
+    d = Derivation(dd.AtomPost("refl"), _s((), xx))
+    for _ in range(n):
+        d = Derivation(dd.AtomPost("sym"), _s((), xx), (d,))
+    return d
+
+
+_WALKERS = {
+    "walk": lambda d: sum(1 for _ in dd.walk(d)),
+    "labels_inside": dd._labels_inside,
+    "find_head_cut": find_head_cut,
+    "check_open_normal": check_open_normal,
+}
+
+
+@pytest.mark.parametrize("tower", [_and_tower, _sym_chain], ids=["and-i", "sym"])
+@pytest.mark.parametrize("walker", list(_WALKERS))
+def test_walkers_take_time_linear_in_depth(walker, tower):
+    def best_of_three(n: int) -> float:
+        d, times = tower(n), []
+        for _ in range(3):
+            start = time.perf_counter()
+            _WALKERS[walker](d)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # ten times the depth; copying a path per node made it about a hundred
+    assert best_of_three(10_000) <= 25 * best_of_three(1_000)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The one derivation rebuilder against the recursive rebuilders it replaced.
+"""The one derivation rebuilder and the two walkers against the code they
+replaced.
 
 Every rewrite in deduction and the normalizer is a per-node edit through
 deduction.rebuild.  reference_rebuild keeps the seven recursive rebuilders
@@ -6,6 +7,11 @@ that did that work before.  With the references monkeypatched in,
 normalize_derivation must reach the same normal form with the same trace,
 or raise the same error; weaken and subst_derivation must agree with their
 references directly, errors included.
+
+deduction.walk and the normalizer's principal walk replaced loops that
+copied a premiss path for every node.  On every derivation a normalization
+passes through, and on every subtree of the inputs, walk, uses_label,
+find_head_cut and check_open_normal must answer as those loops did.
 """
 
 import functools
@@ -21,7 +27,8 @@ from realizer.deduction import Derivation, Sequent
 
 import conftest as gen
 import reference_rebuild as ref
-from test_normalizer import _BRANCHES, _ELIMS, _eliminate, _major_proof, _split
+from test_normalizer import _BRANCHES, _ELIMS, _eliminate, _major_proof, _split, _stuck_em
+from test_recheck import _dead_splits
 
 
 def _root_rename(d, picks, subs=()):
@@ -181,13 +188,13 @@ def _subtrees():
     """The distinct subtrees of the inputs that are proper derivations."""
     seen = {}
     for _, d, _ in _inputs():
-        for _, node in dd.walk(d):
+        for node in dd.walk(d):
             seen.setdefault(id(node), node)
     return list(seen.values())
 
 
 def _binders(d):
-    return sorted({n.rule.var for _, n in dd.walk(d)
+    return sorted({n.rule.var for n in dd.walk(d)
                    if dd.RULE_SHAPES[type(n.rule)].binds is not None})
 
 
@@ -224,3 +231,65 @@ def test_rebuild_rejects_a_wrong_number_of_premiss_states():
         dd.rebuild(d, lambda node, _: (node.rule, node.conclusion, ()))
     same = dd.rebuild(d, lambda node, _: (node.rule, node.conclusion, (True,) * len(node.premisses)))
     assert same is d
+
+
+def _side_by_side():
+    """Cuts on parallel branches: both premisses of an and-i, one of them
+    deeper, and the right branch of an excluded middle, which is on no
+    principal branch."""
+    out = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        a, b, c = (gen.closed_true_derivation(rng, (), 1) for _ in range(3))
+        cut_a, cut_b = gen._one_cut(rng, a), gen._one_cut(rng, b)
+        out += [_pair((), cut_a, cut_b), _pair((), _pair((), cut_a, c), cut_b),
+                _pair((), cut_b, _pair((), c, cut_a))]
+        em = _stuck_em()
+        left, right = em.premisses
+        out.append(Derivation(em.rule, em.conclusion, (left, gen.with_random_cuts(rng, right))))
+    return [(f"side-by-side/{i}", d, {}) for i, d in enumerate(out)]
+
+
+@functools.cache
+def _walked():
+    """(derivation, simplify, fns): every derivation the normalization of an
+    input, a dead split or side-by-side cuts passes through, under both
+    simplify settings, and every subtree of those under both."""
+    inputs = [*_inputs(), *((f"dead-split/{i}", d, {}) for i, d in enumerate(_dead_splits())),
+              *_side_by_side()]
+    out = []
+    find = nz.find_head_cut
+
+    def record(d, simplify=True, fns=arith.FUNCTIONS):
+        out.append((d, simplify, fns))
+        return find(d, simplify, fns)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nz, "find_head_cut", record)
+        for simplify in (True, False):
+            for _, d, kw in inputs:
+                _outcome(d, simplify=simplify, **kw)
+    seen = {}
+    for _, d, kw in inputs:
+        for node in dd.walk(d):
+            seen.setdefault(id(node), (node, kw.get("fns", arith.FUNCTIONS)))
+    out += [(node, simplify, fns) for node, fns in seen.values() for simplify in (True, False)]
+    return out
+
+
+def test_walkers_match_the_path_copying_ones():
+    kinds, verdicts, answers = set(), set(), set()
+    for d, simplify, fns in _walked():
+        assert list(map(id, dd.walk(d))) == [id(n) for _, n in ref.walk(d)]
+        cut = nz.find_head_cut(d, simplify, fns)
+        assert cut == ref.find_head_cut(d, simplify, fns), d
+        normal = nz.check_open_normal(d, simplify=simplify, fns=fns)
+        assert normal == ref.check_open_normal(d, simplify=simplify, fns=fns), d
+        for label in dd._labels_inside(d) | {"fresh"}:
+            used = dd.uses_label(d, label)
+            assert used == ref.uses_label(d, label), (d, label)
+            answers.add(used)
+        kinds.add(cut.kind if cut else None)
+        verdicts.add(normal)
+    assert kinds == {None, *nz._KINDS}
+    assert verdicts == answers == {True, False}

@@ -21,6 +21,7 @@ from realizer.arith import And, Atom, BOT, Exists, Or, TVar
 from realizer.deduction import Derivation, Sequent
 
 import conftest as gen
+import reference_rebuild as ref
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,21 @@ def test_each_pass_matches_its_whole_tree_reference():
         assert dd.free_term_vars(d) == _reference_free_term_vars(d), name
 
 
+def test_one_norm_terms_memo_across_a_normalization_run():
+    for name, d, kw in _inputs():
+        fns = kw.get("fns", arith.FUNCTIONS)
+        memo = {}
+        for _ in range(nz.DEFAULT_FUEL):
+            normed = nz.norm_terms(d, fns, memo)
+            assert normed == _reference_norm_terms(d, fns), name
+            cut = nz.find_head_cut(normed, kw.get("simplify", True), fns)
+            if cut is None:
+                break
+            d = nz.apply_head_reduction(normed, cut, kw.get("rels", arith.RELATIONS), fns)
+        else:
+            raise AssertionError(f"{name} did not normalize")
+
+
 def test_same_normal_form_and_trace_as_the_whole_tree_loop():
     for name, d, kw in _inputs():
         got = _outcome(nz.normalize_derivation, d, **kw)
@@ -209,7 +225,7 @@ _ZZ = Atom("=", (TVar("zz"), TVar("zz")))
 def _drop_context_entry(r: Derivation) -> Derivation:
     """Drop the last context entry of the first node below the root that
     has one; r itself when none does."""
-    for path, node in dd.walk(r):
+    for path, node in ref.walk(r):
         if path and node.conclusion.context:
             break
     else:
