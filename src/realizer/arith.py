@@ -239,6 +239,13 @@ class TApp:
     fn: str
     args: tuple["ATerm", ...] = ()
 
+    def __repr__(self) -> str:
+        # the generated repr, but S chains are walked by a loop, so a numeral
+        # thousands deep has one (normalizer traces stamp sequent reprs)
+        k, base = _peel_succ(self)
+        inner = f"TApp(fn={base.fn!r}, args={base.args!r})" if type(base) is TApp else repr(base)
+        return "TApp(fn='S', args=(" * k + inner + ",))" * k
+
 
 ATerm = TVar | TApp
 

@@ -160,7 +160,7 @@ def _print_state(s: learning.State, machine: bool) -> str:
         forms = " ".join(
             f"({rel} ({' '.join(map(str, args))}) {w})" for (rel, args), w in s.entries)
         return f"(state {forms})"
-    return " ".join(f"{rel}({','.join(map(str, args))})={w}" for (rel, args), w in s.entries)
+    return " ".join(f"{learning._key_text(key)}={w}" for key, w in s.entries)
 
 
 def cmd_check(args) -> int:
@@ -224,21 +224,18 @@ def cmd_run(args) -> int:
             print(f"(exceptional {sexpr.print_term(tm.exc_const(e.rel, e.args, e.witness))})")
         else:
             print("outcome: exceptional")
-            print(f"exception: {e.rel}({','.join(map(str, e.args))})={e.witness}")
+            print(f"exception: {learning._key_text(e.key)}={e.witness}")
     return 0
 
 
 def cmd_normalize(args) -> int:
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
-    dd.check_derivation(d, pf.rels, pf.fns)
-    trace: list[str] = []
+    trace = [] if args.trace else None
     nf = nm.normalize_derivation(d, _fuel(args.fuel, nm.DEFAULT_FUEL),
                                  rels=pf.rels, fns=pf.fns, trace=trace)
-    machine = args.format == "sexpr"
-    if args.trace:
-        for line in trace:
-            _say(line, machine)
+    for line in trace or ():
+        _say(line, args.format == "sexpr")
     print(sexpr.print_derivation(nf))
     return 0
 
@@ -246,7 +243,6 @@ def cmd_normalize(args) -> int:
 def cmd_extract_witness(args) -> int:
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
-    dd.check_derivation(d, pf.rels, pf.fns)
     value, _ = nm.extract_witness(d, _fuel(args.fuel, nm.DEFAULT_FUEL),
                                   rels=pf.rels, fns=pf.fns)
     if args.format == "sexpr":

@@ -4,234 +4,130 @@ Every derivation here normalizes to an existence introduction whose term
 names a checkable witness, and together they cover the interesting rewrite
 shapes: direct introductions, implication, conjunction, disjunction and
 quantifier cuts, induction unfolding, and excluded-middle queries that are
-granted, refuted, or buried under an elimination.  The file form doubles as
-CLI input; see corpus_text().
+granted, refuted, or buried under an elimination.  The corpus is written in
+the proof-file syntax and read by sexpr, so it doubles as CLI input; see
+corpus_text().
 """
 
 from __future__ import annotations
 
-from . import deduction as dd
 from . import sexpr
-from .arith import And, Atom, BOT, Comp, Forall, Exists, Imply, MUL, Or, Proj, TApp, TVar, tnum
-from .deduction import Derivation, Sequent
 
-
-def _s(ctx, goal) -> Sequent:
-    return Sequent(tuple(ctx), goal)
-
-
-def _eq(a, b) -> Atom:
-    return Atom("=", (a, b))
-
-
-def _lt(a, b) -> Atom:
-    return Atom("<", (a, b))
-
-
-def _le(a, b) -> Atom:
-    return Atom("<=", (a, b))
-
-
-def _atom_i(ctx, goal) -> Derivation:
-    return Derivation(dd.AtomI(), _s(ctx, goal))
-
-
-def _direct_zero() -> Derivation:
-    goal = Exists("x", _eq(TVar("x"), tnum(0)))
-    return Derivation(dd.ExistsI(tnum(0)), _s((), goal),
-                      (_atom_i((), _eq(tnum(0), tnum(0))),))
-
-
-def _direct_square() -> Derivation:
-    goal = Exists("x", _eq(TApp("*", (TVar("x"), TVar("x"))), tnum(36)))
-    six = tnum(6)
-    return Derivation(dd.ExistsI(six), _s((), goal),
-                      (_atom_i((), _eq(TApp("*", (six, six)), tnum(36))),))
-
-
-def _cut_imply() -> Derivation:
-    ante = _eq(TApp("+", (tnum(2), tnum(2))), tnum(4))
-    goal = Exists("x", _eq(TApp("+", (TVar("x"), tnum(1))), tnum(3)))
-    ctx = (("u", ante),)
-    inner = Derivation(dd.ExistsI(tnum(2)), _s(ctx, goal),
-                       (_atom_i(ctx, _eq(TApp("+", (tnum(2), tnum(1))), tnum(3))),))
-    fn = Derivation(dd.ImplyI("u"), _s((), Imply(ante, goal)), (inner,))
-    return Derivation(dd.ImplyE(), _s((), goal), (fn, _atom_i((), ante)))
-
-
-def _cut_and() -> Derivation:
-    goal = Exists("x", _eq(TVar("x"), tnum(5)))
-    side = _eq(tnum(1), tnum(1))
-    left = Derivation(dd.ExistsI(tnum(5)), _s((), goal),
-                      (_atom_i((), _eq(tnum(5), tnum(5))),))
-    both = Derivation(dd.AndI(), _s((), And(goal, side)), (left, _atom_i((), side)))
-    return Derivation(dd.AndEL(), _s((), goal), (both,))
-
-
-def _cut_or() -> Derivation:
-    goal = Exists("x", _lt(TVar("x"), tnum(2)))
-    live, dead = _lt(tnum(1), tnum(2)), _lt(tnum(2), tnum(2))
-    major = Derivation(dd.OrIL(), _s((), Or(live, dead)), (_atom_i((), live),))
-    cl = (("u", live),)
-    bl = Derivation(dd.ExistsI(tnum(1)), _s(cl, goal),
-                    (Derivation(dd.Id("u"), _s(cl, live)),))
-    cr = (("u", dead),)
-    bottom = Derivation(dd.AtomE(), _s(cr, BOT),
-                        (Derivation(dd.Id("u"), _s(cr, dead)),))
-    br = Derivation(dd.ExistsI(tnum(1)), _s(cr, goal),
-                    (Derivation(dd.FalseE0(), _s(cr, live), (bottom,)),))
-    return Derivation(dd.OrE("u"), _s((), goal), (major, bl, br))
-
-
-def _cut_forall() -> Derivation:
-    body = Exists("y", _eq(TVar("y"), TVar("x")))
-    refl = Derivation(dd.AtomPost("refl"), _s((), _eq(TVar("x"), TVar("x"))))
-    inner = Derivation(dd.ExistsI(TVar("x")), _s((), body), (refl,))
-    alls = Derivation(dd.ForallI("x"), _s((), Forall("x", body)), (inner,))
-    return Derivation(dd.ForallE(tnum(3)), _s((), Exists("y", _eq(TVar("y"), tnum(3)))),
-                      (alls,))
-
-
-def _cut_exists() -> Derivation:
-    packed = Exists("x", _eq(TVar("x"), tnum(4)))
-    goal = Exists("y", _eq(TVar("y"), tnum(4)))
-    inner = Derivation(dd.ExistsI(tnum(4)), _s((), packed),
-                       (_atom_i((), _eq(tnum(4), tnum(4))),))
-    ctx = (("u", _eq(TVar("w"), tnum(4))),)
-    minor = Derivation(dd.ExistsI(TVar("w")), _s(ctx, goal),
-                       (Derivation(dd.Id("u"), _s(ctx, _eq(TVar("w"), tnum(4)))),))
-    return Derivation(dd.ExistsE("u", "w"), _s((), goal), (inner, minor))
-
-
-def _em(goal, univ, left, right) -> Derivation:
-    return Derivation(dd.EM("u", "y"), _s((), goal), (left, right))
-
-
-def _em_refuted() -> Derivation:
-    # forall y. 5 < y fails at 0; the query's exception realizes the goal
-    univ = Forall("y", _lt(tnum(5), TVar("y")))
-    goal = Exists("x", _eq(TApp("*", (TVar("x"), TVar("x"))), TVar("x")))
-    cl = (("u", univ),)
-    use = Derivation(dd.ForallE(tnum(0)), _s(cl, _lt(tnum(5), tnum(0))),
-                     (Derivation(dd.Id("u"), _s(cl, univ)),))
-    bottom = Derivation(dd.AtomE(), _s(cl, BOT), (use,))
-    matrix0 = _eq(TApp("*", (tnum(0), tnum(0))), tnum(0))
-    left = Derivation(dd.ExistsI(tnum(0)), _s(cl, goal),
-                      (Derivation(dd.FalseE0(), _s(cl, matrix0), (bottom,)),))
-    cr = (("u", Imply(_lt(tnum(5), TVar("y")), BOT)),)
-    matrix1 = _eq(TApp("*", (tnum(1), tnum(1))), tnum(1))
-    right = Derivation(dd.ExistsI(tnum(1)), _s(cr, goal), (_atom_i(cr, matrix1),))
-    return _em(goal, univ, left, right)
-
-
-def _em_granted() -> Derivation:
-    # forall y. 0 <= y is granted at every query, leaving the left branch
-    univ = Forall("y", _le(tnum(0), TVar("y")))
-    goal = Exists("x", _le(tnum(0), TVar("x")))
-    cl = (("u", univ),)
-    use = Derivation(dd.ForallE(tnum(7)), _s(cl, _le(tnum(0), tnum(7))),
-                     (Derivation(dd.Id("u"), _s(cl, univ)),))
-    left = Derivation(dd.ExistsI(tnum(7)), _s(cl, goal), (use,))
-    cr = (("u", Imply(_le(tnum(0), TVar("y")), BOT)),)
-    right = Derivation(dd.ExistsI(tnum(0)), _s(cr, goal),
-                       (_atom_i(cr, _le(tnum(0), tnum(0))),))
-    return _em(goal, univ, left, right)
-
-
-def _em_under_elim() -> Derivation:
-    # the excluded-middle node sits under a conjunction elimination
-    univ = Forall("y", _lt(TVar("y"), tnum(1)))
-    goal = Exists("x", _eq(TVar("x"), tnum(5)))
-    side = _eq(tnum(0), tnum(0))
-    packed = And(goal, side)
-    cl = (("u", univ),)
-    use = Derivation(dd.ForallE(tnum(1)), _s(cl, _lt(tnum(1), tnum(1))),
-                     (Derivation(dd.Id("u"), _s(cl, univ)),))
-    bottom = Derivation(dd.AtomE(), _s(cl, BOT), (use,))
-    dead = _eq(tnum(0), tnum(5))
-    gl = Derivation(dd.ExistsI(tnum(0)), _s(cl, goal),
-                    (Derivation(dd.FalseE0(), _s(cl, dead), (bottom,)),))
-    sl = Derivation(dd.FalseE0(), _s(cl, side), (bottom,))
-    left = Derivation(dd.AndI(), _s(cl, packed), (gl, sl))
-    cr = (("u", Imply(_lt(TVar("y"), tnum(1)), BOT)),)
-    gr = Derivation(dd.ExistsI(tnum(5)), _s(cr, goal),
-                    (_atom_i(cr, _eq(tnum(5), tnum(5))),))
-    right = Derivation(dd.AndI(), _s(cr, packed), (gr, _atom_i(cr, side)))
-    em = Derivation(dd.EM("u", "y"), _s((), packed), (left, right))
-    return Derivation(dd.AndEL(), _s((), goal), (em,))
-
-
-def _em_bounded() -> Derivation:
-    # forall y. 3 <= y fails at 0
-    univ = Forall("y", _le(tnum(3), TVar("y")))
-    goal = Exists("x", _le(TVar("x"), tnum(1)))
-    cl = (("u", univ),)
-    use = Derivation(dd.ForallE(tnum(0)), _s(cl, _le(tnum(3), tnum(0))),
-                     (Derivation(dd.Id("u"), _s(cl, univ)),))
-    bottom = Derivation(dd.AtomE(), _s(cl, BOT), (use,))
-    left = Derivation(dd.ExistsI(tnum(0)), _s(cl, goal),
-                      (Derivation(dd.FalseE0(), _s(cl, _le(tnum(0), tnum(1))), (bottom,)),))
-    cr = (("u", Imply(_le(tnum(3), TVar("y")), BOT)),)
-    right = Derivation(dd.ExistsI(tnum(1)), _s(cr, goal),
-                       (_atom_i(cr, _le(tnum(1), tnum(1))),))
-    return _em(goal, univ, left, right)
-
-
-def _ind_two() -> Derivation:
-    template = Exists("w", _eq(TVar("w"), TVar("v")))
-    base = Derivation(dd.ExistsI(tnum(0)), _s((), Exists("w", _eq(TVar("w"), tnum(0)))),
-                      (_atom_i((), _eq(tnum(0), tnum(0))),))
-    cs = (("ih", template),)
-    sgoal = Exists("w", _eq(TVar("w"), TApp("S", (TVar("v"),))))
-    cm = cs + (("u", _eq(TVar("z"), TVar("v"))),)
-    bumped = _eq(TApp("S", (TVar("z"),)), TApp("S", (TVar("v"),)))
-    sub = Derivation(dd.AtomPost("sub-fn"), _s(cm, bumped),
-                     (Derivation(dd.Id("u"), _s(cm, _eq(TVar("z"), TVar("v")))),))
-    minor = Derivation(dd.ExistsI(TApp("S", (TVar("z"),))), _s(cm, sgoal), (sub,))
-    step = Derivation(dd.ExistsE("u", "z"), _s(cs, sgoal),
-                      (Derivation(dd.Id("ih"), _s(cs, template)), minor))
-    return Derivation(dd.Ind("ih", "v", template, tnum(2)),
-                      _s((), Exists("w", _eq(TVar("w"), tnum(2)))), (base, step))
-
-
-SQUARE = Comp(MUL, (Proj(1, 1), Proj(1, 1)))
-
-
-def _square_fn() -> Derivation:
-    goal = Exists("x", _eq(TApp("sq", (TVar("x"),)), tnum(9)))
-    return Derivation(dd.ExistsI(tnum(3)), _s((), goal),
-                      (_atom_i((), _eq(TApp("sq", (tnum(3),)), tnum(9))),))
+_TEXT = """\
+(deffn sq (comp * (proj 1 1) (proj 1 1)))
+(defder direct-zero
+  (der (exists-i 0) (seq (ctx) (exists x (atom = x 0)))
+    (der atom-i (seq (ctx) (atom = 0 0)))))
+(defder direct-square
+  (der (exists-i 6) (seq (ctx) (exists x (atom = (* x x) 36)))
+    (der atom-i (seq (ctx) (atom = (* 6 6) 36)))))
+(defder cut-imply
+  (der imply-e (seq (ctx) (exists x (atom = (+ x 1) 3)))
+    (der (imply-i u) (seq (ctx) (imply (atom = (+ 2 2) 4) (exists x (atom = (+ x 1) 3))))
+      (der (exists-i 2) (seq (ctx (u (atom = (+ 2 2) 4))) (exists x (atom = (+ x 1) 3)))
+        (der atom-i (seq (ctx (u (atom = (+ 2 2) 4))) (atom = (+ 2 1) 3)))))
+    (der atom-i (seq (ctx) (atom = (+ 2 2) 4)))))
+(defder cut-and
+  (der and-el (seq (ctx) (exists x (atom = x 5)))
+    (der and-i (seq (ctx) (and (exists x (atom = x 5)) (atom = 1 1)))
+      (der (exists-i 5) (seq (ctx) (exists x (atom = x 5)))
+        (der atom-i (seq (ctx) (atom = 5 5))))
+      (der atom-i (seq (ctx) (atom = 1 1))))))
+(defder cut-or
+  (der (or-e u) (seq (ctx) (exists x (atom < x 2)))
+    (der or-il (seq (ctx) (or (atom < 1 2) (atom < 2 2)))
+      (der atom-i (seq (ctx) (atom < 1 2))))
+    (der (exists-i 1) (seq (ctx (u (atom < 1 2))) (exists x (atom < x 2)))
+      (der (id u) (seq (ctx (u (atom < 1 2))) (atom < 1 2))))
+    (der (exists-i 1) (seq (ctx (u (atom < 2 2))) (exists x (atom < x 2)))
+      (der false-e (seq (ctx (u (atom < 2 2))) (atom < 1 2))
+        (der atom-e (seq (ctx (u (atom < 2 2))) (atom bot))
+          (der (id u) (seq (ctx (u (atom < 2 2))) (atom < 2 2))))))))
+(defder cut-forall
+  (der (forall-e 3) (seq (ctx) (exists y (atom = y 3)))
+    (der (forall-i x) (seq (ctx) (forall x (exists y (atom = y x))))
+      (der (exists-i x) (seq (ctx) (exists y (atom = y x)))
+        (der (atom-post refl) (seq (ctx) (atom = x x)))))))
+(defder cut-exists
+  (der (exists-e u w) (seq (ctx) (exists y (atom = y 4)))
+    (der (exists-i 4) (seq (ctx) (exists x (atom = x 4)))
+      (der atom-i (seq (ctx) (atom = 4 4))))
+    (der (exists-i w) (seq (ctx (u (atom = w 4))) (exists y (atom = y 4)))
+      (der (id u) (seq (ctx (u (atom = w 4))) (atom = w 4))))))
+; forall y. 5 < y fails at 0; the query's exception realizes the goal
+(defder em-refuted
+  (der (em u y) (seq (ctx) (exists x (atom = (* x x) x)))
+    (der (exists-i 0) (seq (ctx (u (forall y (atom < 5 y)))) (exists x (atom = (* x x) x)))
+      (der false-e (seq (ctx (u (forall y (atom < 5 y)))) (atom = (* 0 0) 0))
+        (der atom-e (seq (ctx (u (forall y (atom < 5 y)))) (atom bot))
+          (der (forall-e 0) (seq (ctx (u (forall y (atom < 5 y)))) (atom < 5 0))
+            (der (id u) (seq (ctx (u (forall y (atom < 5 y)))) (forall y (atom < 5 y))))))))
+    (der (exists-i 1)
+         (seq (ctx (u (imply (atom < 5 y) (atom bot)))) (exists x (atom = (* x x) x)))
+      (der atom-i (seq (ctx (u (imply (atom < 5 y) (atom bot)))) (atom = (* 1 1) 1))))))
+; forall y. 0 <= y is granted at every query, leaving the left branch
+(defder em-granted
+  (der (em u y) (seq (ctx) (exists x (atom <= 0 x)))
+    (der (exists-i 7) (seq (ctx (u (forall y (atom <= 0 y)))) (exists x (atom <= 0 x)))
+      (der (forall-e 7) (seq (ctx (u (forall y (atom <= 0 y)))) (atom <= 0 7))
+        (der (id u) (seq (ctx (u (forall y (atom <= 0 y)))) (forall y (atom <= 0 y))))))
+    (der (exists-i 0) (seq (ctx (u (imply (atom <= 0 y) (atom bot)))) (exists x (atom <= 0 x)))
+      (der atom-i (seq (ctx (u (imply (atom <= 0 y) (atom bot)))) (atom <= 0 0))))))
+; the excluded-middle node sits under a conjunction elimination
+(defder em-under-elim
+  (der and-el (seq (ctx) (exists x (atom = x 5)))
+    (der (em u y) (seq (ctx) (and (exists x (atom = x 5)) (atom = 0 0)))
+      (der and-i
+           (seq (ctx (u (forall y (atom < y 1)))) (and (exists x (atom = x 5)) (atom = 0 0)))
+        (der (exists-i 0) (seq (ctx (u (forall y (atom < y 1)))) (exists x (atom = x 5)))
+          (der false-e (seq (ctx (u (forall y (atom < y 1)))) (atom = 0 5))
+            (der atom-e (seq (ctx (u (forall y (atom < y 1)))) (atom bot))
+              (der (forall-e 1) (seq (ctx (u (forall y (atom < y 1)))) (atom < 1 1))
+                (der (id u) (seq (ctx (u (forall y (atom < y 1)))) (forall y (atom < y 1))))))))
+        (der false-e (seq (ctx (u (forall y (atom < y 1)))) (atom = 0 0))
+          (der atom-e (seq (ctx (u (forall y (atom < y 1)))) (atom bot))
+            (der (forall-e 1) (seq (ctx (u (forall y (atom < y 1)))) (atom < 1 1))
+              (der (id u) (seq (ctx (u (forall y (atom < y 1)))) (forall y (atom < y 1))))))))
+      (der and-i
+           (seq (ctx (u (imply (atom < y 1) (atom bot)))) (and (exists x (atom = x 5)) (atom = 0 0)))
+        (der (exists-i 5)
+             (seq (ctx (u (imply (atom < y 1) (atom bot)))) (exists x (atom = x 5)))
+          (der atom-i (seq (ctx (u (imply (atom < y 1) (atom bot)))) (atom = 5 5))))
+        (der atom-i (seq (ctx (u (imply (atom < y 1) (atom bot)))) (atom = 0 0)))))))
+; forall y. 3 <= y fails at 0
+(defder em-bounded
+  (der (em u y) (seq (ctx) (exists x (atom <= x 1)))
+    (der (exists-i 0) (seq (ctx (u (forall y (atom <= 3 y)))) (exists x (atom <= x 1)))
+      (der false-e (seq (ctx (u (forall y (atom <= 3 y)))) (atom <= 0 1))
+        (der atom-e (seq (ctx (u (forall y (atom <= 3 y)))) (atom bot))
+          (der (forall-e 0) (seq (ctx (u (forall y (atom <= 3 y)))) (atom <= 3 0))
+            (der (id u) (seq (ctx (u (forall y (atom <= 3 y)))) (forall y (atom <= 3 y))))))))
+    (der (exists-i 1) (seq (ctx (u (imply (atom <= 3 y) (atom bot)))) (exists x (atom <= x 1)))
+      (der atom-i (seq (ctx (u (imply (atom <= 3 y) (atom bot)))) (atom <= 1 1))))))
+(defder ind-two
+  (der (ind ih v (exists w (atom = w v)) 2) (seq (ctx) (exists w (atom = w 2)))
+    (der (exists-i 0) (seq (ctx) (exists w (atom = w 0)))
+      (der atom-i (seq (ctx) (atom = 0 0))))
+    (der (exists-e u z) (seq (ctx (ih (exists w (atom = w v)))) (exists w (atom = w (S v))))
+      (der (id ih) (seq (ctx (ih (exists w (atom = w v)))) (exists w (atom = w v))))
+      (der (exists-i (S z))
+           (seq (ctx (ih (exists w (atom = w v))) (u (atom = z v))) (exists w (atom = w (S v))))
+        (der (atom-post sub-fn)
+             (seq (ctx (ih (exists w (atom = w v))) (u (atom = z v))) (atom = (S z) (S v)))
+          (der (id u)
+               (seq (ctx (ih (exists w (atom = w v))) (u (atom = z v))) (atom = z v))))))))
+(defder square-fn
+  (der (exists-i 3) (seq (ctx) (exists x (atom = (sq x) 9)))
+    (der atom-i (seq (ctx) (atom = (sq 3) 9)))))
+(defterm const-seven (lam State (app (inl Nat Ex) (num 7))))
+(defterm raise-low (lam State (app (inr Nat Ex) (exc < (5) 2))))
+"""
 
 
 def corpus_file() -> sexpr.ProofFile:
     """The corpus as a proof file, ready for the CLI or for printing."""
-    pf = sexpr.ProofFile()
-    pf.fns["sq"] = SQUARE
-    derivs = {
-        "direct-zero": _direct_zero(),
-        "direct-square": _direct_square(),
-        "cut-imply": _cut_imply(),
-        "cut-and": _cut_and(),
-        "cut-or": _cut_or(),
-        "cut-forall": _cut_forall(),
-        "cut-exists": _cut_exists(),
-        "em-refuted": _em_refuted(),
-        "em-granted": _em_granted(),
-        "em-under-elim": _em_under_elim(),
-        "em-bounded": _em_bounded(),
-        "ind-two": _ind_two(),
-        "square-fn": _square_fn(),
-    }
-    pf.derivs.update(derivs)
-    pf.terms["const-seven"] = sexpr.read_term(
-        sexpr.read_nodes("(lam State (app (inl Nat Ex) (num 7)))")[0], pf.fns, pf.rels)
-    pf.terms["raise-low"] = sexpr.read_term(
-        sexpr.read_nodes("(lam State (app (inr Nat Ex) (exc < (5) 2)))")[0], pf.fns, pf.rels)
-    pf.order = (("deffn", "sq"),) + tuple(
-        ("defder", name) for name in derivs) + (("defterm", "const-seven"),
-                                                ("defterm", "raise-low"))
-    return pf
+    return sexpr.parse_file(_TEXT)
 
 
 def corpus_text() -> str:
-    return sexpr.print_file(corpus_file())
+    return _TEXT

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol
 
 from . import arith, terms as tm
+from .extraction import realizer_type
+from .sexpr import print_formula
 from .terms import Term
 
 log = logging.getLogger(__name__)
@@ -276,6 +278,12 @@ def run_realizer(
     )
 
 
+def _key_text(key: Key) -> str:
+    """A state key as traces and the human output show it: rel(1,2)."""
+    rel, args = key
+    return f"{rel}({','.join(map(str, args))})"
+
+
 @dataclass
 class LearnTrace:
     lines: list[str] = field(default_factory=list)
@@ -283,7 +291,7 @@ class LearnTrace:
     def record(self, iteration: int, key: Optional[Key], witness: Optional[int], tag: str,
                candidate: Optional[int] = None):
         c = f" candidate={candidate}" if candidate is not None else ""
-        k = f"{key[0]}({','.join(map(str, key[1]))})" if key else "-"
+        k = _key_text(key) if key else "-"
         w = str(witness) if witness is not None else "-"
         self.lines.append(f"iter={iteration}{c} key={k} witness={w} outcome={tag}")
 
@@ -365,7 +373,9 @@ def spot_check_realizes(
 
     Finite positions are decided exactly; unbounded universal and
     implication positions are sampled up to budget, downgrading a clean
-    answer to sampled-ok.  fails verdicts carry a path description.
+    answer to sampled-ok.  An implication is applied to the closed values
+    of its antecedent's realizer type that realize the antecedent under s.
+    fails verdicts carry a path description.
     """
     fns = arith.FUNCTIONS if fns is None else fns
     sampled = False
@@ -386,7 +396,7 @@ def spot_check_realizes(
         match f:
             case arith.Atom():
                 if not arith.atomic_truth(f, rels, fns):
-                    return _fail(f"{where}: atom {f} is false")
+                    return _fail(f"{where}: atom {print_formula(f, brief=True)} is false")
                 if t != tm.unit_const:
                     return _fail(f"{where}: atomic realizer is not unit")
                 return None
@@ -403,7 +413,9 @@ def spot_check_realizes(
                     return check(args[0], right, where + ".inr")
                 return _fail(f"{where}: disjunction realizer is not an injection")
             case arith.Imply(left, right):
-                for sample in _inner_samples(left, budget):
+                for sample in _inner_samples(realizer_type(left), budget):
+                    if check(sample, left, where) is not None:
+                        continue  # not a realizer of the antecedent: it tests nothing
                     bad = run_outer(tm.App(t, sample), right, where + ".app")
                     if bad is not None:
                         return bad
@@ -440,26 +452,23 @@ def spot_check_realizes(
     return Verdict("sampled-ok" if sampled else "holds")
 
 
-def _inner_samples(f: arith.Formula, budget: int) -> list[Term]:
-    """Candidate inner realizers of f for sampling implications.
+def _inner_samples(ty: tm.Ty, budget: int) -> list[Term]:
+    """Closed values of type ty, at most budget of them at each level.
 
-    Only shapes whose realizers are canonical are generated; implications
-    with higher-order antecedents sample nothing (vacuous pass).
+    unit, the numerals 0 to 3, and pairs and injections of those; a type
+    with an arrow in it has none, so an implication with a higher-order
+    antecedent samples nothing (vacuous pass).
     """
-    match f:
-        case arith.Atom():
+    match ty:
+        case tm.TBase("Unit"):
             return [tm.unit_const]
-        case arith.And(left, right):
-            out = []
-            for x in _inner_samples(left, budget):
-                for y in _inner_samples(right, budget):
-                    out.append(tm.app(tm.pair_c(tm.UNIT, tm.UNIT), x, y))
-            return out[:budget]
-        case arith.Exists(_, body):
-            out = []
-            for n in range(min(budget, 4)):
-                for x in _inner_samples(body, budget):
-                    out.append(tm.app(tm.pair_c(tm.NAT, tm.UNIT), tm.numeral(n), x))
-            return out[:budget]
-        case _:
-            return []
+        case tm.TBase("Nat"):
+            return [tm.numeral(n) for n in range(min(budget, 4))]
+        case tm.TProd(a, b):
+            right = _inner_samples(b, budget)
+            return [tm.app(tm.pair_c(a, b), x, y)
+                    for x in _inner_samples(a, budget) for y in right][:budget]
+        case tm.TSum(a, b):
+            return ([tm.App(tm.inl_c(a, b), x) for x in _inner_samples(a, budget)]
+                    + [tm.App(tm.inr_c(a, b), y) for y in _inner_samples(b, budget)])[:budget]
+    return []

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import terms as tm
+from .sexpr import print_term, print_type
 from .terms import (
     App,
     Const,
@@ -486,9 +487,9 @@ class LawReport:
 def _sample_value(rng: random.Random, ty: Ty) -> Term:
     """A closed normal inhabitant of a ground type."""
     match ty:
-        case tm.TUnit():
+        case tm.TBase("Unit"):
             return tm.unit_const
-        case tm.TNat():
+        case tm.TBase("Nat"):
             return tm.numeral(rng.randrange(0, 6))
         case TProd(a, b):
             return app(pair_c(a, b), _sample_value(rng, a), _sample_value(rng, b))
@@ -496,7 +497,7 @@ def _sample_value(rng: random.Random, ty: Ty) -> Term:
             if rng.random() < 0.5:
                 return App(inl_c(a, b), _sample_value(rng, a))
             return App(inr_c(a, b), _sample_value(rng, b))
-    raise ValueError(f"cannot sample a value of type {ty}")
+    raise ValueError(f"cannot sample a value of type {print_type(ty, brief=True)}")
 
 
 def _sample_exc(rng: random.Random) -> Term:
@@ -565,18 +566,21 @@ def check_laws(m: MonadSpec, samples: int = 1000, seed: int = 0) -> LawReport:
         lhs = _observe(app(star_aa, unit_a, xc), m, states)
         rhs = _observe(xc, m, states)
         if lhs != rhs:
-            report.violations.append(LawViolation("M1", m.name, f"sample {i}: {xc}"))
+            report.violations.append(LawViolation("M1", m.name,
+                                                  f"sample {i}: {print_term(xc)}"))
         # M2: star f (unit x) = f x
         lhs = _observe(app(star_ab, f, App(unit_a, x)), m, states)
         rhs = _observe(App(f, x), m, states)
         if lhs != rhs:
-            report.violations.append(LawViolation("M2", m.name, f"sample {i}: f={f} x={x}"))
+            report.violations.append(LawViolation(
+                "M2", m.name, f"sample {i}: f={print_term(f)} x={print_term(x)}"))
         # M3: merge (unit x) (unit y) = unit (pair x y)
         lhs = _observe(app(merge_ab, App(unit_a, x), App(m.unit_of(b), y)), m, states)
         rhs = _observe(
             App(m.unit_of(TProd(a, b)), app(pair_c(a, b), x, y)), m, states
         )
         if lhs != rhs:
-            report.violations.append(LawViolation("M3", m.name, f"sample {i}: x={x} y={y}"))
+            report.violations.append(LawViolation(
+                "M3", m.name, f"sample {i}: x={print_term(x)} y={print_term(y)}"))
         report.checked += 3
     return report

@@ -80,6 +80,7 @@ from .arith import (
     tnum,
 )
 from .deduction import Derivation, Sequent
+from .sexpr import print_aterm, print_formula
 
 DEFAULT_FUEL = 10_000
 
@@ -557,20 +558,26 @@ def normalize_derivation(
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
     trace: Optional[list[str]] = None,
+    checked: Optional[dd.Memo] = None,
+    scanned: Optional[dd.Memo] = None,
 ) -> Derivation:
     """Rewrite until no head cut remains along any principal branch.
 
-    The root sequent is preserved (up to term normalization) and the tree
-    is term-normalized, checked and scanned for free term variables after
-    every rewrite.  Each of the three passes has a memo keyed by node
-    identity that lives for this call, so a node is visited once: after a
-    rewrite only the nodes the reducer built are, and the subtrees it
-    carried over are skipped.  Fuel bounds the number of rewrites and
+    d is checked first.  The root sequent is preserved (up to term
+    normalization) and the tree is term-normalized, checked and scanned for
+    free term variables after every rewrite.  Each of the three passes has
+    a memo keyed by node identity that lives for this call, so a node is
+    visited once: after a rewrite only the nodes the reducer built are, and
+    the subtrees it carried over are skipped.  checked and scanned, when
+    given, are the memos of the caller's own check and scan of d under the
+    same tables, carried on.  Fuel bounds the number of rewrites and
     FuelExhausted carries the partly reduced derivation.
     """
     normed: dict = {}
-    checked: dd.Memo = {}
-    scanned: dd.Memo = {}
+    checked = {} if checked is None else checked
+    scanned = {} if scanned is None else scanned
+    if id(d) not in checked:
+        dd.check_derivation(d, rels, fns, checked)
     d = norm_terms(d, fns, normed)
     root = d.conclusion
     base_vars = dd.free_term_vars(d, scanned)
@@ -612,24 +619,30 @@ def extract_witness(
 ) -> tuple[int, Derivation]:
     """Normalize a closed derivation of ex x A (A atomic) and read off the
     witness named by its final existence introduction."""
+    checked: dd.Memo = {}
+    scanned: dd.Memo = {}
+    dd.check_derivation(d, rels, fns, checked)
     if d.conclusion.context:
         raise NotClosed("the derivation has open assumptions")
-    if dd.free_term_vars(d):
+    if dd.free_term_vars(d, scanned):
         raise NotClosed("the derivation has free term variables")
     goal = d.conclusion.goal
     if not (isinstance(goal, Exists) and isinstance(goal.body, Atom)):
-        raise NotSimplyExistential(f"goal is not an existential atom: {goal!r}")
-    nd = normalize_derivation(d, fuel, simplify=simplify, rels=rels, fns=fns, trace=trace)
+        raise NotSimplyExistential(
+            f"goal is not an existential atom: {print_formula(goal, brief=True)}")
+    nd = normalize_derivation(d, fuel, simplify=simplify, rels=rels, fns=fns, trace=trace,
+                              checked=checked, scanned=scanned)
     if not isinstance(nd.rule, dd.ExistsI):
         raise ShapeViolation(
             f"normal form ends with {type(nd.rule).__name__}, not an existence introduction")
     term = nd.rule.term
     if aterm_vars(term):
-        raise ShapeViolation(f"the witness term {term!r} is open")
+        raise ShapeViolation(f"the witness term {print_aterm(term, brief=True)} is open")
     value = reduce_aterm(term, {}, fns)
     matrix = norm_formula(subst_formula(goal.body, goal.var, tnum(value)), fns)
     if not atomic_truth(matrix, rels, fns):
-        raise ShapeViolation(f"witness {value} does not satisfy {matrix!r}")
+        raise ShapeViolation(
+            f"witness {value} does not satisfy {print_formula(matrix, brief=True)}")
     return value, nd
 
 

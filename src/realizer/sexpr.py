@@ -18,6 +18,11 @@ arguments and split back into them, and the kind (a reader paired with a
 printer) of each argument.  read_X and print_X walk the same table with
 an explicit stack, so each head is spelled once and depth costs no Python
 stack.  Printing is the inverse on checked objects: parse(print(x)) == x.
+
+This is the only printer of types, terms, first-order terms and formulas:
+the error messages of the other modules show them through print_X with
+brief=True, which names a form that does not fit on one line by its head
+alone, so a message stays short however deep the object is.
 """
 
 from __future__ import annotations
@@ -280,9 +285,17 @@ def _read(kind: _Kind, node: Node, fns=None, rels=None):
     return _walk([_only, [(kind.read, node)], node], fns, rels)
 
 
-def _print(kind: _Kind, obj) -> str:
-    """obj printed as kind; the public print_X are this with X's kind."""
-    return _text(_walk([_only, [(kind.print, obj)], None]))
+def _print(kind: _Kind, obj, brief: bool = False) -> str:
+    """obj printed as kind; the public print_X are this with X's kind.
+
+    brief is for messages: a form that does not fit on one line prints as
+    (HEAD ...), so the text is short however large obj is.
+    """
+    x = _walk([_only, [(kind.print, obj)], None])
+    if brief and (type(x) is _Block or len(x) > _WIDTH):
+        head = x.parts[0] if type(x) is _Block else x.split(" ", 1)[0].lstrip("(")
+        return f"({head} ...)"
+    return _text(x)
 
 
 def _read_form(form: _Form, node: Node, args: tuple[Node, ...], fns, rels) -> list:
@@ -471,14 +484,22 @@ print_formula = partial(_print, _FORMULA)
 # computation types and terms
 
 _TYPES = _Table("a type", "type")
-_TYPE = _TYPES.kind
+
+
+def _print_type(ty):
+    # a ground type prints as its name: the four share a class, which is
+    # what the table looks a printed object up by
+    return ty.name if type(ty) is tm.TBase else _TYPES.print(ty)
+
+
+_TYPE = _Kind(_TYPES.read, _print_type)
 _TYPES.define(
     (
         _Form("arrow", tm.TArrow, _fields, (_TYPE, _TYPE)),
         _Form("prod", tm.TProd, _fields, (_TYPE, _TYPE)),
         _Form("sum", tm.TSum, _fields, (_TYPE, _TYPE)),
     ),
-    bare={"Unit": tm.UNIT, "Nat": tm.NAT, "State": tm.STATE, "Ex": tm.EX},
+    bare={ty.name: ty for ty in (tm.UNIT, tm.NAT, tm.STATE, tm.EX)},
 )
 read_type = partial(_read, _TYPE)  # (node)
 print_type = partial(_print, _TYPE)

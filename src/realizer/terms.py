@@ -7,6 +7,9 @@ inferred.  Reduction is weak (never under a binder) and leftmost-innermost,
 with guarded recursion: ``rec`` unfolds only while its numeral argument stays
 below the guard, and otherwise collapses to a type-directed dummy value.
 
+Types and terms have no text form of their own: :mod:`sexpr` is the only
+printer, and the messages here that show a type or a term print through it.
+
 ``query``/``eval``/``exc`` constants are inert here unless an oracle is
 supplied to :func:`step`/:func:`normalize`; the learning module provides the
 oracle that interprets them against an ambient knowledge state.
@@ -37,27 +40,10 @@ INFINITY = None  # rec guard for unbounded unfolding
 
 
 @dataclass(frozen=True)
-class TUnit:
-    def __str__(self) -> str:
-        return "unit"
+class TBase:
+    """A ground type, named as files spell it: Unit, Nat, State or Ex."""
 
-
-@dataclass(frozen=True)
-class TNat:
-    def __str__(self) -> str:
-        return "nat"
-
-
-@dataclass(frozen=True)
-class TState:
-    def __str__(self) -> str:
-        return "state"
-
-
-@dataclass(frozen=True)
-class TEx:
-    def __str__(self) -> str:
-        return "ex"
+    name: str
 
 
 @dataclass(frozen=True)
@@ -65,17 +51,11 @@ class TArrow:
     dom: "Ty"
     cod: "Ty"
 
-    def __str__(self) -> str:
-        return f"(-> {self.dom} {self.cod})"
-
 
 @dataclass(frozen=True)
 class TProd:
     left: "Ty"
     right: "Ty"
-
-    def __str__(self) -> str:
-        return f"(* {self.left} {self.right})"
 
 
 @dataclass(frozen=True)
@@ -83,16 +63,13 @@ class TSum:
     left: "Ty"
     right: "Ty"
 
-    def __str__(self) -> str:
-        return f"(+ {self.left} {self.right})"
 
+Ty = TBase | TArrow | TProd | TSum
 
-Ty = TUnit | TNat | TState | TEx | TArrow | TProd | TSum
-
-UNIT = TUnit()
-NAT = TNat()
-STATE = TState()
-EX = TEx()
+UNIT = TBase("Unit")
+NAT = TBase("Nat")
+STATE = TBase("State")
+EX = TBase("Ex")
 
 
 def arrows(*tys: Ty) -> Ty:
@@ -266,8 +243,15 @@ class UnboundVariable(TermError):
 
 
 class TypeMismatch(TermError):
-    def __init__(self, expected, found, where: str):
-        super().__init__(f"expected {expected}, found {found} in {where}")
+    """expected (a type, or a description of one) where the subterm term,
+    found where it stands, has type found."""
+
+    def __init__(self, expected: "Ty | str", found: "Ty", where: str, term: "Term"):
+        from .sexpr import print_term, print_type  # sexpr imports this module
+
+        want = expected if type(expected) is str else print_type(expected, brief=True)
+        super().__init__(f"expected {want}, found {print_type(found, brief=True)}"
+                         f" in {where} {print_term(term, brief=True)}")
         self.expected = expected
         self.found = found
         self.where = where
@@ -363,9 +347,9 @@ def typecheck(t: Term, ctx: TyCtx = ()) -> Ty:
             aty = types.pop()
             fty = types.pop()
             if not isinstance(fty, TArrow):
-                raise TypeMismatch("a function type", fty, f"application head {y.fn}")
+                raise TypeMismatch("a function type", fty, "application head", y.fn)
             if fty.dom != aty:
-                raise TypeMismatch(fty.dom, aty, f"argument {y.arg}")
+                raise TypeMismatch(fty.dom, aty, "argument", y.arg)
             types.append(fty.cod)
             continue
         match x:
@@ -429,9 +413,9 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
 
 def dummy(ty: Ty) -> Term:
     match ty:
-        case TUnit():
+        case TBase("Unit"):
             return unit_const
-        case TNat():
+        case TBase("Nat"):
             return zero
         case TArrow(dom, cod):
             return Lam(dom, dummy(cod))
@@ -439,7 +423,9 @@ def dummy(ty: Ty) -> Term:
             return app(pair_c(a, b), dummy(a), dummy(b))
         case TSum(a, b):
             return App(inl_c(a, b), dummy(a))
-    raise IllTyped(f"no dummy value at type {ty}")
+    from .sexpr import print_type  # sexpr imports this module
+
+    raise IllTyped(f"no dummy value at type {print_type(ty, brief=True)}")
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def with_random_cuts(rng: random.Random, d: Derivation, rounds: int = 1) -> Deri
     return _checked(d)
 
 
+def with_inner_cuts(rng: random.Random, d: Derivation, rounds: int = 1) -> Derivation:
+    """Replace a uniformly chosen node of d by a head cut around it, rounds
+    times: cuts land on parallel branches and off the principal branches,
+    not only around the root as with_random_cuts puts them."""
+    for _ in range(rounds):
+        target = rng.choice(list(dd.walk(d)))
+        cut = _one_cut(rng, target, d)
+
+        def enter(node: Derivation, _) -> dd.Edit:
+            if node is target:
+                return cut
+            return node.rule, node.conclusion, (True,) * len(node.premisses)
+        d = dd.rebuild(d, enter)
+    return _checked(d)
+
+
 def _rule_bound_vars(d: Derivation) -> frozenset[str]:
     out: set[str] = set()
     for node in dd.walk(d):
@@ -137,11 +153,14 @@ def _rule_bound_vars(d: Derivation) -> frozenset[str]:
     return frozenset(out)
 
 
-def _one_cut(rng: random.Random, d: Derivation) -> Derivation:
+def _one_cut(rng: random.Random, d: Derivation, whole: Derivation | None = None) -> Derivation:
+    """d inside a head cut of a random kind, with the same conclusion; its
+    labels and variables are fresh in whole, the derivation d sits in."""
+    whole = d if whole is None else whole
     ctx, goal = d.conclusion.context, d.conclusion.goal
-    taken = {l for l, _ in ctx} | dd._labels_inside(d)
+    taken = {l for l, _ in ctx} | dd._labels_inside(whole)
     label = arith._fresh("c", taken)
-    avoid = dd.free_term_vars(d) | _rule_bound_vars(d) | arith.free_vars(goal)
+    avoid = dd.free_term_vars(whole) | _rule_bound_vars(whole) | arith.free_vars(goal)
     kind = rng.randrange(6)
     if kind == 0:
         side = closed_true_derivation(rng, ctx, 1)

@@ -1,6 +1,7 @@
 """Primitive recursion, first-order terms, formulas and the hierarchy."""
 
 import copy as copy_module
+import dataclasses
 import itertools
 import random
 import timeit
@@ -363,6 +364,34 @@ def test_numerals_are_one_shared_chain():
     # equal numerals built apart compare by identity, not along their chains
     assert arith.formulas_equal(Atom("=", (tnum(3000), tnum(3000))),
                                 Atom("=", (tnum(3000), TApp("+", (tnum(2999), tnum(1))))))
+
+
+# TApp as a dataclass generates it, whose repr recurses along its arguments
+_GeneratedTApp = dataclasses.make_dataclass(
+    "TApp", [("fn", str), ("args", tuple)], frozen=True)
+
+
+def _generated(t):
+    if type(t) is TApp:
+        return _GeneratedTApp(t.fn, tuple(_generated(a) for a in t.args))
+    return t
+
+
+@pytest.mark.parametrize("t", [
+    *(tnum(n) for n in range(41)),
+    TApp("S", (TVar("x"),)), _succs(7, TVar("x")), TApp("0"),
+    TApp("S", (tnum(1), tnum(2))), TApp("S", ()),
+    TApp("+", (_succs(3, TVar("y")), TApp("*", (tnum(2), TApp("pred", (tnum(4),)))))),
+])
+def test_tapp_repr_is_the_generated_one(t):
+    assert repr(t) == repr(_generated(t))
+
+
+def test_repr_of_a_deep_numeral_needs_no_stack():
+    # normalizer traces stamp the repr of sequents holding such numerals
+    head = "TApp(fn='S', args=("
+    assert repr(tnum(5000)) == head * 5000 + "TApp(fn='0', args=())" + ",))" * 5000
+    assert repr(_succs(5000, TVar("x"))).endswith("TVar(name='x')" + ",))" * 5000)
 
 
 def test_numeral_value():

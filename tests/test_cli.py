@@ -213,6 +213,48 @@ def test_check_reads_deeply_nested_terms(tmp_path, capsys, depth):
     assert out.splitlines() == ["term t : Nat", "ok: 1 definitions"]
 
 
+def test_check_prints_type_errors_in_file_syntax(tmp_path, capsys):
+    p = tmp_path / "ill.proof"
+    p.write_text("(defterm u (app succ (lam Nat (var 0))))")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, out) == (1, "")
+    assert err == "error: expected Nat, found (arrow Nat Nat) in argument (lam Nat (var 0))\n"
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_check_of_a_deep_ill_typed_argument_is_a_short_user_error(tmp_path, capsys, depth):
+    p = tmp_path / "ill.proof"
+    p.write_text("(defterm t (app (lam Unit unit) " + "(app succ " * depth + "zero"
+                 + ")" * depth + "))")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (1, "")
+    assert err == "error: expected Unit, found Nat in argument (app ...)\n"
+
+
+def test_extract_witness_of_a_big_numeral_atom_is_a_user_error(tmp_path, capsys):
+    p = tmp_path / "atom.proof"
+    p.write_text("(defder d (der atom-i (seq (ctx) (atom = 2000 2000))))")
+    rc, out, err = run_cli(capsys, "extract-witness", str(p), "--deriv", "d")
+    assert (rc, out) == (1, "")
+    assert err == "error: goal is not an existential atom: (atom = 2000 2000)\n"
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_normalize_of_big_numerals(tmp_path, capsys, trace):
+    a = "(atom = 2000 2000)"
+    p = tmp_path / "big.proof"
+    p.write_text(f"(defder d (der and-el (seq (ctx) {a})"
+                 f" (der and-i (seq (ctx) (and {a} (atom = 1 1)))"
+                 f" (der atom-i (seq (ctx) {a})) (der atom-i (seq (ctx) (atom = 1 1))))))")
+    rc, out, err = run_cli(capsys, "normalize", str(p), "--deriv", "d", *trace)
+    assert (rc, err) == (0, "")
+    *stamps, nf = out.splitlines()
+    assert nf == f"(der atom-i (seq (ctx) {a}))"
+    assert len(stamps) == len(trace) and all(s.startswith("proper/and at root -> ") for s in stamps)
+
+
 @pytest.mark.parametrize("n", [300, 3000])
 def test_check_compares_deep_numerals(tmp_path, capsys, n):
     p = tmp_path / "deep.proof"

@@ -6,16 +6,16 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith
+from realizer import arith, extraction, sexpr
 from realizer import learning as ln
 from realizer import terms as tm
-from realizer.arith import Atom, Exists, Forall, Imply, TVar, tnum
+from realizer.arith import And, Atom, Exists, Forall, Imply, Or, TVar, tnum
 from realizer.learning import (
     ConflictingExtension, Exc, Exceptional, IterationLimit, Regular,
     StalledLearning, State, UnsoundEntry, extend, learn, make_exc,
     run_realizer, spot_check_realizes,
 )
-from realizer.terms import App, Lam, Var, EX, NAT, STATE, UNIT, TSum, app, numeral
+from realizer.terms import App, Lam, Var, EX, NAT, STATE, UNIT, TProd, TSum, app, numeral
 
 RELS = arith.RELATIONS
 
@@ -279,7 +279,6 @@ def test_spot_check_implication_samples():
 
 
 def test_spot_check_conjunction_and_disjunction():
-    from realizer.arith import And, Or
     goal = And(Atom("top"), Or(Atom("bot"), Atom("top")))
     v = app(tm.pair_c(UNIT, TSum(UNIT, UNIT)), tm.unit_const,
             App(tm.inr_c(UNIT, UNIT), tm.unit_const))
@@ -287,6 +286,44 @@ def test_spot_check_conjunction_and_disjunction():
     wrong_side = app(tm.pair_c(UNIT, TSum(UNIT, UNIT)), tm.unit_const,
                      App(tm.inl_c(UNIT, UNIT), tm.unit_const))
     assert not spot_check_realizes(wrong_side, goal, State.empty(), RELS).ok
+
+
+_X_IS_2 = Exists("x", Atom("=", (TVar("x"), tnum(2))))
+_Y_IS_2 = Exists("y", Atom("=", (TVar("y"), tnum(2))))
+
+
+@pytest.mark.parametrize("f", [
+    Atom("top"), _X_IS_2, And(_X_IS_2, Atom("top")), Or(_X_IS_2, Atom("bot")),
+    Exists("x", And(Atom("<", (TVar("x"), tnum(3))), _Y_IS_2)),
+    Imply(Atom("top"), Atom("top")), And(Forall("x", Atom("top")), Atom("top")),
+])
+def test_spot_check_samples_typecheck_at_the_realizer_type(f):
+    ty = extraction.realizer_type(f)
+    samples = ln._inner_samples(ty, 8)
+    assert all(tm.typecheck(v) == ty for v in samples)
+    # an arrow anywhere in the type leaves nothing to sample
+    assert bool(samples) == ("arrow" not in sexpr.print_type(ty))
+
+
+def _witness_map(bump: bool):
+    """lam p. lam s. inl (pair W unit), W the witness of p, or its successor."""
+    ex, inner = TProd(NAT, UNIT), TSum(TProd(NAT, UNIT), EX)
+    w = App(tm.prl_c(NAT, UNIT), Var(1))
+    w = App(tm.succ, w) if bump else w
+    return Lam(ex, Lam(STATE, App(tm.inl_c(ex, EX), app(tm.pair_c(NAT, UNIT), w, tm.unit_const))))
+
+
+def test_spot_check_applies_implications_to_true_antecedents_only():
+    goal = Imply(_X_IS_2, _Y_IS_2)
+    assert tm.typecheck(_witness_map(False)) == extraction.realizer_type(goal)
+    got = spot_check_realizes(_witness_map(False), goal, State.empty(), RELS)
+    assert got.kind == "sampled-ok"
+    wrong = spot_check_realizes(_witness_map(True), goal, State.empty(), RELS)
+    assert wrong.kind == "fails"
+    assert wrong.detail == "top.app.wit(3): atom (atom = 3 2) is false"
+    # a false antecedent has no realizer to apply the map to
+    vacuous = Imply(Exists("x", Atom("<", (TVar("x"), tnum(0)))), _Y_IS_2)
+    assert spot_check_realizes(_witness_map(True), vacuous, State.empty(), RELS).ok
 
 
 def test_custom_relation_protocol():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from realizer import arith
+from realizer import arith, sexpr
 from realizer import monads as mn
 from realizer import terms as tm
 from realizer.monads import BUILTIN_MONADS, EXCEPTION, IDENTITY, INTERACTIVE
@@ -25,7 +25,7 @@ def test_builtin_table():
 
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
-@pytest.mark.parametrize("a", SAMPLE_TYPES, ids=str)
+@pytest.mark.parametrize("a", SAMPLE_TYPES, ids=["nat", "unit", "(* nat unit)", "(+ nat nat)"])
 def test_unit_star_merge_types(m, a):
     b = TProd(NAT, UNIT)
     ta, tb = m.type_op(a), m.type_op(b)
@@ -59,6 +59,15 @@ def test_law_checker_catches_a_broken_star():
     report = mn.check_laws(broken, samples=60, seed=0)
     assert not report.ok
     assert any(v.law == "M1" for v in report.violations)
+    # the sample prints in file syntax
+    for v in (v for v in report.violations if v.law == "M1"):
+        text = v.detail.split(": ", 1)[1]
+        assert sexpr.print_term(sexpr.read_term(sexpr.read_nodes(text)[0])) == text
+
+
+def test_an_unsampleable_type_is_named_in_file_syntax():
+    with pytest.raises(ValueError, match=r"^cannot sample a value of type \(arrow Nat Nat\)$"):
+        mn._sample_value(random.Random(0), TArrow(NAT, NAT))
 
 
 # ---------------------------------------------------------------------------

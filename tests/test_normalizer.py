@@ -570,6 +570,47 @@ def test_extract_witness_input_validation():
         extract_witness(nested)
 
 
+def test_extract_witness_messages_print_file_syntax(monkeypatch):
+    # a goal of 2000-deep numerals: its repr used to recurse past the stack
+    big = Atom("=", (tnum(2000), tnum(2000)))
+    with pytest.raises(nz.NotSimplyExistential) as e:
+        extract_witness(Derivation(dd.AtomI(), _s((), big)))
+    assert str(e.value) == "goal is not an existential atom: (atom = 2000 2000)"
+    # a normal form that names no correct witness is a soundness bug
+    goal = Exists("x", Atom("=", (TVar("x"), tnum(2))))
+    d = Derivation(dd.ExistsI(tnum(2)), _s((), goal),
+                   (Derivation(dd.AtomI(), _s((), Atom("=", (tnum(2), tnum(2))))),))
+    for term, message in [(tnum(3), "witness 3 does not satisfy (atom = 3 2)"),
+                          (TVar("y"), "the witness term y is open")]:
+        wrong = Derivation(dd.ExistsI(term), d.conclusion, d.premisses)
+        monkeypatch.setattr(nz, "normalize_derivation", lambda *a, **k: wrong)
+        with pytest.raises(nz.ShapeViolation) as e:
+            extract_witness(d)
+        assert str(e.value) == message
+
+
+def test_an_invalid_input_is_refused_without_a_cut():
+    bad = Derivation(dd.AtomI(), _s((), Atom("=", (tnum(1), tnum(2)))))
+    assert find_head_cut(bad) is None
+    with pytest.raises(dd.DeductionError):
+        normalize_derivation(bad)
+    with pytest.raises(dd.DeductionError):
+        extract_witness(Derivation(dd.ExistsI(tnum(2)),
+                                   _s((), Exists("x", Atom("=", (TVar("x"), tnum(1))))), (bad,)))
+
+
+def test_extract_witness_checks_each_node_once(monkeypatch):
+    # the input is checked whole before its closedness and goal are tested,
+    # and the normalization carries that check on
+    d = corpus.corpus_file().derivs["cut-and"]
+    calls = []
+    check_node = dd._check_node
+    monkeypatch.setattr(dd, "_check_node", lambda node, *a: calls.append(node) or check_node(node, *a))
+    assert extract_witness(d)[0] == KNOWN_WITNESSES["cut-and"]
+    assert len(calls) == len({id(n) for n in calls})
+    assert {id(n) for n in dd.walk(d)} <= {id(n) for n in calls}
+
+
 def test_stuck_em_reports_its_shape():
     d = _stuck_em()
     dd.check_derivation(d)
@@ -601,17 +642,43 @@ def test_check_open_normal_rejects_cuts_and_unnormalized_terms():
     assert not check_open_normal(stale)
 
 
-def test_principal_branches_cover_intro_premisses():
-    rng = random.Random(77)
-    d = gen.closed_true_derivation(rng, (), 2)
+def _principal_paths_by_recursion(d, path=()):
+    """The paths of the principal nodes of d, in preorder (the reference)."""
+    out = [path]
+    for i, p in enumerate(nz._principal_premisses(d)):
+        out += _principal_paths_by_recursion(p, path + (i,))
+    return out
+
+
+def _is_head_cut(d, path):
+    node = nz._at(d, path)
+    return any(pattern(node, arith.FUNCTIONS) is not None for pattern, _, _ in nz._KINDS.values())
+
+
+def _assert_breadth_first(d):
     paths = [dd._path(trail) for _, trail in nz._principal(d)]
-    # outermost first, left to right among equals, each node once
-    assert paths == sorted(set(paths), key=lambda p: (len(p), p))
+    # outermost first, left to right among equals, each principal node once
+    assert paths == sorted(_principal_paths_by_recursion(d), key=lambda p: (len(p), p))
     # every premiss of an introduction is on a principal branch
     for node, trail in nz._principal(d):
         assert nz._at(d, dd._path(trail)) is node
         if isinstance(node.rule, dd.INTRO_RULES):
             assert all(dd._path(trail) + (i,) in paths for i in range(len(node.premisses)))
+    # the head cut found is at the first principal node that is one
+    cut = find_head_cut(d)
+    assert (cut.path if cut else None) == next((p for p in paths if _is_head_cut(d, p)), None)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cuts_off_the_root_are_found_breadth_first(seed):
+    # cuts on parallel branches, below other cuts and off the principal branches
+    rng = random.Random(seed)
+    base = gen.closed_true_derivation(rng, (), 2) if seed % 3 else gen.em_derivation(rng)
+    _assert_breadth_first(gen.with_inner_cuts(rng, base, 3))
+
+
+def test_principal_branches_cover_intro_premisses():
+    _assert_breadth_first(gen.closed_true_derivation(random.Random(77), (), 2))
     # a deep normal form: one branch through 1200 posited rules
     xx = Atom("=", (TVar("x"), TVar("x")))
     deep = Derivation(dd.AtomPost("refl"), _s((), xx))

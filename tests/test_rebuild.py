@@ -250,13 +250,26 @@ def _side_by_side():
     return [(f"side-by-side/{i}", d, {}) for i, d in enumerate(out)]
 
 
+def _inner_cuts():
+    """Generated cuts on inner nodes: under both premisses of an and-i, on
+    parallel branches at different depths, below other cuts and off the
+    principal branches."""
+    out = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, b = (gen.closed_true_derivation(rng, (), 2) for _ in range(2))
+        base = _pair((), a, b) if seed % 4 else gen.em_derivation(rng)
+        out.append((f"inner-cuts/{seed}", gen.with_inner_cuts(rng, base, 3), {}))
+    return out
+
+
 @functools.cache
 def _walked():
     """(derivation, simplify, fns): every derivation the normalization of an
-    input, a dead split or side-by-side cuts passes through, under both
+    input, a dead split, side-by-side cuts or inner cuts passes through, under both
     simplify settings, and every subtree of those under both."""
     inputs = [*_inputs(), *((f"dead-split/{i}", d, {}) for i, d in enumerate(_dead_splits())),
-              *_side_by_side()]
+              *_side_by_side(), *_inner_cuts()]
     out = []
     find = nz.find_head_cut
 

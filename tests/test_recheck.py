@@ -286,9 +286,9 @@ def test_each_node_of_a_deep_chain_is_checked_once(monkeypatch):
     check_node = dd._check_node
     monkeypatch.setattr(dd, "_check_node", lambda node, *a: calls.append(node) or check_node(node, *a))
     assert nz.normalize_derivation(d) == Derivation(dd.AtomI(), Sequent((), a))
-    # the first check follows the first rewrite, which dropped three nodes;
-    # the other 299 rewrites return subtrees that check covered
-    assert len(calls) == len({id(n) for n in calls}) == sum(1 for _ in dd.walk(d)) - 3
+    # the input is checked whole before the first rewrite; the 300 rewrites
+    # return subtrees that check covered
+    assert len(calls) == len({id(n) for n in calls}) == sum(1 for _ in dd.walk(d))
 
 
 def test_norm_terms_memo_keeps_the_goal_rule_apart():

@@ -216,7 +216,7 @@ def test_reader_agrees_with_the_reference_on_damaged_files(data):
 def test_primfn_roundtrip():
     fns = [Zero(0), Zero(3), Succ(), Proj(4, 2),
            Comp(Succ(), (Proj(2, 1),)), PRec(Zero(0), Proj(2, 2)),
-           FNS["+"], corpus.SQUARE]
+           FNS["+"], corpus.corpus_file().fns["sq"]]
     for f in fns:
         assert read_primfn(read_nodes(print_primfn(f))[0], FNS) == f
     assert read_primfn(read_nodes("+")[0], FNS) == FNS["+"]

@@ -68,6 +68,42 @@ def test_typing_failures():
         typecheck(Num(-1))
 
 
+def test_ground_types_are_one_class_and_no_type_prints_itself():
+    assert [(type(ty), ty.name) for ty in (UNIT, NAT, STATE, EX)] == [
+        (tm.TBase, "Unit"), (tm.TBase, "Nat"), (tm.TBase, "State"), (tm.TBase, "Ex")]
+    assert tm.TBase("Nat") == NAT
+    for cls in (tm.TBase, TArrow, TProd, TSum, Var, Lam, App, Num, Const):
+        assert "__str__" not in vars(cls), cls
+
+
+@pytest.mark.parametrize("term, message", [
+    (App(tm.succ, Lam(NAT, Var(0))),
+     "expected Nat, found (arrow Nat Nat) in argument (lam Nat (var 0))"),
+    (App(numeral(1), numeral(2)),
+     "expected a function type, found Nat in application head (app succ zero)"),
+    (App(Lam(TProd(NAT, STATE), tm.unit_const), App(tm.inl_c(UNIT, EX), tm.unit_const)),
+     "expected (prod Nat State), found (sum Unit Ex) in argument (app (inl Unit Ex) unit)"),
+])
+def test_type_mismatch_prints_file_syntax(term, message):
+    with pytest.raises(tm.TypeMismatch) as e:
+        typecheck(term)
+    assert str(e.value) == message
+
+
+def test_type_mismatch_on_a_deep_argument_names_its_head():
+    # the argument prints over 10^4 lines; the message names its head only
+    with pytest.raises(tm.TypeMismatch) as e:
+        typecheck(App(Lam(UNIT, tm.unit_const), numeral(10**4)))
+    assert str(e.value) == "expected Unit, found Nat in argument (app ...)"
+
+
+def test_dummy_refusal_prints_file_syntax():
+    with pytest.raises(tm.IllTyped, match=r"^no dummy value at type State$"):
+        tm.dummy(STATE)
+    with pytest.raises(tm.IllTyped, match=r"^no dummy value at type Ex$"):
+        tm.dummy(TArrow(NAT, EX))
+
+
 def test_dummy_values_typecheck():
     for ty in (NAT, UNIT, TArrow(NAT, UNIT), TProd(NAT, NAT),
                TSum(UNIT, TArrow(NAT, NAT))):
