@@ -123,8 +123,11 @@ def _fuel(flag, fallback: int) -> int:
 
 
 def _load(path: str) -> sexpr.ProofFile:
-    with open(path) as fh:
-        return sexpr.parse_file(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return sexpr.parse_file(fh.read())  # read decodes all, so e.start is the offset
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _named(table: dict, name: str, what: str):
@@ -175,10 +178,8 @@ def cmd_check(args) -> int:
                  args.format == "sexpr")
         else:
             _say(f"{kind[3:]} {name}", args.format == "sexpr")
-    if args.format == "sexpr":
-        print(f"(checked {len(pf.order)})")
-    else:
-        print(f"ok: {len(pf.order)} definitions")
+    n = len(pf.order)
+    print(f"(checked {n})" if args.format == "sexpr" else f"ok: {n} definitions")
     return 0
 
 
@@ -186,11 +187,9 @@ def cmd_extract(args) -> int:
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
     t = extraction.extract(d, monads.BUILTIN_MONADS[args.monad], pf.rels, pf.fns)
-    if args.format == "sexpr":
-        print(sexpr.print_term(t))
-    else:
+    if args.format != "sexpr":
         print(f"type: {sexpr.print_type(tm.typecheck(t))}")
-        print(sexpr.print_term(t))
+    print(sexpr.print_term(t))
     return 0
 
 
@@ -205,26 +204,19 @@ def cmd_run(args) -> int:
         if args.trace:
             for line in trace.lines:
                 _say(line, machine)
-        if machine:
-            print(f"(learned {_print_state(s2, True)} {sexpr.print_term(value)})")
-        else:
-            print(f"state: {_print_state(s2, False) or '-'}")
-            print(f"value: {sexpr.print_term(value)}")
+        value = sexpr.print_term(value)
+        print(f"(learned {_print_state(s2, True)} {value})" if machine
+              else f"state: {_print_state(s2, False) or '-'}\nvalue: {value}")
         return 0
     out = learning.run_realizer(t, s, pf.rels, fuel)
     if isinstance(out, learning.Regular):
-        if machine:
-            print(f"(regular {sexpr.print_term(out.value)})")
-        else:
-            print("outcome: regular")
-            print(f"value: {sexpr.print_term(out.value)}")
+        value = sexpr.print_term(out.value)
+        print(f"(regular {value})" if machine else f"outcome: regular\nvalue: {value}")
     else:
         e = out.exc
-        if machine:
-            print(f"(exceptional {sexpr.print_term(tm.exc_const(e.rel, e.args, e.witness))})")
-        else:
-            print("outcome: exceptional")
-            print(f"exception: {learning._key_text(e.key)}={e.witness}")
+        exc = sexpr.print_term(tm.exc_const(e.rel, e.args, e.witness))
+        print(f"(exceptional {exc})" if machine
+              else f"outcome: exceptional\nexception: {learning._key_text(e.key)}={e.witness}")
     return 0
 
 
@@ -245,10 +237,7 @@ def cmd_extract_witness(args) -> int:
     d = _named(pf.derivs, args.deriv, "derivation")
     value, _ = nm.extract_witness(d, _fuel(args.fuel, nm.DEFAULT_FUEL),
                                   rels=pf.rels, fns=pf.fns)
-    if args.format == "sexpr":
-        print(value)
-    else:
-        print(f"witness: {value}")
+    print(value if args.format == "sexpr" else f"witness: {value}")
     return 0
 
 
@@ -279,11 +268,8 @@ def cmd_least_element(args) -> int:
         [reals.constant(v) for v in values], precision)
     for line in trace:
         _say(line, machine)
-    if machine:
-        print(f"(result (index {index}) {_print_state(s, True)})")
-    else:
-        print(f"index: {index}")
-        print(f"state: {_print_state(s, False) or '-'}")
+    print(f"(result (index {index}) {_print_state(s, True)})" if machine
+          else f"index: {index}\nstate: {_print_state(s, False) or '-'}")
     return 0
 
 
@@ -296,11 +282,8 @@ def cmd_convex_angle(args) -> int:
     a, b, c, s, trace = reals.convex_angle(points, max_precision=precision)
     for line in trace:
         _say(line, machine)
-    if machine:
-        print(f"(result (angle {a} {b} {c}) {_print_state(s, True)})")
-    else:
-        print(f"angle: {a} {b} {c}")
-        print(f"state: {_print_state(s, False) or '-'}")
+    print(f"(result (angle {a} {b} {c}) {_print_state(s, True)})" if machine
+          else f"angle: {a} {b} {c}\nstate: {_print_state(s, False) or '-'}")
     return 0
 
 

@@ -9,15 +9,16 @@ read in order, so definitions may use earlier ones and the built-in
 function and relation tables.  Comments run from ';' to end of line;
 whitespace is space, tab, CR and LF.
 
-read_nodes tokenizes with one regular expression and nests lists on an
-explicit stack.  A node keeps the offset where it starts in its text, and
-a ParseError counts line and column from that offset when it is built.
-Primitive functions, types, formulas, terms, rules and definitions each
-have one table of forms: a head, how the object is made from its
-arguments and split back into them, and the kind (a reader paired with a
-printer) of each argument.  read_X and print_X walk the same table with
-an explicit stack, so each head is spelled once and depth costs no Python
-stack.  Printing is the inverse on checked objects: parse(print(x)) == x.
+A text is split once into a token list that readers address by index, so
+no object is made per token, and a ParseError works out its line and
+column only when it is raised.  Each distinct type form of a text is read
+once: its equal types are one object.  Primitive functions, types,
+formulas, terms, rules and definitions each have one table of forms: a
+head, how the object is made from its arguments and split back into them,
+and the kind (a reader paired with a printer) of each argument.  read_X
+(of a text of one form) and print_X walk the same table with an explicit
+stack, so each head is spelled once and depth costs no Python stack.
+Printing is the inverse on checked objects: parse(print(x)) == x.
 
 This is the only printer of types, terms, first-order terms and formulas:
 the error messages of the other modules show them through print_X with
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import arith
 from . import deduction as dd
@@ -53,111 +54,103 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# reading: tokens and nodes
+# reading: one token list
 
-
-@dataclass(slots=True)
-class Sym:
-    text: str
-    pos: int = 0  # offset of the first character in src
-    src: str = field(default="", compare=False, repr=False)
-
-
-@dataclass(slots=True)
-class IntTok:
-    value: int
-    pos: int = 0
-    src: str = field(default="", compare=False, repr=False)
-
-
-@dataclass(slots=True)
-class ListNode:
-    items: tuple["Node", ...]
-    pos: int = 0
-    src: str = field(default="", compare=False, repr=False)
-
-
-Node = Union[Sym, IntTok, ListNode]
 
 # a comment, a parenthesis or an atom; what no match covers is whitespace
 _TOKEN = re.compile(r";[^\n]*|[()]|[^(); \t\r\n]+")
+_COMMENT = re.compile(r";[^\n]*")
 _INT = re.compile(r"-?\d+$")
+_CONVERTS = 640  # int() converts a numeral this long: its limit is 640 digits or more
 
 
-def _error(text: str, pos: int, message: str) -> ParseError:
-    line = text.count("\n", 0, pos) + 1
-    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
+def _offsets(text: str) -> list[int]:
+    # where each token of _Reader(text).toks starts in text
+    return [m.start() for m in _TOKEN.finditer(text) if text[m.start()] != ";"]
 
 
-def _err(node: Node, message: str) -> ParseError:
-    return _error(node.src, node.pos, message)
+class _Reader:
+    """The tokens of one text, comments left out, and the types read so far.
+
+    after[i] is the index just past the form that starts at token i: i + 1
+    for an atom, one past the matching ')' for a '('.
+    """
+
+    def __init__(self, text: str, fns=None, rels=None):
+        # the tokens _TOKEN matches, split out by str methods, which are faster
+        spaced = _COMMENT.sub("", text)
+        for ch, by in ("(", " ( "), (")", " ) "), ("\t", " "), ("\r", " "), ("\n", " "):
+            spaced = spaced.replace(ch, by)
+        self.text, self.toks = text, list(filter(None, spaced.split(" ")))
+        self.after = after = list(range(1, len(self.toks) + 1))
+        opened = []
+        for i, t in enumerate(self.toks):
+            if t == "(":
+                opened.append(i)
+            elif t == ")":
+                if not opened:
+                    raise self.error(i, "unmatched ')'")
+                after[opened.pop()] = i + 1
+            elif len(t) > _CONVERTS and _INT.match(t):
+                try:
+                    int(t)
+                except ValueError:  # more digits than the interpreter converts
+                    raise self.error(i, f"numeral of {len(t)} characters is too long") from None
+        if opened:
+            raise self.error(opened[-1], "unclosed parenthesis")
+        self.fns, self.rels = fns, rels
+        self.types: dict = {}  # type forms by their tokens, and types by their parts
+
+    def error(self, i: int, message: str) -> ParseError:
+        # at token i, or at the end of the text when i is the number of tokens
+        pos = (_offsets(self.text) + [len(self.text)])[i]
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
+
+    def items(self, i: int, end: int) -> list[int]:
+        """The indices of the forms from token i up to token end."""
+        after, out = self.after, []
+        while i < end:
+            out.append(i)
+            i = after[i]
+        return out
 
 
-def read_nodes(text: str) -> list[Node]:
-    """All top-level nodes of text."""
-    items: list[Node] = []  # of the innermost open list, or the top level
-    opened = []  # (offset, enclosing items) of each open list
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "(":
-            opened.append((m.start(), items))
-            items = []
-        elif tok == ")":
-            if not opened:
-                raise _error(text, m.start(), "unmatched ')'")
-            pos, outer = opened.pop()
-            outer.append(ListNode(tuple(items), pos, text))
-            items = outer
-        elif _INT.match(tok):
-            try:
-                value = int(tok)
-            except ValueError:  # more digits than the interpreter converts
-                raise _error(text, m.start(),
-                             f"numeral of {len(tok)} characters is too long") from None
-            items.append(IntTok(value, m.start(), text))
-        elif tok[0] != ";":
-            items.append(Sym(tok, m.start(), text))
-    if opened:
-        raise _error(text, opened[-1][0], "unclosed parenthesis")
-    return items
+def _sym(i: int, rd: _Reader, what: str) -> str:
+    tok = rd.toks[i]
+    if tok == "(" or _INT.match(tok):
+        raise rd.error(i, f"expected {what}")
+    return tok
 
 
-def _sym(node: Node, what: str) -> str:
-    if type(node) is not Sym:
-        raise _err(node, f"expected {what}")
-    return node.text
+def _int(i: int, rd: _Reader, what: str) -> int:
+    tok = rd.toks[i]
+    if not _INT.match(tok):
+        raise rd.error(i, f"expected {what}")
+    return int(tok)
 
 
-def _int(node: Node, what: str) -> int:
-    if type(node) is not IntTok:
-        raise _err(node, f"expected {what}")
-    return node.value
+def _list(i: int, rd: _Reader, what: str) -> list[int]:
+    if rd.toks[i] != "(":
+        raise rd.error(i, f"expected {what}")
+    return rd.items(i + 1, rd.after[i] - 1)
 
 
-def _list(node: Node, what: str) -> tuple[Node, ...]:
-    if type(node) is not ListNode:
-        raise _err(node, f"expected {what}")
-    return node.items
-
-
-def _form(node: Node, what: str) -> tuple[str, tuple[Node, ...]]:
-    items = _list(node, what)
+def _form(i: int, rd: _Reader, what: str) -> tuple[str, list[int]]:
+    items = _list(i, rd, what)
     if not items:
-        raise _err(node, f"empty form where {what} was expected")
-    if type(items[0]) is not Sym:
-        raise _err(items[0], f"expected {what} head")
-    return items[0].text, items[1:]
-
-
-def _takes(node: Node, name: str, arity: int, got: int):
-    if arity != got:
-        raise _err(node, f"{name!r} takes {arity} arguments, got {got}")
+        raise rd.error(i, f"empty form where {what} was expected")
+    head = rd.toks[i + 1]
+    if head == "(" or _INT.match(head):
+        raise rd.error(i + 1, f"expected {what} head")
+    return head, items[1:]
 
 
 # ---------------------------------------------------------------------------
 # layout
 
 _WIDTH = 100
+_DEEPEST = 120  # no line is indented further, so depth n prints in O(n) bytes
 
 
 class _Block:
@@ -202,7 +195,7 @@ def _text(x) -> str:
             out.append(job)
             continue
         block, indent = job
-        inner = indent + 2
+        inner = min(indent + 2, _DEEPEST)
         work.append(")")
         for p in reversed(block.parts[1:]):
             work.append((p, inner) if type(p) is _Block else p)
@@ -218,7 +211,7 @@ def _text(x) -> str:
 
 
 class _Kind(NamedTuple):
-    """How one argument is read, read(node, fns, rels), and printed, print(obj)."""
+    """How one argument is read, read(index, reader), and printed, print(obj)."""
 
     read: Callable
     print: Callable
@@ -235,7 +228,7 @@ class _Form:
     rest: Optional[_Kind] = None  # of any further ones
     least: Optional[int] = None  # fewest arguments, when not len(kinds)
     short: str = ""  # the error for too few arguments, when not the arity one
-    check: Optional[Callable] = None  # (node, args, fns, rels), before reading
+    check: Optional[Callable] = None  # (index, args, reader), before reading
     key: object = None  # the printer's key, when make is not a class
     flat: bool = False  # printed on one line, however long
 
@@ -248,41 +241,47 @@ class _Form:
 
 
 def _walk(root: list, *ctx):
-    """Finish the open form root; ctx (fns, rels) goes to every reader.
+    """Finish the open form root; ctx (the _Reader) goes to every reader.
 
-    An open form is a list [make, parts, node]: parts yields (reader or
+    An open form is a list [make, parts, at]: parts yields (reader or
     printer, argument) pairs in order and make(*results) finishes it.  A
     reader or printer returns its result, never a list, or a further open
     form, which waits on the stack with its parts iterator where it
-    stopped.  A make raising ArityMismatch is reported at the form's node.
+    stopped.  A make raising ArityMismatch is reported at token index at.
     """
-    stack = [(root[0], iter(root[1]), root[2], [])]
+    make, parts, at = root
+    parts, results, stack = iter(parts), [], []  # stack: the open forms above
     while True:
-        make, parts, node, results = stack[-1]
         for step, x in parts:
             x = step(x, *ctx)
             if type(x) is list:
-                stack.append((x[0], iter(x[1]), x[2], []))
+                stack.append((make, parts, at, results))
+                make, parts, at = x
+                parts, results = iter(parts), []
                 break
             results.append(x)
         else:
-            stack.pop()
             try:
                 value = make(*results)
             except arith.ArityMismatch as e:
-                raise _err(node, str(e)) from e
+                raise ctx[0].error(at, str(e)) from e
             if not stack:
                 return value
-            stack[-1][3].append(value)
+            make, parts, at, results = stack.pop()
+            results.append(value)
 
 
 def _only(x):
     return x
 
 
-def _read(kind: _Kind, node: Node, fns=None, rels=None):
-    """node read as kind; the public read_X are this with X's kind."""
-    return _walk([_only, [(kind.read, node)], node], fns, rels)
+def _read(kind: _Kind, text: str, fns=None, rels=None):
+    """The one form of text read as kind; the public read_X are this with X's kind."""
+    rd = _Reader(text, fns, rels)
+    forms = rd.items(0, len(rd.toks))
+    if len(forms) != 1:
+        raise rd.error(forms[1] if forms else 0, f"expected one form, found {len(forms)}")
+    return _walk([_only, [(kind.read, forms[0])], forms[0]], rd)
 
 
 def _print(kind: _Kind, obj, brief: bool = False) -> str:
@@ -298,14 +297,14 @@ def _print(kind: _Kind, obj, brief: bool = False) -> str:
     return _text(x)
 
 
-def _read_form(form: _Form, node: Node, args: tuple[Node, ...], fns, rels) -> list:
+def _read_form(form: _Form, i: int, args: list[int], rd: _Reader) -> list:
     n, got = len(form.kinds), len(args)
     if got < form.least or (got > n and form.rest is None):
-        raise _err(node, form.short or f"{form.head} takes {n} arguments, got {got}")
+        raise rd.error(i, form.short or f"{form.head} takes {n} arguments, got {got}")
     if form.check is not None:
-        form.check(node, args, fns, rels)
+        form.check(i, args, rd)
     reads = form.reads if got <= n else form.reads + (form.rest.read,) * (got - n)
-    return [form.make, zip(reads, args), node]
+    return [form.make, zip(reads, args), i]
 
 
 def _print_form(form: _Form, values) -> list:
@@ -334,16 +333,21 @@ class _Table:
         for f in forms:
             self.printed[f.key or (f.make if isinstance(f.make, type) else f.head)] = f
 
-    def read(self, node: Node, fns, rels):
-        if self.bare is not None and type(node) is Sym:
-            if node.text not in self.bare:
-                raise _err(node, f"unknown {self.noun} {node.text!r}")
-            return self.bare[node.text]
-        head, args = _form(node, self.what)
-        form = self.heads.get(head)
-        if form is None:
-            raise _err(node, f"unknown {self.noun} form {head!r}")
-        return _read_form(form, node, args, fns, rels)
+    def read(self, i: int, rd: _Reader):
+        toks = rd.toks
+        tok = toks[i]
+        if tok == "(":
+            form = self.heads.get(toks[i + 1])
+            if form is not None:  # so the head is a symbol
+                return _read_form(form, i, rd.items(i + 2, rd.after[i] - 1), rd)
+        elif self.bare is not None:
+            value = self.bare.get(tok)
+            if value is not None:
+                return value
+            if not _INT.match(tok):
+                raise rd.error(i, f"unknown {self.noun} {tok!r}")
+        head, _ = _form(i, rd, self.what)  # raises for what is not a form
+        raise rd.error(i, f"unknown {self.noun} form {head!r}")
 
     def print(self, obj):
         entry = self.printed.get(self.key(obj))
@@ -353,11 +357,11 @@ class _Table:
 
 
 def _symbol(what: str) -> _Kind:
-    return _Kind(lambda node, fns, rels: _sym(node, what), str)
+    return _Kind(lambda i, rd: _sym(i, rd, what), str)
 
 
 def _integer(what: str) -> _Kind:
-    return _Kind(lambda node, fns, rels: _int(node, what), str)
+    return _Kind(lambda i, rd: _int(i, rd, what), str)
 
 
 def _fields(obj):
@@ -369,22 +373,22 @@ _VARIABLE = _symbol("a variable")
 _ARITY = _integer("an arity")
 
 
-def _read_relation(node: Node, fns, rels) -> str:
-    rel = _sym(node, "a relation name")
-    if rel not in rels:
-        raise _err(node, f"unknown relation {rel!r}")
+def _read_relation(i: int, rd: _Reader) -> str:
+    rel = _sym(i, rd, "a relation name")
+    if rel not in rd.rels:
+        raise rd.error(i, f"unknown relation {rel!r}")
     return rel
 
 
-def _read_function_name(node: Node, fns, rels) -> tuple[str, PrimFn]:
-    name = _sym(node, "a function name")
-    if name not in fns:
-        raise _err(node, f"unknown function {name!r}")
-    return name, fns[name]
+def _read_function_name(i: int, rd: _Reader) -> tuple[str, PrimFn]:
+    name = _sym(i, rd, "a function name")
+    if name not in rd.fns:
+        raise rd.error(i, f"unknown function {name!r}")
+    return name, rd.fns[name]
 
 
-def _read_numerals(node: Node, fns, rels) -> tuple[int, ...]:
-    return tuple(_int(a, "a numeral") for a in _list(node, "arguments"))
+def _read_numerals(i: int, rd: _Reader) -> tuple[int, ...]:
+    return tuple(_int(a, rd, "a numeral") for a in _list(i, rd, "arguments"))
 
 
 _RELATION = _Kind(_read_relation, str)
@@ -399,11 +403,12 @@ _NUMERALS = _Kind(_read_numerals, lambda args: _flat(*map(str, args)))
 _PRIMFNS = _Table("a function", "function", key=lambda f: f if f == Zero(0) else type(f))
 
 
-def _read_primfn(node: Node, fns, rels) -> PrimFn:
+def _read_primfn(i: int, rd: _Reader) -> PrimFn:
     # a symbol other than a bare head names a built-in or defined function
-    if type(node) is Sym and node.text not in _PRIMFNS.bare and node.text in fns:
-        return fns[node.text]
-    return _PRIMFNS.read(node, fns, rels)
+    tok = rd.toks[i]
+    if tok not in _PRIMFNS.bare and tok in rd.fns:
+        return rd.fns[tok]
+    return _PRIMFNS.read(i, rd)
 
 
 _FN = _Kind(_read_primfn, _PRIMFNS.print)
@@ -419,7 +424,7 @@ _PRIMFNS.define(
     ),
     bare={_ZERO.head: Zero(0), "S": Succ()},
 )
-read_primfn = partial(_read, _FN)  # (node, fns)
+read_primfn = partial(_read, _FN)  # (text, fns)
 print_primfn = partial(_print, _FN)
 
 
@@ -427,20 +432,23 @@ print_primfn = partial(_print, _FN)
 # first-order terms and formulas
 
 
-def _read_aterm(node: Node, fns, rels) -> ATerm:
-    if type(node) is IntTok:
-        if node.value < 0:
-            raise _err(node, "negative numeral")
-        if node.value > arith.MAX_NUMERAL:
-            raise _err(node, f"numeral above the bound {arith.MAX_NUMERAL}")
-        return tnum(node.value)
-    if type(node) is Sym:
-        return TVar(node.text)
-    head, args = _form(node, "a term")
-    if head not in fns:
-        raise _err(node, f"unknown function {head!r}")
-    _takes(node, head, fns[head].arity, len(args))
-    return [lambda *xs: TApp(head, xs), [(_read_aterm, a) for a in args], node]
+def _read_aterm(i: int, rd: _Reader) -> ATerm:
+    tok = rd.toks[i]
+    if tok != "(":
+        if not _INT.match(tok):
+            return TVar(tok)
+        value = int(tok)
+        if value < 0:
+            raise rd.error(i, "negative numeral")
+        if value > arith.MAX_NUMERAL:
+            raise rd.error(i, f"numeral above the bound {arith.MAX_NUMERAL}")
+        return tnum(value)
+    head, args = _form(i, rd, "a term")
+    if head not in rd.fns:
+        raise rd.error(i, f"unknown function {head!r}")
+    if rd.fns[head].arity != len(args):
+        raise rd.error(i, f"{head!r} takes {rd.fns[head].arity} arguments, got {len(args)}")
+    return [lambda *xs: TApp(head, xs), [(_read_aterm, a) for a in args], i]
 
 
 def _print_aterm(t: ATerm):
@@ -455,13 +463,14 @@ def _print_aterm(t: ATerm):
 
 
 _ATERM = _Kind(_read_aterm, _print_aterm)
-read_aterm = partial(_read, _ATERM)  # (node, fns)
+read_aterm = partial(_read, _ATERM)  # (text, fns)
 print_aterm = partial(_print, _ATERM)
 
 
-def _relation_arity(node: Node, args: tuple[Node, ...], fns, rels):
-    rel = _read_relation(args[0], fns, rels)
-    _takes(node, rel, rels[rel].arity, len(args) - 1)
+def _relation_arity(i: int, args: list[int], rd: _Reader):
+    rel = _read_relation(args[0], rd)
+    if rd.rels[rel].arity != len(args) - 1:
+        raise rd.error(i, f"{rel!r} takes {rd.rels[rel].arity} arguments, got {len(args) - 1}")
 
 
 _FORMULAS = _Table("a formula", "formula")
@@ -476,7 +485,7 @@ _FORMULAS.define((
     _Form("forall", Forall, _fields, (_VARIABLE, _FORMULA)),
     _Form("exists", Exists, _fields, (_VARIABLE, _FORMULA)),
 ))
-read_formula = partial(_read, _FORMULA)  # (node, fns, rels)
+read_formula = partial(_read, _FORMULA)  # (text, fns, rels)
 print_formula = partial(_print, _FORMULA)
 
 
@@ -492,16 +501,37 @@ def _print_type(ty):
     return ty.name if type(ty) is tm.TBase else _TYPES.print(ty)
 
 
-_TYPE = _Kind(_TYPES.read, _print_type)
+def _read_type(i: int, rd: _Reader):
+    # a type form met again in the text is looked up by its tokens
+    if rd.toks[i] != "(":
+        return _TYPES.read(i, rd)
+    key = tuple(rd.toks[i:rd.after[i]])
+    if key in rd.types:
+        return rd.types[key]
+    return [partial(rd.types.setdefault, key), [(_read_part, i)], i]
+
+
+def _read_part(i: int, rd: _Reader):
+    # one object per class and parts, which are one object each already and
+    # kept alive by rd.types, so their ids stay theirs
+    x = _TYPES.read(i, rd)
+    if type(x) is list:
+        make, types = x[0], rd.types
+        x[0] = lambda *parts: types.setdefault((make, *map(id, parts)), make(*parts))
+    return x
+
+
+_TYPE = _Kind(_read_type, _print_type)
+_PART = _Kind(_read_part, _print_type)
 _TYPES.define(
     (
-        _Form("arrow", tm.TArrow, _fields, (_TYPE, _TYPE)),
-        _Form("prod", tm.TProd, _fields, (_TYPE, _TYPE)),
-        _Form("sum", tm.TSum, _fields, (_TYPE, _TYPE)),
+        _Form("arrow", tm.TArrow, _fields, (_PART, _PART)),
+        _Form("prod", tm.TProd, _fields, (_PART, _PART)),
+        _Form("sum", tm.TSum, _fields, (_PART, _PART)),
     ),
     bare={ty.name: ty for ty in (tm.UNIT, tm.NAT, tm.STATE, tm.EX)},
 )
-read_type = partial(_read, _TYPE)  # (node)
+read_type = partial(_read, _TYPE)  # (text)
 print_type = partial(_print, _TYPE)
 
 
@@ -538,7 +568,7 @@ _TERMS.define(
     bare={c.kind: c for c in
           (tm.unit_const, tm.zero, tm.succ, tm.exmerge_const, tm.staterep)},
 )
-read_term = partial(_read, _TERM)  # (node, fns, rels)
+read_term = partial(_read, _TERM)  # (text, fns, rels)
 print_term = partial(_print, _TERM)
 
 
@@ -561,42 +591,34 @@ _RULES.define(
         _Form("cind", dd.CInd, _fields, (_LABEL, _VARIABLE)),
         _Form("em", dd.EM, _fields, (_LABEL, _VARIABLE)),
     ),
-    bare={
-        "atom-i": dd.AtomI(),
-        "atom-e": dd.AtomE(),
-        "and-i": dd.AndI(),
-        "and-el": dd.AndEL(),
-        "and-er": dd.AndER(),
-        "or-il": dd.OrIL(),
-        "or-ir": dd.OrIR(),
-        "imply-e": dd.ImplyE(),
-        "false-e": dd.FalseE0(),
-    },
+    bare={"atom-i": dd.AtomI(), "atom-e": dd.AtomE(), "and-i": dd.AndI(), "and-el": dd.AndEL(),
+          "and-er": dd.AndER(), "or-il": dd.OrIL(), "or-ir": dd.OrIR(), "imply-e": dd.ImplyE(),
+          "false-e": dd.FalseE0()},
 )
 
 
-def _read_entry(node: Node, fns, rels) -> list:
-    items = _list(node, "a context entry")
+def _read_entry(i: int, rd: _Reader) -> list:
+    items = _list(i, rd, "a context entry")
     if len(items) != 2:
-        raise _err(node, "context entries are (LABEL FORMULA)")
-    return [lambda *entry: entry, [(_LABEL.read, items[0]), (_FORMULAS.read, items[1])], node]
+        raise rd.error(i, "context entries are (LABEL FORMULA)")
+    return [lambda *entry: entry, [(_LABEL.read, items[0]), (_FORMULAS.read, items[1])], i]
 
 
 def _print_entry(entry: tuple[str, Formula]) -> list:
     return [_wrap, [(_LABEL.print, entry[0]), (_FORMULAS.print, entry[1])], None]
 
 
-def _read_sequent(node: Node, fns, rels) -> list:
-    head, args = _form(node, "a sequent")
+def _read_sequent(i: int, rd: _Reader) -> list:
+    head, args = _form(i, rd, "a sequent")
     if head != "seq":
-        raise _err(node, "expected (seq (ctx ...) GOAL)")
+        raise rd.error(i, "expected (seq (ctx ...) GOAL)")
     if len(args) != 2:
-        raise _err(node, f"{head} takes 2 arguments, got {len(args)}")
-    chead, entries = _form(args[0], "a context")
+        raise rd.error(i, f"{head} takes 2 arguments, got {len(args)}")
+    chead, entries = _form(args[0], rd, "a context")
     if chead != "ctx":
-        raise _err(args[0], "expected (ctx (LABEL FORMULA) ...)")
+        raise rd.error(args[0], "expected (ctx (LABEL FORMULA) ...)")
     parts = [(_read_entry, e) for e in entries] + [(_FORMULAS.read, args[1])]
-    return [lambda *xs: Sequent(xs[:-1], xs[-1]), parts, node]
+    return [lambda *xs: Sequent(xs[:-1], xs[-1]), parts, i]
 
 
 def _print_sequent(s: Sequent) -> list:
@@ -604,16 +626,13 @@ def _print_sequent(s: Sequent) -> list:
     return [lambda *xs: _wrap("seq", _wrap("ctx", *xs[:-1]), xs[-1]), parts, None]
 
 
-_SEQUENT = _Kind(_read_sequent, _print_sequent)
-
-
-def _read_derivation(node: Node, fns, rels) -> list:
-    head, args = _form(node, "a derivation")
+def _read_derivation(i: int, rd: _Reader) -> list:
+    head, args = _form(i, rd, "a derivation")
     if head != "der" or len(args) < 2:
-        raise _err(node, "expected (der RULE SEQUENT PREMISSES...)")
+        raise rd.error(i, "expected (der RULE SEQUENT PREMISSES...)")
     parts = [(_RULES.read, args[0]), (_read_sequent, args[1])]
     parts += [(_read_derivation, a) for a in args[2:]]
-    return [lambda rule, seq, *prems: Derivation(rule, seq, prems), parts, node]
+    return [lambda rule, seq, *prems: Derivation(rule, seq, prems), parts, i]
 
 
 def _print_derivation(d: Derivation) -> list:
@@ -623,11 +642,8 @@ def _print_derivation(d: Derivation) -> list:
 
 
 _DERIVATION = _Kind(_read_derivation, _print_derivation)
-read_rule = partial(_read, _RULE)  # (node, fns, rels)
-print_rule = partial(_print, _RULE)
-read_sequent = partial(_read, _SEQUENT)  # (node, fns, rels)
-print_sequent = partial(_print, _SEQUENT)
-read_derivation = partial(_read, _DERIVATION)  # (node, fns, rels)
+read_rule = partial(_read, _RULE)  # (text, fns, rels)
+read_derivation = partial(_read, _DERIVATION)  # (text, fns, rels)
 print_derivation = partial(_print, _DERIVATION)
 
 
@@ -666,16 +682,17 @@ _DEFINITIONS = {
 def parse_file(text: str) -> ProofFile:
     pf = ProofFile()
     order = []
-    for node in read_nodes(text):
-        head, args = _form(node, "a definition")
+    rd = _Reader(text, pf.fns, pf.rels)
+    for i in rd.items(0, len(rd.toks)):
+        head, args = _form(i, rd, "a definition")
         if head not in _DEFINITIONS:
-            raise _err(node, f"unknown top-level form {head!r}")
+            raise rd.error(i, f"unknown top-level form {head!r}")
         attr, form = _DEFINITIONS[head]
         table = getattr(pf, attr)
-        name = _sym(args[0] if args else node, "a name")
+        name = _sym(args[0] if args else i, rd, "a name")
         if name in table:
-            raise _err(args[0], f"duplicate name {name!r}")
-        table[name] = _walk(_read_form(form, node, args, pf.fns, pf.rels), pf.fns, pf.rels)
+            raise rd.error(args[0], f"duplicate name {name!r}")
+        table[name] = _walk(_read_form(form, i, args, rd), rd)
         order.append((head, name))
     pf.order = tuple(order)
     return pf

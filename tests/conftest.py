@@ -6,8 +6,10 @@ code under test rather than at the generator.
 """
 
 import functools
+import gc
 import importlib.util
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +37,27 @@ def bench_gen():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def best_cpu_time(fn, runs: int = 5) -> float:
+    """The least CPU time of runs calls of fn.
+
+    CPU time leaves out what other processes take of the machine, and the
+    least run most of the rest of the noise.  The objects alive before a run
+    are frozen out of the garbage collector during it, so that its passes
+    cost what fn makes, not what the tests before it left.  A ratio of two
+    of these then holds on a loaded machine and in a full test run.
+    """
+    best = float("inf")
+    for _ in range(runs):
+        gc.freeze()
+        try:
+            start = time.process_time()
+            fn()
+            best = min(best, time.process_time() - start)
+        finally:
+            gc.unfreeze()
+    return best
 
 
 def _checked(d: Derivation) -> Derivation:

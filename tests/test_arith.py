@@ -114,7 +114,7 @@ def test_tnum_reduces_to_itself(a, b):
 def _structural(f):
     """An equal copy of f sharing no object with the tables, so eval_prim
     evaluates it (and everything inside it) by structural recursion."""
-    copy = sexpr.read_primfn(sexpr.read_nodes(sexpr.print_primfn(f))[0], {})
+    copy = sexpr.read_primfn(sexpr.print_primfn(f), {})
     assert copy == f and copy is not f
     return copy
 
@@ -186,7 +186,7 @@ def test_non_natural_arguments_take_the_structural_path():
 
 
 def test_user_definitions_reach_the_natives():
-    sq = sexpr.read_primfn(sexpr.read_nodes("(comp * (proj 1 1) (proj 1 1))")[0], FUNCTIONS)
+    sq = sexpr.read_primfn("(comp * (proj 1 1) (proj 1 1))", FUNCTIONS)
     assert sq.outer is MUL
     assert eval_prim(sq, (1000,)) == 1_000_000
 
@@ -244,8 +244,8 @@ def _old_norm_formula(f, fns=FUNCTIONS):
 
 
 _FNS = dict(FUNCTIONS)
-_FNS["sq"] = sexpr.read_primfn(sexpr.read_nodes("(comp * (proj 1 1) (proj 1 1))")[0], _FNS)
-_FNS["dbl"] = sexpr.read_primfn(sexpr.read_nodes("(comp + (proj 1 1) (proj 1 1))")[0], _FNS)
+_FNS["sq"] = sexpr.read_primfn("(comp * (proj 1 1) (proj 1 1))", _FNS)
+_FNS["dbl"] = sexpr.read_primfn("(comp + (proj 1 1) (proj 1 1))", _FNS)
 
 
 def _terms(closed: bool):

@@ -53,6 +53,17 @@ def test_check_missing_file_is_a_user_error(capsys):
     assert err.startswith("error: ")
 
 
+def test_a_file_that_is_not_utf8_is_a_user_error_at_its_byte(tmp_path, capsys):
+    p = tmp_path / "utf16.proof"
+    p.write_bytes(b"\xff\xfe(\x00")  # a UTF-16 byte order mark
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, out, err) == (1, "", f"error: {p} is not UTF-8: invalid start byte at byte 0\n")
+    p.write_bytes(b"(defterm t zero)\r\n" * 3 + b"(defterm u \xe9)")  # a Latin-1 e-acute
+    rc, out, err = run_cli(capsys, "extract", str(p), "--deriv", "d")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {p} is not UTF-8: invalid continuation byte at byte 65\n"
+
+
 def test_check_syntax_error_carries_the_position(tmp_path, capsys):
     p = tmp_path / "broken.proof"
     p.write_text("(defder d\n  (der bogus (seq (ctx) (atom top))))")
@@ -83,8 +94,7 @@ def test_extract_prints_a_typed_realizer(corpus_path, capsys):
     assert rc == 0
     ty_line, *term_lines = out.splitlines()
     assert ty_line.startswith("type: (arrow State ")
-    t = sexpr.read_term(sexpr.read_nodes("\n".join(term_lines))[0],
-                        corpus.corpus_file().fns, corpus.corpus_file().rels)
+    t = sexpr.read_term("\n".join(term_lines), corpus.corpus_file().fns, corpus.corpus_file().rels)
     assert sexpr.print_type(tm.typecheck(t)) == ty_line.removeprefix("type: ")
 
 
@@ -92,8 +102,8 @@ def test_extract_sexpr_is_just_the_term(corpus_path, capsys):
     rc, out, _ = run_cli(capsys, "extract", corpus_path,
                          "--deriv", "direct-zero", "--format", "sexpr")
     assert rc == 0
-    nodes = sexpr.read_nodes(out)
-    assert len(nodes) == 1
+    pf = corpus.corpus_file()
+    sexpr.read_term(out, pf.fns, pf.rels)  # one form, or a ParseError
 
 
 @pytest.mark.parametrize(
@@ -211,6 +221,15 @@ def test_check_reads_deeply_nested_terms(tmp_path, capsys, depth):
     rc, out, err = run_cli(capsys, "check", str(p))
     assert (rc, err) == (0, "")
     assert out.splitlines() == ["term t : Nat", "ok: 1 definitions"]
+
+
+def test_check_reads_deeply_nested_types(tmp_path, capsys):
+    p = tmp_path / "deep.proof"
+    p.write_text("(defterm t (lam " + "(arrow Nat " * 10**4 + "Nat" + ")" * 10**4 + " unit))")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.startswith("term t : (arrow\n  (arrow\n    Nat\n    (arrow\n")
+    assert out.endswith(")\nok: 1 definitions\n") and len(out) < 3 * 10**6  # 200 MB uncapped
 
 
 def test_check_prints_type_errors_in_file_syntax(tmp_path, capsys):
@@ -362,9 +381,8 @@ def test_normalize_emits_a_parseable_normal_form(corpus_path, capsys):
     rc, out, _ = run_cli(capsys, "normalize", corpus_path, "--deriv", "cut-imply")
     assert rc == 0
     pf = corpus.corpus_file()
-    got = sexpr.read_derivation(sexpr.read_nodes(out)[0], pf.fns, pf.rels)
-    assert got.rule == sexpr.read_rule(sexpr.read_nodes("(exists-i 2)")[0],
-                                       pf.fns, pf.rels)
+    got = sexpr.read_derivation(out, pf.fns, pf.rels)
+    assert got.rule == sexpr.read_rule("(exists-i 2)", pf.fns, pf.rels)
 
 
 def test_normalize_trace_is_deterministic(corpus_path, capsys):

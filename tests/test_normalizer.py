@@ -4,7 +4,6 @@ import json
 import pathlib
 import random
 import re
-import time
 
 import pytest
 
@@ -721,16 +720,12 @@ _WALKERS = {
 @pytest.mark.parametrize("tower", [_and_tower, _sym_chain], ids=["and-i", "sym"])
 @pytest.mark.parametrize("walker", list(_WALKERS))
 def test_walkers_take_time_linear_in_depth(walker, tower):
-    def best_of_three(n: int) -> float:
-        d, times = tower(n), []
-        for _ in range(3):
-            start = time.perf_counter()
-            _WALKERS[walker](d)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def best(n: int) -> float:
+        d = tower(n)
+        return gen.best_cpu_time(lambda: _WALKERS[walker](d))
 
     # ten times the depth; copying a path per node made it about a hundred
-    assert best_of_three(10_000) <= 25 * best_of_three(1_000)
+    assert best(10_000) <= 25 * best(1_000)
 
 
 # ---------------------------------------------------------------------------

@@ -13,48 +13,60 @@ from realizer import deduction as dd
 from realizer import monads as mn
 from realizer import terms as tm
 from realizer.arith import Atom, Comp, Forall, PRec, Proj, Succ, TApp, TVar, Zero, tnum
-from realizer.extraction import extract
+from realizer.extraction import ExtractionError, extract
 from realizer.sexpr import (
-    IntTok, ListNode, ParseError, Sym, parse_file, print_derivation,
-    print_file, print_formula, print_primfn, print_term, print_type,
-    read_derivation, read_formula, read_nodes, read_primfn, read_term,
+    ParseError, parse_file, print_derivation, print_file, print_formula, print_primfn,
+    print_term, print_type, read_derivation, read_formula, read_primfn, read_term,
     read_type,
 )
 
 import conftest as gen
+import reference_sexpr as ref
 
 FNS, RELS = arith.FUNCTIONS, arith.RELATIONS
 
 
 def roundtrip_formula(f):
-    return read_formula(read_nodes(print_formula(f))[0], FNS, RELS)
+    return read_formula(print_formula(f), FNS, RELS)
 
 
 # ---------------------------------------------------------------------------
-# tokens and nodes
+# the token scan
 
 
-def test_read_nodes_tracks_positions():
-    a, b = read_nodes("(a b)\n  (c -3)")
-    assert isinstance(a, ListNode) and a.pos == 0
-    assert a.items == (Sym("a", 1), Sym("b", 3))
-    assert isinstance(b, ListNode) and b.pos == 8
-    assert b.items[1] == IntTok(-3, 11)
-    # errors at a node count its line and column from the offset
-    for read, node, where in [
-        (lambda n: read_formula(n, FNS, RELS), a, (1, 1)),
-        (lambda n: read_formula(n, FNS, RELS), b, (2, 3)),
-        (lambda n: sexpr.read_aterm(n, FNS), b.items[1], (2, 6)),
+def test_scan_tracks_positions():
+    text = "(a b)\n  (c -3)"
+    rd = sexpr._Reader(text)
+    assert rd.toks == ["(", "a", "b", ")", "(", "c", "-3", ")"]
+    assert rd.after == [4, 2, 3, 4, 8, 6, 7, 8]
+    assert rd.items(0, len(rd.toks)) == [0, 4]
+    assert sexpr._offsets(text) == [0, 1, 3, 4, 8, 9, 11, 13]
+    # an error at a token counts its line and column from the token's offset
+    for i, (line, col) in [(0, (1, 1)), (4, (2, 3)), (6, (2, 6))]:
+        e = rd.error(i, "x")
+        assert (e.line, e.col, str(e)) == (line, col, f"{line}:{col}: x")
+    for read, text, where in [
+        (lambda t: read_formula(t, FNS, RELS), "\n  (c -3)", (2, 3)),
+        (lambda t: sexpr.read_aterm(t, FNS), "; (\n     -3", (2, 6)),
     ]:
         with pytest.raises(ParseError) as info:
-            read(node)
+            read(text)
         assert (info.value.line, info.value.col) == where
 
 
 def test_comments_are_skipped():
-    nodes = read_nodes("; leading\n(a ; inline\n b)\n; trailing")
-    assert len(nodes) == 1
-    assert [i.text for i in nodes[0].items] == ["a", "b"]
+    rd = sexpr._Reader("; leading\n(a ; inline\n b)\n; trailing")
+    assert rd.toks == ["(", "a", "b", ")"]
+    assert sexpr._offsets(rd.text) == [10, 11, 23, 24]
+
+
+def test_a_read_takes_one_form():
+    assert read_type(" ; the type\n Nat ") is tm.NAT
+    for text, found, where in [("", 0, (1, 1)), ("; (\n", 0, (2, 1)), ("Nat\n Unit", 2, (2, 2))]:
+        with pytest.raises(ParseError) as info:
+            read_type(text)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            f"expected one form, found {found}", *where)
 
 
 @pytest.mark.parametrize(
@@ -63,11 +75,12 @@ def test_comments_are_skipped():
         ("(a b", 1, 1, "unclosed"),
         ("a)", 1, 2, "unmatched"),
         ("(", 1, 1, "unclosed"),
+        ("; (\n  )", 2, 3, "unmatched"),
     ],
 )
 def test_token_errors_carry_positions(text, line, col, needle):
     with pytest.raises(ParseError) as info:
-        read_nodes(text)
+        sexpr._Reader(text)
     assert (info.value.line, info.value.col) == (line, col)
     assert needle in info.value.message
     assert str(info.value).startswith(f"{line}:{col}:")
@@ -107,7 +120,7 @@ def _ref_tokens(text: str):
 
 
 def _ref_read_nodes(text: str) -> list:
-    """The recursive reader sexpr.read_nodes replaced, with nodes as tuples
+    """The recursive reader that the node reader replaced, with nodes as tuples
     ("list" | "sym" | "int", content, line, col)."""
     toks = list(_ref_tokens(text))
     pos = 0
@@ -141,27 +154,35 @@ def _ref_read_nodes(text: str) -> list:
     return out
 
 
-def _as_tuples(line_starts: list[int], node):
-    line = bisect.bisect_right(line_starts, node.pos)
-    where = (line, node.pos - line_starts[line - 1] + 1)
-    if isinstance(node, ListNode):
-        return ("list", tuple(_as_tuples(line_starts, n) for n in node.items), *where)
-    if isinstance(node, IntTok):
-        return ("int", node.value, *where)
-    return ("sym", node.text, *where)
+def _scanned(text: str) -> list:
+    """sexpr's scan of text, with its forms as _ref_read_nodes gives them."""
+    rd = sexpr._Reader(text)
+    offsets = sexpr._offsets(text)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+
+    def node(i: int):
+        line = bisect.bisect_right(line_starts, offsets[i])
+        where = (line, offsets[i] - line_starts[line - 1] + 1)
+        tok = rd.toks[i]
+        if tok == "(":
+            return ("list", tuple(map(node, rd.items(i + 1, rd.after[i] - 1))), *where)
+        if _REF_INT.match(tok):
+            return ("int", int(tok), *where)
+        return ("sym", tok, *where)
+
+    return [node(i) for i in rd.items(0, len(rd.toks))]
 
 
 def _outcome(read, text):
     try:
-        return "nodes", read(text)
+        return "read", read(text)
     except ParseError as e:
         return "error", (e.message, e.line, e.col, str(e))
 
 
 def _agrees_with_reference(text):
-    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    new = _outcome(lambda t: [_as_tuples(line_starts, n) for n in read_nodes(t)], text)
-    assert new == _outcome(_ref_read_nodes, text)
+    assert _outcome(_scanned, text) == _outcome(_ref_read_nodes, text)
+    assert _outcome(parse_file, text) == _outcome(ref.parse_file, text)
 
 
 def _printed_bench_files() -> list[str]:
@@ -179,10 +200,111 @@ def _printed_bench_files() -> list[str]:
     return texts
 
 
+def _monad_realizer_files() -> list[str]:
+    """A file per monad: the corpus functions and relations, then the
+    realizer of every corpus and generated derivation the monad extracts."""
+    pf = corpus.corpus_file()
+    rng = random.Random(21)
+    ds = [*pf.derivs.values(), *(gen.decoratable_derivation(rng) for _ in range(10))]
+    header = tuple((k, n) for k, n in pf.order if k in ("deffn", "defrel"))
+    texts = []
+    for monad in mn.BUILTIN_MONADS.values():
+        terms = {}
+        for d in ds:
+            try:
+                terms[f"r{len(terms)}"] = extract(d, monad, pf.rels, pf.fns)
+            except ExtractionError:  # open, or needing another monad or normal form
+                pass
+        order = header + tuple(("defterm", name) for name in terms)
+        texts.append(print_file(sexpr.ProofFile(pf.fns, pf.rels, terms, {}, order)))
+    return texts
+
+
+def _generator_files() -> list[str]:
+    """The test-suite generators' derivations, two to a file."""
+    rng = random.Random(22)
+    made = [gen.ha_em_derivation, gen.decoratable_derivation, gen.em_derivation,
+            gen.ind_derivation, gen.cind_derivation, gen.open_derivation,
+            lambda r: gen.sigma01_derivation(r, cuts=3)[0],
+            lambda r: gen.with_inner_cuts(r, gen.closed_true_derivation(r, (), 3), 2)]
+    texts = []
+    for make in made:
+        derivs = {f"d{i}": make(rng) for i in range(2)}
+        order = tuple(("defder", name) for name in derivs)
+        texts.append(print_file(sexpr.ProofFile(derivs=derivs, order=order)))
+    return texts
+
+
+def _printed_files() -> list[str]:
+    return [corpus.corpus_text(), *_printed_bench_files(), *_monad_realizer_files(),
+            *_generator_files()]
+
+
 def test_reader_agrees_with_the_reference_on_printed_files():
-    for text in [corpus.corpus_text(), *_printed_bench_files()]:
+    for text in _printed_files():
         _agrees_with_reference(text)
-        assert read_nodes(text)  # the files are well formed
+        assert parse_file(text).order  # the files are well formed
+
+
+def _types_in(x) -> list:
+    """Every type in the object x: annotations of terms and their parts."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tm.TBase, tm.TArrow, tm.TProd, tm.TSum)):
+            out.append(x)
+        if isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif hasattr(x, "__dataclass_fields__"):
+            todo.extend(vars(x).values())
+    return out
+
+
+def test_equal_types_of_a_file_are_one_object():
+    texts = [*_monad_realizer_files(), _printed_bench_files()[-1]]
+    for text in texts:
+        types = _types_in(list(parse_file(text).terms.values()))
+        one = {}
+        assert all(one.setdefault(ty, ty) is ty for ty in types)
+        assert len(types) > 10 * len(one)  # types are spelled again and again
+    # the node reader made an object for each
+    types = _types_in(list(ref.parse_file(texts[-1]).terms.values()))
+    assert len({id(ty) for ty in types}) > len(set(types))
+
+
+@pytest.mark.parametrize("text", [
+    "(defterm t (lam Bool (var x)))",
+    "(defterm t (lam (arrow Nat) (var x)))",
+    "(defterm t (lam (sum Nat Unit) zero)) (defterm u (lam (sum Nat Unit) (var y)))",
+    "(defterm t (lam (sum Nat Unit) zero)) (defterm u (lam (sum Nat 3) zero))",
+    "(defder d (der bogus (seq (ctx) (atom top)))) (defterm t flurb)",
+    "(defder d (der atom-i (seq (ctx (u (atom = x))) (atom top 1))))",
+    "(defx a) )",
+    "(defterm t zero) (defx a) (",
+    "(defterm t (num {n})) )",
+    "(defx a) (defterm u (num {n})",
+    "(defterm t zero) ) (defterm u (num {n}))",
+])
+def test_the_first_of_two_faults_is_the_one_the_reference_reports(text):
+    text = text.format(n="1" * 5000)
+    new, old = _outcome(parse_file, text), _outcome(ref.parse_file, text)
+    assert new[0] == "error" and new == old
+
+
+@pytest.mark.parametrize("nest", ["term", "type"])
+def test_reading_takes_time_linear_in_depth(nest):
+    def text(n: int) -> str:
+        if nest == "term":
+            return "(defterm t " + "(app succ " * n + "zero" + ")" * (n + 1)
+        return "(defterm t (lam " + "(arrow Nat " * n + "Nat" + ")" * n + " unit))"
+
+    def best(n: int) -> float:
+        t = text(n)
+        return gen.best_cpu_time(lambda: parse_file(t))
+
+    # ten times the depth; keying a type memo by its tokens at every level
+    # of a nested type would make it about a hundred
+    assert best(10_000) <= 25 * best(1_000)
 
 
 _PIECES = ["(", ")", " ", "\t", "\r", "\n", ";", "; c (d)", "a", "ab", "-", "-12", "7",
@@ -218,24 +340,24 @@ def test_primfn_roundtrip():
            Comp(Succ(), (Proj(2, 1),)), PRec(Zero(0), Proj(2, 2)),
            FNS["+"], corpus.corpus_file().fns["sq"]]
     for f in fns:
-        assert read_primfn(read_nodes(print_primfn(f))[0], FNS) == f
-    assert read_primfn(read_nodes("+")[0], FNS) == FNS["+"]
+        assert read_primfn(print_primfn(f), FNS) == f
+    assert read_primfn("+", FNS) == FNS["+"]
     with pytest.raises(ParseError, match="unknown function"):
-        read_primfn(read_nodes("mystery")[0], FNS)
+        read_primfn("mystery", FNS)
     with pytest.raises(ParseError):
-        read_primfn(read_nodes("(comp S)")[0], FNS)  # inner arity mismatch
+        read_primfn("(comp S)", FNS)  # inner arity mismatch
     with pytest.raises(ParseError):
-        read_primfn(read_nodes("(proj 2 0)")[0], FNS)
+        read_primfn("(proj 2 0)", FNS)
 
 
 def test_aterm_printing_uses_decimal_numerals():
     assert sexpr.print_aterm(tnum(3)) == "3"
     assert sexpr.print_aterm(TApp("S", (TVar("x"),))) == "(S x)"
-    assert sexpr.read_aterm(read_nodes("3")[0], FNS) == tnum(3)
+    assert sexpr.read_aterm("3", FNS) == tnum(3)
     with pytest.raises(ParseError, match="negative"):
-        sexpr.read_aterm(read_nodes("-1")[0], FNS)
+        sexpr.read_aterm("-1", FNS)
     with pytest.raises(ParseError, match="takes"):
-        sexpr.read_aterm(read_nodes("(S 1 2)")[0], FNS)
+        sexpr.read_aterm("(S 1 2)", FNS)
 
 
 def test_formula_roundtrip_on_random_formulas():
@@ -255,16 +377,16 @@ def test_formula_reader_rejections():
         ("(forall 3 (atom top))", "a variable"),
     ]:
         with pytest.raises(ParseError, match=needle):
-            read_formula(read_nodes(text)[0], FNS, RELS)
+            read_formula(text, FNS, RELS)
 
 
 def test_type_roundtrip():
     tys = [tm.UNIT, tm.NAT, tm.STATE, tm.EX,
            tm.arrows(tm.STATE, tm.NAT, tm.TSum(tm.TProd(tm.NAT, tm.UNIT), tm.EX))]
     for ty in tys:
-        assert read_type(read_nodes(print_type(ty))[0]) == ty
+        assert read_type(print_type(ty)) == ty
     with pytest.raises(ParseError, match="unknown type"):
-        read_type(read_nodes("Bool")[0])
+        read_type("Bool")
 
 
 def test_term_roundtrip_covers_every_constructor():
@@ -282,7 +404,7 @@ def test_term_roundtrip_covers_every_constructor():
         tm.exc_const("<", (5, 2), 3),
     ]
     for t in ts:
-        assert read_term(read_nodes(print_term(t))[0], FNS, RELS) == t
+        assert read_term(print_term(t), FNS, RELS) == t
 
 
 def test_term_reader_rejections():
@@ -294,7 +416,7 @@ def test_term_reader_rejections():
         ("(made-up 1)", "unknown term form"),
     ]:
         with pytest.raises(ParseError, match=needle):
-            read_term(read_nodes(text)[0], FNS, RELS)
+            read_term(text, FNS, RELS)
 
 
 def test_rule_and_derivation_roundtrip():
@@ -302,18 +424,18 @@ def test_rule_and_derivation_roundtrip():
     for _ in range(40):
         d = gen.ha_em_derivation(rng)
         text = print_derivation(d)
-        assert read_derivation(read_nodes(text)[0], FNS, RELS) == d
+        assert read_derivation(text, FNS, RELS) == d
     with pytest.raises(ParseError, match="unknown rule"):
-        read_derivation(read_nodes("(der woosh (seq (ctx) (atom top)))")[0], FNS, RELS)
+        read_derivation("(der woosh (seq (ctx) (atom top)))", FNS, RELS)
     with pytest.raises(ParseError, match="expected \\(der"):
-        read_derivation(read_nodes("(seq (ctx) (atom top))")[0], FNS, RELS)
+        read_derivation("(seq (ctx) (atom top))", FNS, RELS)
 
 
 def test_long_forms_wrap_and_still_parse():
     d = corpus.corpus_file().derivs["ind-two"]
     text = print_derivation(d)
     assert "\n" in text and max(len(l) for l in text.splitlines()) <= 100
-    assert read_derivation(read_nodes(text)[0], FNS, RELS) == d
+    assert read_derivation(text, FNS, RELS) == d
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +514,20 @@ def _rewritten(layout) -> str:
     return _rewriting_wrap(*(_rewritten(p) for p in layout.parts))
 
 
-def _agrees_with_rewriting_layout(pf: sexpr.ProofFile):
+def _capped(text: str) -> str:
+    """text with no line indented past column 120, where the printer stops."""
+    return re.sub(r"(?m)^ {121,}", " " * 120, text)
+
+
+def _agrees_with_rewriting_layout(pf: sexpr.ProofFile) -> str:
     texts = []
     for head, name in pf.order:
         attr, form = sexpr._DEFINITIONS[head]
         value = getattr(pf, attr)[name]
         texts.append(_rewritten(sexpr._walk(sexpr._print_form(form, form.split((name, value))))))
-    assert print_file(pf) == "".join(t + "\n" for t in texts)
+    text = print_file(pf)
+    assert text == "".join(_capped(t) + "\n" for t in texts)
+    return text
 
 
 def test_layout_agrees_with_the_rewriting_wrap():
@@ -408,12 +537,21 @@ def test_layout_agrees_with_the_rewriting_wrap():
     ds = [bench.em_chain(rng, depth, wrapped) for depth in (1, 4, 6) for wrapped in (False, True)]
     ds += [bench.sigma01_cuts(rng, kinds) for kinds in bench.cut_kinds(rng, [1, 4, 8])]
     ds += [bench.ind_n(5), bench.square(9)]
+    texts = []
     for i, d in enumerate(ds):
         pf = sexpr.ProofFile(derivs={"d": d}, order=(("defder", "d"),))
-        _agrees_with_rewriting_layout(pf)
+        texts.append(_agrees_with_rewriting_layout(pf))
         if i < len(ds) - 2:  # ind_n only extracts after normalization
             pf = sexpr.ProofFile(terms={"r": extract(d, mn.INTERACTIVE)}, order=(("defterm", "r"),))
-            _agrees_with_rewriting_layout(pf)
+            texts.append(_agrees_with_rewriting_layout(pf))
+    # 150 levels of (app succ ...) go past the cap, and so does the deepest realizer
+    t = tm.zero
+    for _ in range(150):
+        t = tm.App(tm.succ, t)
+    texts.append(_agrees_with_rewriting_layout(
+        sexpr.ProofFile(terms={"t": t}, order=(("defterm", "t"),))))
+    capped = [text for text in texts if "\n" + " " * 120 + "(" in text]
+    assert len(capped) >= 2 and all("\n" + " " * 121 not in text for text in texts)
 
 
 def test_deep_terms_print_in_linear_time():
@@ -423,5 +561,7 @@ def test_deep_terms_print_in_linear_time():
     start = time.monotonic()
     text = print_term(t)
     assert time.monotonic() - start < 2.0  # 16.5 s when every level re-indented
-    assert len(text) == 7962116  # as the rewriting layout printed it
-    assert print_term(read_term(read_nodes(text)[0], FNS, RELS)) == text
+    # 7962116 bytes as the rewriting layout printed it; that text capped at 120
+    # columns is 493004 bytes
+    assert len(text) == 493004
+    assert print_term(read_term(text, FNS, RELS)) == text
