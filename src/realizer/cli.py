@@ -136,8 +136,8 @@ def _named(table: dict, name: str, what: str):
     return table[name]
 
 
-def _say(line: str, machine: bool):
-    print(f"; {line}" if machine else line)
+def _say(note: str, machine: bool):
+    print("; " + note.replace("\n", "\n; ") if machine else note)
 
 
 def _state_entries(specs: list[str], rels) -> learning.State:
@@ -154,7 +154,10 @@ def _state_entries(specs: list[str], rels) -> learning.State:
             raise UsageError(f"non-numeric state entry {raw!r}") from None
         if witness < 0 or any(a < 0 for a in args):
             raise UsageError(f"negative number in state entry {raw!r}")
-        entries[(rel, args)] = witness
+        key = (rel, args)
+        if entries.setdefault(key, witness) != witness:  # a state is a partial map
+            raise UsageError(f"two witnesses for {learning._key_text(key)}: "
+                             f"{entries[key]} and {witness}")
     return learning.State.of(entries, rels)
 
 

@@ -13,11 +13,12 @@ A text is split once into a token list that readers address by index, so
 no object is made per token, and a ParseError works out its line and
 column only when it is raised.  Each distinct type form of a text is read
 once: its equal types are one object.  Primitive functions, types,
-formulas, terms, rules and definitions each have one table of forms: a
-head, how the object is made from its arguments and split back into them,
-and the kind (a reader paired with a printer) of each argument.  read_X
-(of a text of one form) and print_X walk the same table with an explicit
-stack, so each head is spelled once and depth costs no Python stack.
+formulas, terms, rules, derivations, sequents, contexts and definitions
+each have one table of forms: a head, how the object is made from its
+arguments and split back into them, and the kind (a reader paired with a
+printer) of each argument.  read_X (of a text of one form) and print_X
+walk the same table with an explicit stack, so each head is spelled once
+and depth costs no Python stack.
 Printing is the inverse on checked objects: parse(print(x)) == x.
 
 This is the only printer of types, terms, first-order terms and formulas:
@@ -38,7 +39,7 @@ from . import arith
 from . import deduction as dd
 from . import terms as tm
 from .arith import (
-    And, Atom, ATerm, Comp, Exists, Forall, Formula, Imply, Or, PRec, PrimFn,
+    And, Atom, ATerm, Comp, Exists, Forall, Imply, Or, PRec, PrimFn,
     Proj, Relation, Succ, TApp, TVar, Zero, tnum,
 )
 from .deduction import Derivation, Sequent
@@ -597,51 +598,37 @@ _RULES.define(
 )
 
 
+def _sole(form: _Form, what: str, wrong: str) -> _Kind:
+    """The kind of a category of one form: any other head is the error wrong."""
+    def read(i: int, rd: _Reader):
+        if rd.toks[i] == "(" and rd.toks[i + 1] == form.head:
+            return _read_form(form, i, rd.items(i + 2, rd.after[i] - 1), rd)
+        _form(i, rd, what)  # raises for what is not a form
+        raise rd.error(i, wrong)
+
+    return _Kind(read, lambda obj: _print_form(form, form.split(obj)))
+
+
 def _read_entry(i: int, rd: _Reader) -> list:
     items = _list(i, rd, "a context entry")
     if len(items) != 2:
         raise rd.error(i, "context entries are (LABEL FORMULA)")
-    return [lambda *entry: entry, [(_LABEL.read, items[0]), (_FORMULAS.read, items[1])], i]
+    return [lambda *entry: entry, zip((_LABEL.read, _FORMULA.read), items), i]
 
 
-def _print_entry(entry: tuple[str, Formula]) -> list:
-    return [_wrap, [(_LABEL.print, entry[0]), (_FORMULAS.print, entry[1])], None]
-
-
-def _read_sequent(i: int, rd: _Reader) -> list:
-    head, args = _form(i, rd, "a sequent")
-    if head != "seq":
-        raise rd.error(i, "expected (seq (ctx ...) GOAL)")
-    if len(args) != 2:
-        raise rd.error(i, f"{head} takes 2 arguments, got {len(args)}")
-    chead, entries = _form(args[0], rd, "a context")
-    if chead != "ctx":
-        raise rd.error(args[0], "expected (ctx (LABEL FORMULA) ...)")
-    parts = [(_read_entry, e) for e in entries] + [(_FORMULAS.read, args[1])]
-    return [lambda *xs: Sequent(xs[:-1], xs[-1]), parts, i]
-
-
-def _print_sequent(s: Sequent) -> list:
-    parts = [(_print_entry, e) for e in s.context] + [(_FORMULAS.print, s.goal)]
-    return [lambda *xs: _wrap("seq", _wrap("ctx", *xs[:-1]), xs[-1]), parts, None]
-
-
-def _read_derivation(i: int, rd: _Reader) -> list:
-    head, args = _form(i, rd, "a derivation")
-    if head != "der" or len(args) < 2:
-        raise rd.error(i, "expected (der RULE SEQUENT PREMISSES...)")
-    parts = [(_RULES.read, args[0]), (_read_sequent, args[1])]
-    parts += [(_read_derivation, a) for a in args[2:]]
-    return [lambda rule, seq, *prems: Derivation(rule, seq, prems), parts, i]
-
-
-def _print_derivation(d: Derivation) -> list:
-    parts = [(_RULES.print, d.rule), (_print_sequent, d.conclusion)]
-    parts += [(_print_derivation, p) for p in d.premisses]
-    return [partial(_wrap, "der"), parts, None]
-
-
-_DERIVATION = _Kind(_read_derivation, _print_derivation)
+_ENTRY = _Kind(_read_entry, lambda e: [_wrap, zip((_LABEL.print, _FORMULA.print), e), None])
+_CONTEXT = _sole(_Form("ctx", lambda *entries: entries, _only, (), rest=_ENTRY), "a context",
+                 "expected (ctx (LABEL FORMULA) ...)")
+_SEQUENT = _sole(_Form("seq", Sequent, _fields, (_CONTEXT, _FORMULA)), "a sequent",
+                 "expected (seq (ctx ...) GOAL)")
+_NOT_DER = "expected (der RULE SEQUENT PREMISSES...)"
+# a premiss is read and printed by the derivation kind, made below from der
+_PREMISS = _Kind(lambda i, rd: _DERIVATION.read(i, rd), lambda d: _DERIVATION.print(d))
+_DERIVATION = _sole(
+    _Form("der", lambda rule, seq, *prems: Derivation(rule, seq, prems),
+          lambda d: (d.rule, d.conclusion, *d.premisses), (_RULE, _SEQUENT),
+          rest=_PREMISS, short=_NOT_DER),
+    "a derivation", _NOT_DER)
 read_rule = partial(_read, _RULE)  # (text, fns, rels)
 read_derivation = partial(_read, _DERIVATION)  # (text, fns, rels)
 print_derivation = partial(_print, _DERIVATION)

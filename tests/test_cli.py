@@ -47,6 +47,17 @@ def test_check_sexpr_format_comments_the_chatter(corpus_path, capsys):
     assert result == f"(checked {len(corpus.corpus_file().order)})"
 
 
+def test_check_sexpr_format_comments_every_line_of_a_wide_type(tmp_path, capsys):
+    p = tmp_path / "wide.sexp"
+    p.write_text("(defterm t (lam (arrow (arrow (arrow Nat (sum Unit Ex)) (prod State (sum Nat Nat)))"
+                 " (arrow State (sum (prod Nat Nat) Ex))) unit))")
+    rc, out, _ = run_cli(capsys, "check", str(p), "--format", "sexpr")
+    assert rc == 0
+    *notes, result = out.strip().splitlines()
+    assert len(notes) > 1 and all(l.startswith(";") for l in notes)
+    assert result == "(checked 1)"
+
+
 def test_check_missing_file_is_a_user_error(capsys):
     rc, out, err = run_cli(capsys, "check", "/nonexistent.proof")
     assert rc == 1 and out == ""
@@ -162,6 +173,19 @@ def test_run_rejects_bad_state_entries(corpus_path, capsys, entry):
     rc, _, err = run_cli(capsys, "run", corpus_path, "--term", "raise-low",
                          "--state", entry)
     assert rc == 1 and err.startswith("error: ")
+
+
+def test_run_rejects_two_witnesses_for_one_key(corpus_path, capsys):
+    rc, out, err = run_cli(capsys, "run", corpus_path, "--term", "const-seven", "--learn",
+                           "--state", "<(5)=2", "--state", "<(5)=3")
+    assert rc == 1 and out == ""
+    assert err == "error: two witnesses for <(5): 2 and 3\n"
+
+
+def test_run_accepts_a_repeated_state_entry(corpus_path, capsys):
+    rc, out, _ = run_cli(capsys, "run", corpus_path, "--term", "const-seven", "--learn",
+                         "--state", "<(5)=2", "--state", "<(5)=2")
+    assert rc == 0 and out.splitlines()[0] == "state: <(5)=2"
 
 
 def test_successive_calls_share_no_state_entries(corpus_path, capsys):

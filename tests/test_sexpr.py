@@ -472,19 +472,40 @@ def test_file_definitions_see_earlier_names():
     assert parse_file(print_file(pf)) == pf
 
 
+def _bad(text: str, needle: str, line: int, col: int):
+    # the test id names the text and the message, not the position
+    return pytest.param(text, needle, line, col, id=f"{text}-{needle}")
+
+
 @pytest.mark.parametrize(
-    "text,needle",
+    "text,needle,line,col",
     [
-        ("(defx a 1)", "unknown top-level"),
-        ("(defterm t zero) (defterm t zero)", "duplicate name"),
-        ("(deffn f)", "deffn takes 2"),
-        ("(defrel r 2 S)", "arity"),
-        ("(defder d (der atom-i (seq (ctx) (atom top))) extra)", "defder takes 2"),
+        _bad("(defx a 1)", "unknown top-level", 1, 1),
+        _bad("(defterm t zero) (defterm t zero)", "duplicate name", 1, 27),
+        _bad("(deffn f)", "deffn takes 2", 1, 1),
+        _bad("(defrel r 2 S)", "arity", 1, 1),
+        _bad("(defder d (der atom-i (seq (ctx) (atom top))) extra)", "defder takes 2", 1, 1),
+        # a wrong head where a derivation, a sequent or a context should be
+        _bad("(defder d\n  (dre atom-i (seq (ctx) (atom top))))",
+             "expected (der RULE SEQUENT PREMISSES...)", 2, 3),
+        _bad("(defder d (der atom-i (seq (ctx) (atom top)) (seq (ctx) (atom top))))",
+             "expected (der RULE SEQUENT PREMISSES...)", 1, 46),
+        _bad("(defder d (der atom-i\n  (sq (ctx) (atom top))))",
+             "expected (seq (ctx ...) GOAL)", 2, 3),
+        _bad("(defder d (der atom-i (seq\n  (cx) (atom top))))",
+             "expected (ctx (LABEL FORMULA) ...)", 2, 3),
+        _bad("(defder d (der atom-i ()))", "empty form where a sequent was expected", 1, 23),
+        _bad("(defder d (der atom-i (seq ctx (atom top))))", "expected a context", 1, 28),
+        _bad("(defder d (der atom-i))", "expected (der RULE SEQUENT PREMISSES...)", 1, 11),
+        _bad("(defder d\n  (der atom-i (seq (ctx))))", "seq takes 2 arguments, got 1", 2, 15),
+        _bad("(defder d (der atom-i (seq (ctx\n  (u)) (atom top))))",
+             "context entries are (LABEL FORMULA)", 2, 3),
     ],
 )
-def test_file_level_errors(text, needle):
-    with pytest.raises(ParseError, match=needle):
+def test_file_level_errors(text, needle, line, col):
+    with pytest.raises(ParseError, match=re.escape(needle)) as info:
         parse_file(text)
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_error_positions_point_into_multiline_files():
