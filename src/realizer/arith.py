@@ -16,15 +16,18 @@ whenever every argument is a non-negative int.  Every other function -- a
 user definition, or a structurally equal copy of a built-in -- is evaluated
 by structural recursion, and a composed definition still reaches the natives
 for its built-in parts; structural evaluation of a copy is the reference the
-natives are tested against.  Terms read S and 0 as successor and zero, as
-every table built on FUNCTIONS does (a proof file cannot rebind them):
-`norm_aterm` builds a numeral once per maximal closed subterm in one
-bottom-up pass, and S chains are walked with loops, so deep numerals need no
-stack.  A numeral costs a node per unit, so `tnum` refuses values above
-MAX_NUMERAL with a typed error.  Normalization returns a term or formula
-that is already normal as the same object, and `formulas_equal` compares
-syntactically first, so callers that pass normal formulas around pay for no
-rebuilding.
+natives are tested against.
+
+Terms read S and 0 as successor and zero (a proof file cannot rebind them).
+A closed numeral is one leaf, TNum, holding an int: TApp builds 0, and S of
+a numeral, as that leaf, and `view` reads a numeral as S(n - 1) or 0 where a
+rule matches successors.  Every walk over a term is the postorder fold
+`fold_aterm` on an explicit stack, so depth costs no Python stack; `_norm`,
+the one evaluator, collapses each maximal closed subterm to its value.
+Realizers spell numerals in unary, so `tnum` refuses values above
+MAX_NUMERAL with a typed error.  Normalization returns a normal term or
+formula as the same object, and `formulas_equal` compares syntactically
+first, so callers that pass normal formulas around pay for no rebuilding.
 """
 
 from __future__ import annotations
@@ -235,57 +238,90 @@ class TVar:
 
 
 @dataclass(frozen=True)
+class TNum:
+    """The closed numeral S^value(0), one leaf whatever its value."""
+
+    value: int
+
+    def __repr__(self) -> str:
+        # spelled as the S chain it stands for (normalizer traces stamp reprs)
+        return "TApp(fn='S', args=(" * self.value + "TApp(fn='0', args=())" + ",))" * self.value
+
+
+@dataclass(frozen=True)
 class TApp:
+    """f(args); 0, and S of a numeral, are built as the numeral leaf."""
+
     fn: str
     args: tuple["ATerm", ...] = ()
 
+    def __new__(cls, fn: str = "", args: tuple = ()):
+        if fn == "0" and not args:
+            return TNum(0)
+        if fn == "S" and len(args) == 1 and type(args[0]) is TNum:
+            return TNum(args[0].value + 1)
+        return object.__new__(cls)
+
     def __repr__(self) -> str:
-        # the generated repr, but S chains are walked by a loop, so a numeral
-        # thousands deep has one (normalizer traces stamp sequent reprs)
-        k, base = _peel_succ(self)
-        inner = f"TApp(fn={base.fn!r}, args={base.args!r})" if type(base) is TApp else repr(base)
-        return "TApp(fn='S', args=(" * k + inner + ",))" * k
+        # the generated repr, joined from a rope of pieces so depth costs no stack
+        out, todo = [], [fold_aterm(self, repr, lambda u, parts: (
+            f"TApp(fn={u.fn!r}, args=(", *[x for p in parts for x in (p, ", ")][:-1],
+            ",))" if len(parts) == 1 else "))"))]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+            else:
+                todo.extend(reversed(x))
+        return "".join(out)
 
 
-ATerm = TVar | TApp
+ATerm = TVar | TNum | TApp
 
-
-# _NUMERALS[n] is S^n(0); every numeral tnum builds is a prefix of this one
-# chain, so equal numerals are one object and compare by identity instead of
-# recursing along their S chains
-_NUMERALS: list[ATerm] = [TApp("0")]
-
-# a unary numeral costs one node per unit and the chain is kept, so tnum
-# refuses values above this; the chain up to it holds a million nodes
+# a unary realizer spells a numeral with one node per unit, so tnum refuses
+# values above this
 MAX_NUMERAL = 10**6
 
 
-def tnum(n: int) -> ATerm:
-    """Numeral S^n(0) as a first-order term (shared: tnum(n) is tnum(n)).
-
-    Raises NumeralTooLarge above MAX_NUMERAL.
-    """
+def tnum(n: int) -> TNum:
+    """Numeral n as a first-order term.  Raises NumeralTooLarge above MAX_NUMERAL."""
     if n > MAX_NUMERAL:
         raise NumeralTooLarge(f"numeral above the bound {MAX_NUMERAL}")
-    chain = _NUMERALS
-    while len(chain) <= n:
-        chain.append(TApp("S", (chain[-1],)))
-    return chain[max(n, 0)]
-
-
-def _peel_succ(t: ATerm) -> tuple[int, ATerm]:
-    """(k, u) with t = S^k(u) and u not an application of S to one argument."""
-    k = 0
-    while isinstance(t, TApp) and t.fn == "S" and len(t.args) == 1:
-        k += 1
-        t = t.args[0]
-    return k, t
+    return TNum(n if n > 0 else 0)
 
 
 def numeral_value(t: ATerm) -> Optional[int]:
-    """n when t is the numeral S^n(0), else None."""
-    n, base = _peel_succ(t)
-    return n if isinstance(base, TApp) and base.fn == "0" and not base.args else None
+    """n when t is the numeral n, else None."""
+    return t.value if type(t) is TNum else None
+
+
+def view(t: ATerm) -> tuple[Optional[str], tuple[ATerm, ...]]:
+    """t's head and arguments, a numeral n > 0 read as S(n - 1); a variable's head is None."""
+    if type(t) is TNum:
+        return ("S", (TNum(t.value - 1),)) if t.value else ("0", ())
+    return (t.fn, t.args) if type(t) is TApp else (None, ())
+
+
+_CLOSE = object()
+
+
+def fold_aterm(t: ATerm, leaf: Callable, app: Callable):
+    """t folded bottom-up on an explicit stack: leaf(u) at a variable or numeral,
+    app(u, parts) at an application, parts its arguments' results in order."""
+    todo, done = [t], []
+    while todo:
+        u = todo.pop()
+        if u is _CLOSE:
+            u = todo.pop()
+            k = len(done) - len(u.args)
+            done[k:] = [app(u, done[k:])]
+        elif type(u) is TApp:
+            todo += (u, _CLOSE, *reversed(u.args))
+        elif type(u) is TVar or type(u) is TNum:
+            done.append(leaf(u))
+        else:
+            raise ArithError(f"not a term: {u!r}")
+    return done[0]
 
 
 def aterm_vars(t: ATerm) -> frozenset[str]:
@@ -293,82 +329,51 @@ def aterm_vars(t: ATerm) -> frozenset[str]:
     todo = [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, TVar):
-            out.add(t.name)
-        elif isinstance(t, TApp):
+        if type(t) is TApp:
             todo.extend(t.args)
-        else:
+        elif type(t) is TVar:
+            out.add(t.name)
+        elif type(t) is not TNum:
             raise ArithError(f"not a term: {t!r}")
     return frozenset(out)
 
 
 def reduce_aterm(t: ATerm, env: Mapping[str, int] = {}, fns: Mapping[str, PrimFn] = FUNCTIONS) -> int:
     """Value of t under env.  Raises UnboundTermVariable on a free variable."""
-    k, t = _peel_succ(t)
-    match t:
-        case TVar(name):
-            if name not in env:
-                raise UnboundTermVariable(name)
-            value = env[name]
-        case TApp(fn, args):
-            if fn not in fns:
-                raise ArithError(f"unknown function symbol {fn!r}")
-            value = eval_prim(fns[fn], [reduce_aterm(a, env, fns) for a in args])
-        case _:
-            raise ArithError(f"not a term: {t!r}")
-    return value + k
+    def var(u: TVar) -> int:
+        if u.name not in env:
+            raise UnboundTermVariable(u.name)
+        return env[u.name]
+    return _norm(t, fns, var)
 
 
 def subst_aterm(t: ATerm, var: str, rep: ATerm) -> ATerm:
     """t with rep for var; t itself (same object) when var does not occur."""
-    k, u = _peel_succ(t)
-    match u:
-        case TVar(name):
-            if name != var:
-                return t
-            out = rep
-        case TApp(fn, args):
-            parts = tuple(subst_aterm(a, var, rep) for a in args)
-            if all(p is a for p, a in zip(parts, args)):
-                return t
-            out = TApp(fn, parts)
-        case _:
-            raise ArithError(f"not a term: {u!r}")
-    for _ in range(k):
-        out = TApp("S", (out,))
-    return out
+    return fold_aterm(t, lambda u: rep if type(u) is TVar and u.name == var else u,
+                      lambda u, parts: u if all(map(is_, parts, u.args)) else TApp(u.fn, tuple(parts)))
 
 
 def norm_aterm(t: ATerm, fns: Mapping[str, PrimFn] = FUNCTIONS) -> ATerm:
-    """Collapse every closed subterm to its numeral; a numeral is returned as is."""
-    if numeral_value(t) is not None:
+    """Collapse every closed subterm to its numeral; a normal t is returned as is."""
+    if type(t) is TNum or type(t) is TVar:
         return t
     r = _norm(t, fns)
-    return tnum(r) if isinstance(r, int) else r
+    return tnum(r) if type(r) is int else r
 
 
-def _norm(t: ATerm, fns: Mapping[str, PrimFn]) -> int | ATerm:
-    """Value of a closed t, normal form of an open one (t itself if unchanged)."""
-    top = t
-    k, t = _peel_succ(t)
-    if isinstance(t, TVar):
-        return top
-    if not isinstance(t, TApp):
-        raise ArithError(f"not a term: {t!r}")
-    if t.fn == "0" and not t.args:
-        return k
-    parts = [_norm(a, fns) for a in t.args]
-    if all(isinstance(p, int) for p in parts):
-        if t.fn not in fns:
-            raise ArithError(f"unknown function symbol {t.fn!r}")
-        return eval_prim(fns[t.fn], parts) + k
-    args = tuple(tnum(p) if isinstance(p, int) else p for p in parts)
-    if all(p is a for p, a in zip(args, t.args)):
-        return top
-    r: ATerm = TApp(t.fn, args)
-    for _ in range(k):
-        r = TApp("S", (r,))
-    return r
+def _norm(t: ATerm, fns: Mapping[str, PrimFn], var: Callable = lambda u: u) -> int | ATerm:
+    """Value of t when it is closed once var(u) has read each variable u,
+    else its normal form (t itself if unchanged)."""
+    def app(u: TApp, parts: list) -> int | ATerm:
+        if all(type(p) is int for p in parts):
+            if u.fn not in fns:
+                raise ArithError(f"unknown function symbol {u.fn!r}")
+            return eval_prim(fns[u.fn], parts)
+        # a numeral argument is kept as the same object
+        args = tuple(p if type(p) is not int else a if type(a) is TNum else tnum(p)
+                     for p, a in zip(parts, u.args))
+        return u if all(map(is_, args, u.args)) else TApp(u.fn, args)
+    return fold_aterm(t, lambda u: u.value if type(u) is TNum else var(u), app)
 
 
 # ---------------------------------------------------------------------------

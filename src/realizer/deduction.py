@@ -557,14 +557,22 @@ def _ctx_equal(a: Context, b: Context, fns) -> bool:
 
 def _replaced(a: ATerm, b: ATerm, old: ATerm, new: ATerm) -> bool:
     """Is b obtained from a by replacing some occurrences of old with new?"""
-    if a == b:
-        return True
-    if a == old and b == new:
-        return True
-    match a, b:
-        case arith.TApp(f, xs), arith.TApp(g, ys) if f == g and len(xs) == len(ys):
-            return all(_replaced(x, y, old, new) for x, y in zip(xs, ys))
-    return False
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a == b or (a == old and b == new):
+            continue
+        (f, xs), (g, ys) = arith.view(a), arith.view(b)
+        if f is None or f != g or len(xs) != len(ys):
+            return False
+        todo += zip(xs, ys)
+    return True
+
+
+def _pred(t: ATerm) -> Optional[ATerm]:
+    """u when t is the successor S(u), else None."""
+    head, args = arith.view(t)
+    return args[0] if head == "S" and args else None
 
 
 def _check_atom_post(rule: AtomPost, d: Derivation, trail: Trail, fns) -> None:
@@ -618,19 +626,16 @@ def _check_atom_post(rule: AtomPost, d: Derivation, trail: Trail, fns) -> None:
         case "zero":
             _expect(n == 1, trail, "zero has one premiss")
             t, u = eq_parts(prems[0], "premiss")
-            _expect(isinstance(t, arith.TApp) and t.fn == "S", trail,
-                    "premiss must equate a successor with zero")
+            _expect(_pred(t) is not None, trail, "premiss must equate a successor with zero")
             _expect(u == arith.TApp("0"), trail, "premiss right side must be zero")
             _expect(formulas_equal(goal, BOT, fns), trail, "conclusion must be absurdity")
         case "succ":
             _expect(n == 1, trail, "succ has one premiss")
             t, u = eq_parts(prems[0], "premiss")
-            _expect(isinstance(t, arith.TApp) and t.fn == "S"
-                    and isinstance(u, arith.TApp) and u.fn == "S", trail,
-                    "premiss must equate successors")
+            pt, pu = _pred(t), _pred(u)
+            _expect(pt is not None and pu is not None, trail, "premiss must equate successors")
             g1, g2 = eq_parts(goal, "conclusion")
-            _expect(g1 == t.args[0] and g2 == u.args[0], trail,  # type: ignore[union-attr]
-                    "conclusion must strip the successors")
+            _expect(g1 == pt and g2 == pu, trail, "conclusion must strip the successors")
         case "add-zero":
             _expect(n == 0, trail, "add-zero has no premisses")
             t, u = eq_parts(goal, "conclusion")
@@ -640,11 +645,9 @@ def _check_atom_post(rule: AtomPost, d: Derivation, trail: Trail, fns) -> None:
             _expect(n == 0, trail, "add-succ has no premisses")
             lhs, rhs = eq_parts(goal, "conclusion")
             ok = (isinstance(lhs, arith.TApp) and lhs.fn == "+"
-                  and isinstance(lhs.args[1], arith.TApp) and lhs.args[1].fn == "S"
                   and isinstance(rhs, arith.TApp) and rhs.fn == "+"
-                  and isinstance(rhs.args[0], arith.TApp) and rhs.args[0].fn == "S"
-                  and lhs.args[0] == rhs.args[0].args[0]
-                  and lhs.args[1].args[0] == rhs.args[1])
+                  and lhs.args[0] == _pred(rhs.args[0])
+                  and _pred(lhs.args[1]) == rhs.args[1])
             _expect(ok, trail, "conclusion must be t + S(u) = S(t) + u")
         case "mul-zero":
             _expect(n == 0, trail, "mul-zero has no premisses")
@@ -656,9 +659,9 @@ def _check_atom_post(rule: AtomPost, d: Derivation, trail: Trail, fns) -> None:
             _expect(n == 0, trail, "mul-succ has no premisses")
             lhs, rhs = eq_parts(goal, "conclusion")
             ok = (isinstance(lhs, arith.TApp) and lhs.fn == "*"
-                  and isinstance(lhs.args[1], arith.TApp) and lhs.args[1].fn == "S"
                   and isinstance(rhs, arith.TApp) and rhs.fn == "+"
-                  and rhs.args[0] == arith.TApp("*", (lhs.args[0], lhs.args[1].args[0]))
+                  and _pred(lhs.args[1]) is not None
+                  and rhs.args[0] == arith.TApp("*", (lhs.args[0], _pred(lhs.args[1])))
                   and rhs.args[1] == lhs.args[0])
             _expect(ok, trail, "conclusion must be t * S(u) = t * u + t")
         case other:

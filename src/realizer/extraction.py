@@ -125,30 +125,14 @@ def _lookup(env: Env, entry: Entry) -> Name:
 
 def term_to_nat(t: ATerm, env: Env, fns: Mapping[str, arith.PrimFn]) -> Term:
     """The Nat-typed term denoting a first-order term, variables named via env."""
-    out: list[Term] = []
-    work: list = [t]
-    while work:
-        x = work.pop()
-        if type(x) is tuple:  # (head, k): apply head to the last k results
-            head, k = x
-            args = out[len(out) - k:]
-            del out[len(out) - k:]
-            out.append(app(head, *args))
-        elif isinstance(x, TVar):
-            out.append(mn.var(_lookup(env, ("tvar", x.name))))
-        elif not isinstance(x, TApp):
-            raise ExtractionError(f"not a first-order term: {x!r}")
-        elif x.fn == "0" and not x.args:
-            out.append(tm.zero)
-        elif x.fn == "S" and len(x.args) == 1:
-            work.append((tm.succ, 1))
-            work.append(x.args[0])
-        elif x.fn in fns:
-            work.append((tm.prim_c(x.fn, fns[x.fn]), len(x.args)))
-            work.extend(reversed(x.args))
-        else:
+    def apply(x: TApp, parts: list) -> Term:
+        if arith.view(x)[0] == "S" and len(parts) == 1:
+            return app(tm.succ, *parts)
+        if x.fn not in fns:
             raise ExtractionError(f"unknown function symbol {x.fn!r}")
-    return out[0]
+        return app(tm.prim_c(x.fn, fns[x.fn]), *parts)
+    return arith.fold_aterm(t, lambda x: mn.var(_lookup(env, ("tvar", x.name)))
+                            if type(x) is TVar else tm.numeral(x.value), apply)
 
 
 # ---------------------------------------------------------------------------

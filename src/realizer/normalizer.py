@@ -69,7 +69,6 @@ from .arith import (
     Imply,
     PrimFn,
     Relation,
-    TApp,
     aterm_vars,
     atomic_truth,
     free_vars,
@@ -220,8 +219,7 @@ def _or_exists_permute_cut(node: Derivation, fns) -> Optional[str]:
 
 def _ind_cut(node: Derivation, fns) -> Optional[str]:
     if isinstance(node.rule, dd.Ind):
-        mt = norm_aterm(node.rule.main, fns)
-        if mt == TApp("0") or (isinstance(mt, TApp) and mt.fn == "S"):
+        if arith.view(norm_aterm(node.rule.main, fns))[0] in ("0", "S"):
             return ""
     return None
 
@@ -390,10 +388,10 @@ def _reduce_proper(node: Derivation, rels, fns) -> Derivation:
 def _reduce_ind(node: Derivation, rels, fns) -> Derivation:
     rule = node.rule
     base, step = node.premisses
-    mt = norm_aterm(rule.main, fns)
-    if mt == TApp("0"):
+    head, args = arith.view(norm_aterm(rule.main, fns))
+    if head == "0":
         return base
-    below = mt.args[0]
+    below = args[0]
     inner = Derivation(
         dd.Ind(rule.label, rule.var, rule.template, below),
         Sequent(node.conclusion.context, subst_formula(rule.template, rule.var, below)),
@@ -423,8 +421,7 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
         return _strengthen(new_left, rule.label)
     # a refuted instance: its value realizes the existential branch
     t = refuted.rule.term
-    value = reduce_aterm(t, {}, fns) if not aterm_vars(t) else 0
-    num = tnum(value)
+    num = norm_aterm(t, fns) if not aterm_vars(t) else tnum(0)
     inst = norm_formula(subst_formula(univ.body, univ.var, num), fns)
     right = dd.subst_derivation(right, rule.var, num)
     ctx = node.conclusion.context

@@ -40,7 +40,7 @@ from . import deduction as dd
 from . import terms as tm
 from .arith import (
     And, Atom, ATerm, Comp, Exists, Forall, Imply, Or, PRec, PrimFn,
-    Proj, Relation, Succ, TApp, TVar, Zero, tnum,
+    Proj, Relation, Succ, TApp, TNum, TVar, Zero,
 )
 from .deduction import Derivation, Sequent
 from .terms import Const, Lam, Num, Term, Var
@@ -443,7 +443,7 @@ def _read_aterm(i: int, rd: _Reader) -> ATerm:
             raise rd.error(i, "negative numeral")
         if value > arith.MAX_NUMERAL:
             raise rd.error(i, f"numeral above the bound {arith.MAX_NUMERAL}")
-        return tnum(value)
+        return TNum(value)
     head, args = _form(i, rd, "a term")
     if head not in rd.fns:
         raise rd.error(i, f"unknown function {head!r}")
@@ -453,14 +453,8 @@ def _read_aterm(i: int, rd: _Reader) -> ATerm:
 
 
 def _print_aterm(t: ATerm):
-    v = arith.numeral_value(t)
-    if v is not None:
-        return str(v)
-    if type(t) is TVar:
-        return t.name
-    if type(t) is TApp:
-        return [partial(_wrap, t.fn), [(_print_aterm, a) for a in t.args], None]
-    raise ValueError(f"not a term: {t!r}")
+    return arith.fold_aterm(t, lambda u: u.name if type(u) is TVar else str(u.value),
+                            lambda u, parts: _wrap(u.fn, *parts))
 
 
 _ATERM = _Kind(_read_aterm, _print_aterm)

@@ -72,6 +72,19 @@ STATE = TBase("State")
 EX = TBase("Ex")
 
 
+def _same_type(a: Ty, b: Ty) -> bool:
+    """a == b on an explicit stack: identical parts first, ground types by name."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is not b:
+            if type(a) is not type(b) or (type(a) is TBase and a.name != b.name):
+                return False
+            if type(a) is not TBase:
+                todo += zip(vars(a).values(), vars(b).values())
+    return True
+
+
 def arrows(*tys: Ty) -> Ty:
     """Right-nested arrow type from a list ``A1 ... An B``."""
     out = tys[-1]
@@ -348,7 +361,7 @@ def typecheck(t: Term, ctx: TyCtx = ()) -> Ty:
             fty = types.pop()
             if not isinstance(fty, TArrow):
                 raise TypeMismatch("a function type", fty, "application head", y.fn)
-            if fty.dom != aty:
+            if not _same_type(fty.dom, aty):
                 raise TypeMismatch(fty.dom, aty, "argument", y.arg)
             types.append(fty.cod)
             continue

@@ -242,8 +242,8 @@ def term_to_nat(t, env: Env, fns) -> Term:
     match t:
         case arith.TVar(name):
             return tm.Var(_lookup(env, ("tvar", name)))
-        case arith.TApp("0", ()):
-            return tm.zero
+        case arith.TNum(value):
+            return tm.numeral(value)
         case arith.TApp("S", (a,)):
             return App(tm.succ, term_to_nat(a, env, fns))
         case arith.TApp(fn, args):

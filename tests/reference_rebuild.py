@@ -337,7 +337,7 @@ def _or_exists_permute_cut(node: Derivation, fns) -> Optional[str]:
 def _ind_cut(node: Derivation, fns) -> Optional[str]:
     if isinstance(node.rule, dd.Ind):
         mt = arith.norm_aterm(node.rule.main, fns)
-        if mt == arith.TApp("0") or (isinstance(mt, arith.TApp) and mt.fn == "S"):
+        if isinstance(mt, arith.TNum) or (isinstance(mt, arith.TApp) and mt.fn == "S"):
             return ""
     return None
 

@@ -9,7 +9,7 @@ import timeit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith, sexpr
+from realizer import arith, extraction, monads, sexpr, terms
 from realizer.arith import (
     ADD, MUL, And, ArityMismatch, Atom, BOT, Comp, Exists, Forall, FUNCTIONS,
     Imply, Or, PRec, Proj, RELATIONS, Relation, Succ, TApp, TVar, Zero,
@@ -207,12 +207,16 @@ def _old_aterm_vars(t):
     match t:
         case TVar(name):
             return frozenset((name,))
+        case arith.TNum():
+            return frozenset()
         case TApp(_, args):
             return frozenset().union(*(_old_aterm_vars(a) for a in args))
 
 
 def _old_reduce_aterm(t, fns):
     match t:
+        case arith.TNum(value):
+            return value
         case TApp(fn, args):
             if fn not in fns:
                 raise arith.ArithError(f"unknown function symbol {fn!r}")
@@ -224,7 +228,7 @@ def _old_norm_aterm(t, fns=FUNCTIONS):
     """norm_aterm as it was: normalize the arguments, then rebuild or re-read
     and re-evaluate every level."""
     match t:
-        case TVar():
+        case TVar() | arith.TNum():
             return t
         case TApp(fn, args):
             nargs = tuple(_old_norm_aterm(a, fns) for a in args)
@@ -249,7 +253,9 @@ _FNS["dbl"] = sexpr.read_primfn("(comp + (proj 1 1) (proj 1 1))", _FNS)
 
 
 def _terms(closed: bool):
-    leaves = st.integers(0, 8).map(tnum)
+    # a numeral is built as tnum does, as 0 and as S of a numeral
+    leaves = (st.integers(0, 8).map(tnum) | st.just(TApp("0"))
+              | st.integers(0, 8).map(lambda n: TApp("S", (tnum(n),))))
     if not closed:
         leaves = leaves | st.sampled_from([TVar("x"), TVar("y")])
 
@@ -335,6 +341,8 @@ def _old_subst_aterm(t, var, rep):
     match t:
         case TVar(name):
             return rep if name == var else t
+        case arith.TNum():
+            return t
         case TApp(fn, args):
             return TApp(fn, tuple(_old_subst_aterm(a, var, rep) for a in args))
 
@@ -352,16 +360,19 @@ def test_subst_aterm_needs_no_stack():
     n = 5000
     t = TApp("+", (_succs(n, TVar("x")), tnum(n)))
     got = arith.subst_aterm(t, "x", tnum(2))
-    assert got.args[1] is tnum(n)
+    assert got.args[1] is t.args[1]
     assert reduce_aterm(got) == 2 * n + 2
     assert arith.subst_aterm(t, "y", tnum(2)) is t
 
 
-def test_numerals_are_one_shared_chain():
-    assert tnum(300) is tnum(300)
-    assert tnum(300).args[0] is tnum(299)
-    assert tnum(0) is tnum(0) and tnum(0) == TApp("0")
-    # equal numerals built apart compare by identity, not along their chains
+def test_numerals_are_one_leaf():
+    assert type(tnum(300)) is arith.TNum and tnum(300) == TApp("S", (tnum(299),))
+    assert tnum(0) == TApp("0") and TApp("S", (TApp("0"),)) == tnum(1)
+    assert type(TApp("S", (TVar("x"),))) is TApp
+    assert arith.view(tnum(300)) == ("S", (tnum(299),)) and arith.view(tnum(0)) == ("0", ())
+    assert arith.view(TApp("S", (TVar("x"),))) == ("S", (TVar("x"),))
+    assert arith.view(TVar("x")) == (None, ())
+    # equal numerals built apart compare by value, not along their chains
     assert arith.formulas_equal(Atom("=", (tnum(3000), tnum(3000))),
                                 Atom("=", (tnum(3000), TApp("+", (tnum(2999), tnum(1))))))
 
@@ -372,6 +383,11 @@ _GeneratedTApp = dataclasses.make_dataclass(
 
 
 def _generated(t):
+    if type(t) is arith.TNum:
+        g = _GeneratedTApp("0", ())
+        for _ in range(t.value):
+            g = _GeneratedTApp("S", (g,))
+        return g
     if type(t) is TApp:
         return _GeneratedTApp(t.fn, tuple(_generated(a) for a in t.args))
     return t
@@ -392,6 +408,41 @@ def test_repr_of_a_deep_numeral_needs_no_stack():
     head = "TApp(fn='S', args=("
     assert repr(tnum(5000)) == head * 5000 + "TApp(fn='0', args=())" + ",))" * 5000
     assert repr(_succs(5000, TVar("x"))).endswith("TVar(name='x')" + ",))" * 5000)
+
+
+def _tower(base, n=10_000):
+    """(+ ... (+ base 1) ... 1), n levels deep."""
+    for _ in range(n):
+        base = TApp("+", (base, tnum(1)))
+    return base
+
+
+@pytest.mark.parametrize("base", [TVar("x"), tnum(1)], ids=["open", "closed"])
+def test_every_term_walk_takes_a_deep_term(base):
+    # each walk is the one fold, so depth costs no Python stack
+    t = _tower(base)
+    env = {"x": 1}
+    assert reduce_aterm(t, env) == 10_001
+    if type(base) is TVar:
+        assert norm_aterm(t) is t
+        assert arith.subst_aterm(t, "y", tnum(2)) is t
+        assert reduce_aterm(arith.subst_aterm(t, "x", tnum(1))) == 10_001
+        nat_env = (("tvar", "x"), monads.Name(), ())
+    else:
+        assert norm_aterm(t) == tnum(10_001)
+        assert arith.subst_aterm(t, "x", tnum(2)) is t
+        nat_env = ()
+    assert repr(t) == ("TApp(fn='+', args=(" * 10_000 + repr(base)
+                       + (", " + repr(tnum(1)) + "))") * 10_000)
+    printed = sexpr.print_aterm(t)
+    assert printed.count("(+") == 10_000
+    assert reduce_aterm(sexpr.read_aterm(printed, FUNCTIONS), env) == 10_001
+    nat = extraction.term_to_nat(t, nat_env, FUNCTIONS)
+    if type(base) is arith.TNum:
+        value, n = terms.normalize(nat), 0
+        while type(value) is terms.App:
+            value, n = value.arg, n + 1
+        assert (value, n) == (terms.zero, 10_001)
 
 
 def test_numeral_value():

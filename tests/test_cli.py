@@ -276,6 +276,39 @@ def test_check_of_a_deep_ill_typed_argument_is_a_short_user_error(tmp_path, caps
     assert err == "error: expected Unit, found Nat in argument (app ...)\n"
 
 
+@pytest.mark.parametrize("inner, status", [("Unit", 0), ("Nat", 1)])
+def test_check_compares_deep_argument_types(tmp_path, capsys, inner, status):
+    # the parameter type is 1500 arrows deep, and the argument's type is
+    # built apart from it
+    p = tmp_path / "deep.proof"
+    ty = "(arrow Nat " * 1500 + inner + ")" * 1500
+    arg = "(lam Nat " * 1500 + "unit" + ")" * 1500
+    p.write_text(f"(defterm t (app (lam {ty} unit) {arg}))")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert rc == status
+    if status:
+        assert err == "error: expected (arrow ...), found (arrow ...) in argument (lam ...)\n"
+    else:
+        assert out.splitlines() == ["term t : Unit", "ok: 1 definitions"]
+
+
+_TOWER = "1"
+for _ in range(1200):
+    _TOWER = f"(+ {_TOWER} 1)"
+
+
+@pytest.mark.parametrize("der", [
+    f"(der atom-i (seq (ctx) (atom = {_TOWER} 1201)))",
+    f"(der (atom-post refl) (seq (ctx) (atom = {_TOWER} {_TOWER})))",
+], ids=["atom-i", "refl"])
+def test_check_evaluates_deep_sums(tmp_path, capsys, der):
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d {der})")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "ok: 1 definitions"
+
+
 def test_extract_witness_of_a_big_numeral_atom_is_a_user_error(tmp_path, capsys):
     p = tmp_path / "atom.proof"
     p.write_text("(defder d (der atom-i (seq (ctx) (atom = 2000 2000))))")

@@ -97,6 +97,49 @@ def test_type_mismatch_on_a_deep_argument_names_its_head():
     assert str(e.value) == "expected Unit, found Nat in argument (app ...)"
 
 
+def _arrows_to(inner, n=1500):
+    """(arrow Nat ... (arrow Nat inner)), n arrows deep, and (lam Nat ... unit) as deep."""
+    ty, t = inner, tm.unit_const
+    for _ in range(n):
+        ty, t = TArrow(NAT, ty), Lam(NAT, t)
+    return ty, t
+
+
+def test_a_deep_argument_type_is_compared_without_recursion():
+    # the argument's type is built apart from the parameter's, so the two are
+    # compared level by level
+    ty, arg = _arrows_to(UNIT)
+    assert typecheck(App(Lam(ty, tm.unit_const), arg)) == UNIT
+    other, _ = _arrows_to(NAT)
+    with pytest.raises(tm.TypeMismatch) as e:
+        typecheck(App(Lam(other, tm.unit_const), arg))
+    assert str(e.value) == "expected (arrow ...), found (arrow ...) in argument (lam ...)"
+
+
+_TYPES = st.recursive(
+    st.sampled_from(["Unit", "Nat", "State", "Ex"]).map(tm.TBase),
+    lambda sub: st.tuples(st.sampled_from([TArrow, TProd, TSum]), sub, sub)
+    .map(lambda p: p[0](p[1], p[2])),
+    max_leaves=8)
+
+
+def _rebuilt(ty):
+    """An equal copy of ty sharing no part with it."""
+    if type(ty) is tm.TBase:
+        return tm.TBase(ty.name)
+    return type(ty)(*(_rebuilt(part) for part in vars(ty).values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TYPES, _TYPES, st.booleans())
+def test_type_comparison_agrees_with_equality(a, b, copy):
+    if copy:
+        b = _rebuilt(a)
+    assert tm._same_type(a, b) == (a == b)
+    assert tm._same_type(b, a) == (a == b)
+    assert tm._same_type(a, a)
+
+
 def test_dummy_refusal_prints_file_syntax():
     with pytest.raises(tm.IllTyped, match=r"^no dummy value at type State$"):
         tm.dummy(STATE)
