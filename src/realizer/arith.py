@@ -262,6 +262,35 @@ class TApp:
             return TNum(args[0].value + 1)
         return object.__new__(cls)
 
+    def __eq__(self, other) -> bool:
+        # the generated ==, with nested applications compared on an explicit
+        # stack, identical parts first, so depth costs no Python stack; the
+        # generated hash agrees with it
+        if type(other) is not TApp:
+            return NotImplemented
+        if self is other:
+            return True
+        if self.fn != other.fn:
+            return False
+        for a in self.args:
+            if type(a) is TApp:
+                break
+        else:  # leaves only: the tuples compare as the generated == does
+            return self.args == other.args
+        if len(self.args) != len(other.args):
+            return False
+        todo = list(zip(self.args, other.args))
+        for a, b in todo:  # grows as it goes
+            if a is b:
+                continue
+            if type(a) is TApp and type(b) is TApp:
+                if a.fn != b.fn or len(a.args) != len(b.args):
+                    return False
+                todo += zip(a.args, b.args)
+            elif not a == b:
+                return False
+        return True
+
     def __repr__(self) -> str:
         # the generated repr, joined from a rope of pieces so depth costs no stack
         out, todo = [], [fold_aterm(self, repr, lambda u, parts: (
@@ -490,7 +519,7 @@ def formulas_equal(a: Formula, b: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS
     closed term with an unknown function symbol raises ArithError only when
     the two sides differ.
     """
-    return a == b or norm_formula(a, fns) == norm_formula(b, fns)
+    return a is b or a == b or norm_formula(a, fns) == norm_formula(b, fns)
 
 
 def atomic_truth(

@@ -549,7 +549,8 @@ def _expect(cond: bool, trail: Trail, message: str):
 
 
 def _ctx_equal(a: Context, b: Context, fns) -> bool:
-    return (
+    # a context a premiss keeps from its rule is often the very same object
+    return a is b or (
         len(a) == len(b)
         and all(la == lb and formulas_equal(fa, fb, fns) for (la, fa), (lb, fb) in zip(a, b))
     )

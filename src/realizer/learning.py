@@ -28,7 +28,6 @@ plug in closures over interval data.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol
 
@@ -36,8 +35,6 @@ from . import arith, terms as tm
 from .extraction import realizer_type
 from .sexpr import print_formula
 from .terms import Term
-
-log = logging.getLogger(__name__)
 
 
 class LearningError(Exception):
@@ -168,8 +165,10 @@ def query(s: State, rel: str, args: Iterable[int], rels: Optional[Rels] = None) 
     """
     args = tuple(args)
     if rels is not None and rel in rels and len(args) + 1 != rels[rel].arity:
-        log.warning("query %s%s: arity mismatch (relation takes %d arguments)",
-                    rel, args, rels[rel].arity)
+        import logging  # here alone: loading it costs every CLI process memory
+
+        logging.getLogger(__name__).warning(
+            "query %s%s: arity mismatch (relation takes %d arguments)", rel, args, rels[rel].arity)
         return None
     return s.get((rel, args))
 

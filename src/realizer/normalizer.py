@@ -54,7 +54,6 @@ introduction naming a correct witness.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -599,6 +598,8 @@ def normalize_derivation(
             raise HygieneError(
                 f"{cut.kind} rewrite at {cut.path} freed a term variable")
         if trace is not None:
+            import hashlib  # here alone: it loads OpenSSL, which costs every CLI process memory
+
             where = ".".join(map(str, cut.path)) or "root"
             stamp = hashlib.sha1(repr(_at(d, cut.path).conclusion).encode()).hexdigest()[:12]
             kind = f"{cut.kind}/{cut.detail}" if cut.detail else cut.kind

@@ -11,14 +11,27 @@ whitespace is space, tab, CR and LF.
 
 A text is split once into a token list that readers address by index, so
 no object is made per token, and a ParseError works out its line and
-column only when it is raised.  Each distinct type form of a text is read
-once: its equal types are one object.  Primitive functions, types,
-formulas, terms, rules, derivations, sequents, contexts and definitions
-each have one table of forms: a head, how the object is made from its
-arguments and split back into them, and the kind (a reader paired with a
-printer) of each argument.  read_X (of a text of one form) and print_X
-walk the same table with an explicit stack, so each head is spelled once
-and depth costs no Python stack.
+column only when it is raised.
+
+Repeated forms are shared.  A type, a context (ctx ...), a sequent's goal
+and an assumption's formula met again in the same text are looked up by
+their tokens, so each is read once and the same tokens give one object (a
+type is also one object per class and parts): a derivation restates its
+context and goals at every node, a realizer its types at every binder.
+Only those places are keyed, not every subformula: keys at every level
+would cost O(size x depth) on a deep form.  A print call prints each type
+object once and reuses its text or block wherever the object recurs, since
+layout adds indentation only when printing ends.  That memo is keyed by
+identity, not value, and ends with the call: the frozen dataclasses' hash
+walks the whole object, and recurses on a deep one, while reading and
+extraction already make most equal types one object.
+
+Primitive functions, types, formulas, terms, rules, derivations,
+sequents, contexts and definitions each have one table of forms: a head,
+how the object is made from its arguments and split back into them, and
+the kind (a reader paired with a printer) of each argument.  read_X (of a
+text of one form) and print_X walk the same table with an explicit stack,
+so each head is spelled once and depth costs no Python stack.
 Printing is the inverse on checked objects: parse(print(x)) == x.
 
 This is the only printer of types, terms, first-order terms and formulas:
@@ -71,7 +84,7 @@ def _offsets(text: str) -> list[int]:
 
 
 class _Reader:
-    """The tokens of one text, comments left out, and the types read so far.
+    """The tokens of one text, comments left out, and the shared forms read so far.
 
     after[i] is the index just past the form that starts at token i: i + 1
     for an atom, one past the matching ')' for a '('.
@@ -100,7 +113,8 @@ class _Reader:
         if opened:
             raise self.error(opened[-1], "unclosed parenthesis")
         self.fns, self.rels = fns, rels
-        self.types: dict = {}  # type forms by their tokens, and types by their parts
+        # forms of the shared kinds by (reader, *tokens), and types by (class, *parts)
+        self.shared: dict = {}
 
     def error(self, i: int, message: str) -> ParseError:
         # at token i, or at the end of the text when i is the number of tokens
@@ -212,7 +226,8 @@ def _text(x) -> str:
 
 
 class _Kind(NamedTuple):
-    """How one argument is read, read(index, reader), and printed, print(obj)."""
+    """How one argument is read, read(index, reader), and printed,
+    print(obj, printed), printed being the memo of one print call."""
 
     read: Callable
     print: Callable
@@ -242,7 +257,8 @@ class _Form:
 
 
 def _walk(root: list, *ctx):
-    """Finish the open form root; ctx (the _Reader) goes to every reader.
+    """Finish the open form root; ctx (the _Reader, or the memo of a print
+    call) goes to every reader or printer.
 
     An open form is a list [make, parts, at]: parts yields (reader or
     printer, argument) pairs in order and make(*results) finishes it.  A
@@ -291,7 +307,7 @@ def _print(kind: _Kind, obj, brief: bool = False) -> str:
     brief is for messages: a form that does not fit on one line prints as
     (HEAD ...), so the text is short however large obj is.
     """
-    x = _walk([_only, [(kind.print, obj)], None])
+    x = _walk([_only, [(kind.print, obj)], None], {})
     if brief and (type(x) is _Block or len(x) > _WIDTH):
         head = x.parts[0] if type(x) is _Block else x.split(" ", 1)[0].lstrip("(")
         return f"({head} ...)"
@@ -350,19 +366,40 @@ class _Table:
         head, _ = _form(i, rd, self.what)  # raises for what is not a form
         raise rd.error(i, f"unknown {self.noun} form {head!r}")
 
-    def print(self, obj):
+    def print(self, obj, printed: dict):
         entry = self.printed.get(self.key(obj))
         if entry is None:
             raise ValueError(f"not {self.what}: {obj!r}")
         return entry if type(entry) is str else _print_form(entry, entry.split(obj))
 
 
+def _str(x, printed: dict) -> str:
+    return str(x)
+
+
 def _symbol(what: str) -> _Kind:
-    return _Kind(lambda i, rd: _sym(i, rd, what), str)
+    return _Kind(lambda i, rd: _sym(i, rd, what), _str)
 
 
 def _integer(what: str) -> _Kind:
-    return _Kind(lambda i, rd: _int(i, rd, what), str)
+    return _Kind(lambda i, rd: _int(i, rd, what), _str)
+
+
+def _shared(kind: _Kind) -> _Kind:
+    """kind, with each of its forms read once per text: a form met again is
+    looked up by its tokens, so the same tokens give one object.  A form enters the
+    memo once it has read without error; the function and relation tables
+    only grow, so its tokens read to an equal object wherever they recur."""
+    def read(i: int, rd: _Reader):
+        if rd.toks[i] != "(":
+            return kind.read(i, rd)
+        key = (read, *rd.toks[i:rd.after[i]])
+        x = rd.shared.get(key)
+        if x is not None:
+            return x
+        return [partial(rd.shared.setdefault, key), [(kind.read, i)], i]
+
+    return _Kind(read, kind.print)
 
 
 def _fields(obj):
@@ -392,9 +429,9 @@ def _read_numerals(i: int, rd: _Reader) -> tuple[int, ...]:
     return tuple(_int(a, rd, "a numeral") for a in _list(i, rd, "arguments"))
 
 
-_RELATION = _Kind(_read_relation, str)
-_FUNCTION_NAME = _Kind(_read_function_name, lambda tag: tag[0])
-_NUMERALS = _Kind(_read_numerals, lambda args: _flat(*map(str, args)))
+_RELATION = _Kind(_read_relation, _str)
+_FUNCTION_NAME = _Kind(_read_function_name, lambda tag, printed: tag[0])
+_NUMERALS = _Kind(_read_numerals, lambda args, printed: _flat(*map(str, args)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +489,7 @@ def _read_aterm(i: int, rd: _Reader) -> ATerm:
     return [lambda *xs: TApp(head, xs), [(_read_aterm, a) for a in args], i]
 
 
-def _print_aterm(t: ATerm):
+def _print_aterm(t: ATerm, printed: dict):
     return arith.fold_aterm(t, lambda u: u.name if type(u) is TVar else str(u.value),
                             lambda u, parts: _wrap(u.fn, *parts))
 
@@ -490,34 +527,34 @@ print_formula = partial(_print, _FORMULA)
 _TYPES = _Table("a type", "type")
 
 
-def _print_type(ty):
+def _print_type(ty, printed: dict):
     # a ground type prints as its name: the four share a class, which is
-    # what the table looks a printed object up by
-    return ty.name if type(ty) is tm.TBase else _TYPES.print(ty)
-
-
-def _read_type(i: int, rd: _Reader):
-    # a type form met again in the text is looked up by its tokens
-    if rd.toks[i] != "(":
-        return _TYPES.read(i, rd)
-    key = tuple(rd.toks[i:rd.after[i]])
-    if key in rd.types:
-        return rd.types[key]
-    return [partial(rd.types.setdefault, key), [(_read_part, i)], i]
+    # what the table looks a printed object up by.  Any other type object is
+    # printed once per call, by its id: its text or block is laid out only
+    # when printing ends, so it serves every place the object occurs.
+    if type(ty) is tm.TBase:
+        return ty.name
+    done = printed.get(id(ty))
+    if done is not None:
+        return done[1]
+    x = _TYPES.print(ty, printed)
+    join = x[0]
+    x[0] = lambda *parts: printed.setdefault(id(ty), (ty, join(*parts)))[1]
+    return x
 
 
 def _read_part(i: int, rd: _Reader):
     # one object per class and parts, which are one object each already and
-    # kept alive by rd.types, so their ids stay theirs
+    # kept alive by rd.shared, so their ids stay theirs
     x = _TYPES.read(i, rd)
     if type(x) is list:
-        make, types = x[0], rd.types
-        x[0] = lambda *parts: types.setdefault((make, *map(id, parts)), make(*parts))
+        make, shared = x[0], rd.shared
+        x[0] = lambda *parts: shared.setdefault((make, *map(id, parts)), make(*parts))
     return x
 
 
-_TYPE = _Kind(_read_type, _print_type)
 _PART = _Kind(_read_part, _print_type)
+_TYPE = _shared(_PART)
 _TYPES.define(
     (
         _Form("arrow", tm.TArrow, _fields, (_PART, _PART)),
@@ -600,24 +637,31 @@ def _sole(form: _Form, what: str, wrong: str) -> _Kind:
         _form(i, rd, what)  # raises for what is not a form
         raise rd.error(i, wrong)
 
-    return _Kind(read, lambda obj: _print_form(form, form.split(obj)))
+    return _Kind(read, lambda obj, printed: _print_form(form, form.split(obj)))
+
+
+# a sequent's goal and an assumption's formula share one memo, so a
+# formula assumed and later derived is one object in both places
+_GOAL = _shared(_FORMULA)
 
 
 def _read_entry(i: int, rd: _Reader) -> list:
     items = _list(i, rd, "a context entry")
     if len(items) != 2:
         raise rd.error(i, "context entries are (LABEL FORMULA)")
-    return [lambda *entry: entry, zip((_LABEL.read, _FORMULA.read), items), i]
+    return [lambda *entry: entry, zip((_LABEL.read, _GOAL.read), items), i]
 
 
-_ENTRY = _Kind(_read_entry, lambda e: [_wrap, zip((_LABEL.print, _FORMULA.print), e), None])
-_CONTEXT = _sole(_Form("ctx", lambda *entries: entries, _only, (), rest=_ENTRY), "a context",
-                 "expected (ctx (LABEL FORMULA) ...)")
-_SEQUENT = _sole(_Form("seq", Sequent, _fields, (_CONTEXT, _FORMULA)), "a sequent",
+_ENTRY = _Kind(_read_entry,
+               lambda e, printed: [_wrap, zip((_LABEL.print, _FORMULA.print), e), None])
+_CONTEXT = _shared(_sole(_Form("ctx", lambda *entries: entries, _only, (), rest=_ENTRY),
+                         "a context", "expected (ctx (LABEL FORMULA) ...)"))
+_SEQUENT = _sole(_Form("seq", Sequent, _fields, (_CONTEXT, _GOAL)), "a sequent",
                  "expected (seq (ctx ...) GOAL)")
 _NOT_DER = "expected (der RULE SEQUENT PREMISSES...)"
 # a premiss is read and printed by the derivation kind, made below from der
-_PREMISS = _Kind(lambda i, rd: _DERIVATION.read(i, rd), lambda d: _DERIVATION.print(d))
+_PREMISS = _Kind(lambda i, rd: _DERIVATION.read(i, rd),
+                 lambda d, printed: _DERIVATION.print(d, printed))
 _DERIVATION = _sole(
     _Form("der", lambda rule, seq, *prems: Derivation(rule, seq, prems),
           lambda d: (d.rule, d.conclusion, *d.premisses), (_RULE, _SEQUENT),
@@ -680,9 +724,9 @@ def parse_file(text: str) -> ProofFile:
 
 
 def print_file(pf: ProofFile) -> str:
-    lines = []
+    lines, printed = [], {}
     for head, name in pf.order:
         attr, form = _DEFINITIONS[head]
         value = getattr(pf, attr)[name]
-        lines.append(_text(_walk(_print_form(form, form.split((name, value))))))
+        lines.append(_text(_walk(_print_form(form, form.split((name, value))), printed)))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -303,6 +303,54 @@ def test_norm_formula_matches_the_reference(ts):
     assert norm_formula(f, _FNS) == _old_norm_formula(f, _FNS)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Plain:
+    """TApp's fields under the == and hash that dataclass generates."""
+
+    fn: str
+    args: tuple
+
+
+def _plain(t):
+    return arith.fold_aterm(t, lambda u: u, lambda u, parts: _Plain(u.fn, tuple(parts)))
+
+
+def _rebuilt(t):
+    """t built again node by node: equal to t, and sharing no application with it."""
+    return arith.fold_aterm(t, lambda u: u, lambda u, parts: TApp(u.fn, tuple(parts)))
+
+
+_RENAMED = {"+": "*", "*": "monus", "monus": "+", "S": "pred", "pred": "sq", "sq": "dbl",
+            "dbl": "S"}
+
+
+def _renamed(t):
+    """t built again with each function symbol replaced by another of its arity."""
+    return arith.fold_aterm(t, lambda u: u, lambda u, parts: TApp(_RENAMED[u.fn], tuple(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(closed=False), _terms(closed=False),
+       st.sampled_from(["same", "copy", "other", "inside", "renamed"]))
+def test_term_equality_agrees_with_the_generated_one(t, u, how):
+    a, b = {"same": (t, t), "copy": (t, _rebuilt(t)), "other": (t, u),
+            "inside": (TApp("+", (t, u)), TApp("+", (_rebuilt(t), u))),
+            "renamed": (TApp("+", (t, u)), TApp("+", (_renamed(t), u)))}[how]
+    assert (a == b) is (_plain(a) == _plain(b))
+    assert (a != b) is (_plain(a) != _plain(b))
+    # the generated hash, which agrees with ==
+    assert hash(a) == hash(_plain(a)) and hash(b) == hash(_plain(b))
+
+
+def test_deep_terms_compare_without_recursion():
+    a, b, c = tnum(1), tnum(1), tnum(2)
+    for _ in range(5000):
+        a, b, c = (TApp("+", (t, tnum(1))) for t in (a, b, c))
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert Atom("=", (a, tnum(5001))) == Atom("=", (b, tnum(5001)))
+
+
 def test_norm_aterm_errors_match_the_reference():
     for t in (TApp("exp", (tnum(2), tnum(3))),
               TApp("+", (TVar("x"), TApp("exp", ()))),

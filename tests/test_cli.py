@@ -1,7 +1,11 @@
 """Command-line behaviour: exit codes, output formats, fuel, demos."""
 
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +311,37 @@ def test_check_evaluates_deep_sums(tmp_path, capsys, der):
     rc, out, err = run_cli(capsys, "check", str(p))
     assert (rc, err) == (0, "")
     assert out.splitlines()[-1] == "ok: 1 definitions"
+
+
+_TOWER_ATOM = f"(atom = {_TOWER} 1201)"
+
+
+@pytest.mark.parametrize("der", [
+    f"(der and-el (seq (ctx) {_TOWER_ATOM}) (der and-i (seq (ctx) (and {_TOWER_ATOM} (atom = 1 1)))"
+    f" (der atom-i (seq (ctx) {_TOWER_ATOM})) (der atom-i (seq (ctx) (atom = 1 1)))))",
+    f"(der (exists-i 1201) (seq (ctx) (exists x (atom = x {_TOWER})))"
+    f" (der atom-i (seq (ctx) (atom = 1201 {_TOWER}))))",
+], ids=["and-cut", "exists-i"])
+def test_check_compares_deep_sums_read_apart(tmp_path, capsys, der):
+    # the goals hold equal 1200-deep terms that are distinct objects
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d {der})")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "ok: 1 definitions"
+
+
+def test_check_loads_neither_hashlib_nor_logging(corpus_path):
+    # hashlib loads OpenSSL for the normalizer's trace stamps alone, and
+    # logging serves one learning warning: each costs every CLI process memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from realizer import cli; rc = cli.main(['check', sys.argv[1]]);"
+            " print(rc, sorted({'hashlib', 'logging'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, corpus_path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_extract_witness_of_a_big_numeral_atom_is_a_user_error(tmp_path, capsys):

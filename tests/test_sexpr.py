@@ -1,9 +1,11 @@
 """Reading and printing of proof files: parse/print round trips, positions."""
 
 import bisect
+import gc
 import random
 import re
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +274,67 @@ def test_equal_types_of_a_file_are_one_object():
     assert len({id(ty) for ty in types}) > len(set(types))
 
 
+def _shared_forms(pf: sexpr.ProofFile) -> list:
+    """The contexts, goals and assumed formulas of pf's derivation nodes, and
+    the types of its terms, but the empty context and the ground types, of
+    which the program holds one each."""
+    seqs = [node.conclusion for d in pf.derivs.values() for node in dd.walk(d)]
+    forms = [s.context for s in seqs if s.context] + [s.goal for s in seqs]
+    forms += [f for s in seqs for _, f in s.context]
+    return forms + [ty for ty in _types_in(list(pf.terms.values())) if type(ty) is not tm.TBase]
+
+
+def test_equal_contexts_and_goals_of_a_file_are_one_object():
+    texts = [*_printed_bench_files()[:-1], *_generator_files(), corpus.corpus_text()]
+    spelled = distinct = 0
+    for text in texts:
+        forms = _shared_forms(parse_file(text))
+        one = {}
+        assert all(one.setdefault(x, x) is x for x in forms)
+        spelled, distinct = spelled + len(forms), distinct + len(one)
+    assert spelled > 2 * distinct  # contexts and goals are spelled again and again
+    # the node reader made an object for each
+    forms = _shared_forms(ref.parse_file(texts[0]))
+    assert len({id(x) for x in forms}) > len(set(forms))
+
+
+def test_two_reads_of_a_text_share_nothing():
+    for text in [*_printed_bench_files(), corpus.corpus_text()]:
+        first, second = parse_file(text), parse_file(text)
+        assert first == second
+        assert not {id(x) for x in _shared_forms(first)} & {id(x) for x in _shared_forms(second)}
+
+
+def test_shared_and_unshared_types_print_the_same_bytes():
+    monad_files = _monad_realizer_files()
+    assert all(print_file(parse_file(text)) == text for text in monad_files)
+    for text in [*monad_files, _printed_bench_files()[-1]]:
+        shared, apart = parse_file(text), ref.parse_file(text)  # the reference shares nothing
+        types = _types_in(list(apart.terms.values()))
+        assert len({id(ty) for ty in _types_in(list(shared.terms.values()))}) < len(types)
+        assert print_file(shared) == print_file(apart)
+        for name, t in shared.terms.items():
+            assert print_term(t) == print_term(apart.terms[name])
+    # a freshly extracted realizer, whose equal types are in part distinct objects
+    bench = gen.bench_gen()
+    text = print_term(extract(bench.em_chain(bench.Stratified(3), 4, True), mn.INTERACTIVE))
+    apart = ref.parse_file(f"(defterm r {text})").terms["r"]
+    assert print_term(read_term(text, FNS, RELS)) == print_term(apart) == text
+
+
+def test_the_print_memo_ends_with_its_call():
+    ty = tm.TArrow(tm.TProd(tm.NAT, tm.UNIT), tm.TProd(tm.NAT, tm.UNIT))
+    t = tm.Lam(ty, tm.Lam(ty.dom, tm.Var(0)))
+    pf = sexpr.ProofFile(terms={"t": t}, order=(("defterm", "t"),))
+    gone = [weakref.ref(ty), weakref.ref(ty.dom)]
+    assert print_file(pf) == (
+        "(defterm t (lam (arrow (prod Nat Unit) (prod Nat Unit)) (lam (prod Nat Unit) (var 0))))\n")
+    assert print_term(t) == print_file(pf)[len("(defterm t "):-2]
+    del ty, t, pf
+    gc.collect()
+    assert all(ref() is None for ref in gone)
+
+
 @pytest.mark.parametrize("text", [
     "(defterm t (lam Bool (var x)))",
     "(defterm t (lam (arrow Nat) (var x)))",
@@ -291,19 +354,34 @@ def test_the_first_of_two_faults_is_the_one_the_reference_reports(text):
     assert new[0] == "error" and new == old
 
 
-@pytest.mark.parametrize("nest", ["term", "type"])
+@pytest.mark.parametrize("text", [
+    "(defder d (der atom-i (seq (ctx) (ctx))))",
+    "(defder d (der atom-i (seq (ctx (u (atom top))) (ctx (u (atom top))))))",
+    "(defterm t (lam (arrow Nat Nat) unit)) (defder d (der atom-i (seq (ctx) (arrow Nat Nat))))",
+    "(defder d (der atom-i (seq (ctx) (atom top)))) (defterm t (lam (atom top) unit))",
+])
+def test_tokens_read_before_as_another_kind_are_read_again(text):
+    # the memo of each shared kind is its own: these forms are all errors
+    new, old = _outcome(parse_file, text), _outcome(ref.parse_file, text)
+    assert new[0] == "error" and new == old
+
+
+@pytest.mark.parametrize("nest", ["term", "type", "goal"])
 def test_reading_takes_time_linear_in_depth(nest):
     def text(n: int) -> str:
         if nest == "term":
             return "(defterm t " + "(app succ " * n + "zero" + ")" * (n + 1)
-        return "(defterm t (lam " + "(arrow Nat " * n + "Nat" + ")" * n + " unit))"
+        if nest == "type":
+            return "(defterm t (lam " + "(arrow Nat " * n + "Nat" + ")" * n + " unit))"
+        goal = "(and (atom top) " * n + "(atom top)" + ")" * n
+        return f"(defder d (der and-i (seq (ctx (u {goal})) {goal})))"
 
     def best(n: int) -> float:
         t = text(n)
         return gen.best_cpu_time(lambda: parse_file(t))
 
-    # ten times the depth; keying a type memo by its tokens at every level
-    # of a nested type would make it about a hundred
+    # ten times the depth; keying a type or formula memo by its tokens at
+    # every level of a nested form would make it about a hundred
     assert best(10_000) <= 25 * best(1_000)
 
 
@@ -545,7 +623,8 @@ def _agrees_with_rewriting_layout(pf: sexpr.ProofFile) -> str:
     for head, name in pf.order:
         attr, form = sexpr._DEFINITIONS[head]
         value = getattr(pf, attr)[name]
-        texts.append(_rewritten(sexpr._walk(sexpr._print_form(form, form.split((name, value))))))
+        layout = sexpr._walk(sexpr._print_form(form, form.split((name, value))), {})
+        texts.append(_rewritten(layout))
     text = print_file(pf)
     assert text == "".join(_capped(t) + "\n" for t in texts)
     return text
