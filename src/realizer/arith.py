@@ -14,25 +14,29 @@ up by object identity in `_NATIVE`, which evaluates the standard `+ * pred
 monus`, the characteristics of `= < <=` and their helpers on Python ints
 whenever every argument is a non-negative int.  Every other function -- a
 user definition, or a structurally equal copy of a built-in -- is evaluated
-by structural recursion, and a composed definition still reaches the natives
-for its built-in parts; structural evaluation of a copy is the reference the
-natives are tested against.
+structurally, and a composed definition still reaches the natives for its
+built-in parts; structural evaluation of a copy is the reference the natives
+are tested against.
 
 Terms read S and 0 as successor and zero (a proof file cannot rebind them).
 A closed numeral is one leaf, TNum, holding an int: TApp builds 0, and S of
 a numeral, as that leaf, and `view` reads a numeral as S(n - 1) or 0 where a
-rule matches successors.  Every walk over a term is the postorder fold
-`fold_aterm` on an explicit stack, so depth costs no Python stack; `_norm`,
-the one evaluator, collapses each maximal closed subterm to its value.
-Realizers spell numerals in unary, so `tnum` refuses values above
-MAX_NUMERAL with a typed error.  Normalization returns a normal term or
-formula as the same object, and `formulas_equal` compares syntactically
-first, so callers that pass normal formulas around pay for no rebuilding.
+rule matches successors.  Only the generated hash recurses with depth: one
+postorder fold walks every term (`fold_aterm`) and one every formula
+(`fold_formula`), but for capture-avoiding substitution, which must see a
+binder before its body and runs its own explicit stack; and one equality,
+`same`, is the == of terms, of the connectives and quantifiers, and of
+`terms`' type constructors.  `_norm`, the one evaluator, collapses each
+maximal closed subterm to its value.  Realizers spell numerals in unary, so
+`tnum` refuses values above MAX_NUMERAL with a typed error.  Normalization
+returns a normal term or formula as the same object, and `formulas_equal`
+compares syntactically first, so callers that pass normal formulas around pay
+for no rebuilding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional
 
@@ -61,6 +65,38 @@ class NumeralTooLarge(ArithError):
     pass
 
 
+_CLOSE = object()  # ends a node's parts on the explicit stacks below
+
+
+def same(a, b) -> bool:
+    """a == b over frozen syntax on an explicit stack, identical parts first, so
+    depth costs no Python stack; it agrees with the generated == and hash."""
+    todo = [(a, b)]
+    for a, b in todo:  # grows as it goes
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b) or (t is tuple and len(a) != len(b)):
+            return False
+        if t is tuple or t.__eq__ is same:
+            todo += zip(a, b) if t is tuple else zip(vars(a).values(), vars(b).values())
+        elif a != b:  # a leaf, or an atom, whose == does not recurse by itself
+            return False
+    return True
+
+
+def _rope(x) -> str:
+    """The strings of a tree of tuples joined left to right, on an explicit stack."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            todo.extend(reversed(x))
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # primitive recursive functions
 
@@ -74,9 +110,7 @@ class Zero:
 
 @dataclass(frozen=True)
 class Succ:
-    @property
-    def arity(self) -> int:
-        return 1
+    arity = 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +130,8 @@ class Proj:
 class Comp:
     outer: "PrimFn"
     inner: tuple["PrimFn", ...]
+    # stored at construction, so a chain of compositions costs O(1) a level
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inner) != self.outer.arity:
@@ -106,10 +142,7 @@ class Comp:
         arities = {g.arity for g in self.inner}
         if len(arities) > 1:
             raise ArityMismatch(f"mixed inner arities {sorted(arities)}")
-
-    @property
-    def arity(self) -> int:
-        return self.inner[0].arity if self.inner else 0
+        object.__setattr__(self, "arity", self.inner[0].arity if self.inner else 0)
 
 
 @dataclass(frozen=True)
@@ -118,6 +151,7 @@ class PRec:
 
     base: "PrimFn"
     step: "PrimFn"
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step.arity != self.base.arity + 2:
@@ -125,10 +159,7 @@ class PRec:
                 f"recursion step arity {self.step.arity},"
                 f" wanted {self.base.arity + 2}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.base.arity + 1
+        object.__setattr__(self, "arity", self.base.arity + 1)
 
 
 PrimFn = Zero | Succ | Proj | Comp | PRec
@@ -138,26 +169,36 @@ def eval_prim(f: PrimFn, args: Iterable[int]) -> int:
     args = tuple(args)
     if len(args) != f.arity:
         raise ArityMismatch(f"{len(args)} arguments for arity {f.arity}")
-    native = _NATIVE.get(id(f))
-    if native is not None and all(type(a) is int and a >= 0 for a in args):
-        return native(*args)
-    match f:
-        case Zero():
-            return 0
-        case Succ():
-            return args[0] + 1
-        case Proj(_, i):
-            return args[i - 1]
-        case Comp(outer, inner):
-            return eval_prim(outer, [eval_prim(g, args) for g in inner])
-        case PRec(base, step):
-            # iterative, so towers of recursion do not hit Python's stack
-            y, rest = args[0], args[1:]
-            acc = eval_prim(base, rest)
-            for k in range(y):
-                acc = eval_prim(step, (k, acc) + rest)
-            return acc
-    raise ArithError(f"not a primitive recursive function: {f!r}")
+    # compositions unfold on an explicit stack; (_CLOSE, outer) takes outer's arguments from done
+    todo, done = [(f, args)], []
+    while todo:
+        f, args = todo.pop()
+        if f is _CLOSE:
+            f, k = args, len(done) - args.arity
+            args, done[k:] = tuple(done[k:]), ()
+        native = _NATIVE.get(id(f))
+        if native is not None and all(type(a) is int and a >= 0 for a in args):
+            done.append(native(*args))
+            continue
+        match f:
+            case Zero():
+                done.append(0)
+            case Succ():
+                done.append(args[0] + 1)
+            case Proj(_, i):
+                done.append(args[i - 1])
+            case Comp(outer, inner):
+                todo += [(_CLOSE, outer), *((g, args) for g in reversed(inner))]
+            case PRec(base, step):
+                # iterative, so towers of recursion do not hit Python's stack
+                y, rest = args[0], args[1:]
+                acc = eval_prim(base, rest)
+                for k in range(y):
+                    acc = eval_prim(step, (k, acc) + rest)
+                done.append(acc)
+            case _:
+                raise ArithError(f"not a primitive recursive function: {f!r}")
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -262,47 +303,13 @@ class TApp:
             return TNum(args[0].value + 1)
         return object.__new__(cls)
 
-    def __eq__(self, other) -> bool:
-        # the generated ==, with nested applications compared on an explicit
-        # stack, identical parts first, so depth costs no Python stack; the
-        # generated hash agrees with it
-        if type(other) is not TApp:
-            return NotImplemented
-        if self is other:
-            return True
-        if self.fn != other.fn:
-            return False
-        for a in self.args:
-            if type(a) is TApp:
-                break
-        else:  # leaves only: the tuples compare as the generated == does
-            return self.args == other.args
-        if len(self.args) != len(other.args):
-            return False
-        todo = list(zip(self.args, other.args))
-        for a, b in todo:  # grows as it goes
-            if a is b:
-                continue
-            if type(a) is TApp and type(b) is TApp:
-                if a.fn != b.fn or len(a.args) != len(b.args):
-                    return False
-                todo += zip(a.args, b.args)
-            elif not a == b:
-                return False
-        return True
+    __eq__ = same
 
     def __repr__(self) -> str:
         # the generated repr, joined from a rope of pieces so depth costs no stack
-        out, todo = [], [fold_aterm(self, repr, lambda u, parts: (
+        return _rope(fold_aterm(self, repr, lambda u, parts: (
             f"TApp(fn={u.fn!r}, args=(", *[x for p in parts for x in (p, ", ")][:-1],
-            ",))" if len(parts) == 1 else "))"))]
-        while todo:
-            x = todo.pop()
-            if type(x) is str:
-                out.append(x)
-            else:
-                todo.extend(reversed(x))
-        return "".join(out)
+            ",))" if len(parts) == 1 else "))")))
 
 
 ATerm = TVar | TNum | TApp
@@ -329,9 +336,6 @@ def view(t: ATerm) -> tuple[Optional[str], tuple[ATerm, ...]]:
     if type(t) is TNum:
         return ("S", (TNum(t.value - 1),)) if t.value else ("0", ())
     return (t.fn, t.args) if type(t) is TApp else (None, ())
-
-
-_CLOSE = object()
 
 
 def fold_aterm(t: ATerm, leaf: Callable, app: Callable):
@@ -415,34 +419,49 @@ class Atom:
     args: tuple[ATerm, ...] = ()
 
 
+def _formula_repr(self) -> str:
+    # the generated repr, joined from a rope of pieces so depth costs no stack
+    def node(u: Formula, parts: list) -> tuple:
+        name = type(u).__name__
+        if len(parts) == 1:
+            return (f"{name}(var={u.var!r}, body=", parts[0], ")")
+        return (f"{name}(left=", parts[0], ", right=", parts[1], ")")
+    return _rope(fold_formula(self, repr, node))
+
+
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
+    __eq__, __repr__ = same, _formula_repr
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
+    __eq__, __repr__ = same, _formula_repr
 
 
 @dataclass(frozen=True)
 class Imply:
     left: "Formula"
     right: "Formula"
+    __eq__, __repr__ = same, _formula_repr
 
 
 @dataclass(frozen=True)
 class Forall:
     var: str
     body: "Formula"
+    __eq__, __repr__ = same, _formula_repr
 
 
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
+    __eq__, __repr__ = same, _formula_repr
 
 
 Formula = Atom | And | Or | Imply | Forall | Exists
@@ -455,15 +474,41 @@ def neg(a: Formula) -> Formula:
     return Imply(a, BOT)
 
 
+def fold_formula(f: Formula, atom: Callable, node: Callable):
+    """f folded bottom-up on an explicit stack: atom(u) at an atom, node(u, parts)
+    at a connective or quantifier, parts its subformulas' results in order (two
+    at a connective, one at a quantifier)."""
+    if type(f) is Atom:
+        return atom(f)
+    todo, done = [f], []
+    while todo:
+        u = todo.pop()
+        if u is _CLOSE:
+            u = todo.pop()
+            k = -1 if type(u) is Forall or type(u) is Exists else -2
+            done[k:] = (node(u, done[k:]),)
+        elif type(u) is Atom:
+            done.append(atom(u))
+        elif type(u) is Forall or type(u) is Exists:
+            todo += (u, _CLOSE, u.body)
+        elif type(u) is And or type(u) is Or or type(u) is Imply:
+            todo += (u, _CLOSE, u.right, u.left)
+        else:
+            raise ArithError(f"not a formula: {u!r}")
+    return done[0]
+
+
+def _rebuilt(u: Formula, parts: list) -> Formula:
+    """u over the subformulas parts; u itself (same object) when none changed."""
+    if len(parts) == 1:
+        return u if parts[0] is u.body else type(u)(u.var, parts[0])
+    return u if parts[0] is u.left and parts[1] is u.right else type(u)(*parts)
+
+
 def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case Atom(_, args):
-            return frozenset().union(*(aterm_vars(t) for t in args)) if args else frozenset()
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            return free_vars(a) | free_vars(b)
-        case Forall(var, body) | Exists(var, body):
-            return free_vars(body) - {var}
-    raise ArithError(f"not a formula: {f!r}")
+    def node(u: Formula, parts: list) -> frozenset[str]:
+        return parts[0] - {u.var} if len(parts) == 1 else parts[0] | parts[1]
+    return fold_formula(f, lambda u: frozenset().union(*map(aterm_vars, u.args)), node)
 
 
 def _fresh(base: str, taken: AbstractSet[str]) -> str:
@@ -475,41 +520,55 @@ def _fresh(base: str, taken: AbstractSet[str]) -> str:
     return f"{base}{i}"
 
 
+_AGAIN, _BIND = object(), object()  # the frames of subst_formula's stack
+
+
 def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
     """Capture-avoiding substitution f[var := rep]; f itself (same object)
-    when var is not free in f."""
-    match f:
-        case Atom(rel, args):
-            new = tuple([subst_aterm(t, var, rep) for t in args])
-            return f if all(map(is_, new, args)) else Atom(rel, new)
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            na, nb = subst_formula(a, var, rep), subst_formula(b, var, rep)
-            return f if na is a and nb is b else type(f)(na, nb)
-        case Forall(v, body) | Exists(v, body):
-            if v == var:
-                return f
-            if v in aterm_vars(rep) and var in free_vars(body):
-                w = _fresh(v, aterm_vars(rep) | free_vars(body))
-                return type(f)(w, subst_formula(subst_formula(body, v, TVar(w)), var, rep))
-            nb = subst_formula(body, var, rep)
-            return f if nb is body else type(f)(v, nb)
-    raise ArithError(f"not a formula: {f!r}")
+    when var is not free in f.
+
+    A quantifier over a variable of rep whose body has var free becomes one
+    over a fresh w, with body[v := w][var := rep].  Capture is decided before
+    a body is walked, on an explicit stack, so no body is substituted twice
+    over and depth costs no Python stack."""
+    # (g, x, r): push g[x := r]; (_CLOSE, u, n): rebuild u over the last n
+    # results; (_AGAIN, x, r): substitute in the last result again;
+    # (_BIND, u, w): u's quantifier over w and the last result
+    todo, done = [(f, var, rep)], []
+    while todo:
+        u, x, r = todo.pop()
+        t = type(u)
+        if t is Atom:
+            new = tuple([subst_aterm(a, x, r) for a in u.args])
+            done.append(u if all(map(is_, new, u.args)) else Atom(u.rel, new))
+        elif t is And or t is Or or t is Imply:
+            todo += ((_CLOSE, u, 2), (u.right, x, r), (u.left, x, r))
+        elif t is Forall or t is Exists:
+            if u.var == x:
+                done.append(u)
+            elif u.var in (rv := aterm_vars(r)) and x in (fv := free_vars(u.body)):
+                w = _fresh(u.var, rv | fv)
+                todo += ((_BIND, u, w), (_AGAIN, x, r), (u.body, u.var, TVar(w)))
+            else:
+                todo += ((_CLOSE, u, 1), (u.body, x, r))
+        elif u is _CLOSE:
+            done[-r:] = (_rebuilt(x, done[-r:]),)
+        elif u is _AGAIN:
+            todo.append((done.pop(), x, r))
+        elif u is _BIND:
+            done.append(type(x)(r, done.pop()))
+        else:
+            raise ArithError(f"not a formula: {u!r}")
+    return done[0]
 
 
 def norm_formula(f: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> Formula:
     """Normalize all first-order terms inside f (closed subterms to numerals);
     f itself (same object) when no term changes."""
-    match f:
-        case Atom(rel, args):
-            new = tuple(norm_aterm(t, fns) for t in args)
-            return f if all(n is t for n, t in zip(new, args)) else Atom(rel, new)
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            na, nb = norm_formula(a, fns), norm_formula(b, fns)
-            return f if na is a and nb is b else type(f)(na, nb)
-        case Forall(v, body) | Exists(v, body):
-            nb = norm_formula(body, fns)
-            return f if nb is body else type(f)(v, nb)
-    raise ArithError(f"not a formula: {f!r}")
+    def atom(u: Atom) -> Atom:
+        new = tuple([norm_aterm(t, fns) for t in u.args])
+        return u if all(map(is_, new, u.args)) else Atom(u.rel, new)
+    return fold_formula(f, atom, _rebuilt)
 
 
 def formulas_equal(a: Formula, b: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> bool:
@@ -555,16 +614,6 @@ class HierLevel:
         return f"{self.cls}{self.level}"
 
 
-def _quantifier_free(f: Formula) -> bool:
-    match f:
-        case Atom():
-            return True
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            return _quantifier_free(a) and _quantifier_free(b)
-        case _:
-            return False
-
-
 def _prefix(f: Formula) -> Optional[tuple[list[tuple[str, str]], Formula]]:
     """Quantifier prefix [(kind, var)...] and matrix, or None if not prenex."""
     prefix: list[tuple[str, str]] = []
@@ -578,7 +627,9 @@ def _prefix(f: Formula) -> Optional[tuple[list[tuple[str, str]], Formula]]:
                 f = body
             case _:
                 break
-    return (prefix, f) if _quantifier_free(f) else None
+    # the matrix is quantifier-free: every connective over two quantifier-free parts
+    quantifier_free = fold_formula(f, lambda u: True, lambda u, parts: len(parts) == 2 and all(parts))
+    return (prefix, f) if quantifier_free else None
 
 
 def classify(f: Formula) -> Optional[HierLevel]:
@@ -605,11 +656,9 @@ def dual(f: Formula) -> Formula:
     p = _prefix(f)
     if p is None:
         raise NotPrenex(f"dual of a non-prenex formula: {f!r}")
-    match f:
-        case Forall(v, body):
-            return Exists(v, dual(body))
-        case Exists(v, body):
-            return Forall(v, dual(body))
-        case _:
-            return neg(f)
+    prefix, matrix = p
+    out = neg(matrix)
+    for kind, v in reversed(prefix):
+        out = (Exists if kind == "forall" else Forall)(v, out)
+    return out
 

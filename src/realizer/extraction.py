@@ -61,7 +61,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from . import arith, deduction as dd, monads as mn, terms as tm
-from .arith import And, Atom, ATerm, Exists, Forall, Formula, Imply, Or, TApp, TVar
+from .arith import And, Atom, ATerm, Forall, Formula, Imply, Or, TApp, TVar
 from .monads import NLam, NVar, Name
 from .terms import App, Lam, Term, TArrow, TProd, TSum, Ty, app, shift
 
@@ -84,20 +84,18 @@ class OpenDerivation(ExtractionError):
 
 def realizer_type(f: Formula, m: mn.MonadSpec = mn.INTERACTIVE) -> Ty:
     """|f|, the type of potential realizers of f under the monad m."""
-    match f:
-        case Atom():
-            return tm.UNIT
-        case And(a, b):
-            return TProd(realizer_type(a, m), realizer_type(b, m))
-        case Or(a, b):
-            return TSum(realizer_type(a, m), realizer_type(b, m))
-        case Imply(a, b):
-            return TArrow(realizer_type(a, m), computation_type(b, m))
-        case Forall(_, b):
-            return TArrow(tm.NAT, computation_type(b, m))
-        case Exists(_, b):
-            return TProd(tm.NAT, realizer_type(b, m))
-    raise ExtractionError(f"not a formula: {f!r}")
+    def node(u: Formula, parts: list) -> Ty:
+        match u:
+            case And():
+                return TProd(*parts)
+            case Or():
+                return TSum(*parts)
+            case Imply():
+                return TArrow(parts[0], m.type_op(parts[1]))
+            case Forall():
+                return TArrow(tm.NAT, m.type_op(parts[0]))
+        return TProd(tm.NAT, parts[0])  # an Exists
+    return arith.fold_formula(f, lambda u: tm.UNIT, node)
 
 
 def computation_type(f: Formula, m: mn.MonadSpec = mn.INTERACTIVE) -> Ty:

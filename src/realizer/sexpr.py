@@ -458,7 +458,7 @@ _PRIMFNS.define(
         _Form("comp", lambda outer, *inner: Comp(outer, inner),
               lambda c: (c.outer, *c.inner), (_FN,), rest=_FN,
               short="comp needs an outer function", key=Comp),
-        _Form("prec", PRec, _fields, (_FN, _FN)),
+        _Form("prec", PRec, lambda p: (p.base, p.step), (_FN, _FN)),
     ),
     bare={_ZERO.head: Zero(0), "S": Succ()},
 )

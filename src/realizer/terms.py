@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .arith import same
+
 DEFAULT_FUEL = 10**6
 
 INFINITY = None  # rec guard for unbounded unfolding
@@ -50,18 +52,21 @@ class TBase:
 class TArrow:
     dom: "Ty"
     cod: "Ty"
+    __eq__ = same
 
 
 @dataclass(frozen=True)
 class TProd:
     left: "Ty"
     right: "Ty"
+    __eq__ = same
 
 
 @dataclass(frozen=True)
 class TSum:
     left: "Ty"
     right: "Ty"
+    __eq__ = same
 
 
 Ty = TBase | TArrow | TProd | TSum
@@ -70,19 +75,6 @@ UNIT = TBase("Unit")
 NAT = TBase("Nat")
 STATE = TBase("State")
 EX = TBase("Ex")
-
-
-def _same_type(a: Ty, b: Ty) -> bool:
-    """a == b on an explicit stack: identical parts first, ground types by name."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is not b:
-            if type(a) is not type(b) or (type(a) is TBase and a.name != b.name):
-                return False
-            if type(a) is not TBase:
-                todo += zip(vars(a).values(), vars(b).values())
-    return True
 
 
 def arrows(*tys: Ty) -> Ty:
@@ -361,7 +353,7 @@ def typecheck(t: Term, ctx: TyCtx = ()) -> Ty:
             fty = types.pop()
             if not isinstance(fty, TArrow):
                 raise TypeMismatch("a function type", fty, "application head", y.fn)
-            if not _same_type(fty.dom, aty):
+            if fty.dom != aty:
                 raise TypeMismatch(fty.dom, aty, "argument", y.arg)
             types.append(fty.cod)
             continue

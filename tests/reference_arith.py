@@ -1,0 +1,104 @@
+"""The recursive formula walks that `arith.fold_formula` replaced, kept as test
+oracles, and a mirror of frozen syntax under the generated ``==``.
+
+free_vars, subst_formula, norm_formula and realizer_type are the structural
+recursions that arith and extraction ran before every formula walk became
+one explicit-stack fold; each returns the same object where nothing changes,
+as the folds do.  They recurse, so feed them shallow formulas.
+
+generated(x) rebuilds x from classes that dataclass generates, with the
+generated ``==``, ``hash`` and ``repr``, in place of every class whose ``==``
+is `arith.same`: terms, formulas and types.  The tests compare `same`
+against it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from operator import is_
+
+from realizer import arith
+from realizer import monads as mn
+from realizer import terms as tm
+from realizer.arith import And, Atom, Exists, Forall, Imply, Or, TVar
+
+
+def free_vars(f):
+    match f:
+        case Atom(_, args):
+            return frozenset().union(*(arith.aterm_vars(t) for t in args)) if args else frozenset()
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            return free_vars(a) | free_vars(b)
+        case Forall(var, body) | Exists(var, body):
+            return free_vars(body) - {var}
+    raise arith.ArithError(f"not a formula: {f!r}")
+
+
+def subst_formula(f, var, rep):
+    match f:
+        case Atom(rel, args):
+            new = tuple([arith.subst_aterm(t, var, rep) for t in args])
+            return f if all(map(is_, new, args)) else Atom(rel, new)
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            na, nb = subst_formula(a, var, rep), subst_formula(b, var, rep)
+            return f if na is a and nb is b else type(f)(na, nb)
+        case Forall(v, body) | Exists(v, body):
+            if v == var:
+                return f
+            if v in arith.aterm_vars(rep) and var in free_vars(body):
+                w = arith._fresh(v, arith.aterm_vars(rep) | free_vars(body))
+                return type(f)(w, subst_formula(subst_formula(body, v, TVar(w)), var, rep))
+            nb = subst_formula(body, var, rep)
+            return f if nb is body else type(f)(v, nb)
+    raise arith.ArithError(f"not a formula: {f!r}")
+
+
+def norm_formula(f, fns=arith.FUNCTIONS):
+    match f:
+        case Atom(rel, args):
+            new = tuple(arith.norm_aterm(t, fns) for t in args)
+            return f if all(n is t for n, t in zip(new, args)) else Atom(rel, new)
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            na, nb = norm_formula(a, fns), norm_formula(b, fns)
+            return f if na is a and nb is b else type(f)(na, nb)
+        case Forall(v, body) | Exists(v, body):
+            nb = norm_formula(body, fns)
+            return f if nb is body else type(f)(v, nb)
+    raise arith.ArithError(f"not a formula: {f!r}")
+
+
+def realizer_type(f, m=mn.INTERACTIVE):
+    match f:
+        case Atom():
+            return tm.UNIT
+        case And(a, b):
+            return tm.TProd(realizer_type(a, m), realizer_type(b, m))
+        case Or(a, b):
+            return tm.TSum(realizer_type(a, m), realizer_type(b, m))
+        case Imply(a, b):
+            return tm.TArrow(realizer_type(a, m), m.type_op(realizer_type(b, m)))
+        case Forall(_, b):
+            return tm.TArrow(tm.NAT, m.type_op(realizer_type(b, m)))
+        case Exists(_, b):
+            return tm.TProd(tm.NAT, realizer_type(b, m))
+    raise arith.ArithError(f"not a formula: {f!r}")
+
+
+_MIRRORS: dict[type, type] = {}
+
+
+def generated(x):
+    """x rebuilt part by part, every class compared by `arith.same` replaced by
+    its generated twin."""
+    if type(x) is tuple:
+        return tuple(map(generated, x))
+    if not dataclasses.is_dataclass(x):
+        return x
+    cls = type(x)
+    parts = [generated(getattr(x, f.name)) for f in dataclasses.fields(cls)]
+    if cls.__eq__ is arith.same:
+        if cls not in _MIRRORS:
+            _MIRRORS[cls] = dataclasses.make_dataclass(
+                cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True)
+        cls = _MIRRORS[cls]
+    return cls(*parts)

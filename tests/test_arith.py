@@ -17,6 +17,8 @@ from realizer.arith import (
     neg, norm_aterm, norm_formula, reduce_aterm, subst_formula, tnum,
 )
 
+import reference_arith as ref
+
 
 # ---------------------------------------------------------------------------
 # primitive recursive evaluation
@@ -237,16 +239,6 @@ def _old_norm_aterm(t, fns=FUNCTIONS):
             return TApp(fn, nargs)
 
 
-def _old_norm_formula(f, fns=FUNCTIONS):
-    match f:
-        case Atom(rel, args):
-            return Atom(rel, tuple(_old_norm_aterm(t, fns) for t in args))
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            return type(f)(_old_norm_formula(a, fns), _old_norm_formula(b, fns))
-        case Forall(v, body) | Exists(v, body):
-            return type(f)(v, _old_norm_formula(body, fns))
-
-
 _FNS = dict(FUNCTIONS)
 _FNS["sq"] = sexpr.read_primfn("(comp * (proj 1 1) (proj 1 1))", _FNS)
 _FNS["dbl"] = sexpr.read_primfn("(comp + (proj 1 1) (proj 1 1))", _FNS)
@@ -300,19 +292,7 @@ def test_norm_formula_matches_the_reference(ts):
     f = Forall("x", Imply(Atom("=", (ts[0], ts[1])),
                           Exists("y", And(Atom("<", tuple(ts[1:3])) if len(ts) > 2 else Atom("top"),
                                           Atom("<=", (ts[-1], ts[0]))))))
-    assert norm_formula(f, _FNS) == _old_norm_formula(f, _FNS)
-
-
-@dataclasses.dataclass(frozen=True)
-class _Plain:
-    """TApp's fields under the == and hash that dataclass generates."""
-
-    fn: str
-    args: tuple
-
-
-def _plain(t):
-    return arith.fold_aterm(t, lambda u: u, lambda u, parts: _Plain(u.fn, tuple(parts)))
+    assert norm_formula(f, _FNS) == ref.norm_formula(f, _FNS)
 
 
 def _rebuilt(t):
@@ -331,15 +311,16 @@ def _renamed(t):
 
 @settings(max_examples=300, deadline=None)
 @given(_terms(closed=False), _terms(closed=False),
-       st.sampled_from(["same", "copy", "other", "inside", "renamed"]))
+       st.sampled_from(["same", "copy", "other", "inside", "renamed", "shorter"]))
 def test_term_equality_agrees_with_the_generated_one(t, u, how):
     a, b = {"same": (t, t), "copy": (t, _rebuilt(t)), "other": (t, u),
             "inside": (TApp("+", (t, u)), TApp("+", (_rebuilt(t), u))),
-            "renamed": (TApp("+", (t, u)), TApp("+", (_renamed(t), u)))}[how]
-    assert (a == b) is (_plain(a) == _plain(b))
-    assert (a != b) is (_plain(a) != _plain(b))
+            "renamed": (TApp("+", (t, u)), TApp("+", (_renamed(t), u))),
+            "shorter": (TApp("+", (t, u)), TApp("+", (_rebuilt(t),)))}[how]
+    ga, gb = ref.generated(a), ref.generated(b)
+    assert (a == b) is (ga == gb) and (a != b) is (ga != gb)
     # the generated hash, which agrees with ==
-    assert hash(a) == hash(_plain(a)) and hash(b) == hash(_plain(b))
+    assert hash(a) == hash(ga) and hash(b) == hash(gb)
 
 
 def test_deep_terms_compare_without_recursion():
@@ -588,37 +569,58 @@ def test_norm_formula_returns_a_normal_formula_itself():
 @settings(max_examples=200, deadline=None)
 @given(_formulas())
 def test_norm_formula_keeps_normal_formulas_and_matches_the_reference(f):
-    g = norm_formula(f, _FNS)
-    assert g == _old_norm_formula(f, _FNS)
+    g, want = norm_formula(f, _FNS), ref.norm_formula(f, _FNS)
+    assert g == want and (g is f) is (want is f)
     assert norm_formula(g, _FNS) is g
-
-
-def _old_subst_formula(f, var, rep):
-    """subst_formula as it was: every formula node rebuilt."""
-    match f:
-        case Atom(rel, args):
-            return Atom(rel, tuple(arith.subst_aterm(t, var, rep) for t in args))
-        case And(a, b) | Or(a, b) | Imply(a, b):
-            return type(f)(_old_subst_formula(a, var, rep), _old_subst_formula(b, var, rep))
-        case Forall(v, body) | Exists(v, body):
-            if v == var:
-                return f
-            if v in arith.aterm_vars(rep) and var in arith.free_vars(body):
-                w = arith._fresh(v, arith.aterm_vars(rep) | arith.free_vars(body))
-                body = _old_subst_formula(body, v, TVar(w))
-                v = w
-            return type(f)(v, _old_subst_formula(body, var, rep))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_formulas(), st.sampled_from(["x", "y", "z"]), _terms(closed=False))
 def test_subst_formula_matches_the_reference_and_keeps_untouched_formulas(f, var, rep):
-    got = arith.subst_formula(f, var, rep)
-    assert got == _old_subst_formula(f, var, rep)
+    got, want = arith.subst_formula(f, var, rep), ref.subst_formula(f, var, rep)
+    assert got == want and (got is f) is (want is f)
     if var not in arith.free_vars(f):
         assert got is f
     elif rep != TVar(var):
         assert got is not f
+
+
+def _binders(names, body):
+    for v in reversed(names):
+        body = Forall(v, body)
+    return body
+
+
+_Y0 = Atom("=", (TVar("y"), tnum(0)))
+_XS = [f"x{i}" if i else "x" for i in range(30)]  # x, x1 ... x29: the names _fresh picks
+_CAPTURES = {
+    # every binder captures x and is renamed to x1
+    "same-name": (_binders(["x"] * 30, _Y0), TVar("x")),
+    # every binder captures, and each fresh name is one a binder below holds
+    "fresh-names-bound-below": (_binders(_XS, Atom("=", (TVar("y"), TVar("x")))),
+                                TApp("+", tuple(map(TVar, _XS)))),
+    # every binder captures x, and x1 is free below, so the fresh name is x2
+    "fresh-name-free-below": (_binders(["x"] * 30, Atom("=", (TVar("y"), TVar("x1")))), TVar("x")),
+    # binders that capture and binders that rename nothing, alternating
+    "alternating": (_binders([v for x in _XS for v in (x, "z")], Or(_Y0, Exists("y", _Y0))),
+                    TApp("*", (TVar("x"), TVar("x3"), TVar("x17")))),
+}
+
+
+@pytest.mark.parametrize("case", _CAPTURES)
+def test_subst_formula_decides_capture_before_walking_a_body(case):
+    # a bottom-up walk that substituted each body before it saw its binder
+    # capture, then threw that away, took time 2^30 on these
+    f, rep = _CAPTURES[case]
+    start = timeit.default_timer()
+    got = subst_formula(f, "y", rep)
+    assert timeit.default_timer() - start < 5
+    assert got == ref.subst_formula(f, "y", rep)
+    assert free_vars(got) == (free_vars(f) - {"y"}) | arith.aterm_vars(rep)
+    if case == "same-name":
+        assert got == _binders(["x1"] * 30, Atom("=", (TVar("x"), tnum(0))))
+    if case == "fresh-name-free-below":
+        assert got == _binders(["x2"] * 30, Atom("=", (TVar("x"), TVar("x1"))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -641,6 +643,95 @@ def test_formulas_equal_on_an_unknown_function_symbol():
     assert formulas_equal(odd, odd)
     with pytest.raises(arith.ArithError, match="unknown function symbol 'exp'"):
         formulas_equal(odd, Atom("=", (tnum(2), tnum(1))))
+
+
+# ---------------------------------------------------------------------------
+# every formula walk is one fold, and syntax compares by `same`
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas())
+def test_free_vars_and_realizer_types_agree_with_their_references(f):
+    assert free_vars(f) == ref.free_vars(f)
+    for m in monads.BUILTIN_MONADS.values():
+        assert extraction.realizer_type(f, m) == ref.realizer_type(f, m)
+
+
+def _rebuilt_formula(f):
+    """f built again node by node: equal to f, and sharing no node with it."""
+    return arith.fold_formula(
+        f, lambda u: Atom(u.rel, tuple(map(_rebuilt, u.args))),
+        lambda u, parts: type(u)(u.var, *parts) if len(parts) == 1 else type(u)(*parts))
+
+
+_SWAPPED = {And: Or, Or: Imply, Imply: And, Forall: Exists, Exists: Forall}
+
+
+def _swapped(f):
+    """f built again with each connective and quantifier replaced by another."""
+    return arith.fold_formula(
+        f, lambda u: u, lambda u, parts: _SWAPPED[type(u)](u.var, *parts)
+        if len(parts) == 1 else _SWAPPED[type(u)](*parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas(), _formulas(), st.sampled_from(["same", "copy", "other", "inside", "swapped"]))
+def test_formula_equality_agrees_with_the_generated_one(f, g, how):
+    a, b = {"same": (f, f), "copy": (f, _rebuilt_formula(f)), "other": (f, g),
+            "inside": (And(g, f), And(g, _rebuilt_formula(f))),
+            "swapped": (Imply(g, f), Imply(g, _swapped(f)))}[how]
+    ga, gb = ref.generated(a), ref.generated(b)
+    assert (a == b) is (ga == gb) and (a != b) is (ga != gb)
+    assert arith.same(a, b) is (ga == gb)
+    # the generated hash and repr
+    assert hash(a) == hash(ga) and repr(a) == repr(ga)
+
+
+_X1 = Atom("=", (TVar("x"), tnum(1)))
+_NEST = {"and": lambda f: And(f, _X1), "or": lambda f: Or(_X1, f),
+         "imply": lambda f: Imply(f, _X1), "forall": lambda f: Forall("y", f),
+         "exists": lambda f: Exists("y", f)}
+
+
+def _nested(kind, n=10_000):
+    f = _X1
+    for _ in range(n):
+        f = _NEST[kind](f)
+    return f
+
+
+@pytest.mark.parametrize("kind", _NEST)
+def test_every_formula_walk_takes_a_deep_formula(kind):
+    f, copy, one = _nested(kind), _nested(kind), _nested(kind, 9_999)
+    assert free_vars(f) == {"x"}
+    assert norm_formula(f) is f and subst_formula(f, "z", tnum(2)) is f
+    closed = subst_formula(f, "x", tnum(1))
+    assert free_vars(closed) == frozenset() and norm_formula(closed) is closed
+    assert norm_formula(subst_formula(f, "x", TApp("+", (tnum(0), tnum(1))))) == closed
+    assert f == copy and not f != copy and f != one and formulas_equal(f, copy)
+    assert repr(f).count(f"{type(f).__name__}(") == 10_000
+    assert repr(f) == repr(copy)
+    assert extraction.realizer_type(f) == extraction.realizer_type(copy)
+    level = classify(f)
+    if kind in ("forall", "exists"):
+        assert (level.cls, level.level) == ({"forall": "pi", "exists": "sigma"}[kind], 1)
+        assert classify(dual(f)).cls != level.cls
+    else:
+        assert (level.cls, level.level) == ("sigma", 0)
+
+
+def test_deep_compositions_need_no_stack():
+    # the arity is stored at construction, so building costs O(1) a level
+    f = Succ()
+    for _ in range(10_000):
+        f = Comp(Succ(), (f,))
+    assert f.arity == 1 and eval_prim(f, (1,)) == 10_002
+    # the natives serve every level: x + (n + 1) * y through n compositions of +
+    g = ADD
+    for _ in range(10_000):
+        g = Comp(ADD, (g, Proj(2, 2)))
+    assert g.arity == 2 and eval_prim(g, (1, 2)) == 1 + 2 * 10_001
+    assert PRec(Zero(1), Proj(3, 2)).arity == 2
 
 
 def test_numerals_above_the_bound_are_refused():

@@ -331,6 +331,59 @@ def test_check_compares_deep_sums_read_apart(tmp_path, capsys, der):
     assert out.splitlines()[-1] == "ok: 1 definitions"
 
 
+def test_check_evaluates_deep_compositions(tmp_path, capsys):
+    # f is S composed with itself 2000 times: reading it costs O(1) a level,
+    # and evaluating it no Python stack
+    p = tmp_path / "deep.proof"
+    fn = "(comp S " * 2000 + "S" + ")" * 2000
+    p.write_text(f"(deffn f {fn})\n(defder d (der atom-i (seq (ctx) (atom = (f 1) 2002))))")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-2:] == ["der d proves (atom = (f 1) 2002)", "ok: 2 definitions"]
+
+
+_DEEP_ATOM = "(atom = 1 1)"
+_DEEP = {"and": ("(and ", f" {_DEEP_ATOM})"), "or": (f"(or {_DEEP_ATOM} ", ")"),
+         "imply": ("(imply ", f" {_DEEP_ATOM})"), "forall": ("(forall x ", ")"),
+         "exists": ("(exists x ", ")")}
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "extract", "extract-witness"])
+@pytest.mark.parametrize("kind", _DEEP)
+def test_deep_formulas_need_no_stack(tmp_path, capsys, kind, command):
+    # F nests one connective 2500 deep over a closed atom, past Python's
+    # recursion limit; u : F proves F
+    head, tail = _DEEP[kind]
+    f = head * 2500 + _DEEP_ATOM + tail * 2500
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d (der (imply-i u) (seq (ctx) (imply {f} {f}))"
+                 f" (der (id u) (seq (ctx (u {f})) {f}))))")
+    rc, out, err = run_cli(capsys, command, str(p), *([] if command == "check" else ["--deriv", "d"]))
+    if command == "extract-witness":
+        assert (rc, out, err) == (1, "", "error: goal is not an existential atom: (imply ...)\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert out.startswith({"check": "der d proves (imply\n",
+                               "normalize": "(der\n  (imply-i u)\n",
+                               "extract": "type: (arrow\n  State\n"}[command])
+
+
+def test_normalize_traces_a_cut_over_a_deep_formula(tmp_path, capsys):
+    # the trace stamps the repr of a sequent whose formulas are 2000 deep
+    a = _DEEP_ATOM
+    f = "(and " * 2000 + a + f" {a})" * 2000
+    ctx = f"(ctx (u {f}))"
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d (der (imply-i u) (seq (ctx) (imply {f} {f}))"
+                 f" (der and-el (seq {ctx} {f}) (der and-i (seq {ctx} (and {f} {a}))"
+                 f" (der (id u) (seq {ctx} {f})) (der atom-i (seq {ctx} {a}))))))")
+    rc, out, err = run_cli(capsys, "normalize", str(p), "--deriv", "d", "--trace")
+    assert (rc, err) == (0, "")
+    stamp, nf = out.split("\n", 1)
+    assert re.fullmatch(r"proper/and at 0 -> [0-9a-f]{12}", stamp)
+    assert nf.startswith("(der\n  (imply-i u)\n") and "(id u)" in nf and "and-" not in nf
+
+
 def test_check_loads_neither_hashlib_nor_logging(corpus_path):
     # hashlib loads OpenSSL for the normalizer's trace stamps alone, and
     # logging serves one learning warning: each costs every CLI process memory

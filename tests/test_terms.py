@@ -14,6 +14,7 @@ from realizer.terms import (
 )
 
 import conftest as gen
+import reference_arith
 
 PLUS = tm.prim_c("+", arith.FUNCTIONS["+"])
 PRED = tm.prim_c("pred", arith.FUNCTIONS["pred"])
@@ -133,11 +134,12 @@ def _rebuilt(ty):
 @settings(max_examples=300, deadline=None)
 @given(_TYPES, _TYPES, st.booleans())
 def test_type_comparison_agrees_with_equality(a, b, copy):
+    # against the generated == of the same types, which recurses
     if copy:
         b = _rebuilt(a)
-    assert tm._same_type(a, b) == (a == b)
-    assert tm._same_type(b, a) == (a == b)
-    assert tm._same_type(a, a)
+    ga, gb = reference_arith.generated(a), reference_arith.generated(b)
+    assert (a == b) is (ga == gb) and (b == a) is (ga == gb) and (a != b) is (ga != gb)
+    assert a == a and hash(a) == hash(ga)
 
 
 def test_dummy_refusal_prints_file_syntax():
