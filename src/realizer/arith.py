@@ -32,12 +32,21 @@ maximal closed subterm to its value.  Realizers spell numerals in unary, so
 returns a normal term or formula as the same object, and `formulas_equal`
 compares syntactically first, so callers that pass normal formulas around pay
 for no rebuilding.
+
+A formula keeps two facts in its instance dict, outside its fields, each
+walked the first time it is asked of that object: its free variables
+(`free_vars`) and whether it is normal (`is_normal`: no application in its
+terms is closed, which holds or fails whatever the function table).  So
+`subst_formula` returns a formula in which var is not free, and
+`norm_formula` a normal one, without walking it again.  A fact is stored
+at the asked formula only, not at its subformulas, and `same`, hash, repr
+and the printer read fields only, so a stored fact never shows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
+from operator import attrgetter, is_
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional
 
 
@@ -79,10 +88,17 @@ def same(a, b) -> bool:
         if t is not type(b) or (t is tuple and len(a) != len(b)):
             return False
         if t is tuple or t.__eq__ is same:
-            todo += zip(a, b) if t is tuple else zip(vars(a).values(), vars(b).values())
+            todo += zip(a, b) if t is tuple else zip(t._parts(a), t._parts(b))
         elif a != b:  # a leaf, or an atom, whose == does not recurse by itself
             return False
     return True
+
+
+def structural(cls):
+    """cls, a frozen dataclass of two fields, compared by `same` over its fields
+    alone, so a fact stored on an object (see `free_vars`) takes no part in ==."""
+    cls.__eq__, cls._parts = same, attrgetter(*cls.__match_args__)
+    return cls
 
 
 def _rope(x) -> str:
@@ -289,6 +305,7 @@ class TNum:
         return "TApp(fn='S', args=(" * self.value + "TApp(fn='0', args=())" + ",))" * self.value
 
 
+@structural
 @dataclass(frozen=True)
 class TApp:
     """f(args); 0, and S of a numeral, are built as the numeral leaf."""
@@ -302,8 +319,6 @@ class TApp:
         if fn == "S" and len(args) == 1 and type(args[0]) is TNum:
             return TNum(args[0].value + 1)
         return object.__new__(cls)
-
-    __eq__ = same
 
     def __repr__(self) -> str:
         # the generated repr, joined from a rope of pieces so depth costs no stack
@@ -429,39 +444,44 @@ def _formula_repr(self) -> str:
     return _rope(fold_formula(self, repr, node))
 
 
+@structural
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
-    __eq__, __repr__ = same, _formula_repr
+    __repr__ = _formula_repr
 
 
+@structural
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
-    __eq__, __repr__ = same, _formula_repr
+    __repr__ = _formula_repr
 
 
+@structural
 @dataclass(frozen=True)
 class Imply:
     left: "Formula"
     right: "Formula"
-    __eq__, __repr__ = same, _formula_repr
+    __repr__ = _formula_repr
 
 
+@structural
 @dataclass(frozen=True)
 class Forall:
     var: str
     body: "Formula"
-    __eq__, __repr__ = same, _formula_repr
+    __repr__ = _formula_repr
 
 
+@structural
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
-    __eq__, __repr__ = same, _formula_repr
+    __repr__ = _formula_repr
 
 
 Formula = Atom | And | Or | Imply | Forall | Exists
@@ -506,9 +526,32 @@ def _rebuilt(u: Formula, parts: list) -> Formula:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    def node(u: Formula, parts: list) -> frozenset[str]:
-        return parts[0] - {u.var} if len(parts) == 1 else parts[0] | parts[1]
-    return fold_formula(f, lambda u: frozenset().union(*map(aterm_vars, u.args)), node)
+    """f's free variables, walked the first time they are asked and stored on f."""
+    fv = f.__dict__.get("_free_vars")
+    if fv is None:
+        fv = f.__dict__["_free_vars"] = fold_formula(
+            f, lambda u: frozenset().union(*map(aterm_vars, u.args)),
+            lambda u, parts: parts[0] - {u.var} if len(parts) == 1 else parts[0] | parts[1])
+    return fv
+
+
+def _normal_term(t: ATerm) -> bool:
+    if type(t) is not TApp:
+        return True
+    # a part is True with a variable under it, False at a numeral, None at or
+    # over a closed application
+    return fold_aterm(t, lambda u: type(u) is TVar,
+                      lambda u, parts: True if True in parts and None not in parts else None) is not None
+
+
+def is_normal(f: Formula) -> bool:
+    """No application in f's terms is closed, so `norm_formula` returns f for
+    any table; walked the first time it is asked and stored on f."""
+    normal = f.__dict__.get("_normal")
+    if normal is None:
+        normal = f.__dict__["_normal"] = fold_formula(
+            f, lambda u: all(map(_normal_term, u.args)), lambda u, parts: all(parts))
+    return normal
 
 
 def _fresh(base: str, taken: AbstractSet[str]) -> str:
@@ -524,13 +567,15 @@ _AGAIN, _BIND = object(), object()  # the frames of subst_formula's stack
 
 
 def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
-    """Capture-avoiding substitution f[var := rep]; f itself (same object)
-    when var is not free in f.
+    """Capture-avoiding substitution f[var := rep]; f itself (same object),
+    with no walk once f's free variables are stored, when var is not free in f.
 
     A quantifier over a variable of rep whose body has var free becomes one
     over a fresh w, with body[v := w][var := rep].  Capture is decided before
     a body is walked, on an explicit stack, so no body is substituted twice
     over and depth costs no Python stack."""
+    if var not in free_vars(f):
+        return f
     # (g, x, r): push g[x := r]; (_CLOSE, u, n): rebuild u over the last n
     # results; (_AGAIN, x, r): substitute in the last result again;
     # (_BIND, u, w): u's quantifier over w and the last result
@@ -564,7 +609,10 @@ def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
 
 def norm_formula(f: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> Formula:
     """Normalize all first-order terms inside f (closed subterms to numerals);
-    f itself (same object) when no term changes."""
+    f itself (same object), with no walk once `is_normal` is stored on f, when
+    f is normal."""
+    if is_normal(f):
+        return f
     def atom(u: Atom) -> Atom:
         new = tuple([norm_aterm(t, fns) for t in u.args])
         return u if all(map(is_, new, u.args)) else Atom(u.rel, new)

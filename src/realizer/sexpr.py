@@ -112,7 +112,9 @@ class _Reader:
                     raise self.error(i, f"numeral of {len(t)} characters is too long") from None
         if opened:
             raise self.error(opened[-1], "unclosed parenthesis")
-        self.fns, self.rels = fns, rels
+        # reading never adds to the tables, so the standard ones serve as defaults
+        self.fns = arith.FUNCTIONS if fns is None else fns
+        self.rels = arith.RELATIONS if rels is None else rels
         # forms of the shared kinds by (reader, *tokens), and types by (class, *parts)
         self.shared: dict = {}
 
@@ -403,7 +405,8 @@ def _shared(kind: _Kind) -> _Kind:
 
 
 def _fields(obj):
-    return vars(obj).values()
+    # the dataclass fields only: a formula may hold stored facts besides
+    return map(obj.__getattribute__, obj.__match_args__)
 
 
 _LABEL = _symbol("a label")

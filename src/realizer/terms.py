@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .arith import same
+from .arith import structural
 
 DEFAULT_FUEL = 10**6
 
@@ -48,25 +48,25 @@ class TBase:
     name: str
 
 
+@structural
 @dataclass(frozen=True)
 class TArrow:
     dom: "Ty"
     cod: "Ty"
-    __eq__ = same
 
 
+@structural
 @dataclass(frozen=True)
 class TProd:
     left: "Ty"
     right: "Ty"
-    __eq__ = same
 
 
+@structural
 @dataclass(frozen=True)
 class TSum:
     left: "Ty"
     right: "Ty"
-    __eq__ = same
 
 
 Ty = TBase | TArrow | TProd | TSum

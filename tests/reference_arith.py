@@ -4,7 +4,8 @@ oracles, and a mirror of frozen syntax under the generated ``==``.
 free_vars, subst_formula, norm_formula and realizer_type are the structural
 recursions that arith and extraction ran before every formula walk became
 one explicit-stack fold; each returns the same object where nothing changes,
-as the folds do.  They recurse, so feed them shallow formulas.
+as the folds do.  is_normal is the recursive reading of `arith.is_normal`,
+which a formula stores on itself.  They recurse, so feed them shallow formulas.
 
 generated(x) rebuilds x from classes that dataclass generates, with the
 generated ``==``, ``hash`` and ``repr``, in place of every class whose ``==``
@@ -64,6 +65,22 @@ def norm_formula(f, fns=arith.FUNCTIONS):
         case Forall(v, body) | Exists(v, body):
             nb = norm_formula(body, fns)
             return f if nb is body else type(f)(v, nb)
+    raise arith.ArithError(f"not a formula: {f!r}")
+
+
+def _normal_term(t):
+    return type(t) is not arith.TApp or (bool(arith.aterm_vars(t)) and all(map(_normal_term, t.args)))
+
+
+def is_normal(f):
+    """No application in f's terms is closed: every one has a variable under it."""
+    match f:
+        case Atom(_, args):
+            return all(map(_normal_term, args))
+        case And(a, b) | Or(a, b) | Imply(a, b):
+            return is_normal(a) and is_normal(b)
+        case Forall(_, body) | Exists(_, body):
+            return is_normal(body)
     raise arith.ArithError(f"not a formula: {f!r}")
 
 

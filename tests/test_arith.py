@@ -646,6 +646,93 @@ def test_formulas_equal_on_an_unknown_function_symbol():
 
 
 # ---------------------------------------------------------------------------
+# a formula stores its free variables and its normality once asked
+
+
+def _subformulas(f):
+    """f's subformulas, f last."""
+    return arith.fold_formula(f, lambda u: [u], lambda u, parts: [*sum(parts, []), u])
+
+
+def _ask(f, var, rep):
+    return (free_vars(f), arith.is_normal(f), norm_formula(f, _FNS),
+            subst_formula(f, var, rep))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas(), st.sampled_from(["x", "y", "z"]), _terms(closed=False),
+       st.sampled_from(["once", "again", "inside"]))
+def test_stored_facts_agree_with_the_references(f, var, rep, how):
+    if how == "again":
+        _ask(f, var, rep)
+    if how == "inside":
+        for g in _subformulas(f)[:-1]:
+            _ask(g, var, rep)
+    fv, normal, n, s = _ask(f, var, rep)
+    assert fv == ref.free_vars(f)
+    assert normal is ref.is_normal(f)
+    want = ref.norm_formula(f, _FNS)
+    assert n == want and (n is f) is (want is f) is normal
+    assert arith.is_normal(n) and ref.is_normal(n)
+    want = ref.subst_formula(f, var, rep)
+    assert s == want and (s is f) is (want is f)
+    assert free_vars(s) == ref.free_vars(s) and arith.is_normal(s) is ref.is_normal(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.booleans())
+def test_stored_facts_take_no_part_in_equality_or_printing(f, normal_first):
+    fresh, held, other = _rebuilt_formula(f), _rebuilt_formula(f), _rebuilt_formula(f)
+    for g in _subformulas(held):
+        free_vars(g), arith.is_normal(g)
+    # other holds its facts in the other order, or only one of them
+    if normal_first:
+        arith.is_normal(other)
+    free_vars(other)
+    assert "_free_vars" in vars(held) and "_free_vars" not in vars(fresh)
+    for a in (held, other):
+        assert a == fresh and fresh == a and not a != fresh and arith.same(a, fresh)
+        assert And(a, fresh) == And(fresh, a)
+        assert hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert sexpr.print_formula(a) == sexpr.print_formula(fresh)
+        assert sexpr.print_formula(a, brief=True) == sexpr.print_formula(fresh, brief=True)
+        assert dataclasses.replace(a) == dataclasses.replace(fresh) == fresh
+        assert repr(dataclasses.replace(a)) == repr(fresh)
+    assert held == other
+
+
+def test_an_unknown_function_in_a_closed_application():
+    f = Forall("x", Atom("=", (TApp("exp", (tnum(2),)), TVar("x"))))
+    for _ in range(2):
+        assert arith.is_normal(f) is False
+        with pytest.raises(arith.ArithError, match="unknown function symbol 'exp'"):
+            norm_formula(f)
+    # under a variable the application is not closed, so f is normal whatever exp is
+    g = Forall("x", Atom("=", (TApp("exp", (TVar("x"),)), tnum(1))))
+    assert arith.is_normal(g) and norm_formula(g) is g and norm_formula(g, {}) is g
+
+
+def test_a_formula_is_walked_once(monkeypatch):
+    walks = []
+    fold = arith.fold_formula
+    monkeypatch.setattr(arith, "fold_formula", lambda f, *fs: walks.append(f) or fold(f, *fs))
+    x, y = TVar("x"), TVar("y")
+    f = Forall("x", Imply(Atom("<", (x, TApp("+", (y, tnum(1))))), Exists("y", Atom("=", (x, y)))))
+    assert free_vars(f) == {"y"} and norm_formula(f) is f and len(walks) == 2
+    for _ in range(3):
+        assert free_vars(f) == {"y"} and arith.is_normal(f) and norm_formula(f) is f
+        assert subst_formula(f, "x", tnum(3)) is f and subst_formula(f, "z", y) is f
+    assert len(walks) == 2
+    # a formula that is not normal is normalized at each ask, but asked once
+    # whether it is normal
+    g = And(f, Atom("=", (TApp("*", (tnum(2), tnum(3))), y)))
+    n = norm_formula(g)
+    assert n == And(f, Atom("=", (tnum(6), y))) and walks[2:] == [g, g]
+    assert norm_formula(g) == n and walks[4:] == [g]
+    assert norm_formula(n) is n and norm_formula(n) is n and walks[5:] == [n]
+
+
+# ---------------------------------------------------------------------------
 # every formula walk is one fold, and syntax compares by `same`
 
 

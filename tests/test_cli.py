@@ -368,6 +368,38 @@ def test_deep_formulas_need_no_stack(tmp_path, capsys, kind, command):
                                "extract": "type: (arrow\n  State\n"}[command])
 
 
+def _deep_term(op: str) -> str:
+    t = "1"
+    for _ in range(10**4):
+        t = f"({op} {t} 1)"
+    return t
+
+
+_DEEP_TERMS = {"+": (_deep_term("+"), 10_001), "*": (_deep_term("*"), 1)}
+_DEEP_TERM_DERS = {
+    "atom-i": lambda t, v: f"(der atom-i (seq (ctx) (atom = {t} {v})))",
+    "refl": lambda t, v: f"(der (atom-post refl) (seq (ctx) (atom = {t} {t})))",
+    "exists-i": lambda t, v: (f"(der (exists-i {v}) (seq (ctx) (exists x (atom = x {t})))"
+                              f" (der atom-i (seq (ctx) (atom = {v} {t}))))"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "extract", "extract-witness"])
+@pytest.mark.parametrize("der", _DEEP_TERM_DERS)
+@pytest.mark.parametrize("op", _DEEP_TERMS)
+def test_atoms_over_deep_terms_need_no_stack(tmp_path, capsys, op, der, command):
+    # T nests + or * 10^4 deep over 1, past Python's recursion limit
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defder d {_DEEP_TERM_DERS[der](*_DEEP_TERMS[op])})")
+    rc, out, err = run_cli(capsys, command, str(p), *([] if command == "check" else ["--deriv", "d"]))
+    if command == "extract-witness" and der != "exists-i":
+        assert (rc, out, err) == (1, "", "error: goal is not an existential atom: (atom ...)\n")
+    else:
+        assert (rc, err) == (0, "")
+    if command == "extract-witness" and der == "exists-i":
+        assert out == f"witness: {_DEEP_TERMS[op][1]}\n"
+
+
 def test_normalize_traces_a_cut_over_a_deep_formula(tmp_path, capsys):
     # the trace stamps the repr of a sequent whose formulas are 2000 deep
     a = _DEEP_ATOM

@@ -509,6 +509,29 @@ def test_rule_and_derivation_roundtrip():
         read_derivation("(seq (ctx) (atom top))", FNS, RELS)
 
 
+@pytest.mark.parametrize("read, text, want, unknown", [
+    (read_formula, "(atom = 0 (+ 1 2))", Atom("=", (tnum(0), TApp("+", (tnum(1), tnum(2))))),
+     "(atom eq 0 0)"),
+    (sexpr.read_aterm, "(+ 1 2)", TApp("+", (tnum(1), tnum(2))), "(plus 1 2)"),
+    (read_primfn, "+", FNS["+"], "plus"),
+    (read_term, "(app (query = 2) (prim monus))",
+     tm.app(tm.query_c("=", 2), tm.prim_c("monus", FNS["monus"])), "(query eq 2)"),
+    (read_term, "(eval < 2)", tm.eval_c("<", 2), "(eval lt 2)"),
+    (sexpr.read_rule, "(forall-e (* 2 x))", dd.ForallE(TApp("*", (tnum(2), TVar("x")))),
+     "(forall-e (times 2 x))"),
+    (read_derivation, "(der atom-i (seq (ctx) (atom <= 1 (pred 3))))",
+     dd.Derivation(dd.AtomI(), dd.Sequent((), Atom("<=", (tnum(1), TApp("pred", (tnum(3),))))), ()),
+     "(der atom-i (seq (ctx) (atom <= 1 (prev 3))))"),
+], ids=["formula", "aterm", "primfn", "query", "eval", "rule", "derivation"])
+def test_readers_without_tables_read_against_the_standard_ones(read, text, want, unknown):
+    assert read(text) == want == read(text, FNS, RELS)
+    with pytest.raises(ParseError, match="unknown"):
+        read(unknown)
+    # reading leaves the standard tables as they were
+    assert set(FNS) == {"0", "S", "+", "*", "pred", "monus"}
+    assert set(RELS) == {"=", "<", "<=", "top", "bot"}
+
+
 def test_long_forms_wrap_and_still_parse():
     d = corpus.corpus_file().derivs["ind-two"]
     text = print_derivation(d)
