@@ -21,31 +21,38 @@ are tested against.
 Terms read S and 0 as successor and zero (a proof file cannot rebind them).
 A closed numeral is one leaf, TNum, holding an int: TApp builds 0, and S of
 a numeral, as that leaf, and `view` reads a numeral as S(n - 1) or 0 where a
-rule matches successors.  Only the generated hash recurses with depth: one
-postorder fold walks every term (`fold_aterm`) and one every formula
-(`fold_formula`), but for capture-avoiding substitution, which must see a
-binder before its body and runs its own explicit stack; and one equality,
-`same`, is the == of terms, of the connectives and quantifiers, and of
-`terms`' type constructors.  `_norm`, the one evaluator, collapses each
-maximal closed subterm to its value.  Realizers spell numerals in unary, so
-`tnum` refuses values above MAX_NUMERAL with a typed error.  Normalization
-returns a normal term or formula as the same object, and `formulas_equal`
-compares syntactically first, so callers that pass normal formulas around pay
-for no rebuilding.
+rule matches successors.  Nothing recurses with depth: one postorder fold
+walks every term (`fold_aterm`) and one every formula (`fold_formula`), but
+for substitution and normalization, which skip the parts they leave alone
+and run their own explicit stacks; and one equality, `same`, is the == of
+applications, of formulas and of `terms`' type constructors.  `_norm`, the
+one evaluator, collapses each maximal closed subterm to its value.
+Realizers spell numerals in unary, so `tnum` refuses values above
+MAX_NUMERAL with a typed error.  Normalization returns a normal term or
+formula as the same object, and `formulas_equal` compares syntactically
+first, so callers that pass normal formulas around pay for no rebuilding.
 
-A formula keeps two facts in its instance dict, outside its fields, each
-walked the first time it is asked of that object: its free variables
-(`free_vars`) and whether it is normal (`is_normal`: no application in its
-terms is closed, which holds or fails whatever the function table).  So
-`subst_formula` returns a formula in which var is not free, and
-`norm_formula` a normal one, without walking it again.  A fact is stored
-at the asked formula only, not at its subformulas, and `same`, hash, repr
-and the printer read fields only, so a stored fact never shows.
+Terms and formulas are hash-consed (Filliatre and Conchon, "Type-safe
+modular hash-consing", 2006).  Each is made with its facts, computed in
+O(1) from its parts' facts and kept in slots beside its fields: its free
+variables (`free_vars`), whether it is normal (`is_normal`: no application
+in its terms is closed, which holds or fails whatever the function table),
+and its hash, which is the generated dataclass hash of its fields, so no
+fact walks a formula and hash never recurses.  A command (`interned`) keeps
+one table per class, in which the same parts give the same object: within
+it == is identity on values built there, and reading, substituting and
+normalizing share their results.  Objects built outside any table are
+valid alike, and == compares them by `same`, the stored hashes first.  A
+formula keeps `subst_formula`'s and `norm_formula`'s results on itself, by
+their arguments, so each is made once and dies with the formula.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import attrgetter, is_
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional
 
@@ -78,8 +85,11 @@ _CLOSE = object()  # ends a node's parts on the explicit stacks below
 
 
 def same(a, b) -> bool:
-    """a == b over frozen syntax on an explicit stack, identical parts first, so
-    depth costs no Python stack; it agrees with the generated == and hash."""
+    """a == b over frozen syntax on an explicit stack, identical parts first and
+    stored hashes before parts, so depth costs no Python stack; it agrees
+    with the generated == and hash."""
+    if a is b:
+        return True
     todo = [(a, b)]
     for a, b in todo:  # grows as it goes
         if a is b:
@@ -87,16 +97,19 @@ def same(a, b) -> bool:
         t = type(a)
         if t is not type(b) or (t is tuple and len(a) != len(b)):
             return False
-        if t is tuple or t.__eq__ is same:
-            todo += zip(a, b) if t is tuple else zip(t._parts(a), t._parts(b))
-        elif a != b:  # a leaf, or an atom, whose == does not recurse by itself
+        if t is tuple:
+            todo += zip(a, b)
+        elif t.__eq__ is same:
+            if isinstance(a, _Syntax) and a._hash != b._hash:
+                return False
+            todo += zip(t._parts(a), t._parts(b))
+        elif a != b:  # a leaf, whose == does not recurse by itself
             return False
     return True
 
 
 def structural(cls):
-    """cls, a frozen dataclass of two fields, compared by `same` over its fields
-    alone, so a fact stored on an object (see `free_vars`) takes no part in ==."""
+    """cls, a frozen dataclass, compared by `same` over its fields."""
     cls.__eq__, cls._parts = same, attrgetter(*cls.__match_args__)
     return cls
 
@@ -286,39 +299,166 @@ RELATIONS: dict[str, Relation] = {
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+
+# the interning table of the current command, one dict per class, or None outside any
+_TABLE: ContextVar[Optional[defaultdict]] = ContextVar("realizer.arith.table", default=None)
+
+
+def interned(fn: Callable) -> Callable:
+    """fn, run with an interning table of its own when none is open: two calls
+    from outside any share no syntax, and a call inside another shares the
+    outer call's table."""
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        if _TABLE.get() is not None:
+            return fn(*args, **kwargs)
+        token = _TABLE.set(defaultdict(dict))
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _TABLE.reset(token)
+    return scoped
+
+
+class _Syntax:
+    """A term or formula, which holds its hash: the generated dataclass hash
+    of its fields, made from its parts' hashes when it is made."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles are made again through the constructor
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+_new = object.__new__
+_EMPTY: frozenset = frozenset()
+
+
+def _slot_setters(cls) -> tuple:
+    # a frozen class's own __setattr__ refuses its fields, so they are set through these
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+(_set_hash,) = _slot_setters(_Syntax)
+
+
+# ---------------------------------------------------------------------------
 # first-order terms
 
 
-@dataclass(frozen=True)
-class TVar:
+@dataclass(frozen=True, init=False, eq=False)
+class TVar(_Syntax):
+    __slots__ = ("name", "_fv")
     name: str
+    _normal = True
+
+    def __new__(cls, name: str):
+        table = _TABLE.get()
+        if table is not None:
+            table = table[TVar]
+            u = table.get(name)
+            if u is not None:
+                return u
+        u = _new(cls)
+        _set_name(u, name)
+        _set_var_fv(u, frozenset((name,)))
+        _set_hash(u, hash((name,)))
+        if table is not None:
+            table[name] = u
+        return u
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is TVar and self.name == other.name)
+
+    __hash__ = _Syntax.__hash__
 
 
-@dataclass(frozen=True)
-class TNum:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class TNum(_Syntax):
     """The closed numeral S^value(0), one leaf whatever its value."""
 
+    __slots__ = ("value",)
     value: int
+    _fv, _normal = _EMPTY, True
+
+    def __new__(cls, value: int):
+        table = _TABLE.get()
+        if table is not None:
+            table = table[TNum]
+            u = table.get(value)
+            if u is not None:
+                return u
+        u = _new(cls)
+        _set_value(u, value)
+        _set_hash(u, hash((value,)))
+        if table is not None:
+            table[value] = u
+        return u
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is TNum and self.value == other.value)
+
+    __hash__ = _Syntax.__hash__
 
     def __repr__(self) -> str:
         # spelled as the S chain it stands for (normalizer traces stamp reprs)
         return "TApp(fn='S', args=(" * self.value + "TApp(fn='0', args=())" + ",))" * self.value
 
 
+def _applied(cls, head: str, args: tuple):
+    """cls(head, args), for an application or an atom; its free variables are
+    its arguments', and it is normal when they are (and, for an application,
+    when it is open too)."""
+    table, key = _TABLE.get(), (head, args)
+    if table is not None:
+        # by value: hashing the arguments is cheaper than a key of their ids
+        table = table[cls]
+        u = table.get(key)
+        if u is not None:
+            return u
+    fv, normal = _EMPTY, True
+    for a in args:
+        g = a._fv
+        if g and not g <= fv:
+            fv = fv | g if fv else g
+        if not a._normal:
+            normal = False
+    if cls is TApp and not fv:
+        normal = False
+    u = _new(cls)
+    if cls is Atom:
+        _set_memo(u, None)
+    set_head, set_args, set_fv, set_normal = cls._setters
+    set_head(u, head)
+    set_args(u, args)
+    set_fv(u, fv)
+    set_normal(u, normal)
+    _set_hash(u, hash(key))
+    if table is not None:
+        table[key] = u
+    return u
+
+
 @structural
-@dataclass(frozen=True)
-class TApp:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class TApp(_Syntax):
     """f(args); 0, and S of a numeral, are built as the numeral leaf."""
 
+    __slots__ = ("fn", "args", "_fv", "_normal")
     fn: str
-    args: tuple["ATerm", ...] = ()
+    args: tuple["ATerm", ...]
 
     def __new__(cls, fn: str = "", args: tuple = ()):
         if fn == "0" and not args:
             return TNum(0)
         if fn == "S" and len(args) == 1 and type(args[0]) is TNum:
             return TNum(args[0].value + 1)
-        return object.__new__(cls)
+        return _applied(cls, fn, args)
 
     def __repr__(self) -> str:
         # the generated repr, joined from a rope of pieces so depth costs no stack
@@ -328,6 +468,8 @@ class TApp:
 
 
 ATerm = TVar | TNum | TApp
+(_set_name, _set_var_fv), (_set_value,) = _slot_setters(TVar), _slot_setters(TNum)
+TApp._setters = _slot_setters(TApp)
 
 # a unary realizer spells a numeral with one node per unit, so tnum refuses
 # values above this
@@ -373,17 +515,9 @@ def fold_aterm(t: ATerm, leaf: Callable, app: Callable):
 
 
 def aterm_vars(t: ATerm) -> frozenset[str]:
-    out: set[str] = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is TApp:
-            todo.extend(t.args)
-        elif type(t) is TVar:
-            out.add(t.name)
-        elif type(t) is not TNum:
-            raise ArithError(f"not a term: {t!r}")
-    return frozenset(out)
+    if type(t) is not TApp and type(t) is not TVar and type(t) is not TNum:
+        raise ArithError(f"not a term: {t!r}")
+    return t._fv
 
 
 def reduce_aterm(t: ATerm, env: Mapping[str, int] = {}, fns: Mapping[str, PrimFn] = FUNCTIONS) -> int:
@@ -397,13 +531,15 @@ def reduce_aterm(t: ATerm, env: Mapping[str, int] = {}, fns: Mapping[str, PrimFn
 
 def subst_aterm(t: ATerm, var: str, rep: ATerm) -> ATerm:
     """t with rep for var; t itself (same object) when var does not occur."""
+    if var not in aterm_vars(t):
+        return t
     return fold_aterm(t, lambda u: rep if type(u) is TVar and u.name == var else u,
                       lambda u, parts: u if all(map(is_, parts, u.args)) else TApp(u.fn, tuple(parts)))
 
 
 def norm_aterm(t: ATerm, fns: Mapping[str, PrimFn] = FUNCTIONS) -> ATerm:
     """Collapse every closed subterm to its numeral; a normal t is returned as is."""
-    if type(t) is TNum or type(t) is TVar:
+    if t._normal:
         return t
     r = _norm(t, fns)
     return tnum(r) if type(r) is int else r
@@ -428,10 +564,29 @@ def _norm(t: ATerm, fns: Mapping[str, PrimFn], var: Callable = lambda u: u) -> i
 # formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Formula(_Syntax):
+    """A formula, which holds its free variables and whether it is normal,
+    made from its parts' when it is made, and subst_formula's and
+    norm_formula's results on it, by their arguments, once one is made."""
+
+    __slots__ = ("_fv", "_normal", "_memo")
+
+
+_set_fv, _set_normal, _set_memo = _slot_setters(_Formula)
+
+
+@structural
+@dataclass(frozen=True, init=False, eq=False)
+class Atom(_Formula):
+    __slots__ = ("rel", "args")
     rel: str
-    args: tuple[ATerm, ...] = ()
+    args: tuple[ATerm, ...]
+
+    def __new__(cls, rel: str, args: tuple = ()):
+        return _applied(cls, rel, args)
+
+
+Atom._setters = (*_slot_setters(Atom), _set_fv, _set_normal)
 
 
 def _formula_repr(self) -> str:
@@ -444,44 +599,99 @@ def _formula_repr(self) -> str:
     return _rope(fold_formula(self, repr, node))
 
 
-@structural
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Formula):
+    """The layout of the connectives."""
+
+    __slots__ = ("left", "right")
     __repr__ = _formula_repr
 
+    def __new__(cls, left: "Formula", right: "Formula"):
+        table = _TABLE.get()
+        if table is not None:
+            table, key = table[cls], (id(left), id(right))
+            u = table.get(key)
+            if u is not None:
+                return u
+        fl, fr = left._fv, right._fv
+        u = _new(cls)
+        _set_left(u, left)
+        _set_right(u, right)
+        _set_fv(u, fl if fr <= fl else fr if fl <= fr else fl | fr)
+        _set_normal(u, left._normal and right._normal)
+        _set_memo(u, None)
+        _set_hash(u, hash((left, right)))
+        if table is not None:
+            table[key] = u
+        return u
 
-@structural
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+
+class _Binder(_Formula):
+    """The layout of the quantifiers."""
+
+    __slots__ = ("var", "body")
     __repr__ = _formula_repr
 
+    def __new__(cls, var: str, body: "Formula"):
+        table = _TABLE.get()
+        if table is not None:
+            table, key = table[cls], (var, id(body))
+            u = table.get(key)
+            if u is not None:
+                return u
+        fv = body._fv
+        u = _new(cls)
+        _set_var(u, var)
+        _set_body(u, body)
+        _set_fv(u, fv - {var} if var in fv else fv)
+        _set_normal(u, body._normal)
+        _set_memo(u, None)
+        _set_hash(u, hash((var, body)))
+        if table is not None:
+            table[key] = u
+        return u
+
+
+(_set_left, _set_right), (_set_var, _set_body) = _slot_setters(_Binary), _slot_setters(_Binder)
+
 
 @structural
-@dataclass(frozen=True)
-class Imply:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class And(_Binary):
+    __slots__ = ()
     left: "Formula"
     right: "Formula"
-    __repr__ = _formula_repr
 
 
 @structural
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Or(_Binary):
+    __slots__ = ()
+    left: "Formula"
+    right: "Formula"
+
+
+@structural
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Imply(_Binary):
+    __slots__ = ()
+    left: "Formula"
+    right: "Formula"
+
+
+@structural
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Forall(_Binder):
+    __slots__ = ()
     var: str
     body: "Formula"
-    __repr__ = _formula_repr
 
 
 @structural
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Exists(_Binder):
+    __slots__ = ()
     var: str
     body: "Formula"
-    __repr__ = _formula_repr
 
 
 Formula = Atom | And | Or | Imply | Forall | Exists
@@ -526,32 +736,28 @@ def _rebuilt(u: Formula, parts: list) -> Formula:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    """f's free variables, walked the first time they are asked and stored on f."""
-    fv = f.__dict__.get("_free_vars")
-    if fv is None:
-        fv = f.__dict__["_free_vars"] = fold_formula(
-            f, lambda u: frozenset().union(*map(aterm_vars, u.args)),
-            lambda u, parts: parts[0] - {u.var} if len(parts) == 1 else parts[0] | parts[1])
-    return fv
-
-
-def _normal_term(t: ATerm) -> bool:
-    if type(t) is not TApp:
-        return True
-    # a part is True with a variable under it, False at a numeral, None at or
-    # over a closed application
-    return fold_aterm(t, lambda u: type(u) is TVar,
-                      lambda u, parts: True if True in parts and None not in parts else None) is not None
+    """f's free variables, stored on f when it was made."""
+    return f._fv
 
 
 def is_normal(f: Formula) -> bool:
     """No application in f's terms is closed, so `norm_formula` returns f for
-    any table; walked the first time it is asked and stored on f."""
-    normal = f.__dict__.get("_normal")
-    if normal is None:
-        normal = f.__dict__["_normal"] = fold_formula(
-            f, lambda u: all(map(_normal_term, u.args)), lambda u, parts: all(parts))
-    return normal
+    any table; stored on f when it was made."""
+    return f._normal
+
+
+def _recall(u: Formula, key):
+    """The result stored on u under key, or None."""
+    hit = None if u._memo is None else u._memo.get(key)
+    return None if hit is None else hit[1]
+
+
+def _remember(u: Formula, key, held, result: Formula) -> None:
+    """Store result on u under key, with held, whose id key holds, kept alive."""
+    if result is not u:  # which would keep u alive by itself
+        if u._memo is None:
+            _set_memo(u, {})
+        u._memo[key] = (held, result)
 
 
 def _fresh(base: str, taken: AbstractSet[str]) -> str:
@@ -567,56 +773,80 @@ _AGAIN, _BIND = object(), object()  # the frames of subst_formula's stack
 
 
 def subst_formula(f: Formula, var: str, rep: ATerm) -> Formula:
-    """Capture-avoiding substitution f[var := rep]; f itself (same object),
-    with no walk once f's free variables are stored, when var is not free in f.
+    """Capture-avoiding substitution f[var := rep]; f itself (same object)
+    when var is not free in f.
 
     A quantifier over a variable of rep whose body has var free becomes one
     over a fresh w, with body[v := w][var := rep].  Capture is decided before
     a body is walked, on an explicit stack, so no body is substituted twice
-    over and depth costs no Python stack."""
-    if var not in free_vars(f):
+    over and depth costs no Python stack.  The walk skips every subformula
+    in which var is not free, and the result is stored on f under
+    (var, id(rep)), so it is made once."""
+    if var not in f._fv:
         return f
-    # (g, x, r): push g[x := r]; (_CLOSE, u, n): rebuild u over the last n
-    # results; (_AGAIN, x, r): substitute in the last result again;
-    # (_BIND, u, w): u's quantifier over w and the last result
-    todo, done = [(f, var, rep)], []
+    hit = _recall(f, (var, id(rep)))
+    if hit is not None:
+        return hit
+    # (None, g, x, r): push g[x := r]; (_CLOSE, u, x, r): rebuild u over the
+    # last results; (_AGAIN, None, x, r): substitute in the last result again;
+    # (_BIND, u, x, r): u's quantifier over the fresh variable and the last result
+    todo, done = [(None, f, var, rep)], []
     while todo:
-        u, x, r = todo.pop()
-        t = type(u)
-        if t is Atom:
-            new = tuple([subst_aterm(a, x, r) for a in u.args])
-            done.append(u if all(map(is_, new, u.args)) else Atom(u.rel, new))
-        elif t is And or t is Or or t is Imply:
-            todo += ((_CLOSE, u, 2), (u.right, x, r), (u.left, x, r))
-        elif t is Forall or t is Exists:
-            if u.var == x:
+        frame, u, x, r = todo.pop()
+        if frame is None:
+            if x not in u._fv:
                 done.append(u)
-            elif u.var in (rv := aterm_vars(r)) and x in (fv := free_vars(u.body)):
-                w = _fresh(u.var, rv | fv)
-                todo += ((_BIND, u, w), (_AGAIN, x, r), (u.body, u.var, TVar(w)))
+            elif type(u) is Atom:
+                done.append(Atom(u.rel, tuple([subst_aterm(a, x, r) for a in u.args])))
+            elif type(u) is Forall or type(u) is Exists:
+                # x is free in u, so it is not u.var and is free in u.body
+                if u.var in r._fv:
+                    w = TVar(_fresh(u.var, r._fv | u.body._fv))
+                    todo += ((_BIND, u, x, r), (_AGAIN, None, x, r), (None, u.body, u.var, w))
+                else:
+                    todo += ((_CLOSE, u, x, r), (None, u.body, x, r))
             else:
-                todo += ((_CLOSE, u, 1), (u.body, x, r))
-        elif u is _CLOSE:
-            done[-r:] = (_rebuilt(x, done[-r:]),)
-        elif u is _AGAIN:
-            todo.append((done.pop(), x, r))
-        elif u is _BIND:
-            done.append(type(x)(r, done.pop()))
+                todo += ((_CLOSE, u, x, r), (None, u.right, x, r), (None, u.left, x, r))
+        elif frame is _CLOSE:
+            n = 1 if type(u) is Forall or type(u) is Exists else 2
+            done[-n:] = (_rebuilt(u, done[-n:]),)
+        elif frame is _AGAIN:
+            todo.append((None, done.pop(), x, r))
         else:
-            raise ArithError(f"not a formula: {u!r}")
+            done[-1] = type(u)(_fresh(u.var, r._fv | u.body._fv), done[-1])
+    _remember(f, (var, id(rep)), rep, done[0])
     return done[0]
 
 
 def norm_formula(f: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> Formula:
     """Normalize all first-order terms inside f (closed subterms to numerals);
-    f itself (same object), with no walk once `is_normal` is stored on f, when
-    f is normal."""
-    if is_normal(f):
+    f itself (same object) when f is normal.
+
+    The walk skips every normal subformula, and the result is stored on f
+    under id(fns), so it is made once: a table only grows while it is in
+    use."""
+    if f._normal:
         return f
-    def atom(u: Atom) -> Atom:
-        new = tuple([norm_aterm(t, fns) for t in u.args])
-        return u if all(map(is_, new, u.args)) else Atom(u.rel, new)
-    return fold_formula(f, atom, _rebuilt)
+    hit = _recall(f, id(fns))
+    if hit is not None:
+        return hit
+    todo, done = [f], []
+    while todo:
+        u = todo.pop()
+        if u is _CLOSE:
+            u = todo.pop()
+            n = 1 if type(u) is Forall or type(u) is Exists else 2
+            done[-n:] = (_rebuilt(u, done[-n:]),)
+        elif u._normal:
+            done.append(u)
+        elif type(u) is Atom:
+            done.append(Atom(u.rel, tuple([norm_aterm(t, fns) for t in u.args])))
+        elif type(u) is Forall or type(u) is Exists:
+            todo += (u, _CLOSE, u.body)
+        else:
+            todo += (u, _CLOSE, u.right, u.left)
+    _remember(f, id(fns), fns, done[0])
+    return done[0]
 
 
 def formulas_equal(a: Formula, b: Formula, fns: Mapping[str, PrimFn] = FUNCTIONS) -> bool:

@@ -24,14 +24,6 @@ import sys
 from fractions import Fraction
 
 from . import arith
-from . import deduction as dd
-from . import extraction
-from . import learning
-from . import monads
-from . import normalizer as nm
-from . import reals
-from . import sexpr
-from . import terms as tm
 
 
 class UsageError(Exception):
@@ -49,18 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_USER_ERRORS = (
-    UsageError,
-    sexpr.ParseError,
-    arith.ArithError,
-    tm.TermError,
-    dd.DeductionError,
-    nm.NormalizationError,
-    extraction.ExtractionError,
-    learning.LearningError,
-    reals.RealError,
-    OSError,
-)
+# each command imports its modules when it runs, so the user errors are
+# looked up among the modules loaded: the error class of each module by name
+_USER_ERRORS = {
+    "sexpr": "ParseError",
+    "arith": "ArithError",
+    "terms": "TermError",
+    "deduction": "DeductionError",
+    "normalizer": "NormalizationError",
+    "extraction": "ExtractionError",
+    "learning": "LearningError",
+    "reals": "RealError",
+}
+# the keys of monads.BUILTIN_MONADS, sorted, named without importing monads
+_MONADS = ("exc", "id", "ir")
+
+
+def _is_user_error(e: Exception) -> bool:
+    return isinstance(e, (UsageError, OSError)) or any(
+        isinstance(e, getattr(m, cls)) for name, cls in _USER_ERRORS.items()
+        if (m := sys.modules.get(f"{__package__}.{name}")) is not None)
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("extract", parents=[common])
     e.add_argument("file")
     e.add_argument("--deriv", required=True)
-    e.add_argument("--monad", choices=sorted(monads.BUILTIN_MONADS), default="ir")
+    e.add_argument("--monad", choices=_MONADS, default="ir")
 
     r = sub.add_parser("run", parents=[common])
     r.add_argument("file")
@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     le.add_argument("--precision", type=int, required=True)
     ca = demo.add_parser("convex-angle", parents=[common])
     ca.add_argument("--points", required=True, metavar="p/q,p/q;...")
-    ca.add_argument("--precision", type=int, default=reals.DEFAULT_MAX_PRECISION)
+    ca.add_argument("--precision", type=int, default=None)  # reals.DEFAULT_MAX_PRECISION
     return p
 
 
@@ -123,6 +123,7 @@ def _fuel(flag, fallback: int) -> int:
 
 
 def _load(path: str) -> sexpr.ProofFile:
+    from . import sexpr
     with open(path, encoding="utf-8") as fh:
         try:
             return sexpr.parse_file(fh.read())  # read decodes all, so e.start is the offset
@@ -141,6 +142,7 @@ def _say(note: str, machine: bool):
 
 
 def _state_entries(specs: list[str], rels) -> learning.State:
+    from . import learning
     entries = {}
     for raw in specs:
         head, eq, wit = raw.partition("=")
@@ -162,6 +164,7 @@ def _state_entries(specs: list[str], rels) -> learning.State:
 
 
 def _print_state(s: learning.State, machine: bool) -> str:
+    from . import learning
     if machine:
         forms = " ".join(
             f"({rel} ({' '.join(map(str, args))}) {w})" for (rel, args), w in s.entries)
@@ -170,6 +173,7 @@ def _print_state(s: learning.State, machine: bool) -> str:
 
 
 def cmd_check(args) -> int:
+    from . import deduction as dd, sexpr, terms as tm
     pf = _load(args.file)
     for kind, name in pf.order:
         if kind == "defterm":
@@ -187,6 +191,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import extraction, monads, sexpr, terms as tm
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
     t = extraction.extract(d, monads.BUILTIN_MONADS[args.monad], pf.rels, pf.fns)
@@ -197,6 +202,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import learning, sexpr, terms as tm
     pf = _load(args.file)
     t = _named(pf.terms, args.term, "term")
     s = _state_entries(args.state, pf.rels)
@@ -224,6 +230,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import normalizer as nm, sexpr
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
     trace = [] if args.trace else None
@@ -236,6 +243,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_extract_witness(args) -> int:
+    from . import normalizer as nm
     pf = _load(args.file)
     d = _named(pf.derivs, args.deriv, "derivation")
     value, _ = nm.extract_witness(d, _fuel(args.fuel, nm.DEFAULT_FUEL),
@@ -250,17 +258,18 @@ def _precision(value: int) -> int:
     return value
 
 
-def _point(chunk: str) -> reals.Point:
+def _point(chunk: str) -> tuple[Fraction, Fraction]:
     coords = chunk.split(",")
     if len(coords) != 2:
         raise UsageError(f"bad --points: each point needs two coordinates, got {chunk!r}")
     try:
-        return reals.point(*(Fraction(c) for c in coords))
+        return Fraction(coords[0]), Fraction(coords[1])
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad --points: {e}") from None
 
 
 def cmd_least_element(args) -> int:
+    from . import reals
     try:
         values = [Fraction(v) for v in args.values.split(",")]
     except (ValueError, ZeroDivisionError) as e:
@@ -277,10 +286,11 @@ def cmd_least_element(args) -> int:
 
 
 def cmd_convex_angle(args) -> int:
-    points = [_point(chunk) for chunk in args.points.split(";")]
+    from . import reals
+    points = [reals.point(*_point(chunk)) for chunk in args.points.split(";")]
     if len(points) < 3:
         raise UsageError(f"--points needs at least three points, got {len(points)}")
-    precision = _precision(args.precision)
+    precision = reals.DEFAULT_MAX_PRECISION if args.precision is None else _precision(args.precision)
     machine = args.format == "sexpr"
     a, b, c, s, trace = reals.convex_angle(points, max_precision=precision)
     for line in trace:
@@ -299,6 +309,7 @@ _COMMANDS = {
 }
 
 
+@arith.interned  # reading and running share one table
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -308,10 +319,10 @@ def main(argv=None) -> int:
         else:
             fn = _COMMANDS[args.command]
         return fn(args)
-    except _USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:  # noqa: BLE001 - anything else is our bug
+    except Exception as e:  # noqa: BLE001 - what is not a user error is our bug
+        if _is_user_error(e):
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -429,10 +429,11 @@ def _map_sequent(s: Sequent, keep_goal: bool, fn, *args) -> Sequent:
     """s with fn(formula, *args) for each formula, the goal too unless
     keep_goal; s itself when fn returns each formula as itself."""
     ctx = s.context
-    if ctx:
-        new = tuple([(lbl, fn(f, *args)) for lbl, f in ctx])
-        if any(n[1] is not f[1] for n, f in zip(new, ctx)):
-            ctx = new
+    for i, (lbl, f) in enumerate(ctx):
+        g = fn(f, *args)
+        if g is not f:  # the entries before it are kept as they are
+            ctx = (*ctx[:i], (lbl, g), *[(l, fn(h, *args)) for l, h in ctx[i + 1:]])
+            break
     goal = s.goal if keep_goal else fn(s.goal, *args)
     return s if ctx is s.context and goal is s.goal else Sequent(ctx, goal)
 

@@ -386,6 +386,7 @@ def decorate(
     return mn.close(_decorate(d, env, m, fns), tuple(free))
 
 
+@arith.interned
 def extract(
     d: dd.Derivation,
     m: mn.MonadSpec = mn.INTERACTIVE,

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol
 
 from . import arith, terms as tm
-from .extraction import realizer_type
-from .sexpr import print_formula
 from .terms import Term
 
 
@@ -376,6 +374,10 @@ def spot_check_realizes(
     of its antecedent's realizer type that realize the antecedent under s.
     fails verdicts carry a path description.
     """
+    # here alone, so that running a realizer loads neither extraction nor the reader
+    from .extraction import realizer_type
+    from .sexpr import print_formula
+
     fns = arith.FUNCTIONS if fns is None else fns
     sampled = False
 

@@ -546,6 +546,7 @@ def norm_terms(
 # the loop
 
 
+@arith.interned
 def normalize_derivation(
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
@@ -606,6 +607,7 @@ def normalize_derivation(
             trace.append(f"{kind} at {where} -> {stamp}")
 
 
+@arith.interned
 def extract_witness(
     d: Derivation,
     fuel: int = DEFAULT_FUEL,

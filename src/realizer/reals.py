@@ -174,15 +174,20 @@ def sub(r: RealRep, s: RealRep) -> RealRep:
     return add(r, neg(s))
 
 
-def mul_search_precision(r: RealRep, s: RealRep, k: int, fuel: int = MUL_SEARCH_FUEL) -> int:
+def mul_search_precision(r: RealRep, s: RealRep, k: int, fuel: int = MUL_SEARCH_FUEL,
+                         start: int = 0) -> int:
     """Smallest operand precision making the product interval narrow enough.
 
     The product of two intervals of width at most 2^-l varies by at most
     (env_r(l) + env_s(l)) * 2^-l, with envelopes on absolute values so the
     bound survives sign changes; we want that below 2^-k.  With envelopes
     p/q and u/v that is (p*v + u*q) * 2^k <= q*v * 2^l, a test on integers.
+
+    The candidates are start up to fuel.  An l that meets the bound at k
+    meets it at every smaller k too, so the smallest l at k is at least
+    the one at a smaller k, and a search may start from there.
     """
-    for l in range(fuel):
+    for l in range(start, fuel):
         e, f = r.envelope(l), s.envelope(l)
         p, q, u, v = e.numerator, e.denominator, f.numerator, f.denominator
         if (p * v + u * q) << k <= (q * v) << l:
@@ -198,8 +203,14 @@ def _iv_mul(u: tuple[Rat, Rat], v: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
 
 
 def mul(r: RealRep, s: RealRep, fuel: int = MUL_SEARCH_FUEL) -> RealRep:
+    # the last k asked and the precision found at it, from which the search
+    # at a greater k starts (the sign searches ask increasing k)
+    last_k = last_l = 0
+
     def fn(k: int) -> tuple[Rat, Rat]:
-        l = mul_search_precision(r, s, k, fuel)
+        nonlocal last_k, last_l
+        l = mul_search_precision(r, s, k, fuel, last_l if k >= last_k else 0)
+        last_k, last_l = k, l
         return _iv_mul(r.interval(l), s.interval(l))
 
     return RealRep("product", (r, s), fn)

@@ -13,11 +13,13 @@ A text is split once into a token list that readers address by index, so
 no object is made per token, and a ParseError works out its line and
 column only when it is raised.
 
-Repeated forms are shared.  A type, a context (ctx ...), a sequent's goal
-and an assumption's formula met again in the same text are looked up by
-their tokens, so each is read once and the same tokens give one object (a
-type is also one object per class and parts): a derivation restates its
-context and goals at every node, a realizer its types at every binder.
+Repeated forms are shared.  A type, a context (ctx ...), a sequent's goal,
+an assumption's formula and a first-order variable or numeral met again in
+the same text are looked up by their tokens, so each is read once and the
+same tokens give one object (a type is also one object per class and
+parts): a derivation restates its context and goals at every node, a
+realizer its types at every binder.  Terms and formulas are also one
+object per value within a read, through `arith`'s interning table.
 Only those places are keyed, not every subformula: keys at every level
 would cost O(size x depth) on a deep form.  A print call prints each type
 object once and reuses its text or block wherever the object recurs, since
@@ -117,6 +119,7 @@ class _Reader:
         self.rels = arith.RELATIONS if rels is None else rels
         # forms of the shared kinds by (reader, *tokens), and types by (class, *parts)
         self.shared: dict = {}
+        self.leaves: dict = {}  # first-order variables and numerals by token
 
     def error(self, i: int, message: str) -> ParseError:
         # at token i, or at the end of the text when i is the number of tokens
@@ -294,6 +297,7 @@ def _only(x):
     return x
 
 
+@arith.interned
 def _read(kind: _Kind, text: str, fns=None, rels=None):
     """The one form of text read as kind; the public read_X are this with X's kind."""
     rd = _Reader(text, fns, rels)
@@ -405,7 +409,7 @@ def _shared(kind: _Kind) -> _Kind:
 
 
 def _fields(obj):
-    # the dataclass fields only: a formula may hold stored facts besides
+    # the dataclass fields, in order
     return map(obj.__getattribute__, obj.__match_args__)
 
 
@@ -476,14 +480,19 @@ print_primfn = partial(_print, _FN)
 def _read_aterm(i: int, rd: _Reader) -> ATerm:
     tok = rd.toks[i]
     if tok != "(":
-        if not _INT.match(tok):
-            return TVar(tok)
-        value = int(tok)
-        if value < 0:
-            raise rd.error(i, "negative numeral")
-        if value > arith.MAX_NUMERAL:
-            raise rd.error(i, f"numeral above the bound {arith.MAX_NUMERAL}")
-        return TNum(value)
+        leaf = rd.leaves.get(tok)
+        if leaf is None:
+            if not _INT.match(tok):
+                leaf = TVar(tok)
+            else:
+                value = int(tok)
+                if value < 0:
+                    raise rd.error(i, "negative numeral")
+                if value > arith.MAX_NUMERAL:
+                    raise rd.error(i, f"numeral above the bound {arith.MAX_NUMERAL}")
+                leaf = TNum(value)
+            rd.leaves[tok] = leaf
+        return leaf
     head, args = _form(i, rd, "a term")
     if head not in rd.fns:
         raise rd.error(i, f"unknown function {head!r}")
@@ -707,6 +716,7 @@ _DEFINITIONS = {
 }
 
 
+@arith.interned
 def parse_file(text: str) -> ProofFile:
     pf = ProofFile()
     order = []

@@ -9,7 +9,8 @@ import timeit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith, extraction, monads, sexpr, terms
+from realizer import arith, corpus, extraction, monads, sexpr, terms
+from realizer import deduction as dd
 from realizer.arith import (
     ADD, MUL, And, ArityMismatch, Atom, BOT, Comp, Exists, Forall, FUNCTIONS,
     Imply, Or, PRec, Proj, RELATIONS, Relation, Succ, TApp, TVar, Zero,
@@ -17,7 +18,9 @@ from realizer.arith import (
     neg, norm_aterm, norm_formula, reduce_aterm, subst_formula, tnum,
 )
 
+import conftest as gen
 import reference_arith as ref
+import reference_sexpr
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +687,13 @@ def test_stored_facts_agree_with_the_references(f, var, rep, how):
 def test_stored_facts_take_no_part_in_equality_or_printing(f, normal_first):
     fresh, held, other = _rebuilt_formula(f), _rebuilt_formula(f), _rebuilt_formula(f)
     for g in _subformulas(held):
-        free_vars(g), arith.is_normal(g)
-    # other holds its facts in the other order, or only one of them
+        norm_formula(g, _FNS), subst_formula(g, "x", TVar("y"))
+    # other holds stored results in the other order, or only one of them
     if normal_first:
-        arith.is_normal(other)
-    free_vars(other)
-    assert "_free_vars" in vars(held) and "_free_vars" not in vars(fresh)
+        norm_formula(other, _FNS)
+    subst_formula(other, "y", tnum(2))
+    # the facts live in slots, and the stored results in one of them
+    assert not hasattr(held, "__dict__") and not hasattr(fresh, "__dict__")
     for a in (held, other):
         assert a == fresh and fresh == a and not a != fresh and arith.same(a, fresh)
         assert And(a, fresh) == And(fresh, a)
@@ -699,6 +703,67 @@ def test_stored_facts_take_no_part_in_equality_or_printing(f, normal_first):
         assert dataclasses.replace(a) == dataclasses.replace(fresh) == fresh
         assert repr(dataclasses.replace(a)) == repr(fresh)
     assert held == other
+
+
+# ---------------------------------------------------------------------------
+# one object per value inside an interning table, the same values outside
+
+
+def _made_again(x):
+    """x, a term or formula, built again node by node, its leaves too."""
+    if type(x) is TVar or type(x) is arith.TNum:
+        return type(x)(*dataclasses.astuple(x))
+    if type(x) is TApp:
+        return arith.fold_aterm(x, _made_again, lambda u, parts: TApp(u.fn, tuple(parts)))
+    return arith.fold_formula(
+        x, lambda u: Atom(u.rel, tuple(map(_made_again, u.args))),
+        lambda u, parts: type(u)(u.var, *parts) if len(parts) == 1 else type(u)(*parts))
+
+
+def _asked(g, var, rep, fns):
+    return free_vars(g), arith.is_normal(g), norm_formula(g, fns), subst_formula(g, var, rep)
+
+
+def _interned_and_apart_agree(f, var, rep, fns=_FNS):
+    def inside():
+        g, r = _made_again(f), _made_again(rep)
+        assert _made_again(f) is g and _made_again(rep) is r  # one object per value
+        return g, r, _asked(g, var, r, fns)
+
+    g, r, (fv, normal, n, s) = arith.interned(inside)()
+    h, rh = _made_again(f), _made_again(rep)  # outside any table
+    assert _made_again(f) is not h and not hasattr(g, "__dict__")
+    hfv, hnormal, hn, hs = _asked(h, var, rh, fns)
+    for a, b in ((g, h), (r, rh), (n, hn), (s, hs)):
+        assert a == b and b == a and not a != b and hash(a) == hash(b) and repr(a) == repr(b)
+    for a, b in ((g, h), (n, hn), (s, hs)):
+        assert sexpr.print_formula(a) == sexpr.print_formula(b)
+    # and both agree with the references
+    assert fv == hfv == ref.free_vars(f) and normal is hnormal is ref.is_normal(f)
+    assert n == ref.norm_formula(f, fns) and (n is g) is (hn is h) is normal
+    want = ref.subst_formula(f, var, rep)
+    assert s == want and (hs is h) is (want is f)
+    assert (s is g) is (s == g)  # inside the table, an equal result is the same object
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.sampled_from(["x", "y", "z"]), _terms(closed=False))
+def test_interned_formulas_agree_with_formulas_built_apart(f, var, rep):
+    _interned_and_apart_agree(f, var, rep)
+
+
+def test_interned_corpus_and_generated_formulas_agree_with_those_built_apart():
+    pf = reference_sexpr.parse_file(corpus.corpus_text())  # the reference reader interns nothing
+    forms = [(f, pf.fns) for d in pf.derivs.values() for node in dd.walk(d)
+             for f in (node.conclusion.goal, *(g for _, g in node.conclusion.context))]
+    rng = random.Random(21)
+    for make in (gen.closed_true_derivation, gen.em_derivation, gen.ind_derivation,
+                 gen.cind_derivation, gen.open_derivation, gen.ha_em_derivation):
+        for _ in range(4):
+            forms += [(node.conclusion.goal, _FNS) for node in dd.walk(make(rng))]
+    reps = [TVar("x"), tnum(2), TApp("+", (TVar("y"), tnum(1)))]
+    for i, (f, fns) in enumerate(forms):
+        _interned_and_apart_agree(f, "xyz"[i % 3], reps[i % 3], fns)
 
 
 def test_an_unknown_function_in_a_closed_application():
@@ -713,23 +778,26 @@ def test_an_unknown_function_in_a_closed_application():
 
 
 def test_a_formula_is_walked_once(monkeypatch):
+    # its facts are made with it from its parts', so no ask walks it
     walks = []
     fold = arith.fold_formula
     monkeypatch.setattr(arith, "fold_formula", lambda f, *fs: walks.append(f) or fold(f, *fs))
     x, y = TVar("x"), TVar("y")
     f = Forall("x", Imply(Atom("<", (x, TApp("+", (y, tnum(1))))), Exists("y", Atom("=", (x, y)))))
-    assert free_vars(f) == {"y"} and norm_formula(f) is f and len(walks) == 2
+    assert free_vars(f) == {"y"} and norm_formula(f) is f and walks == []
     for _ in range(3):
         assert free_vars(f) == {"y"} and arith.is_normal(f) and norm_formula(f) is f
         assert subst_formula(f, "x", tnum(3)) is f and subst_formula(f, "z", y) is f
-    assert len(walks) == 2
-    # a formula that is not normal is normalized at each ask, but asked once
-    # whether it is normal
+    assert walks == []
+    # a formula that is not normal is normalized once, and a substitution made
+    # once for each replacement: the results are stored on it
     g = And(f, Atom("=", (TApp("*", (tnum(2), tnum(3))), y)))
-    n = norm_formula(g)
-    assert n == And(f, Atom("=", (tnum(6), y))) and walks[2:] == [g, g]
-    assert norm_formula(g) == n and walks[4:] == [g]
-    assert norm_formula(n) is n and norm_formula(n) is n and walks[5:] == [n]
+    n, two = norm_formula(g), tnum(2)
+    assert n == And(f, Atom("=", (tnum(6), y))) and norm_formula(g) is n
+    assert norm_formula(n) is n and norm_formula(n) is n
+    s = subst_formula(g, "y", two)
+    assert s == ref.subst_formula(g, "y", two) and subst_formula(g, "y", two) is s
+    assert walks == []
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +873,13 @@ def test_every_formula_walk_takes_a_deep_formula(kind):
         assert classify(dual(f)).cls != level.cls
     else:
         assert (level.cls, level.level) == ("sigma", 0)
+
+
+@pytest.mark.parametrize("kind", _NEST)
+def test_hash_of_a_deep_formula_returns(kind):
+    # a formula's hash is made from its parts' when it is made, so it never recurses
+    f, copy = _nested(kind), _nested(kind)
+    assert hash(f) == hash(copy) and hash(And(f, copy)) == hash(And(copy, f))
 
 
 def test_deep_compositions_need_no_stack():

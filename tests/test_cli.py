@@ -429,6 +429,35 @@ def test_check_loads_neither_hashlib_nor_logging(corpus_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def _loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """The exit status of a fresh CLI process on argv, and the program's modules it loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from realizer import cli; rc = cli.main(sys.argv[1:]);"
+            " print(rc, *sorted(m for m in sys.modules if m.startswith('realizer.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    rc, *modules = done.stdout.splitlines()[-1].split()
+    return int(rc), {m.removeprefix("realizer.") for m in modules}
+
+
+def test_a_command_loads_only_its_own_modules(corpus_path):
+    rc, loaded = _loaded_by(["check", corpus_path])
+    assert rc == 0 and not loaded & {"normalizer", "extraction", "monads", "learning", "reals"}
+    for demo in (["convex-angle", "--points", "0,0;1,0;0,1"],
+                 ["least-element", "--values", "1,2", "--precision", "3"]):
+        rc, loaded = _loaded_by(["demo", *demo])
+        assert rc == 0 and not loaded & {"deduction", "sexpr", "normalizer", "extraction", "monads"}
+
+
+def test_monad_choices_are_the_builtin_monads(corpus_path, capsys):
+    from realizer import monads
+
+    assert list(cli._MONADS) == sorted(monads.BUILTIN_MONADS)
+    rc, out, err = run_cli(capsys, "extract", corpus_path, "--deriv", "em-refuted", "--monad", "xx")
+    assert rc == 1 and "invalid choice: 'xx' (choose from 'exc', 'id', 'ir')" in err
+
+
 def test_extract_witness_of_a_big_numeral_atom_is_a_user_error(tmp_path, capsys):
     p = tmp_path / "atom.proof"
     p.write_text("(defder d (der atom-i (seq (ctx) (atom = 2000 2000))))")

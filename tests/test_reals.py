@@ -92,9 +92,9 @@ def _reference_search(r, s, k, fuel):
     )
 
 
-def _search_outcome(search, r, s, k, fuel):
+def _search_outcome(search, r, s, k, fuel, *start):
     try:
-        return search(r, s, k, fuel)
+        return search(r, s, k, fuel, *start)
     except PrecisionSearchExhausted as e:
         return str(e)
 
@@ -117,6 +117,29 @@ def test_product_precision_search_matches_the_fraction_loop(r, s, ks, fuel):
     for k in ks:
         got = _search_outcome(mul_search_precision, r, s, k, fuel)
         assert got == _search_outcome(_reference_search, r, s, k, fuel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_operands, _search_operands,
+       st.lists(st.integers(min_value=0, max_value=64), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=80))
+def test_a_product_resumes_its_precision_search(r, s, ks, fuel):
+    # a product asked at precisions in any order starts each search from the
+    # precision found at the largest smaller one, and ends where a search
+    # from 0 ends, or runs out of the same fuel with the same message
+    product = mul(r, s, fuel)
+    want = {k: _search_outcome(_reference_search, r, s, k, fuel) for k in ks}
+    for k in ks:
+        try:
+            got = product.interval(k)
+        except PrecisionSearchExhausted as e:
+            got = str(e)
+        l = want[k]
+        assert got == (l if type(l) is str else reals._iv_mul(r.interval(l), s.interval(l)))
+        # a search from the precision found at any smaller k ends there too
+        for j in ks:
+            if j <= k and type(want[j]) is int:
+                assert _search_outcome(mul_search_precision, r, s, k, fuel, want[j]) == l
 
 
 def test_envelope_of_a_broken_row_uses_absolute_values():
