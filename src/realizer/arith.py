@@ -73,10 +73,6 @@ class NotClosed(ArithError):
     pass
 
 
-class NotPrenex(ArithError):
-    pass
-
-
 class NumeralTooLarge(ArithError):
     pass
 
@@ -481,11 +477,6 @@ def tnum(n: int) -> TNum:
     if n > MAX_NUMERAL:
         raise NumeralTooLarge(f"numeral above the bound {MAX_NUMERAL}")
     return TNum(n if n > 0 else 0)
-
-
-def numeral_value(t: ATerm) -> Optional[int]:
-    """n when t is the numeral n, else None."""
-    return t.value if type(t) is TNum else None
 
 
 def view(t: ATerm) -> tuple[Optional[str], tuple[ATerm, ...]]:
@@ -927,16 +918,4 @@ def classify(f: Formula) -> Optional[HierLevel]:
         return HierLevel("sigma", 0)
     cls = "sigma" if blocks[0] == "exists" else "pi"
     return HierLevel(cls, len(blocks))
-
-
-def dual(f: Formula) -> Formula:
-    """Swap quantifiers and negate the matrix.  Prenex inputs only."""
-    p = _prefix(f)
-    if p is None:
-        raise NotPrenex(f"dual of a non-prenex formula: {f!r}")
-    prefix, matrix = p
-    out = neg(matrix)
-    for kind, v in reversed(prefix):
-        out = (Exists if kind == "forall" else Forall)(v, out)
-    return out
 

@@ -109,6 +109,8 @@ def _build_parser() -> _Parser:
 
 def _fuel(flag, fallback: int) -> int:
     if flag is not None:
+        if flag < 0:
+            raise UsageError(f"--fuel must be a non-negative integer, got {flag}")
         return flag
     env = os.environ.get("REALIZER_FUEL")
     if not env:

@@ -2,8 +2,8 @@
 
 A real is a total map from a precision k to a closed rational interval
 [lo(k), hi(k)]: intervals shrink, never drift, and the width at k is at most
-2^-k.  Constants, sums, opposites, products and finite tables are the only
-constructors; the demos need no more.
+2^-k.  Constants, sums, opposites and products are the only constructors;
+the demos need no more.
 
 The strict order is observation at a finite precision: op_at(r, s, k) holds
 when the k-th intervals are disjoint with r's below s's.  For fixed k it is
@@ -49,22 +49,12 @@ RatLike = Union[Rat, int, str]
 LEFT = "left"
 RIGHT = "right"
 
-VALIDATION_DEPTH = 12
 MUL_SEARCH_FUEL = 4096
 DEFAULT_MAX_PRECISION = 64
 
 
 class RealError(Exception):
     pass
-
-
-class InvariantViolation(RealError):
-    """A nested interval condition failed at some precision."""
-
-    def __init__(self, conjunct: str, k: int):
-        super().__init__(f"interval condition '{conjunct}' broken at k={k}")
-        self.conjunct = conjunct
-        self.k = k
 
 
 class PrecisionSearchExhausted(RealError):
@@ -133,25 +123,6 @@ def constant(q: RatLike) -> RealRep:
     return RealRep("constant", (q,), lambda k: (q, q))
 
 
-def table(entries: Sequence[tuple[RatLike, RatLike]]) -> RealRep:
-    """Opaque interval table.
-
-    Beyond the last row the value pins to that row's midpoint, so a
-    well-formed finite table stays a real number at every depth; the rows
-    themselves are taken as given, which is how tests build deliberately
-    broken sequences.
-    """
-    rows = tuple((Rat(lo), Rat(hi)) for lo, hi in entries)
-    if not rows:
-        raise ValueError("table needs at least one interval")
-    mid = (rows[-1][0] + rows[-1][1]) / 2
-
-    def fn(k: int) -> tuple[Rat, Rat]:
-        return rows[k] if k < len(rows) else (mid, mid)
-
-    return RealRep("table", rows, fn)
-
-
 def add(r: RealRep, s: RealRep) -> RealRep:
     # evaluating the operands one level deeper restores the 2^-k width
     def fn(k: int) -> tuple[Rat, Rat]:
@@ -216,38 +187,8 @@ def mul(r: RealRep, s: RealRep, fuel: int = MUL_SEARCH_FUEL) -> RealRep:
     return RealRep("product", (r, s), fn)
 
 
-def real_arith(kind: str, *operands: RealRep) -> RealRep:
-    ops = {"add": add, "neg": neg, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError(f"unknown real operation {kind!r}")
-    return ops[kind](*operands)
-
-
 # ---------------------------------------------------------------------------
-# the nesting conditions and the order
-
-
-def interval_at(r: RealRep, k: int, validate: bool = False) -> tuple[Rat, Rat]:
-    """The k-th interval; validation also checks the nesting conjuncts
-    against the k+1-st."""
-    lo, hi = r.interval(k)
-    if validate:
-        if lo > hi:
-            raise InvariantViolation("lo <= hi", k)
-        nlo, nhi = r.interval(k + 1)
-        if nlo < lo:
-            raise InvariantViolation("lo nondecreasing", k)
-        if nhi > hi:
-            raise InvariantViolation("hi nonincreasing", k)
-        if hi - lo > Rat(1, 2**k):
-            raise InvariantViolation("width <= 2^-k", k)
-    return (lo, hi)
-
-
-def validate_real(r: RealRep, depth: int = VALIDATION_DEPTH) -> None:
-    """Spot check the nested interval conditions for k up to depth."""
-    for k in range(depth + 1):
-        interval_at(r, k, validate=True)
+# the order
 
 
 def op_at(r: RealRep, s: RealRep, k: int) -> bool:
@@ -336,10 +277,6 @@ def orientation(
     """Which side of the oriented line a->b the point c falls on, and the
     first precision whose intervals show it."""
     return _Determinants((a, b, c)).orientation(0, 1, 2, max_precision)
-
-
-def _side_at(a: Point, b: Point, c: Point, k: int) -> Optional[str]:
-    return _Determinants((a, b, c)).side_at(0, 1, 2, k)
 
 
 # ---------------------------------------------------------------------------

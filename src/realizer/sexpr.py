@@ -11,7 +11,12 @@ whitespace is space, tab, CR and LF.
 
 A text is split once into a token list that readers address by index, so
 no object is made per token, and a ParseError works out its line and
-column only when it is raised.
+column only when it is raised.  The split runs in C: parentheses are
+spaced out, and a printable text is split at its runs of whitespace by
+str.split(), which is exact because " " is the only printable whitespace
+character.  A text that holds other whitespace, a no-break space say, which
+stays inside its token, is split at single spaces and the empty strings
+dropped.
 
 Repeated forms are shared.  A type, a context (ctx ...), a sequent's goal,
 an assumption's formula and a first-order variable or numeral met again in
@@ -94,10 +99,13 @@ class _Reader:
 
     def __init__(self, text: str, fns=None, rels=None):
         # the tokens _TOKEN matches, split out by str methods, which are faster
-        spaced = _COMMENT.sub("", text)
+        spaced = _COMMENT.sub("", text) if ";" in text else text
         for ch, by in ("(", " ( "), (")", " ) "), ("\t", " "), ("\r", " "), ("\n", " "):
             spaced = spaced.replace(ch, by)
-        self.text, self.toks = text, list(filter(None, spaced.split(" ")))
+        # " " is the one printable whitespace character, so a printable text
+        # splits at its runs of " " alone, and split() does that in C
+        self.text, self.toks = text, (spaced.split() if spaced.isprintable()
+                                      else list(filter(None, spaced.split(" "))))
         self.after = after = list(range(1, len(self.toks) + 1))
         opened = []
         for i, t in enumerate(self.toks):
@@ -196,7 +204,7 @@ def _wrap(*parts):
 
     parts are single-line strings or blocks.
     """
-    if not any(type(p) is _Block for p in parts):
+    if _Block not in map(type, parts):
         flat = "(" + " ".join(parts) + ")"
         if len(flat) <= _WIDTH or len(parts) == 1:
             return flat
@@ -257,11 +265,13 @@ class _Form:
         if self.least is None:
             self.least = len(self.kinds)
         self.reads = tuple(k.read for k in self.kinds)
+        # the argument count read without _read_form's checks, else -1
+        self.fixed = self.least if self.least == len(self.kinds) and self.check is None else -1
         self.prints = tuple(k.print for k in self.kinds)
         self.join = partial(_flat if self.flat else _wrap, self.head)  # the printer's make
 
 
-def _walk(root: list, *ctx):
+def _walk(root: list, ctx):
     """Finish the open form root; ctx (the _Reader, or the memo of a print
     call) goes to every reader or printer.
 
@@ -275,7 +285,7 @@ def _walk(root: list, *ctx):
     parts, results, stack = iter(parts), [], []  # stack: the open forms above
     while True:
         for step, x in parts:
-            x = step(x, *ctx)
+            x = step(x, ctx)
             if type(x) is list:
                 stack.append((make, parts, at, results))
                 make, parts, at = x
@@ -286,7 +296,7 @@ def _walk(root: list, *ctx):
             try:
                 value = make(*results)
             except arith.ArityMismatch as e:
-                raise ctx[0].error(at, str(e)) from e
+                raise ctx.error(at, str(e)) from e
             if not stack:
                 return value
             make, parts, at, results = stack.pop()
@@ -362,7 +372,10 @@ class _Table:
         if tok == "(":
             form = self.heads.get(toks[i + 1])
             if form is not None:  # so the head is a symbol
-                return _read_form(form, i, rd.items(i + 2, rd.after[i] - 1), rd)
+                args = rd.items(i + 2, rd.after[i] - 1)
+                if len(args) == form.fixed:
+                    return [form.make, zip(form.reads, args), i]
+                return _read_form(form, i, args, rd)
         elif self.bare is not None:
             value = self.bare.get(tok)
             if value is not None:
@@ -384,11 +397,11 @@ def _str(x, printed: dict) -> str:
 
 
 def _symbol(what: str) -> _Kind:
-    return _Kind(lambda i, rd: _sym(i, rd, what), _str)
+    return _Kind(partial(_sym, what=what), _str)
 
 
 def _integer(what: str) -> _Kind:
-    return _Kind(lambda i, rd: _int(i, rd, what), _str)
+    return _Kind(partial(_int, what=what), _str)
 
 
 def _shared(kind: _Kind) -> _Kind:

@@ -18,6 +18,7 @@ from realizer import deduction as dd
 from realizer import reals
 from realizer.arith import And, Atom, BOT, Exists, Forall, Imply, Or, TApp, TVar, tnum
 from realizer.deduction import Derivation, Sequent
+from reference_reals import real_arith, table
 
 
 # every bundled corpus derivation against its brute-forced witness
@@ -357,7 +358,7 @@ def random_table(rng: random.Random) -> reals.RealRep:
         off = (width - nwidth) * Fraction(rng.randrange(5), 4)
         lo = lo + off
         hi = lo + nwidth
-    return reals.table(rows)
+    return table(rows)
 
 
 def random_real(rng: random.Random, depth: int = 3) -> reals.RealRep:
@@ -367,8 +368,8 @@ def random_real(rng: random.Random, depth: int = 3) -> reals.RealRep:
         return random_table(rng)
     op = rng.choice(["add", "sub", "mul", "neg"])
     if op == "neg":
-        return reals.real_arith("neg", random_real(rng, depth - 1))
-    return reals.real_arith(op, random_real(rng, depth - 1), random_real(rng, depth - 1))
+        return real_arith("neg", random_real(rng, depth - 1))
+    return real_arith(op, random_real(rng, depth - 1), random_real(rng, depth - 1))
 
 
 def distinct_rationals(rng: random.Random, n: int) -> list[Fraction]:

@@ -11,6 +11,9 @@ generated(x) rebuilds x from classes that dataclass generates, with the
 generated ``==``, ``hash`` and ``repr``, in place of every class whose ``==``
 is `arith.same`: terms, formulas and types.  The tests compare `same`
 against it.
+
+numeral_value and dual are helpers only tests use: a numeral's value, and a
+prenex formula with its quantifiers swapped and its matrix negated.
 """
 
 from __future__ import annotations
@@ -119,3 +122,24 @@ def generated(x):
                 cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True)
         cls = _MIRRORS[cls]
     return cls(*parts)
+
+
+def numeral_value(t):
+    """n when t is the numeral n, else None."""
+    return t.value if type(t) is arith.TNum else None
+
+
+class NotPrenex(arith.ArithError):
+    pass
+
+
+def dual(f):
+    """Swap quantifiers and negate the matrix.  Prenex inputs only."""
+    p = arith._prefix(f)
+    if p is None:
+        raise NotPrenex(f"dual of a non-prenex formula: {f!r}")
+    prefix, matrix = p
+    out = arith.neg(matrix)
+    for kind, v in reversed(prefix):
+        out = (Exists if kind == "forall" else Forall)(v, out)
+    return out

@@ -234,6 +234,22 @@ def test_run_rejects_a_bad_fuel_variable(corpus_path, capsys, monkeypatch, fuel)
     assert rc == 1 and err.startswith("error: REALIZER_FUEL")
 
 
+@pytest.mark.parametrize("argv", [["run", "--term", "const-seven"],
+                                  ["normalize", "--deriv", "cut-and"],
+                                  ["extract-witness", "--deriv", "cut-and"]])
+def test_a_negative_fuel_flag_is_a_usage_error(corpus_path, capsys, monkeypatch, argv):
+    from realizer import learning, normalizer
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for module, name in ((learning, "run_realizer"), (learning, "learn"),
+                         (normalizer, "normalize_derivation"), (normalizer, "extract_witness")):
+        monkeypatch.setattr(module, name, never)
+    rc, out, err = run_cli(capsys, argv[0], corpus_path, *argv[1:], "--fuel", "-2")
+    assert (rc, out, err) == (1, "", "error: --fuel must be a non-negative integer, got -2\n")
+
+
 def test_run_of_a_deep_non_outcome_is_a_user_error(tmp_path, capsys):
     p = tmp_path / "deep.proof"
     p.write_text("(defterm t (app succ (num 3000)))")

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from realizer import cli, learning, reals
 from realizer.learning import State
 from realizer.reals import (
-    LEFT, RIGHT, InvariantViolation, PrecisionExhausted,
+    LEFT, RIGHT, PrecisionExhausted,
     PrecisionSearchExhausted, add, comparison_rels, constant, convex_angle,
-    interval_at, least_element, mul, mul_search_precision, neg, op_at,
-    orientation, point, real_arith, sub, table, validate_real,
+    least_element, mul, mul_search_precision, neg, op_at,
+    orientation, point, sub,
+)
+from reference_reals import (
+    InvariantViolation, interval_at, real_arith, side_at, table, validate_real,
 )
 
 import conftest as gen
@@ -235,8 +238,8 @@ def test_orientation_of_fuzzy_points_needs_precision():
     c = reals.Point(constant(1), dyadic(F(1, 64)))
     side, k = orientation(a, b, c)
     assert side == LEFT and k > 0
-    assert reals._side_at(a, b, c, 0) is None
-    assert reals._side_at(a, point(1, 1), point(2, 2), 9) is None
+    assert side_at(a, b, c, 0) is None
+    assert side_at(a, point(1, 1), point(2, 2), 9) is None
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +480,12 @@ def _reference_sweep(points, a, max_precision):
 
 def _reference_verify(points, a, angle):
     pa = points[a]
-    if reals._side_at(pa, points[angle.b], points[angle.c], angle.pair) != LEFT:
+    if side_at(pa, points[angle.b], points[angle.c], angle.pair) != LEFT:
         raise RuntimeError(f"edge {angle.c} not certified left of {a}->{angle.b}")
     for d, (kl, kr) in angle.checks.items():
-        if reals._side_at(pa, points[angle.b], points[d], kl) != LEFT:
+        if side_at(pa, points[angle.b], points[d], kl) != LEFT:
             raise RuntimeError(f"point {d} not certified left of {a}->{angle.b}")
-        if reals._side_at(pa, points[angle.c], points[d], kr) != RIGHT:
+        if side_at(pa, points[angle.c], points[d], kr) != RIGHT:
             raise RuntimeError(f"point {d} not certified right of {a}->{angle.c}")
 
 

@@ -395,6 +395,29 @@ def test_reader_agrees_with_the_reference_on_token_soup(text):
     _agrees_with_reference(text)
 
 
+# every character str.isspace() takes for whitespace that the grammar does not:
+# a token holds them, so a text with one takes the tokenizer's slow path
+_OTHER_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680",
+                 *map(chr, range(0x2000, 0x200b)), "\u2028", "\u2029", "\u202f", "\u205f",
+                 "\u3000"]
+_SPACED_PIECES = ["(", ")", "(defterm", "t", "unit", "(lam", "Unit", "a", "-12", "7", " ",
+                  "  ", "      ", "\n  ", "\n    ", "\t", "\r\n", "; c (d)\n", *_OTHER_SPACES]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SPACED_PIECES), max_size=40).map("".join))
+def test_reader_agrees_with_the_reference_on_every_kind_of_whitespace(text):
+    _agrees_with_reference(text)
+
+
+def test_space_is_the_only_printable_whitespace():
+    # the tokenizer splits a printable text with str.split(), which breaks
+    # at every str.isspace() character: exact only while this holds
+    both = [c for c in map(chr, range(0x110000)) if c.isspace() and c.isprintable()]
+    assert both == [" "]
+    assert all(c.isspace() and not c.isprintable() for c in _OTHER_SPACES)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_reader_agrees_with_the_reference_on_damaged_files(data):
