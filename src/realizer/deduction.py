@@ -38,12 +38,13 @@ renaming read the same entry.
 Four loops here walk a derivation's nodes, each on an explicit stack, so
 derivations of any depth are walked without recursion.  walk yields the
 nodes in preorder for the scans that read one node at a time: uses_label,
-_labels_inside and the normalizer's variable and query scans.  rebuild
-makes one local edit per node: substitution and renaming (_rename),
-weakening, and the normalizer's grafting, strengthening and term
-normalization.  check_derivation checks in preorder with a trail per node,
-from which an error's premiss path is built, and skips subtrees checked
-before.  free_term_vars folds bottom-up over a memo.
+_labels_inside and the normalizer's query scans.  rebuild makes one local
+edit per node: substitution, renaming and grafting in one edit (_rename),
+weakening, and the normalizer's strengthening and term normalization.
+check_derivation checks in preorder with a trail per node, from which an
+error's premiss path is built, and skips subtrees checked before.
+free_term_vars folds bottom-up over a memo.  Derivations compare and hash
+without recursion too (Derivation).
 """
 
 from __future__ import annotations
@@ -286,11 +287,22 @@ class Sequent:
         return frozenset(lbl for lbl, _ in self.context)
 
 
-@dataclass(frozen=True)
+@arith.structural
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """A rule instance, its conclusion and its premisses.
+
+    Compared by arith.same, on an explicit stack, and hashed from the rule
+    and the conclusion, which equal derivations share: neither recurses
+    into the premisses, so a derivation of any depth compares and hashes.
+    """
+
     rule: RuleKind
     conclusion: Sequent
     premisses: tuple["Derivation", ...] = ()
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.conclusion))
 
 
 def seq(context: Context, goal: Formula) -> Sequent:
@@ -425,15 +437,20 @@ def rebuild(d: Derivation, enter: Callable[[Derivation, object], Edit],
     return done[0]
 
 
-def _map_sequent(s: Sequent, keep_goal: bool, fn, *args) -> Sequent:
-    """s with fn(formula, *args) for each formula, the goal too unless
-    keep_goal; s itself when fn returns each formula as itself."""
-    ctx = s.context
+def _map_context(ctx: Context, fn, *args) -> Context:
+    """ctx with fn(formula, *args) for each formula; ctx itself when fn
+    returns each formula as itself."""
     for i, (lbl, f) in enumerate(ctx):
         g = fn(f, *args)
         if g is not f:  # the entries before it are kept as they are
-            ctx = (*ctx[:i], (lbl, g), *[(l, fn(h, *args)) for l, h in ctx[i + 1:]])
-            break
+            return (*ctx[:i], (lbl, g), *[(l, fn(h, *args)) for l, h in ctx[i + 1:]])
+    return ctx
+
+
+def _map_sequent(s: Sequent, keep_goal: bool, fn, *args) -> Sequent:
+    """s with fn(formula, *args) for each formula, the goal too unless
+    keep_goal; s itself when fn returns each formula as itself."""
+    ctx = _map_context(s.context, fn, *args)
     goal = s.goal if keep_goal else fn(s.goal, *args)
     return s if ctx is s.context and goal is s.goal else Sequent(ctx, goal)
 
@@ -460,53 +477,65 @@ def _keep(x, *_):
 # substitution of terms for free variables, and renaming
 
 
-def subst_derivation(d: Derivation, var: str, t: ATerm) -> Derivation:
-    """d[var := t] in every formula and rule term.
-
-    Rule binders stop the substitution in their premiss; if a binder occurs
-    free in t, CaptureRisk is raised (rename the derivation first).
-    """
-    return _rename(d, {}, ((var, t),))
-
-
 def _rename(
     d: Derivation,
     picks: Mapping[int, tuple[Optional[str], Optional[str]]],
     subs: tuple[tuple[str, ATerm], ...] = (),
+    graft: Optional[tuple[int, Derivation]] = None,
 ) -> Derivation:
     """d with the substitutions subs made in every formula and rule term,
-    the last one first, and with the rules of some nodes renamed.
+    the last one first, with the rules of some nodes renamed, and with one
+    hypothesis grafted away: one rebuild.
 
     picks maps the position of a node in preorder, counting each occurrence
     of a shared subtree, to a new discharge label and a new bound variable
     for its rule (None keeps a name); the discharges and the bound
-    occurrences are renamed with it.  A binder stops the substitution of
-    its own variable in its premiss, and raises CaptureRisk when another
-    substitution would carry the binder's variable into a premiss that uses
-    the substituted one.
+    occurrences are renamed with it, which is renaming first and
+    substituting after.  A binder stops the substitution of its own
+    variable, old name and new, in its premiss, and raises CaptureRisk when
+    another substitution would carry the binder's variable into a premiss
+    that uses the substituted one.
+
+    graft, when given, is (pos, repl): every context loses its entry at
+    pos, whose label must stay the same throughout d, and each id leaf for
+    that label becomes repl, weakened by the entries after pos in the
+    leaf's new context.  repl itself is neither renamed nor substituted.
     """
     scanned: Memo = {}
     last, count = max(picks, default=-1), -1
+    pos, repl = graft if graft is not None else (None, None)
+    label = d.conclusion.context[pos][0] if graft is not None else None
 
     def enter(node: Derivation, env) -> Edit:
         nonlocal count
         count += 1
-        labels, subs, binder = env  # binder: the variable bound just above node
-        for var, t in subs if binder is not None else ():
-            if binder in aterm_vars(t) and var in free_term_vars(node, scanned):
-                raise CaptureRisk(f"substituting {t} for {var} under binder {binder}")
+        # risk: the variable bound just above node and the substitutions
+        # that pass it into node, or None
+        labels, subs, risk = env
+        if risk is not None:
+            binder, passing = risk
+            for var, t in passing:
+                if binder in aterm_vars(t) and var in free_term_vars(node, scanned):
+                    raise CaptureRisk(f"substituting {t} for {var} under binder {binder}")
         rule, concl, shape = node.rule, node.conclusion, RULE_SHAPES[type(node.rule)]
+        ctx, goal = concl.context, concl.goal
+        if graft is not None:
+            if ctx[pos][0] != label:
+                raise DischargeMismatch(label, "moved inside the graft body")
+            ctx = ctx[:pos] + ctx[pos + 1:]
         if labels:
-            concl = Sequent(tuple((labels.get(l, l), f) for l, f in concl.context), concl.goal)
+            ctx = tuple((labels.get(l, l), f) for l, f in ctx)
             rule = Id(labels.get(rule.label, rule.label)) if isinstance(rule, Id) else rule
         new_label, new_var = picks.get(count, (None, None))
-        labels_in, subs_in, old = labels, subs, None  # for discharges, for the bound premiss
+        labels_in, subs_in, risk = labels, subs, None  # for discharges, for the bound premiss
         if new_label is not None:
             labels_in = {**labels, rule.label: new_label}
             rule = dataclasses.replace(rule, label=new_label)
         if shape.binds is not None:
             old = rule.var
-            subs_in = tuple(s for s in subs if s[0] != old)
+            subs_in = tuple(s for s in subs if s[0] != old and s[0] != new_var)
+            if subs_in:
+                risk = (old if new_var is None else new_var, subs_in)
             if new_var is not None:
                 subs_in += ((old, TVar(new_var)),)
                 rule = _map_rule(dataclasses.replace(rule, var=new_var), _keep, subst_formula,
@@ -515,13 +544,19 @@ def _rename(
             # an induction's own variable binds its template
             stop = isinstance(rule, Ind) and rule.var == var
             rule = _map_rule(rule, subst_aterm, _keep if stop else subst_formula, var, t)
-            concl = _map_sequent(concl, False, subst_formula, var, t)
+            ctx, goal = _map_context(ctx, subst_formula, var, t), subst_formula(goal, var, t)
+        if graft is not None and isinstance(rule, Id) and rule.label == label:
+            extra = ctx[pos:]
+            return weaken(repl, extra, at=pos) if extra else repl
+        if ctx is not concl.context or goal is not concl.goal:
+            concl = Sequent(ctx, goal)
         states = []
         for i in range(len(node.premisses)):
             bound = i == shape.binds
             env = (labels_in if i in shape.discharges else labels,
-                   subs_in if bound else subs, old if bound and subs_in else None)
-            states.append(env if count < last or env[0] or env[1] else None)
+                   subs_in if bound else subs, risk if bound else None)
+            keep = count >= last and graft is None and not env[0] and not env[1]
+            states.append(None if keep else env)
         return rule, concl, states
 
     return rebuild(d, enter, ({}, subs, None))
@@ -931,7 +966,11 @@ def weaken(d: Derivation, extra: Context, at: int = 0) -> Derivation:
     clashes = {lbl for lbl, _ in extra} & _labels_inside(d)
     if clashes:
         raise DischargeMismatch(sorted(clashes)[0], "weakening collides with d")
+    return _weaken(d, extra, at)
 
+
+def _weaken(d: Derivation, extra: Context, at: int) -> Derivation:
+    """weaken without its checks, for callers whose labels are apart already."""
     extra = tuple(extra)
 
     def enter(node: Derivation, _) -> Edit:

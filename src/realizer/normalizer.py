@@ -37,7 +37,12 @@ and by the relabelling and binder renaming that keep grafts hygienic.  Every
 reducer rewrites through deduction.rebuild, one local edit per node on an
 explicit stack: grafting, substituting, weakening, strengthening and
 renaming handle bodies of any depth, and norm_terms is one more edit
-through it.
+through it.  A reduction that substitutes into a minor premiss and grafts
+a proof in for its hypothesis (existence elimination, induction, an
+answered excluded middle) does both in one rebuild, so it builds each node
+of the premiss once: one walk before it, _scan, collects the labels and
+the term variables the premiss has once substituted, and the grafted
+proof's discharges and binders are renamed apart from them.
 
 Reductions preserve the root sequent and never invent assumptions or free
 term variables.  After every rewrite normalize_derivation term-normalizes
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from . import arith
@@ -264,61 +270,124 @@ def find_head_cut(
 # hygiene: renaming, grafting, strengthening
 
 
-def _all_term_vars(d: Derivation) -> set[str]:
-    """Every variable visible anywhere in d: free, bound, or in a rule term."""
-    out: set[str] = set()
-    for n in dd.walk(d):
-        out |= dd._formula_vars_of_node(n)
-        out |= dd._rule_term_vars(n.rule)
-        if dd.RULE_SHAPES[type(n.rule)].binds is not None:
-            out.add(n.rule.var)
-    return out
+def _scan(d: Derivation, sub: Optional[tuple[str, ATerm]] = None,
+          picks: Mapping[int, tuple] = {}) -> tuple[set, set]:
+    """The labels of d, as dd._labels_inside collects them, and every term
+    variable visible anywhere in d, free, bound or in a rule term, both as
+    they are once dd._rename(d, picks, (sub,)) has renamed and substituted,
+    in one walk.
 
-
-def _freshen(d: Derivation, labels, term_vars) -> Derivation:
-    """Rename the discharge labels of d that lie in labels and its renamable
-    binders that lie in term_vars; d itself when none does.
-
-    New names are picked in postorder, each fresh for d, the clash sets and
-    the names picked before it; then one rebuild renames them all.  Binders
-    whose conclusion names the variable (universal introduction, complete
-    induction) cannot be renamed without alpha-converting a formula; they
-    are left alone and a substitution reports the capture.
+    Each node's variables are mapped as its formulas and rule terms would
+    be: a renamed binder's old name becomes its new one in its premiss, and
+    where sub = (var, t) reaches, var gives way to t's variables.  A binder
+    stops both for its own variable, as the rebuild does; the rebuild's
+    renaming and capture-avoiding substitution move free variables no other
+    way.  The walk builds nothing.
     """
-    picks: dict[int, tuple[Optional[str], Optional[str]]] = {}
-    taken: dict[str, set[str]] = {}  # names taken, once needed
-
-    def pick(name: str, kind: str, scan) -> str:
-        if kind not in taken:
-            taken[kind] = set(labels if kind == "label" else term_vars) | scan(d)
-        new = arith._fresh(name, taken[kind])
-        taken[kind].add(new)
-        return new
-
-    count = 0
-    stack: list[tuple[Derivation, Optional[int]]] = [(d, None)]  # with its position once entered
+    labels: set[str] = set()
+    names: set[str] = set()
+    var, t_vars = (None, ()) if sub is None else (sub[0], aterm_vars(sub[1]))
+    count = -1
+    # a node, the renamings above it, and whether sub reaches it
+    stack: list[tuple[Derivation, dict, bool]] = [(d, {}, sub is not None)]
     while stack:
-        node, k = stack.pop()
-        shape = dd.RULE_SHAPES[type(node.rule)]
-        relabel = bool(shape.discharges) and node.rule.label in labels
-        rebind = shape.binds is not None and shape.renamable and node.rule.var in term_vars
-        if k is None:
-            if relabel or rebind:
-                stack.append((node, count))
-            count += 1
-            stack.extend((p, None) for p in reversed(node.premisses))
-        else:
-            picks[k] = (pick(node.rule.label, "label", dd._labels_inside) if relabel else None,
-                        pick(node.rule.var, "var", _all_term_vars) if rebind else None)
+        node, renamed, on = stack.pop()
+        count += 1
+        rule, concl = node.rule, node.conclusion
+        shape = dd.RULE_SHAPES[type(rule)]
+        labels.update(map(itemgetter(0), concl.context))
+        if isinstance(rule, dd.Id) or shape.discharges:
+            labels.add(rule.label)
+        vs = free_vars(concl.goal).union(*(free_vars(f) for _, f in concl.context),
+                                         dd._rule_term_vars(rule))
+        if renamed:
+            vs = {renamed.get(v, v) for v in vs}
+        if on and var in vs:
+            vs = (vs - {var}) | t_vars
+        names |= vs
+        inner = renamed, on
+        if shape.binds is not None:
+            old, new = rule.var, picks.get(count, (None, None))[1]
+            names.add(old if new is None else new)
+            inside = {k: v for k, v in renamed.items() if k != old}
+            if new is not None:
+                inside[old] = new
+            inner = inside, on and var != old and var != new
+        for i in range(len(node.premisses) - 1, -1, -1):
+            stack.append((node.premisses[i], *(inner if i == shape.binds else (renamed, on))))
+    return labels, names
+
+
+def _freshen(d: Derivation, against) -> Derivation:
+    """Rename the discharge labels of d that clash with the labels
+    against() returns, and its renamable binders that clash with the term
+    variables it returns; d itself when none does.
+
+    against(binders) is called once, when d has a name to rename, with
+    whether d has a renamable binder; without one it need not return the
+    term variables.  New names are picked in postorder, each fresh for d,
+    the clash sets and the names picked before it; then one rebuild renames
+    them all.  Binders whose conclusion names the variable (universal
+    introduction, complete induction) cannot be renamed without
+    alpha-converting a formula; they are left alone and a substitution
+    reports the capture.
+    """
+    picks = _picks(d, against)
     return dd._rename(d, picks) if picks else d
 
 
-def _subst_hygienic(d: Derivation, var: str, t: ATerm) -> Derivation:
+def _picks(d: Derivation, against) -> dict[int, tuple[Optional[str], Optional[str]]]:
+    """_freshen's new names: {preorder position: (label, variable)}."""
+    # one walk: the nodes with a name to rename, in postorder, with their
+    # preorder positions, their discharge labels and their renamable binders
+    named: list[tuple[int, Optional[str], Optional[str]]] = []
+    count = 0
+    stack: list[tuple[Derivation, Optional[tuple]]] = [(d, None)]  # with its entry once entered
+    while stack:
+        node, entry = stack.pop()
+        if entry is not None:
+            named.append(entry)
+            continue
+        shape = dd.RULE_SHAPES[type(node.rule)]
+        label = node.rule.label if shape.discharges else None
+        var = node.rule.var if shape.binds is not None and shape.renamable else None
+        if label is not None or var is not None:
+            stack.append((node, (count, label, var)))
+        count += 1
+        stack.extend((p, None) for p in reversed(node.premisses))
+    if not named:
+        return {}
+    clash = against(any(var is not None for _, _, var in named))
+    picks: dict[int, tuple[Optional[str], Optional[str]]] = {}
+    taken = None  # the clash sets with d's names
+    for k, label, var in named:
+        relabel = label is not None and label in clash[0]
+        rebind = var is not None and var in clash[1]
+        if not (relabel or rebind):
+            continue
+        if taken is None:
+            taken = tuple(set(c) | n for c, n in zip(clash, _scan(d)))
+        new_label = new_var = None
+        if relabel:
+            new_label = arith._fresh(label, taken[0])
+            taken[0].add(new_label)
+        if rebind:
+            new_var = arith._fresh(var, taken[1])
+            taken[1].add(new_var)
+        picks[k] = new_label, new_var
+    return picks
+
+
+def _clear_of(d: Derivation, t: ATerm) -> dict[int, tuple[Optional[str], Optional[str]]]:
+    """The picks that rename d's renamable binders away from t's variables."""
     clash = aterm_vars(t)
-    if clash:
-        d = _freshen(d, (), clash)
+    return _picks(d, lambda _: ((), clash)) if clash else {}
+
+
+def _subst_hygienic(d: Derivation, var: str, t: ATerm) -> Derivation:
+    """d[var := t], its binders renamed away from t's variables first; one rebuild."""
     try:
-        return dd.subst_derivation(d, var, t)
+        return dd._rename(d, _clear_of(d, t), ((var, t),))
     except dd.CaptureRisk as e:
         raise HygieneError(str(e)) from e
 
@@ -331,34 +400,32 @@ def _strengthen(d: Derivation, label: str) -> Derivation:
     return dd.rebuild(d, enter)
 
 
-def _graft(body: Derivation, label: str, repl: Derivation) -> Derivation:
-    """Replace every id leaf for label in body with repl and drop the
-    hypothesis from all contexts.
+def _graft(body: Derivation, label: str, repl: Derivation,
+           sub: Optional[tuple[str, ATerm]] = None) -> Derivation:
+    """body[var := t], for sub = (var, t), with every id leaf for label
+    replaced by repl and the hypothesis dropped from all contexts.
 
     repl must conclude the hypothesis formula in the context body sees
     before the label's position; discharge only ever appends, so the label
     keeps one position throughout body and repl can be weakened into place.
+    It is what _subst_hygienic and then grafting into the result would give,
+    names included, made by one rebuild of body: body's binders are renamed
+    away from t's variables, and repl's discharges and binders away from the
+    labels and the term variables that body has once substituted, which one
+    walk of body collects when repl has a name to rename; its labels alone
+    when repl has no binder to rename.
     """
     root_ctx = body.conclusion.context
     pos = next((i for i, (l, _) in enumerate(root_ctx) if l == label), None)
     if pos is None:
         raise NormalizationError(f"label {label} is not free at the graft root")
-    # scan body for its term variables only when repl has a binder to rename
-    binders = any(sh.binds is not None and sh.renamable
-                  for sh in (dd.RULE_SHAPES[type(n.rule)] for n in dd.walk(repl)))
-    repl = _freshen(repl, dd._labels_inside(body), _all_term_vars(body) if binders else ())
-
-    def enter(node: Derivation, _) -> dd.Edit:
-        ctx = node.conclusion.context
-        if ctx[pos][0] != label:
-            raise NormalizationError(f"label {label} moved inside the graft body")
-        new_ctx = ctx[:pos] + ctx[pos + 1:]
-        if isinstance(node.rule, dd.Id) and node.rule.label == label:
-            extra = new_ctx[pos:]
-            return dd.weaken(repl, extra, at=pos) if extra else repl
-        return node.rule, Sequent(new_ctx, node.conclusion.goal), (True,) * len(node.premisses)
-
-    return dd.rebuild(body, enter)
+    picks = _clear_of(body, sub[1]) if sub else {}
+    repl = _freshen(repl, lambda binders: _scan(body, sub, picks) if binders
+                    else (dd._labels_inside(body), ()))
+    try:
+        return dd._rename(body, picks, (sub,) if sub else (), (pos, repl))
+    except dd.CaptureRisk as e:
+        raise HygieneError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +447,7 @@ def _reduce_proper(node: Derivation, rels, fns) -> Derivation:
         case dd.ForallE(term):
             return _subst_hygienic(major.premisses[0], major.rule.var, term)
         case dd.ExistsE(label, var):
-            minor = _subst_hygienic(node.premisses[1], var, major.rule.term)
-            return _graft(minor, label, major.premisses[0])
+            return _graft(node.premisses[1], label, major.premisses[0], (var, major.rule.term))
 
 
 def _reduce_ind(node: Derivation, rels, fns) -> Derivation:
@@ -396,7 +462,7 @@ def _reduce_ind(node: Derivation, rels, fns) -> Derivation:
         Sequent(node.conclusion.context, subst_formula(rule.template, rule.var, below)),
         (base, step),
     )
-    return _graft(_subst_hygienic(step, rule.var, below), rule.label, inner)
+    return _graft(step, rule.label, inner, (rule.var, below))
 
 
 def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
@@ -422,7 +488,7 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
     t = refuted.rule.term
     num = norm_aterm(t, fns) if not aterm_vars(t) else tnum(0)
     inst = norm_formula(subst_formula(univ.body, univ.var, num), fns)
-    right = dd.subst_derivation(right, rule.var, num)
+    # substituting leaves the labels of right as they are
     ctx = node.conclusion.context
     beta = arith._fresh("r", {l for l, _ in ctx} | dd._labels_inside(right))
     bctx = ctx + ((beta, inst),)
@@ -432,7 +498,7 @@ def _reduce_em_witness(node: Derivation, rels, fns) -> Derivation:
         (Derivation(dd.AtomE(), Sequent(bctx, BOT),
                     (Derivation(dd.Id(beta), Sequent(bctx, inst)),)),),
     )
-    return _graft(right, rule.label, refutation)
+    return _graft(right, rule.label, refutation, (rule.var, num))
 
 
 def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
@@ -441,36 +507,38 @@ def _reduce_permute(node: Derivation, rels, fns) -> Derivation:
     ctx, goal = node.conclusion.context, node.conclusion.goal
     shape = dd.RULE_SHAPES[type(split.rule)]
 
-    # rename the split's label and variable away from the minors
-    new_label = new_var = None
-    clash_labels = set().union(*(dd._labels_inside(m) for m in minors))
-    if split.rule.label in clash_labels:
-        new_label = arith._fresh(split.rule.label, clash_labels | dd._labels_inside(split))
-    if shape.binds is not None:
-        clash_vars = free_vars(goal) | dd._rule_term_vars(node.rule)
-        for m in minors:
-            clash_vars |= _all_term_vars(m)
-        if split.rule.var in clash_vars:
-            taken = frozenset(clash_vars | _all_term_vars(split))
-            new_var = arith._fresh(split.rule.var, taken)
-    split = dd._rename(split, {0: (new_label, new_var)})
+    # rename the split's label and variable away from the minors; one walk
+    # of each minor collects its names, and one of the split when one clashes
+    names = [_scan(m) for m in minors]
+    clash_labels = set().union(*(labels for labels, _ in names))
+    clash_vars = free_vars(goal).union(dd._rule_term_vars(node.rule), *(vs for _, vs in names))
+    relabel = split.rule.label in clash_labels
+    rebind = shape.binds is not None and split.rule.var in clash_vars
+    renamed = split
+    if relabel or rebind:
+        labels, term_vars = _scan(split)
+        renamed = dd._rename(split, {0: (
+            arith._fresh(split.rule.label, clash_labels | labels) if relabel else None,
+            arith._fresh(split.rule.var, clash_vars | term_vars) if rebind else None)})
 
-    # discharge appends, so each branch's hypothesis is its last context entry
-    hyps = [split.premisses[i].conclusion.context[-1] for i in shape.discharges]
+    # discharge appends, so each branch's hypothesis is its last context
+    # entry; its label, the split's, is apart from the minors' labels now,
+    # which is the check weaken would make of each minor
+    hyps = [renamed.premisses[i].conclusion.context[-1] for i in shape.discharges]
 
     # keep the elimination's own binder fresh for the hypotheses moving above it
     if dd.RULE_SHAPES[type(node.rule)].binds is not None:
         bad = set().union(*(free_vars(f) for _, f in hyps))
         if node.rule.var in bad:
-            taken = frozenset(bad | _all_term_vars(node))
+            taken = bad | _scan(node)[1]
             node = dd._rename(node, {0: (None, arith._fresh(node.rule.var, taken))})
     erule, minors = node.rule, node.premisses[1:]
 
-    prem = list(split.premisses)
+    prem = list(renamed.premisses)
     for i, hyp in zip(shape.discharges, hyps):
-        wminors = (dd.weaken(m, (hyp,), at=len(ctx)) for m in minors)
+        wminors = (dd._weaken(m, (hyp,), len(ctx)) for m in minors)
         prem[i] = Derivation(erule, Sequent(ctx + (hyp,), goal), (prem[i], *wminors))
-    return Derivation(split.rule, node.conclusion, tuple(prem))
+    return Derivation(renamed.rule, node.conclusion, tuple(prem))
 
 
 def _reduce_immediate_simpl(node: Derivation, rels, fns) -> Derivation:

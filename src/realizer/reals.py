@@ -73,7 +73,7 @@ class RealRep:
     """One real number: memoized intervals plus a symbolic description."""
 
     def __init__(self, kind: str, parts: tuple, fn):
-        self.kind = kind  # constant | sum | neg | product | table
+        self.kind = kind  # constant | sum | neg | product
         self.parts = parts
         self._fn = fn
         self._memo: dict[int, tuple[Rat, Rat]] = {}
@@ -89,11 +89,7 @@ class RealRep:
         return got
 
     def envelope(self, k: int) -> Rat:
-        """max(|lo|, |hi|) of the k-th interval, memoized like the interval.
-
-        Not max(-lo, hi): a table row may be deliberately broken (lo > hi),
-        and there the two differ.
-        """
+        """max(|lo|, |hi|) of the k-th interval, memoized like the interval."""
         got = self._envelopes.get(k)
         if got is None:
             lo, hi = self.interval(k)
@@ -110,8 +106,6 @@ class RealRep:
                 return f"-{self.parts[0].describe()}"
             case "product":
                 return f"({self.parts[0].describe()} * {self.parts[1].describe()})"
-            case "table":
-                return f"table[{len(self.parts)}]"
         return self.kind
 
     def __repr__(self) -> str:

@@ -4,8 +4,10 @@ oracles.
 
 weaken and subst_derivation as deduction had them, and the normalizer's
 relabelling, binder renaming, freshening, strengthening and grafting, each
-its own recursive walk.  They recurse once per derivation level, so they
-serve only inputs a few hundred levels deep.
+its own recursive walk; _graft after _subst_hygienic is the two-pass
+composition that the normalizer's one-rebuild graft replaced.  They recurse
+once per derivation level, so they serve only inputs a few hundred levels
+deep.
 
 walk with premiss paths, uses_label, and the normalizer's head-cut search,
 principal branches and normal-form test as they were, each its own loop,

@@ -117,7 +117,7 @@ def _node_mutations(n: Derivation):
             i = _BINDS[type(rule)]
             if i < len(prems):
                 try:
-                    bound = dd.subst_derivation(prems[i], rule.var, TVar(v))
+                    bound = dd._rename(prems[i], {}, ((rule.var, TVar(v)),))
                 except dd.CaptureRisk:
                     continue
                 yield (f"rename {v}",

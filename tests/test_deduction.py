@@ -286,7 +286,7 @@ def test_subst_derivation_preserves_checking():
     x = TVar("x")
     ctx = (("u", Atom("<", (x, tnum(5)))),)
     d = _d(dd.AtomPost("refl"), ctx, _atom_eq(x, x))
-    got = dd.subst_derivation(d, "x", tnum(3))
+    got = dd._rename(d, {}, (("x", tnum(3)),))
     check_derivation(got)
     assert got.conclusion.goal == _atom_eq(tnum(3), tnum(3))
     assert got.conclusion.context[0][1] == Atom("<", (tnum(3), tnum(5)))
@@ -334,3 +334,29 @@ def test_seq_and_lookup():
     assert s.lookup("u") == Atom("top")
     assert s.lookup("w") is None
     assert s.labels() == {"u"}
+
+
+def _tower(levels: int, leaf_rule) -> Derivation:
+    """levels of and-el over and-i above a leaf of 1 = 1 by leaf_rule, built
+    anew each time, so no two towers share a node or a formula."""
+    one, two = _atom_eq(tnum(1), tnum(1)), _atom_eq(tnum(2), tnum(2))
+    d = _d(leaf_rule, (), one)
+    for _ in range(levels // 2):
+        both = _d(dd.AndI(), (), And(one, two), d, _d(dd.AtomI(), (), two))
+        d = _d(dd.AndEL(), (), one, both)
+    return d
+
+
+def test_deep_derivations_compare_and_hash_without_recursion():
+    a, b = _tower(10**4, dd.AtomI()), _tower(10**4, dd.AtomI())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+    # the same conclusion at the root, and a difference at the bottom
+    for other in (_tower(10**4 - 2, dd.AtomI()), _tower(10**4, dd.AtomPost("refl"))):
+        assert other.conclusion == a.conclusion and hash(other) == hash(a) and other != a
+    # equality agrees with the field-by-field comparison on shallow trees
+    for seed in range(20):
+        rng = random.Random(seed)
+        d, e = gen.closed_true_derivation(rng, (), 2), gen.closed_true_derivation(rng, (), 2)
+        fields = lambda x: (x.rule, x.conclusion, x.premisses)
+        assert (d == e) == (fields(d) == fields(e)) and d == dataclasses.replace(d)

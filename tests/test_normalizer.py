@@ -94,6 +94,56 @@ def test_em_witness_granted_instances():
     assert arith.reduce_aterm(nd.rule.term, {}) == KNOWN_WITNESSES["em-granted"]
 
 
+def _refuting_em(root, eta) -> Derivation:
+    """em u y under the assumptions root, refuted at 0 on the left; the
+    right branch uses u as a conjunct, through imply-i eta unless eta is
+    None."""
+    y, goal = TVar("y"), Exists("x", Atom("<=", (TVar("x"), tnum(3))))
+    univ, neg = Forall("y", Atom("<", (tnum(5), y))), arith.neg(Atom("<", (tnum(5), y)))
+    cl, cr = root + (("u", univ),), root + (("u", neg),)
+    query = Derivation(dd.ForallE(tnum(0)), _s(cl, Atom("<", (tnum(5), tnum(0)))),
+                       (dd.assume(cl, "u"),))
+    left = dd.ex_falso(Derivation(dd.AtomE(), _s(cl, BOT), (query,)), goal)
+    use = dd.assume(cr, "u")
+    if eta is not None:
+        cru = cr + ((eta, neg.left),)
+        applied = Derivation(dd.ImplyE(), _s(cru, BOT), (dd.assume(cru, "u"), dd.assume(cru, eta)))
+        use = Derivation(dd.ImplyI(eta), _s(cr, neg), (applied,))
+    g = Derivation(dd.ExistsI(tnum(3)), _s(cr, goal),
+                   (Derivation(dd.AtomI(), _s(cr, Atom("<=", (tnum(3), tnum(3))))),))
+    both = Derivation(dd.AndI(), _s(cr, And(goal, neg)), (g, use))
+    d = Derivation(dd.EM("u", "y"), _s(root, goal),
+                   (left, Derivation(dd.AndEL(), _s(cr, goal), (both,))))
+    dd.check_derivation(d)
+    return d
+
+
+@pytest.mark.parametrize("root, eta, label", [
+    ((), None, "r"),
+    ((("r", Atom("top")),), None, "r1"),
+    ((("r", Atom("top")), ("r1", Atom("top"))), None, "r2"),
+    ((), "r", "r1"),
+    ((("r1", Atom("top")),), "r", "r2"),
+    ((("r", Atom("top")),), "r1", "r2"),
+])
+def test_em_witness_refutation_label_is_fresh_for_the_context(root, eta, label):
+    # the refutation's label is the first of r, r1, ... that neither the
+    # context nor the right branch holds
+    d = _refuting_em(root, eta)
+    cut = find_head_cut(d)
+    assert cut.kind == EM_WITNESS
+    nd = apply_head_reduction(d, cut)
+    dd.check_derivation(nd)
+    inst = Atom("<", (tnum(5), tnum(0)))
+    ctx = root + ((eta, inst),) if eta is not None else root
+    refutation = next(n for n in dd.walk(nd) if n.rule == dd.ImplyI(label))
+    assert refutation.conclusion == _s(ctx, Imply(inst, BOT))
+    hyp = ctx + ((label, inst),)
+    assert refutation.premisses == (
+        Derivation(dd.AtomE(), _s(hyp, BOT), (dd.assume(hyp, label),)),)
+    assert normalize_derivation(d).rule == dd.ExistsI(tnum(3))
+
+
 def test_em_permutation_under_elimination():
     pf = corpus.corpus_file()
     d = pf.derivs["em-under-elim"]

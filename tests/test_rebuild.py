@@ -5,8 +5,13 @@ Every rewrite in deduction and the normalizer is a per-node edit through
 deduction.rebuild.  reference_rebuild keeps the seven recursive rebuilders
 that did that work before.  With the references monkeypatched in,
 normalize_derivation must reach the same normal form with the same trace,
-or raise the same error; weaken and subst_derivation must agree with their
-references directly, errors included.
+or raise the same error; weaken and substitution (deduction._rename with no
+picks) must agree with their references directly, errors included.  The
+normalizer's graft substitutes into its body, renames and grafts in one
+rebuild where the references substitute first and graft after: generated
+bodies and replacements whose labels, binders and substituted terms clash
+must give the same result, names and errors both ways, and its one walk
+before the rebuild must find the names the substituted body has.
 
 deduction.walk and the normalizer's principal walk replaced loops that
 copied a premiss path for every node.  On every derivation a normalization
@@ -18,6 +23,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizer import arith, corpus
 from realizer import deduction as dd
@@ -43,6 +49,11 @@ def _root_rename(d, picks, subs=()):
     return d
 
 
+def _subst_then_graft(body, label, repl, sub=None):
+    """nz._graft as the two passes it fuses, through the references."""
+    return ref._graft(ref._subst_hygienic(body, *sub) if sub else body, label, repl)
+
+
 def _use_references(m, calls):
     """Patch the references in through m, counting the calls in calls."""
 
@@ -52,10 +63,10 @@ def _use_references(m, calls):
             return fn(*args, **kw)
         return wrapper
 
-    m.setattr(dd, "weaken", counted("weaken", ref.weaken))
-    m.setattr(dd, "subst_derivation", counted("subst_derivation", ref.subst_derivation))
+    m.setattr(dd, "_weaken", counted("_weaken", ref.weaken))
     m.setattr(dd, "_rename", counted("_rename", _root_rename))
-    for name in ("_strengthen", "_graft", "_subst_hygienic"):
+    m.setattr(nz, "_graft", counted("_graft", _subst_then_graft))
+    for name in ("_strengthen", "_subst_hygienic"):
         m.setattr(nz, name, counted(name, getattr(ref, name)))
 
 
@@ -172,14 +183,13 @@ def test_normalization_matches_the_recursive_rebuilders(monkeypatch, simplify):
         assert new[name] == old[name], name
     assert new["capture"][0] is nz.HygieneError
     # every reference took part
-    assert set(calls) == {"weaken", "subst_derivation", "_rename", "_strengthen", "_graft",
-                          "_subst_hygienic"}, calls
+    assert set(calls) == {"_weaken", "_rename", "_strengthen", "_graft", "_subst_hygienic"}, calls
 
 
 def _result(fn, *args):
     try:
         return "ok", fn(*args)
-    except (dd.DeductionError, arith.ArithError) as e:
+    except (nz.NormalizationError, dd.DeductionError, arith.ArithError) as e:
         return type(e), str(e)
 
 
@@ -205,7 +215,7 @@ def test_subst_derivation_matches_the_recursive_one():
         terms = [tnum(2), TApp("+", (TVar("n"), tnum(1)))] + [TVar(v) for v in names]
         for var in names:
             for t in terms:
-                got = _result(dd.subst_derivation, node, var, t)
+                got = _result(dd._rename, node, {}, ((var, t),))
                 assert got == _result(ref.subst_derivation, node, var, t), (node, var, t)
                 errors.add(got[0])
     assert dd.CaptureRisk in errors and "ok" in errors
@@ -306,3 +316,188 @@ def test_walkers_match_the_path_copying_ones():
         verdicts.add(normal)
     assert kinds == {None, *nz._KINDS}
     assert verdicts == answers == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the fused substitute-and-graft pass against the two passes it replaced
+
+_VARS = ("x", "v", "v1", "w", "y")
+_LABELS = ("k", "k1", "h", "a")  # "a" is also the grafted hypothesis
+
+
+def _term(pick, depth: int = 2):
+    kind = pick(("var", "num", "succ", "plus") if depth else ("var", "num"))
+    if kind == "var":
+        return TVar(pick(_VARS))
+    if kind == "num":
+        return tnum(pick((0, 1, 2)))
+    if kind == "succ":
+        return TApp("S", (_term(pick, depth - 1),))
+    return TApp("+", (_term(pick, depth - 1), _term(pick, depth - 1)))
+
+
+def _refl(ctx, t) -> Derivation:
+    return Derivation(dd.AtomPost("refl"), Sequent(ctx, Atom("=", (t, t))))
+
+
+def _unbound(names, *formulas):
+    """The names free in none of formulas."""
+    bound = set().union(*(arith.free_vars(f) for f in formulas))
+    return tuple(n for n in names if n not in bound)
+
+
+def _any(pick, ctx, depth: int) -> Derivation:
+    """A checked derivation in ctx of some goal: binders and discharges
+    are drawn from small pools, so their names clash."""
+    labels = [l for l, _ in ctx]
+    free = _unbound(_VARS, *(f for _, f in ctx))
+    kinds = ["refl"] + ["id"] * bool(labels)
+    if depth:
+        kinds += ["and", "imply", "prove"] + ["forall", "ind"] * bool(free)
+    kind = pick(tuple(kinds))
+    if kind == "refl":
+        return _refl(ctx, _term(pick))
+    if kind == "id":
+        return dd.assume(ctx, pick(tuple(labels)))
+    if kind == "and":
+        left, right = _any(pick, ctx, depth - 1), _any(pick, ctx, depth - 1)
+        goal = And(left.conclusion.goal, right.conclusion.goal)
+        return Derivation(dd.AndI(), Sequent(ctx, goal), (left, right))
+    if kind == "imply":
+        k = pick(tuple(l for l in _LABELS if l not in labels))
+        a = Atom("=", (_term(pick, 1),) * 2)
+        inner = _any(pick, ctx + ((k, a),), depth - 1)
+        return Derivation(dd.ImplyI(k), Sequent(ctx, Imply(a, inner.conclusion.goal)), (inner,))
+    if kind == "forall":
+        y = pick(free)
+        inner = _any(pick, ctx, depth - 1)
+        return Derivation(dd.ForallI(y), Sequent(ctx, Forall(y, inner.conclusion.goal)), (inner,))
+    if kind == "ind":
+        v = pick(free)
+        k = pick(tuple(l for l in _LABELS if l not in labels))
+        tv = _term(pick, 1)
+        template = Atom("=", (tv, tv))
+        at = lambda t: arith.subst_formula(template, v, t)
+        step = _prove(pick, ctx + ((k, template),), at(TApp("S", (TVar(v),))), depth - 1)
+        main = _term(pick, 1)
+        return Derivation(dd.Ind(k, v, template, main), Sequent(ctx, at(main)),
+                          (_refl(ctx, arith.subst_aterm(tv, v, tnum(0))), step))
+    return _prove(pick, ctx, Atom("=", (_term(pick),) * 2), depth - 1)
+
+
+def _prove(pick, ctx, goal, depth: int) -> Derivation:
+    """A checked derivation of goal in ctx; goal is t = t or assumed in ctx."""
+    labels = [l for l, _ in ctx]
+    free = _unbound(_VARS, goal, *(f for _, f in ctx))
+    kinds = ["id"] * 2 * sum(f == goal for _, f in ctx)
+    if goal.rel == "=" and goal.args[0] == goal.args[1]:
+        kinds.append("refl")
+    if depth:
+        kinds += ["and-el", "imply-e"] + ["exists-e", "em", "forall-e"] * bool(free)
+    kind = pick(tuple(kinds))
+    if kind == "id":
+        return dd.assume(ctx, pick(tuple(l for l, f in ctx if f == goal)))
+    if kind == "refl":
+        return _refl(ctx, goal.args[0])
+    fresh = tuple(l for l in _LABELS if l not in labels)
+    if kind == "and-el":
+        other = _any(pick, ctx, depth - 1)
+        both = (_prove(pick, ctx, goal, depth - 1), other)
+        pair = Derivation(dd.AndI(), Sequent(ctx, And(goal, other.conclusion.goal)), both)
+        return Derivation(dd.AndEL(), Sequent(ctx, goal), (pair,))
+    if kind == "imply-e":
+        k = pick(fresh)
+        arg = _prove(pick, ctx, Atom("=", (_term(pick, 1),) * 2), depth - 1)
+        a = arg.conclusion.goal
+        fn = Derivation(dd.ImplyI(k), Sequent(ctx, Imply(a, goal)),
+                        (_prove(pick, ctx + ((k, a),), goal, depth - 1),))
+        return Derivation(dd.ImplyE(), Sequent(ctx, goal), (fn, arg))
+    y = pick(free)
+    if kind == "forall-e":
+        body = _prove(pick, ctx, goal, depth - 1)
+        alls = Derivation(dd.ForallI(y), Sequent(ctx, Forall(y, goal)), (body,))
+        return Derivation(dd.ForallE(_term(pick, 1)), Sequent(ctx, goal), (alls,))
+    k = pick(fresh)
+    if kind == "exists-e":
+        t = _term(pick, 1)
+        zz = Atom("=", (TVar("z"), TVar("z")))
+        major = Derivation(dd.ExistsI(t), Sequent(ctx, arith.Exists("z", zz)), (_refl(ctx, t),))
+        hyp = Atom("=", (TVar(y), TVar(y)))
+        minor = _prove(pick, ctx + ((k, hyp),), goal, depth - 1)
+        return Derivation(dd.ExistsE(k, y), Sequent(ctx, goal), (major, minor))
+    u = pick(_VARS)
+    univ = Forall(u, Atom("=", (TVar(u), TVar(u))))
+    left = _prove(pick, ctx + ((k, univ),), goal, depth - 1)
+    right = _prove(pick, ctx + ((k, arith.neg(Atom("=", (TVar(y), TVar(y))))),), goal, depth - 1)
+    return Derivation(dd.EM(k, y), Sequent(ctx, goal), (left, right))
+
+
+def _graft_case(pick):
+    """(body, repl, var, t): body proves a goal under a last hypothesis a
+    that, like the goal, may mention var, and repl is in body's context
+    without a; neither that context nor t's variables keep out of body's
+    binders, and var may be a name that renaming picks."""
+    var = pick(("x", "v1"))
+    ctx = pick(((), (("c", Atom("=", (tnum(1), TVar("w")))),)))
+    hyp = Atom("=", (_term(pick, 1),) * 2)
+    hyp = arith.subst_formula(hyp, "w", TVar(var))  # var may be free, w may not
+    goal = pick((hyp, Atom("=", (_term(pick, 1),) * 2)))
+    body = _prove(pick, ctx + (("a", hyp),), goal, 3)
+    repl = _any(pick, ctx, 2)
+    for d in (body, repl):
+        dd.check_derivation(d)
+    return body, repl, var, _term(pick, 1)
+
+
+def _fused_and_two_pass(body, repl, var, t):
+    """(what the fused pass gives, what the references give) for the
+    graft with and without the substitution and for the substitution alone."""
+    cases = [
+        (lambda: nz._graft(body, "a", repl, (var, t)),
+         lambda: ref._graft(ref._subst_hygienic(body, var, t), "a", repl)),
+        (lambda: nz._graft(body, "a", repl), lambda: ref._graft(body, "a", repl)),
+        (lambda: nz._subst_hygienic(body, var, t), lambda: ref._subst_hygienic(body, var, t)),
+    ]
+    return [(_result(new), _result(old)) for new, old in cases]
+
+
+def _scan_matches(body, var, t) -> None:
+    """The pre-scan's names are those of the substituted body itself."""
+    picks = nz._clear_of(body, t)
+    outcome = _result(ref._subst_hygienic, body, var, t)
+    if outcome[0] == "ok":
+        names = dd._labels_inside(outcome[1]), ref._all_term_vars(outcome[1])
+        assert nz._scan(body, (var, t), picks) == names
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_fused_graft_matches_substituting_then_grafting(data):
+    body, repl, var, t = _graft_case(lambda options: data.draw(st.sampled_from(options)))
+    for new, old in _fused_and_two_pass(body, repl, var, t):
+        assert new == old
+    _scan_matches(body, var, t)
+
+
+def test_the_fused_graft_meets_every_clash():
+    """Over seeded cases of the same generator, the comparison meets
+    captures, body binders renamed away from t, and replacements whose
+    labels and binders are renamed apart."""
+    seen = set()
+    for seed in range(300):
+        body, repl, var, t = _graft_case(random.Random(seed).choice)
+        outcomes = _fused_and_two_pass(body, repl, var, t)
+        for new, old in outcomes:
+            assert new == old, seed
+        _scan_matches(body, var, t)
+        if outcomes[0][0][0] is nz.HygieneError:
+            seen.add("capture")
+        body_picks = nz._clear_of(body, t)
+        if body_picks:
+            seen.add("body binder")
+        picks = nz._picks(repl, lambda _: nz._scan(body, (var, t), body_picks)).values()
+        if any(label for label, _ in picks):
+            seen.add("repl label")
+        if any(v for _, v in picks):
+            seen.add("repl binder")
+    assert seen == {"capture", "body binder", "repl label", "repl binder"}
