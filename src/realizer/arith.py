@@ -867,55 +867,3 @@ def atomic_truth(
         raise ArityMismatch(f"{f.rel} expects {rel.arity} arguments, got {len(f.args)}")
     return rel.holds([reduce_aterm(t, {}, fns) for t in f.args])
 
-
-# ---------------------------------------------------------------------------
-# arithmetical hierarchy
-
-
-@dataclass(frozen=True)
-class HierLevel:
-    cls: str  # "sigma" or "pi"; level 0 is reported as sigma (the classes agree)
-    level: int
-
-    def __str__(self) -> str:
-        if self.level == 0:
-            return "sigma0=pi0"
-        return f"{self.cls}{self.level}"
-
-
-def _prefix(f: Formula) -> Optional[tuple[list[tuple[str, str]], Formula]]:
-    """Quantifier prefix [(kind, var)...] and matrix, or None if not prenex."""
-    prefix: list[tuple[str, str]] = []
-    while True:
-        match f:
-            case Forall(v, body):
-                prefix.append(("forall", v))
-                f = body
-            case Exists(v, body):
-                prefix.append(("exists", v))
-                f = body
-            case _:
-                break
-    # the matrix is quantifier-free: every connective over two quantifier-free parts
-    quantifier_free = fold_formula(f, lambda u: True, lambda u, parts: len(parts) == 2 and all(parts))
-    return (prefix, f) if quantifier_free else None
-
-
-def classify(f: Formula) -> Optional[HierLevel]:
-    """Least level in the syntactic hierarchy, None when f is not prenex.
-
-    Same-kind quantifier blocks collapse, so forall x forall y atom is pi1.
-    """
-    p = _prefix(f)
-    if p is None:
-        return None
-    prefix, _ = p
-    blocks: list[str] = []
-    for kind, _ in prefix:
-        if not blocks or blocks[-1] != kind:
-            blocks.append(kind)
-    if not blocks:
-        return HierLevel("sigma", 0)
-    cls = "sigma" if blocks[0] == "exists" else "pi"
-    return HierLevel(cls, len(blocks))
-

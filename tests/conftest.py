@@ -18,6 +18,7 @@ from realizer import deduction as dd
 from realizer import reals
 from realizer.arith import And, Atom, BOT, Exists, Forall, Imply, Or, TApp, TVar, tnum
 from realizer.deduction import Derivation, Sequent
+from reference_arith import classify
 from reference_reals import real_arith, table
 
 
@@ -233,7 +234,7 @@ def sigma01_derivation(rng: random.Random, cuts: int = 1):
     if isinstance(d.rule, dd.ExistsI) and isinstance(d.conclusion.goal.body, Atom):
         witness = arith.reduce_aterm(d.rule.term, {})
     d = with_random_cuts(rng, d, rng.randrange(cuts + 1))
-    level = arith.classify(d.conclusion.goal)
+    level = classify(d.conclusion.goal)
     assert level is None or (level.cls, level.level) in {("sigma", 0), ("sigma", 1)}
     return _checked(d), witness
 

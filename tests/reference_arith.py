@@ -12,8 +12,9 @@ generated ``==``, ``hash`` and ``repr``, in place of every class whose ``==``
 is `arith.same`: terms, formulas and types.  The tests compare `same`
 against it.
 
-numeral_value and dual are helpers only tests use: a numeral's value, and a
-prenex formula with its quantifiers swapped and its matrix negated.
+numeral_value, dual and classify are helpers only tests use: a numeral's
+value, a prenex formula with its quantifiers swapped and its matrix negated,
+and a prenex formula's least level in the arithmetical hierarchy.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class NotPrenex(arith.ArithError):
 
 def dual(f):
     """Swap quantifiers and negate the matrix.  Prenex inputs only."""
-    p = arith._prefix(f)
+    p = _prefix(f)
     if p is None:
         raise NotPrenex(f"dual of a non-prenex formula: {f!r}")
     prefix, matrix = p
@@ -143,3 +144,52 @@ def dual(f):
     for kind, v in reversed(prefix):
         out = (Exists if kind == "forall" else Forall)(v, out)
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class HierLevel:
+    cls: str  # "sigma" or "pi"; level 0 is reported as sigma (the classes agree)
+    level: int
+
+    def __str__(self) -> str:
+        if self.level == 0:
+            return "sigma0=pi0"
+        return f"{self.cls}{self.level}"
+
+
+def _prefix(f):
+    """Quantifier prefix [(kind, var)...] and matrix, or None if not prenex."""
+    prefix = []
+    while True:
+        match f:
+            case Forall(v, body):
+                prefix.append(("forall", v))
+                f = body
+            case Exists(v, body):
+                prefix.append(("exists", v))
+                f = body
+            case _:
+                break
+    # the matrix is quantifier-free: every connective over two quantifier-free parts
+    quantifier_free = arith.fold_formula(
+        f, lambda u: True, lambda u, parts: len(parts) == 2 and all(parts))
+    return (prefix, f) if quantifier_free else None
+
+
+def classify(f):
+    """Least level in the syntactic hierarchy, None when f is not prenex.
+
+    Same-kind quantifier blocks collapse, so forall x forall y atom is pi1.
+    """
+    p = _prefix(f)
+    if p is None:
+        return None
+    prefix, _ = p
+    blocks = []
+    for kind, _ in prefix:
+        if not blocks or blocks[-1] != kind:
+            blocks.append(kind)
+    if not blocks:
+        return HierLevel("sigma", 0)
+    cls = "sigma" if blocks[0] == "exists" else "pi"
+    return HierLevel(cls, len(blocks))

@@ -14,13 +14,13 @@ from realizer import deduction as dd
 from realizer.arith import (
     ADD, MUL, And, ArityMismatch, Atom, BOT, Comp, Exists, Forall, FUNCTIONS,
     Imply, Or, PRec, Proj, RELATIONS, Relation, Succ, TApp, TVar, Zero,
-    atomic_truth, classify, eval_prim, formulas_equal, free_vars,
+    atomic_truth, eval_prim, formulas_equal, free_vars,
     neg, norm_aterm, norm_formula, reduce_aterm, subst_formula, tnum,
 )
 
 import conftest as gen
 import reference_arith as ref
-from reference_arith import dual
+from reference_arith import classify, dual
 import reference_sexpr
 
 
