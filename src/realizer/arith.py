@@ -78,6 +78,7 @@ class NumeralTooLarge(ArithError):
 
 
 _CLOSE = object()  # ends a node's parts on the explicit stacks below
+_LOOP = object()  # eval_prim's frame for the counter loop of a recursion
 
 
 def same(a, b) -> bool:
@@ -194,13 +195,20 @@ def eval_prim(f: PrimFn, args: Iterable[int]) -> int:
     args = tuple(args)
     if len(args) != f.arity:
         raise ArityMismatch(f"{len(args)} arguments for arity {f.arity}")
-    # compositions unfold on an explicit stack; (_CLOSE, outer) takes outer's arguments from done
+    # compositions and recursions unfold on an explicit stack: (_CLOSE, outer)
+    # takes outer's arguments from done, and (_LOOP, (rec, k, args)), the one
+    # frame of a recursion's counter loop, takes the value at k from done
     todo, done = [(f, args)], []
     while todo:
         f, args = todo.pop()
         if f is _CLOSE:
             f, k = args, len(done) - args.arity
             args, done[k:] = tuple(done[k:]), ()
+        elif f is _LOOP:
+            f, k, args = args
+            if k < args[0]:
+                todo += [(_LOOP, (f, k + 1, args)), (f.step, (k, done.pop()) + args[1:])]
+            continue
         native = _NATIVE.get(id(f))
         if native is not None and all(type(a) is int and a >= 0 for a in args):
             done.append(native(*args))
@@ -214,13 +222,8 @@ def eval_prim(f: PrimFn, args: Iterable[int]) -> int:
                 done.append(args[i - 1])
             case Comp(outer, inner):
                 todo += [(_CLOSE, outer), *((g, args) for g in reversed(inner))]
-            case PRec(base, step):
-                # iterative, so towers of recursion do not hit Python's stack
-                y, rest = args[0], args[1:]
-                acc = eval_prim(base, rest)
-                for k in range(y):
-                    acc = eval_prim(step, (k, acc) + rest)
-                done.append(acc)
+            case PRec(base, _):
+                todo += [(_LOOP, (f, 0, args)), (base, args[1:])]
             case _:
                 raise ArithError(f"not a primitive recursive function: {f!r}")
     return done[0]

@@ -51,9 +51,11 @@ same way.
 Hypothesis labels and rule-bound first-order variables are names while a
 realizer is built: a preorder pass gives each premiss its scope, the rules
 are then built children first, and monads.close turns the names into de
-Bruijn indices once, so no decorated premiss is shifted or substituted into
-and no step recurses.  extract closes over the root context and demands that
-no first-order variable stays free.
+Bruijn indices once, so no term is shifted or substituted into and no step
+recurses.  The excluded-middle guess binds its own variables by name too,
+so its parameters, named or closed, go under its binders as they are;
+em_realizer closes it over closed parameters.  extract closes over the root
+context and demands that no first-order variable stays free.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Mapping, Optional
 from . import arith, deduction as dd, monads as mn, terms as tm
 from .arith import And, Atom, ATerm, Forall, Formula, Imply, Or, TApp, TVar
 from .monads import NLam, NVar, Name
-from .terms import App, Lam, Term, TArrow, TProd, TSum, Ty, app, shift
+from .terms import App, Lam, Term, TArrow, TProd, TSum, Ty, app
 
 
 class ExtractionError(Exception):
@@ -140,21 +142,19 @@ def term_to_nat(t: ATerm, env: Env, fns: Mapping[str, arith.PrimFn]) -> Term:
 def em_realizer(rel: str, params: tuple[Term, ...], m: mn.MonadSpec = mn.INTERACTIVE) -> Term:
     """Realizer of (all x P) or (ex y not P) for the atom P = rel(params, x).
 
-    params are Nat-typed terms for every argument but the quantified last
-    one.  Only the interactive monad can carry the guess, since it consults
-    the state and raises counterexamples.
+    params are closed Nat-typed terms for every argument but the quantified
+    last one.  Only the interactive monad can carry the guess, since it
+    consults the state and raises counterexamples.
     """
     if m.name != "ir":
         raise UnsupportedRule("excluded middle extracts only under the interactive monad")
-    return Lam(tm.STATE, _em_outcome(rel, tuple(shift(p, 1) for p in params), tm.Var(0)))
+    return mn.close(mn.lam(tm.STATE, lambda s: _em_outcome(rel, params, mn.var(s))))
 
 
-def _em_outcome(rel: str, params: tuple[Term, ...], state: Term) -> Term:
-    """The guess's outcome at state: inl of the case split on the query.
-
-    params are in scope where the outcome stands; the forward function
-    reaches them from under its three binders, which shifts their de Bruijn
-    variables and leaves extraction's named ones as they are.
+def _em_outcome(rel: str, params: tuple, state):
+    """The guess's outcome at state as a named term: inl of the case split
+    on the query.  params, named or closed, are used as they are under the
+    forward function's three binders; close places their variables.
     """
     k = len(params)
     t_unit = mn.INTERACTIVE.type_op(tm.UNIT)
@@ -163,17 +163,13 @@ def _em_outcome(rel: str, params: tuple[Term, ...], state: Term) -> Term:
     right = TProd(tm.NAT, not_p)  # |ex y not P|
     guess = TSum(left, right)
 
-    # under lam u. lam y. lam s'. the params shift by 3
-    fwd = Lam(
-        tm.NAT,
-        Lam(tm.STATE, app(tm.eval_c(rel, k), *(shift(p, 3) for p in params), tm.Var(1))),
-    )
-    on_unknown = Lam(tm.UNIT, App(tm.inl_c(left, right), fwd))
+    # lam u. inl (lam y. lam s'. eval P params y)
+    on_unknown = mn.lam(tm.UNIT, lambda u: App(tm.inl_c(left, right), mn.lam(
+        tm.NAT, lambda y: mn.lam(tm.STATE, lambda s: app(
+            tm.eval_c(rel, k), *params, mn.var(y))))))
     refuter = Lam(tm.UNIT, Lam(tm.STATE, App(tm.inl_c(tm.UNIT, tm.EX), tm.unit_const)))
-    on_witness = Lam(
-        tm.NAT,
-        App(tm.inr_c(left, right), app(tm.pair_c(tm.NAT, not_p), tm.Var(0), refuter)),
-    )
+    on_witness = Lam(tm.NAT, App(tm.inr_c(left, right),
+                                 app(tm.pair_c(tm.NAT, not_p), tm.Var(0), refuter)))
     q = app(tm.query_c(rel, k), state, *params)
     body = app(tm.case_c(tm.UNIT, tm.NAT, guess), q, on_unknown, on_witness)
     return App(tm.inl_c(guess, tm.EX), body)

@@ -24,9 +24,10 @@ transformation", 2003).  beta contracts a call-by-value redex when its
 argument is a variable, or a value the body uses at most once; an argument
 that is not a value stays bound by a redex in the place where it is
 evaluated, so evaluation order and cost never change.  close turns a named
-term into de Bruijn form in one pass.  The closed combinators (unit_of,
-star_of, merge_of, star_n, raise_n) are the eta-expansions of the meta-level
-ones.
+term into de Bruijn form in one pass, and a closed subterm goes in as it is,
+so nothing is shifted.  The meta-level combinators define a monad; the closed
+ones (MonadSpec.unit_of, star_of and merge_of, star_n, raise_n) are their
+eta-expansions.
 """
 
 from __future__ import annotations
@@ -260,34 +261,26 @@ def close(t, free: tuple[Name, ...] = ()) -> Term:
 
 @dataclass(frozen=True)
 class MonadSpec:
-    """A monad: its type operator, its closed combinators (type-indexed) and
-    its meta-level ones, unit(v, a), star(f, x, a, b) and merge(x, y, a, b),
-    with f a Python function from a term of type a to one of type T b."""
+    """A monad: its type operator and its meta-level combinators, unit(v, a),
+    star(f, x, a, b) and merge(x, y, a, b), with f a Python function from a
+    term of type a to one of type T b."""
 
     name: str
     type_op: Callable[[Ty], Ty]
-    unit_of: Callable[[Ty], Term]
-    star_of: Callable[[Ty, Ty], Term]
-    merge_of: Callable[[Ty, Ty], Term]
-    unit: Optional[Callable] = None
-    star: Optional[Callable] = None
-    merge: Optional[Callable] = None
+    unit: Callable
+    star: Callable
+    merge: Callable
 
+    def unit_of(self, a: Ty) -> Term:
+        return close(lam(a, lambda x: self.unit(var(x), a)))
 
-def _monad(name, type_op, unit, star, merge) -> MonadSpec:
-    """The monad whose closed combinators eta-expand the meta-level ones."""
+    def star_of(self, a: Ty, b: Ty) -> Term:
+        return close(_lams((TArrow(a, self.type_op(b)), self.type_op(a)),
+                           lambda f, x: self.star(lambda v: beta(f, v), x, a, b)))
 
-    def unit_of(a: Ty) -> Term:
-        return close(lam(a, lambda x: unit(var(x), a)))
-
-    def star_of(a: Ty, b: Ty) -> Term:
-        return close(_lams((TArrow(a, type_op(b)), type_op(a)),
-                          lambda f, x: star(lambda v: beta(f, v), x, a, b)))
-
-    def merge_of(a: Ty, b: Ty) -> Term:
-        return close(_lams((type_op(a), type_op(b)), lambda x, y: merge(x, y, a, b)))
-
-    return MonadSpec(name, type_op, unit_of, star_of, merge_of, unit, star, merge)
+    def merge_of(self, a: Ty, b: Ty) -> Term:
+        return close(_lams((self.type_op(a), self.type_op(b)),
+                           lambda x, y: self.merge(x, y, a, b)))
 
 
 def _merge_branches(a: Ty, b: Ty, right: Callable[[], object]) -> tuple[NLam, NLam]:
@@ -315,7 +308,7 @@ def _merge_branches(a: Ty, b: Ty, right: Callable[[], object]) -> tuple[NLam, NL
 
 # identity monad: TA = A
 
-IDENTITY = _monad(
+IDENTITY = MonadSpec(
     "id",
     lambda a: a,
     lambda v, a: v,
@@ -344,9 +337,7 @@ def _exc_pair(x, y, a: Ty, b: Ty):
         case_c(a, tm.EX, out), x, *_merge_branches(a, b, lambda: y)), uses=2))
 
 
-EXCEPTION = _monad("exc", _exc_t, lambda v, a: App(inl_c(a, tm.EX), v), _exc_star, _exc_pair)
-# the closed combinators, for monads assembled by hand from this one's parts
-_exc_unit, _exc_merge = EXCEPTION.unit_of, EXCEPTION.merge_of
+EXCEPTION = MonadSpec("exc", _exc_t, lambda v, a: App(inl_c(a, tm.EX), v), _exc_star, _exc_pair)
 
 
 # interactive monad: TA = State -> A + Ex
@@ -388,7 +379,7 @@ def _ir_merge(x, y, a: Ty, b: Ty):
         tm.STATE, lambda s: run(x, y, s)), uses=2))
 
 
-INTERACTIVE = _monad("ir", _ir_t, _ir_unit, _ir_star, _ir_merge)
+INTERACTIVE = MonadSpec("ir", _ir_t, _ir_unit, _ir_star, _ir_merge)
 
 BUILTIN_MONADS: dict[str, MonadSpec] = {
     "id": IDENTITY,
@@ -525,9 +516,8 @@ def _sample_fn(rng: random.Random, m: MonadSpec, a: Ty, b: Ty) -> Term:
         # lam x. unit (S x)
         return Lam(a, App(m.unit_of(b), App(tm.succ, Var(0))))
     if roll < 0.7:
-        body = _sample_computation(rng, m, b)
-        return Lam(a, tm.shift(body, 1))
-    return Lam(a, App(m.unit_of(b), tm.shift(_sample_value(rng, b), 1)))
+        return Lam(a, _sample_computation(rng, m, b))
+    return Lam(a, App(m.unit_of(b), _sample_value(rng, b)))
 
 
 def _observe(t: Term, m: MonadSpec, states: list[Term]) -> tuple[Term, ...]:

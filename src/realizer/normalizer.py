@@ -14,14 +14,15 @@ through their leftmost premiss.  Four families are primitive:
   * eliminations whose major premiss ends with excluded middle, which
     permute inside both branches.
 
-Two further families are enabled by default and can be switched off with
-simplify=False: eliminations permute inside or/exists eliminations the same
-way, and or/exists eliminations whose minor branch ignores its hypothesis
-collapse to that branch.
+Two further families are Prawitz's (1965) permutative conversions and
+immediate simplifications: eliminations permute inside or/exists
+eliminations the same way, and or/exists eliminations whose minor branch
+ignores its hypothesis collapse to that branch.  The six families are the
+one reduction set.
 
 Each kind has one entry in the table _KINDS: a pattern that tells whether a
-node is a head cut of that kind (and names its detail, e.g. "and-left"), the
-reducer that rewrites such a node, and whether the kind needs simplify.
+node is a head cut of that kind (and names its detail, e.g. "and-left"), and
+the reducer that rewrites such a node.
 One breadth-first walk, _principal, yields the nodes on principal branches,
 outermost first and left to right among equals, each with a parent-link
 trail.  find_head_cut tries the patterns in table order at each of them and
@@ -253,16 +254,14 @@ def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
 
 def find_head_cut(
     d: Derivation,
-    simplify: bool = True,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
 ) -> Optional[HeadCut]:
     """Outermost head cut on a principal branch, leftmost among equals."""
     for node, trail in _principal(d):
-        for kind, (pattern, _, simplify_only) in _KINDS.items():
-            if simplify or not simplify_only:
-                detail = pattern(node, fns)
-                if detail is not None:
-                    return HeadCut(dd._path(trail), kind, detail)
+        for kind, (pattern, _) in _KINDS.items():
+            detail = pattern(node, fns)
+            if detail is not None:
+                return HeadCut(dd._path(trail), kind, detail)
     return None
 
 
@@ -547,15 +546,14 @@ def _reduce_immediate_simpl(node: Derivation, rels, fns) -> Derivation:
     return _strengthen(branch, label)
 
 
-# kind -> (pattern, reducer, enabled only with simplify); find_head_cut tries
-# the kinds in this order
+# kind -> (pattern, reducer); find_head_cut tries the kinds in this order
 _KINDS = {
-    PROPER: (_proper_cut, _reduce_proper, False),
-    EM_PERMUTE: (_em_permute_cut, _reduce_permute, False),
-    OR_EXISTS_PERMUTE: (_or_exists_permute_cut, _reduce_permute, True),
-    IND: (_ind_cut, _reduce_ind, False),
-    EM_WITNESS: (_em_witness_cut, _reduce_em_witness, False),
-    IMMEDIATE_SIMPL: (_immediate_simpl_cut, _reduce_immediate_simpl, True),
+    PROPER: (_proper_cut, _reduce_proper),
+    EM_PERMUTE: (_em_permute_cut, _reduce_permute),
+    OR_EXISTS_PERMUTE: (_or_exists_permute_cut, _reduce_permute),
+    IND: (_ind_cut, _reduce_ind),
+    EM_WITNESS: (_em_witness_cut, _reduce_em_witness),
+    IMMEDIATE_SIMPL: (_immediate_simpl_cut, _reduce_immediate_simpl),
 }
 
 
@@ -569,7 +567,7 @@ def apply_head_reduction(
     node = _at(d, cut.path)
     if cut.kind not in _KINDS:
         raise InvalidCut(f"unknown cut kind {cut.kind!r}")
-    pattern, reduce, _ = _KINDS[cut.kind]
+    pattern, reduce = _KINDS[cut.kind]
     if pattern(node, fns) is None:
         raise InvalidCut(f"no {cut.kind} cut at {cut.path}")
     new = reduce(node, rels, fns)
@@ -619,7 +617,6 @@ def normalize_derivation(
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
     *,
-    simplify: bool = True,
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
     trace: Optional[list[str]] = None,
@@ -648,7 +645,7 @@ def normalize_derivation(
     base_vars = dd.free_term_vars(d, scanned)
     steps = 0
     while True:
-        cut = find_head_cut(d, simplify=simplify, fns=fns)
+        cut = find_head_cut(d, fns=fns)
         if cut is None:
             return d
         if steps >= fuel:
@@ -680,7 +677,6 @@ def extract_witness(
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
     *,
-    simplify: bool = True,
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
     trace: Optional[list[str]] = None,
@@ -698,7 +694,7 @@ def extract_witness(
     if not (isinstance(goal, Exists) and isinstance(goal.body, Atom)):
         raise NotSimplyExistential(
             f"goal is not an existential atom: {print_formula(goal, brief=True)}")
-    nd = normalize_derivation(d, fuel, simplify=simplify, rels=rels, fns=fns, trace=trace,
+    nd = normalize_derivation(d, fuel, rels=rels, fns=fns, trace=trace,
                               checked=checked, scanned=scanned)
     if not isinstance(nd.rule, dd.ExistsI):
         raise ShapeViolation(
@@ -728,7 +724,6 @@ def _phase(rule: dd.RuleKind) -> int:
 def check_open_normal(
     d: Derivation,
     *,
-    simplify: bool = True,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
 ) -> bool:
     """Structural test for head-normal derivations.
@@ -737,7 +732,7 @@ def check_open_normal(
     assumption end every principal branch is a run of eliminations, then
     atomic, induction and excluded-middle rules, then introductions.
     """
-    if find_head_cut(d, simplify=simplify, fns=fns) is not None:
+    if find_head_cut(d, fns=fns) is not None:
         return False
     if norm_terms(d, fns) != d:
         return False

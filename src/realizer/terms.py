@@ -417,20 +417,31 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
 
 
 def dummy(ty: Ty) -> Term:
-    match ty:
-        case TBase("Unit"):
-            return unit_const
-        case TBase("Nat"):
-            return zero
-        case TArrow(dom, cod):
-            return Lam(dom, dummy(cod))
-        case TProd(a, b):
-            return app(pair_c(a, b), dummy(a), dummy(b))
-        case TSum(a, b):
-            return App(inl_c(a, b), dummy(a))
-    from .sexpr import print_type  # sexpr imports this module
+    """A closed value of type ty, built on an explicit stack."""
+    out: list[Term] = []
+    work: list = [ty]  # types to build, and (ty,) to build ty from its parts' values
+    while work:
+        x = work.pop()
+        match x:
+            case TBase("Unit"):
+                out.append(unit_const)
+            case TBase("Nat"):
+                out.append(zero)
+            case TArrow(_, part) | TSum(part, _):
+                work += ((x,), part)
+            case TProd(a, b):
+                work += ((x,), b, a)
+            case (TArrow(dom, _),):
+                out[-1] = Lam(dom, out[-1])
+            case (TProd(a, b),):
+                out[-2:] = [app(pair_c(a, b), *out[-2:])]
+            case (TSum(a, b),):
+                out[-1] = App(inl_c(a, b), out[-1])
+            case _:
+                from .sexpr import print_type  # sexpr imports this module
 
-    raise IllTyped(f"no dummy value at type {print_type(ty, brief=True)}")
+                raise IllTyped(f"no dummy value at type {print_type(x, brief=True)}")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

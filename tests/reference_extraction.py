@@ -5,19 +5,19 @@ with tm.app to the rule's function and the premisses' realizers, and the
 closed unit, star and merge are written out as lambda terms, so every rule
 leaves its administrative redexes in place.  Decoration recurses over the
 derivation and keeps each premiss in de Bruijn form under placeholder
-binders.  reference_extract(d, m) is this construction for the monad named
-like m.
+binders, and so does the excluded-middle guess, which shifts its
+parameters under its binders.  reference_extract(d, m) is this construction
+for the monad named like m.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from realizer import arith
 from realizer import deduction as dd
 from realizer import terms as tm
-from realizer.extraction import (
-    ExtractionError, UnsupportedRule, _em_split, em_realizer, realizer_type,
-)
-from realizer.monads import MonadSpec
+from realizer.extraction import ExtractionError, UnsupportedRule, _em_split, realizer_type
 from realizer.terms import (
     App, Lam, Term, TArrow, TProd, TSum, Ty, Var, app, case_c, exmerge_const, inl_c, inr_c,
     pair_c, prl_c, prr_c,
@@ -26,6 +26,18 @@ from realizer.terms import (
 
 # ---------------------------------------------------------------------------
 # the closed combinators
+
+
+class ClosedMonad(NamedTuple):
+    """A monad given by its type operator and its closed combinators,
+    indexed by type."""
+
+    name: str
+    type_op: Callable[[Ty], Ty]
+    unit_of: Callable[[Ty], Term]
+    star_of: Callable[[Ty, Ty], Term]
+    merge_of: Callable[[Ty, Ty], Term]
+
 
 # identity monad
 
@@ -38,7 +50,7 @@ def _id_star(a: Ty, b: Ty) -> Term:
     return Lam(TArrow(a, b), Var(0))
 
 
-IDENTITY = MonadSpec(
+IDENTITY = ClosedMonad(
     name="id",
     type_op=lambda a: a,
     unit_of=_id_unit,
@@ -98,7 +110,7 @@ def _exc_merge(a: Ty, b: Ty) -> Term:
     return Lam(_exc_t(a), Lam(_exc_t(b), app(case_c(a, tm.EX, tout), Var(1), on_left, on_ex)))
 
 
-EXCEPTION = MonadSpec(
+EXCEPTION = ClosedMonad(
     name="exc",
     type_op=_exc_t,
     unit_of=_exc_unit,
@@ -156,7 +168,7 @@ def _ir_merge(a: Ty, b: Ty) -> Term:
     )
 
 
-INTERACTIVE = MonadSpec(
+INTERACTIVE = ClosedMonad(
     name="ir",
     type_op=_ir_t,
     unit_of=_ir_unit,
@@ -170,7 +182,7 @@ OLD_MONADS = {m.name: m for m in (IDENTITY, EXCEPTION, INTERACTIVE)}
 # n-ary lifts
 
 
-def star_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
+def star_n(m: ClosedMonad, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
     """star^k : (A1 -> ... -> Ak -> TB) -> TA1 -> ... -> TAk -> TB.
 
     star^0 is the identity on TB, star^1 is star, and star^(k+2) pairs the
@@ -200,7 +212,7 @@ def star_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
     )
 
 
-def raise_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
+def raise_n(m: ClosedMonad, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
     """raise^k : (A1 -> ... -> Ak -> B) -> TA1 -> ... -> TAk -> TB.
 
     Defined as star^k composed with unit under k abstractions.
@@ -214,6 +226,33 @@ def raise_n(m: MonadSpec, k: int, arg_tys: tuple[Ty, ...], result: Ty) -> Term:
     return Lam(fty, app(star_n(m, k, arg_tys, result), body))
 
 
+
+
+# ---------------------------------------------------------------------------
+# the excluded-middle guess in de Bruijn form
+
+
+def em_realizer(rel: str, params: tuple[Term, ...], m: ClosedMonad) -> Term:
+    """Realizer of (all x P) or (ex y not P) for the atom P = rel(params, x),
+    with params Nat-typed terms in scope where the realizer stands."""
+    if m.name != "ir":
+        raise UnsupportedRule("excluded middle extracts only under the interactive monad")
+    k = len(params)
+    t_unit = _ir_t(tm.UNIT)
+    left = TArrow(tm.NAT, t_unit)  # |all x P|
+    not_p = TArrow(tm.UNIT, t_unit)  # |not P|
+    right = TProd(tm.NAT, not_p)  # |ex y not P|
+    guess = TSum(left, right)
+    # under lam s. the params shift by 1, and by 3 more under lam u. lam y. lam s'.
+    params = tuple(tm.shift(p, 1) for p in params)
+    fwd = Lam(tm.NAT, Lam(tm.STATE, app(tm.eval_c(rel, k), *(tm.shift(p, 3) for p in params),
+                                        Var(1))))
+    on_unknown = Lam(tm.UNIT, App(inl_c(left, right), fwd))
+    refuter = Lam(tm.UNIT, Lam(tm.STATE, App(inl_c(tm.UNIT, tm.EX), tm.unit_const)))
+    on_witness = Lam(tm.NAT, App(inr_c(left, right), app(pair_c(tm.NAT, not_p), Var(0), refuter)))
+    q = app(tm.query_c(rel, k), Var(0), *params)
+    body = app(case_c(tm.UNIT, tm.NAT, guess), q, on_unknown, on_witness)
+    return Lam(tm.STATE, App(inl_c(guess, tm.EX), body))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +292,7 @@ def term_to_nat(t, env: Env, fns) -> Term:
 
 
 
-def _decorate(d: dd.Derivation, env: Env, m: MonadSpec, fns) -> Term:
+def _decorate(d: dd.Derivation, env: Env, m: ClosedMonad, fns) -> Term:
     goal = d.conclusion.goal
     prems = d.premisses
 

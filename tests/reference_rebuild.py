@@ -365,34 +365,32 @@ def _immediate_simpl_cut(node: Derivation, fns) -> Optional[str]:
     return None
 
 
-# kind -> (pattern, enabled only with simplify), in the order _cut_at tries them
+# kind -> pattern, in the order _cut_at tries them
 _KINDS = {
-    nz.PROPER: (_proper_cut, False),
-    nz.EM_PERMUTE: (_em_permute_cut, False),
-    nz.OR_EXISTS_PERMUTE: (_or_exists_permute_cut, True),
-    nz.IND: (_ind_cut, False),
-    nz.EM_WITNESS: (_em_witness_cut, False),
-    nz.IMMEDIATE_SIMPL: (_immediate_simpl_cut, True),
+    nz.PROPER: _proper_cut,
+    nz.EM_PERMUTE: _em_permute_cut,
+    nz.OR_EXISTS_PERMUTE: _or_exists_permute_cut,
+    nz.IND: _ind_cut,
+    nz.EM_WITNESS: _em_witness_cut,
+    nz.IMMEDIATE_SIMPL: _immediate_simpl_cut,
 }
 
 
-def _cut_at(node: Derivation, path: tuple[int, ...], simplify: bool, fns) -> Optional[HeadCut]:
-    for kind, (pattern, simplify_only) in _KINDS.items():
-        if simplify or not simplify_only:
-            detail = pattern(node, fns)
-            if detail is not None:
-                return HeadCut(path, kind, detail)
+def _cut_at(node: Derivation, path: tuple[int, ...], fns) -> Optional[HeadCut]:
+    for kind, pattern in _KINDS.items():
+        detail = pattern(node, fns)
+        if detail is not None:
+            return HeadCut(path, kind, detail)
     return None
 
 
-def find_head_cut(d: Derivation, simplify: bool = True,
-                  fns=arith.FUNCTIONS) -> Optional[HeadCut]:
+def find_head_cut(d: Derivation, fns=arith.FUNCTIONS) -> Optional[HeadCut]:
     """Outermost head cut on a principal branch, leftmost among equals."""
     queue: deque[tuple[tuple[int, ...], Derivation, bool]] = deque([((), d, True)])
     while queue:
         path, node, principal = queue.popleft()
         if principal:
-            cut = _cut_at(node, path, simplify, fns)
+            cut = _cut_at(node, path, fns)
             if cut is not None:
                 return cut
         limited = _major_limited(node.rule)
@@ -414,14 +412,14 @@ def principal_branches(d: Derivation) -> Iterator[tuple[tuple[int, ...], ...]]:
         stack.extend((node.premisses[i], path + (i,), acc) for i in range(n - 1, -1, -1))
 
 
-def check_open_normal(d: Derivation, *, simplify: bool = True, fns=arith.FUNCTIONS) -> bool:
+def check_open_normal(d: Derivation, *, fns=arith.FUNCTIONS) -> bool:
     """Structural test for head-normal derivations.
 
     No head cut remains, arithmetic terms are normal, and read from the
     assumption end every principal branch is a run of eliminations, then
     atomic, induction and excluded-middle rules, then introductions.
     """
-    if find_head_cut(d, simplify=simplify, fns=fns) is not None:
+    if find_head_cut(d, fns=fns) is not None:
         return False
     if nz.norm_terms(d, fns) != d:
         return False

@@ -359,6 +359,59 @@ def test_check_evaluates_deep_compositions(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["der d proves (atom = (f 1) 2002)", "ok: 2 definitions"]
 
 
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_check_evaluates_deep_recursions(tmp_path, capsys, depth):
+    # g' = (prec (zero 0) (comp g (comp S (proj 2 1)))) has g'(1) = g(1), and f
+    # nests it depth times over S: evaluating f(1) needs no Python stack
+    fn = "S"
+    for _ in range(depth):
+        fn = f"(prec (zero 0) (comp {fn} (comp S (proj 2 1))))"
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(deffn f {fn})\n(defder d (der atom-i (seq (ctx) (atom = (f 1) 2))))")
+    rc, out, err = run_cli(capsys, "check", str(p))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-2:] == ["der d proves (atom = (f 1) 2)", "ok: 2 definitions"]
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_run_builds_the_dummy_of_a_deep_type(tmp_path, capsys, depth):
+    # rec past its guard collapses to the dummy value of its result type,
+    # which is depth arrows deep
+    ty = "(arrow Nat " * depth + "Nat" + ")" * depth
+    p = tmp_path / "deep.proof"
+    p.write_text(f"(defterm t (lam State (app (inl {ty} Ex)"
+                 f" (app (rec {ty} 0) (lam Nat (lam {ty} (var 0))) (num 1)))))")
+    rc, out, err = run_cli(capsys, "run", str(p), "--term", "t")
+    assert (rc, err) == (0, "")
+    assert out.startswith("outcome: regular\nvalue: (lam\n  Nat\n  (lam\n")
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_excluded_middle_over_a_deep_closed_parameter(tmp_path, capsys, depth):
+    # the universal atom is T < y for T the numeral 1 nested depth times in
+    # (+ ... 1); the guess places T under its binders as it is, and T < 0
+    # refutes it
+    t = "1"
+    for _ in range(depth):
+        t = f"(+ {t} 1)"
+    univ, goal = f"(forall y (atom < {t} y))", "(exists x (atom = x 0))"
+    left, right = f"(ctx (u {univ}))", f"(ctx (u (imply (atom < {t} y) (atom bot))))"
+    p = tmp_path / "deep.proof"
+    p.write_text(
+        f"(defder d (der (em u y) (seq (ctx) {goal})"
+        f" (der (exists-i 0) (seq {left} {goal})"
+        f" (der false-e (seq {left} (atom = 0 0)) (der atom-e (seq {left} (atom bot))"
+        f" (der (forall-e 0) (seq {left} (atom < {t} 0)) (der (id u) (seq {left} {univ}))))))"
+        f" (der (exists-i 0) (seq {right} {goal}) (der atom-i (seq {right} (atom = 0 0))))))")
+    rc, out, err = run_cli(capsys, "extract", str(p), "--deriv", "d", "--format", "sexpr")
+    assert (rc, err) == (0, "")
+    q = tmp_path / "realizer.proof"
+    q.write_text(f"(defterm r {out})")
+    rc, out, err = run_cli(capsys, "run", str(q), "--term", "r", "--learn")
+    assert (rc, err) == (0, "")
+    assert out == f"state: <({depth + 1})=0\nvalue: (app (pair Nat Unit) zero unit)\n"
+
+
 _DEEP_ATOM = "(atom = 1 1)"
 _DEEP = {"and": ("(and ", f" {_DEEP_ATOM})"), "or": (f"(or {_DEEP_ATOM} ", ")"),
          "imply": ("(imply ", f" {_DEEP_ATOM})"), "forall": ("(forall x ", ")"),

@@ -195,8 +195,9 @@ def test_term_to_nat():
 
 
 def test_decoration_shifts_no_decorated_premiss(monkeypatch):
-    # each premiss is decorated under its final binders, so extraction is
-    # linear in depth; only em_realizer still shifts its parameters
+    # each premiss is decorated under its final binders, and the
+    # excluded-middle guess places its closed parameters by name, so
+    # extraction never shifts
     bench = gen.bench_gen()
     d = bench.em_chain(bench.Stratified(6), 6)
     callers = []
@@ -207,10 +208,11 @@ def test_decoration_shifts_no_decorated_premiss(monkeypatch):
 
     real = tm.shift
     monkeypatch.setattr(tm, "shift", spy)
-    monkeypatch.setattr(ex, "shift", spy)
     t = extract(d, mn.INTERACTIVE)
-    assert callers and "_decorate" not in callers
+    guess = em_realizer("<", (tm.App(tm.succ, tm.numeral(2)),))
+    assert callers == []
     assert typecheck(t) == computation_type(d.conclusion.goal)
+    assert typecheck(guess) == typecheck(em_realizer("<", (tm.numeral(3),)))
 
 
 # each derivation reaches an outer hypothesis h, and where the rule binds

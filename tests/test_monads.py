@@ -45,17 +45,18 @@ def test_laws_on_sampled_arguments(m):
 
 def test_law_checker_catches_a_broken_star():
     # star that ignores its computation argument cannot satisfy M1
-    def bad_star(a, b):
-        tb = mn._exc_t(b)
-        return Lam(TArrow(a, tb), Lam(mn._exc_t(a), App(Var(1), tm.dummy(a))))
+    def bad_star(f, x, a, b):
+        return f(tm.dummy(a))
 
     broken = mn.MonadSpec(
         name="exc",
         type_op=mn._exc_t,
-        unit_of=mn._exc_unit,
-        star_of=bad_star,
-        merge_of=mn._exc_merge,
+        unit=EXCEPTION.unit,
+        star=bad_star,
+        merge=EXCEPTION.merge,
     )
+    assert broken.star_of(NAT, UNIT) == Lam(
+        TArrow(NAT, mn._exc_t(UNIT)), Lam(mn._exc_t(NAT), App(Var(1), tm.zero)))
     report = mn.check_laws(broken, samples=60, seed=0)
     assert not report.ok
     assert any(v.law == "M1" for v in report.violations)

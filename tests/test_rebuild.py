@@ -172,13 +172,12 @@ def _outcome(d, **kw):
         return type(e), str(e), trace
 
 
-@pytest.mark.parametrize("simplify", [True, False])
-def test_normalization_matches_the_recursive_rebuilders(monkeypatch, simplify):
-    new = {name: _outcome(d, simplify=simplify, **kw) for name, d, kw in _inputs()}
+def test_normalization_matches_the_recursive_rebuilders(monkeypatch):
+    new = {name: _outcome(d, **kw) for name, d, kw in _inputs()}
     calls = {}
     with monkeypatch.context() as m:
         _use_references(m, calls)
-        old = {name: _outcome(d, simplify=simplify, **kw) for name, d, kw in _inputs()}
+        old = {name: _outcome(d, **kw) for name, d, kw in _inputs()}
     for name in new:
         assert new[name] == old[name], name
     assert new["capture"][0] is nz.HygieneError
@@ -275,39 +274,38 @@ def _inner_cuts():
 
 @functools.cache
 def _walked():
-    """(derivation, simplify, fns): every derivation the normalization of an
-    input, a dead split, side-by-side cuts or inner cuts passes through, under both
-    simplify settings, and every subtree of those under both."""
+    """(derivation, fns): every derivation the normalization of an input, a
+    dead split, side-by-side cuts or inner cuts passes through, and every
+    subtree of those."""
     inputs = [*_inputs(), *((f"dead-split/{i}", d, {}) for i, d in enumerate(_dead_splits())),
               *_side_by_side(), *_inner_cuts()]
     out = []
     find = nz.find_head_cut
 
-    def record(d, simplify=True, fns=arith.FUNCTIONS):
-        out.append((d, simplify, fns))
-        return find(d, simplify, fns)
+    def record(d, fns=arith.FUNCTIONS):
+        out.append((d, fns))
+        return find(d, fns)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(nz, "find_head_cut", record)
-        for simplify in (True, False):
-            for _, d, kw in inputs:
-                _outcome(d, simplify=simplify, **kw)
+        for _, d, kw in inputs:
+            _outcome(d, **kw)
     seen = {}
     for _, d, kw in inputs:
         for node in dd.walk(d):
             seen.setdefault(id(node), (node, kw.get("fns", arith.FUNCTIONS)))
-    out += [(node, simplify, fns) for node, fns in seen.values() for simplify in (True, False)]
+    out += seen.values()
     return out
 
 
 def test_walkers_match_the_path_copying_ones():
     kinds, verdicts, answers = set(), set(), set()
-    for d, simplify, fns in _walked():
+    for d, fns in _walked():
         assert list(map(id, dd.walk(d))) == [id(n) for _, n in ref.walk(d)]
-        cut = nz.find_head_cut(d, simplify, fns)
-        assert cut == ref.find_head_cut(d, simplify, fns), d
-        normal = nz.check_open_normal(d, simplify=simplify, fns=fns)
-        assert normal == ref.check_open_normal(d, simplify=simplify, fns=fns), d
+        cut = nz.find_head_cut(d, fns)
+        assert cut == ref.find_head_cut(d, fns), d
+        normal = nz.check_open_normal(d, fns=fns)
+        assert normal == ref.check_open_normal(d, fns=fns), d
         for label in dd._labels_inside(d) | {"fresh"}:
             used = dd.uses_label(d, label)
             assert used == ref.uses_label(d, label), (d, label)

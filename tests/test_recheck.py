@@ -66,7 +66,7 @@ def _reference_free_term_vars(d):
     return frozenset(out)
 
 
-def whole_tree_normalize(d, fuel=nz.DEFAULT_FUEL, *, simplify=True,
+def whole_tree_normalize(d, fuel=nz.DEFAULT_FUEL, *,
                          rels=arith.RELATIONS, fns=arith.FUNCTIONS, trace=None):
     """normalize_derivation with every pass over the whole tree."""
     d = _reference_norm_terms(d, fns)
@@ -74,7 +74,7 @@ def whole_tree_normalize(d, fuel=nz.DEFAULT_FUEL, *, simplify=True,
     base_vars = _reference_free_term_vars(d)
     steps = 0
     while True:
-        cut = nz.find_head_cut(d, simplify=simplify, fns=fns)
+        cut = nz.find_head_cut(d, fns=fns)
         if cut is None:
             return d
         if steps >= fuel:
@@ -119,9 +119,7 @@ def _inputs():
     out = []
     pf = corpus.corpus_file()
     for name, d in pf.derivs.items():
-        for simplify in (True, False):
-            out.append((f"corpus/{name}/{simplify}", d,
-                        dict(simplify=simplify, rels=pf.rels, fns=pf.fns)))
+        out.append((f"corpus/{name}", d, dict(rels=pf.rels, fns=pf.fns)))
     bench = gen.bench_gen()
     for seed in range(3):
         rng = bench.Stratified(f"recheck/{seed}")
@@ -193,7 +191,7 @@ def test_one_norm_terms_memo_across_a_normalization_run():
         for _ in range(nz.DEFAULT_FUEL):
             normed = nz.norm_terms(d, fns, memo)
             assert normed == _reference_norm_terms(d, fns), name
-            cut = nz.find_head_cut(normed, kw.get("simplify", True), fns)
+            cut = nz.find_head_cut(normed, fns)
             if cut is None:
                 break
             d = nz.apply_head_reduction(normed, cut, kw.get("rels", arith.RELATIONS), fns)
@@ -258,10 +256,9 @@ _BREAKS = {
 @pytest.mark.parametrize("kind", list(nz._KINDS))
 @pytest.mark.parametrize("breakage", list(_BREAKS))
 def test_same_error_from_a_broken_reducer(monkeypatch, kind, breakage):
-    pattern, reduce, simplify_only = nz._KINDS[kind]
+    pattern, reduce = nz._KINDS[kind]
     wreck, expected = _BREAKS[breakage]
-    monkeypatch.setitem(nz._KINDS, kind,
-                        (pattern, lambda *a: wreck(reduce(*a)), simplify_only))
+    monkeypatch.setitem(nz._KINDS, kind, (pattern, lambda *a: wreck(reduce(*a))))
     fired = _kinds_fired()
     raised = 0
     for name, d, kw in _inputs():
