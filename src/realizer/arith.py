@@ -27,10 +27,12 @@ for substitution and normalization, which skip the parts they leave alone
 and run their own explicit stacks; and one equality, `same`, is the == of
 applications, of formulas and of `terms`' type constructors.  `_norm`, the
 one evaluator, collapses each maximal closed subterm to its value.
-Realizers spell numerals in unary, so `tnum` refuses values above
-MAX_NUMERAL with a typed error.  Normalization returns a normal term or
-formula as the same object, and `formulas_equal` compares syntactically
-first, so callers that pass normal formulas around pay for no rebuilding.
+`tnum` refuses values above MAX_NUMERAL with a typed error, because the
+repr of a numeral, which normalizer trace stamps hash, spells its whole S
+chain (realizers carry a numeral as one literal).  Normalization returns a
+normal term or formula as the same object, and `formulas_equal` compares
+syntactically first, so callers that pass normal formulas around pay for
+no rebuilding.
 
 Terms and formulas are hash-consed (Filliatre and Conchon, "Type-safe
 modular hash-consing", 2006).  Each is made with its facts, computed in
@@ -470,8 +472,8 @@ ATerm = TVar | TNum | TApp
 (_set_name, _set_var_fv), (_set_value,) = _slot_setters(TVar), _slot_setters(TNum)
 TApp._setters = _slot_setters(TApp)
 
-# a unary realizer spells a numeral with one node per unit, so tnum refuses
-# values above this
+# a numeral's repr spells one S per unit, and normalizer trace stamps hash
+# it, so tnum refuses values above this
 MAX_NUMERAL = 10**6
 
 

@@ -43,6 +43,9 @@ that is not a value, or a value used twice.  Under the interactive monad:
                                   used twice or more
     (lam x. b) t                  a quantifier cut at a term t that is not
                                   a value
+    (lam x. inl (case (query s x) ...)) t
+                                  an excluded-middle parameter t that is
+                                  not a value, shared by query and eval
 
 Under the exception and identity monads a computation is rarely a value, so
 a premiss that the interactive monad would run in place stays bound the
@@ -53,9 +56,10 @@ realizer is built: a preorder pass gives each premiss its scope, the rules
 are then built children first, and monads.close turns the names into de
 Bruijn indices once, so no term is shifted or substituted into and no step
 recurses.  The excluded-middle guess binds its own variables by name too,
-so its parameters, named or closed, go under its binders as they are;
-em_realizer closes it over closed parameters.  extract closes over the root
-context and demands that no first-order variable stays free.
+so its parameters that are values, named or closed, go under its binders
+as they are; em_realizer closes it over closed parameters.  extract closes
+over the root context and demands that no first-order variable stays free.
+A numeral is one literal, terms.Num, so witnesses cost no text.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def term_to_nat(t: ATerm, env: Env, fns: Mapping[str, arith.PrimFn]) -> Term:
             raise ExtractionError(f"unknown function symbol {x.fn!r}")
         return app(tm.prim_c(x.fn, fns[x.fn]), *parts)
     return arith.fold_aterm(t, lambda x: mn.var(_lookup(env, ("tvar", x.name)))
-                            if type(x) is TVar else tm.numeral(x.value), apply)
+                            if type(x) is TVar else tm.Num(x.value), apply)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +157,14 @@ def em_realizer(rel: str, params: tuple[Term, ...], m: mn.MonadSpec = mn.INTERAC
 
 def _em_outcome(rel: str, params: tuple, state):
     """The guess's outcome at state as a named term: inl of the case split
-    on the query.  params, named or closed, are used as they are under the
-    forward function's three binders; close places their variables.
+    on the query.  A parameter that is not a value is bound around it, so
+    the query and the forward eval share its evaluation; values, named or
+    closed, go under the forward function's three binders as they are.
     """
+    for i, p in enumerate(params):
+        if not mn.is_value(p):
+            return mn.let(p, tm.NAT, lambda x: _em_outcome(
+                rel, params[:i] + (x,) + params[i + 1:], state), uses=2)
     k = len(params)
     t_unit = mn.INTERACTIVE.type_op(tm.UNIT)
     left = TArrow(tm.NAT, t_unit)  # |all x P|

@@ -223,7 +223,7 @@ class StateOracle:
                 return None
             w = query(self.state, rel, vals, self.rels)
             out = (
-                tm.App(tm.inr_c(tm.UNIT, tm.NAT), tm.numeral(w))
+                tm.App(tm.inr_c(tm.UNIT, tm.NAT), tm.Num(w))
                 if w is not None
                 else tm.App(tm.inl_c(tm.UNIT, tm.NAT), tm.unit_const)
             )
@@ -354,10 +354,6 @@ class Verdict:
         return self.kind in ("holds", "sampled-ok")
 
 
-def _fail(detail: str) -> Verdict:
-    return Verdict("fails", detail)
-
-
 def spot_check_realizes(
     v: Term,
     a: arith.Formula,
@@ -380,76 +376,81 @@ def spot_check_realizes(
 
     fns = arith.FUNCTIONS if fns is None else fns
     sampled = False
-
-    def run_outer(t: Term, f: arith.Formula, where: str) -> Optional[Verdict]:
-        # the outer relation: regular with a realizing value, or a properly
-        # extending exception
-        out = run_realizer(t, s, rels)
-        if isinstance(out, Exceptional):
-            s2 = extend(s, out.exc)
-            if s2 is None or s2 == s:
-                return _fail(f"{where}: exception does not extend the state")
-            return None
-        return check(out.value, f, where)
-
-    def check(t: Term, f: arith.Formula, where: str) -> Optional[Verdict]:
-        nonlocal sampled
+    # Jobs, on an explicit stack: (t, f, where) checks t against f; (None, t,
+    # f, where) runs t in the outer relation at f, regular with a realizing
+    # value or a properly extending exception; an iterator yields the runs of
+    # a universal's instances, or an implication's samples each with the
+    # check of its antecedent.  Such a check sits above its run, from the
+    # mark up, and when it fails the sample tests nothing and is dropped.
+    work: list = [(v, a, "top")]
+    mark = -1
+    while work:
+        job = work.pop()
+        if type(job) is not tuple:
+            jobs = next(job, None)
+            if jobs is None:
+                sampled = True
+            else:
+                work.append(job)
+                if len(jobs) == 2:
+                    mark = len(work)
+                work += jobs
+            continue
+        t, f, where = job[-3:]
+        bad = None
+        if job[0] is None:
+            if len(work) == mark:
+                mark = -1  # the sample realizes the antecedent
+            out = run_realizer(t, s, rels)
+            if isinstance(out, Exceptional):
+                s2 = extend(s, out.exc)
+                if s2 is None or s2 == s:
+                    return Verdict("fails", f"{where}: exception does not extend the state")
+                continue
+            t = out.value
         match f:
             case arith.Atom():
                 if not arith.atomic_truth(f, rels, fns):
-                    return _fail(f"{where}: atom {print_formula(f, brief=True)} is false")
-                if t != tm.unit_const:
-                    return _fail(f"{where}: atomic realizer is not unit")
-                return None
+                    bad = f"{where}: atom {print_formula(f, brief=True)} is false"
+                elif t != tm.unit_const:
+                    bad = f"{where}: atomic realizer is not unit"
             case arith.And(left, right):
                 h, args = tm.spine(t)
-                if not (isinstance(h, tm.Const) and h.kind == tm.K_PAIR and len(args) == 2):
-                    return _fail(f"{where}: conjunction realizer is not a pair")
-                return check(args[0], left, where + ".l") or check(args[1], right, where + ".r")
+                if isinstance(h, tm.Const) and h.kind == tm.K_PAIR and len(args) == 2:
+                    work += ((args[1], right, where + ".r"), (args[0], left, where + ".l"))
+                else:
+                    bad = f"{where}: conjunction realizer is not a pair"
             case arith.Or(left, right):
                 h, args = tm.spine(t)
                 if isinstance(h, tm.Const) and h.kind == tm.K_INL and len(args) == 1:
-                    return check(args[0], left, where + ".inl")
-                if isinstance(h, tm.Const) and h.kind == tm.K_INR and len(args) == 1:
-                    return check(args[0], right, where + ".inr")
-                return _fail(f"{where}: disjunction realizer is not an injection")
+                    work.append((args[0], left, where + ".inl"))
+                elif isinstance(h, tm.Const) and h.kind == tm.K_INR and len(args) == 1:
+                    work.append((args[0], right, where + ".inr"))
+                else:
+                    bad = f"{where}: disjunction realizer is not an injection"
             case arith.Imply(left, right):
-                for sample in _inner_samples(realizer_type(left), budget):
-                    if check(sample, left, where) is not None:
-                        continue  # not a realizer of the antecedent: it tests nothing
-                    bad = run_outer(tm.App(t, sample), right, where + ".app")
-                    if bad is not None:
-                        return bad
-                sampled = True
-                return None
+                work.append(iter([((None, tm.App(t, x), right, where + ".app"), (x, left, where))
+                                  for x in _inner_samples(realizer_type(left), budget)]))
             case arith.Forall(var, body):
-                for n in range(budget):
-                    bad = run_outer(
-                        tm.App(t, tm.numeral(n)),
-                        arith.subst_formula(body, var, arith.tnum(n)),
-                        f"{where}.inst({n})",
-                    )
-                    if bad is not None:
-                        return bad
-                sampled = True
-                return None
+                work.append(iter([((None, tm.App(t, tm.Num(n)),
+                                    arith.subst_formula(body, var, arith.tnum(n)),
+                                    f"{where}.inst({n})"),) for n in range(budget)]))
             case arith.Exists(var, body):
                 h, args = tm.spine(t)
                 if not (isinstance(h, tm.Const) and h.kind == tm.K_PAIR and len(args) == 2):
-                    return _fail(f"{where}: existential realizer is not a pair")
-                n = tm.as_numeral(args[0])
-                if n is None:
-                    return _fail(f"{where}: existential witness is not a numeral")
-                return check(
-                    args[1],
-                    arith.subst_formula(body, var, arith.tnum(n)),
-                    f"{where}.wit({n})",
-                )
-        return _fail(f"{where}: unrecognized formula {f!r}")
-
-    bad = check(v, a, "top")
-    if bad is not None:
-        return bad
+                    bad = f"{where}: existential realizer is not a pair"
+                elif (n := tm.as_numeral(args[0])) is None:
+                    bad = f"{where}: existential witness is not a numeral"
+                else:
+                    work.append((args[1], arith.subst_formula(body, var, arith.tnum(n)),
+                                 f"{where}.wit({n})"))
+            case _:
+                bad = f"{where}: unrecognized formula {f!r}"
+        if bad is not None:
+            if mark < 0:
+                return Verdict("fails", bad)
+            del work[mark:]  # the sample does not realize the antecedent
+            mark = -1
     return Verdict("sampled-ok" if sampled else "holds")
 
 
@@ -458,18 +459,26 @@ def _inner_samples(ty: tm.Ty, budget: int) -> list[Term]:
 
     unit, the numerals 0 to 3, and pairs and injections of those; a type
     with an arrow in it has none, so an implication with a higher-order
-    antecedent samples nothing (vacuous pass).
+    antecedent samples nothing (vacuous pass).  Built on an explicit stack.
     """
-    match ty:
-        case tm.TBase("Unit"):
-            return [tm.unit_const]
-        case tm.TBase("Nat"):
-            return [tm.numeral(n) for n in range(min(budget, 4))]
-        case tm.TProd(a, b):
-            right = _inner_samples(b, budget)
-            return [tm.app(tm.pair_c(a, b), x, y)
-                    for x in _inner_samples(a, budget) for y in right][:budget]
-        case tm.TSum(a, b):
-            return ([tm.App(tm.inl_c(a, b), x) for x in _inner_samples(a, budget)]
-                    + [tm.App(tm.inr_c(a, b), y) for y in _inner_samples(b, budget)])[:budget]
-    return []
+    out: list[list[Term]] = []
+    work: list = [ty]  # types to sample, and (ty,) to combine its parts' samples
+    while work:
+        x = work.pop()
+        match x:
+            case tm.TBase("Unit"):
+                out.append([tm.unit_const])
+            case tm.TBase("Nat"):
+                out.append([tm.Num(n) for n in range(min(budget, 4))])
+            case tm.TProd(a, b) | tm.TSum(a, b):
+                work += ((x,), b, a)
+            case (tm.TProd(a, b),):
+                xs, ys = out[-2:]
+                out[-2:] = [[tm.app(tm.pair_c(a, b), x, y) for x in xs for y in ys][:budget]]
+            case (tm.TSum(a, b),):
+                xs, ys = out[-2:]
+                out[-2:] = [([tm.App(tm.inl_c(a, b), x) for x in xs]
+                             + [tm.App(tm.inr_c(a, b), y) for y in ys])[:budget]]
+            case _:
+                out.append([])
+    return out[0]

@@ -114,7 +114,7 @@ def lam(ty: Ty, body: Callable[[Name], object]) -> NLam:
 _INERT = {tm.K_PAIR: 2, tm.K_INL: 1, tm.K_INR: 1, tm.K_SUCC: 1, tm.K_REC: 1}
 
 
-def _is_value(t) -> bool:
+def is_value(t) -> bool:
     """A call-by-value value: a variable, an abstraction, a constant, a
     literal, or a constructor (or a recursor short of its numeral) applied
     to values -- what evaluates without a contraction."""
@@ -155,7 +155,7 @@ def _beta1(fn, a):
             _resolve(a.name).uses += n.uses - 1
             n.bound = a
             return h.body
-        if n.uses <= 1 and _is_value(a):
+        if n.uses <= 1 and is_value(a):
             n.bound = a
             return h.body
         fn = h
@@ -175,7 +175,7 @@ def let(arg, ty: Ty, body: Callable[[object], object], uses: int = 1):
     if type(arg) is NVar:
         _resolve(arg.name).uses += uses - 1
         return body(arg)
-    if uses <= 1 and _is_value(arg):
+    if uses <= 1 and is_value(arg):
         return body(arg)
     n = Name()
     n.uses = uses
@@ -372,7 +372,7 @@ def _ir_merge(x, y, a: Ty, b: Ty):
         return app(case_c(a, tm.EX, out), beta(x, var(s)),
                    *_merge_branches(a, b, lambda: beta(y, var(s))))
 
-    if _is_value(y):
+    if is_value(y):
         return let(x, ta, lambda x: lam(tm.STATE, lambda s: let(
             y, tb, lambda y: run(x, y, s), uses=2)))
     return let(x, ta, lambda x: let(y, tb, lambda y: lam(
@@ -481,7 +481,7 @@ def _sample_value(rng: random.Random, ty: Ty) -> Term:
         case tm.TBase("Unit"):
             return tm.unit_const
         case tm.TBase("Nat"):
-            return tm.numeral(rng.randrange(0, 6))
+            return tm.Num(rng.randrange(0, 6))
         case TProd(a, b):
             return app(pair_c(a, b), _sample_value(rng, a), _sample_value(rng, b))
         case TSum(a, b):

@@ -15,14 +15,19 @@ supplied to :func:`step`/:func:`normalize`; the learning module provides the
 oracle that interprets them against an ambient knowledge state.
 
 :func:`normalize` runs a call-by-value environment machine: closures pair a
-lambda with its environment, numerals are Python ints, beta costs O(1), and
+lambda with its environment, naturals are Python ints, beta costs O(1), and
 an explicit stack replaces Python recursion, so deep terms need no stack.
 The value is read back to a term at the end (a closure's body gets its
 environment substituted; nothing under a binder is reduced).  Fuel counts
-contractions -- beta, a constant rule, a ``Num`` expansion, an oracle
-answer -- which are exactly the steps of the substitution stepper
-:func:`step`, so a fuel bound means the same for both.  :func:`step` and
-:func:`subst` stay as the reference semantics the tests compare against.
+contractions -- beta, a constant rule, an oracle answer -- which are exactly
+the steps of the substitution stepper :func:`step`, so a fuel bound means the
+same for both.  :func:`step` and :func:`subst` stay as the reference
+semantics the tests compare against.
+
+A natural is built as one literal, ``Num``, which is a value: ``rec``'s
+counter, ``prim``'s result and the read-back.  ``succ`` of a literal is a
+value the stepper leaves and the machine holds as the next int, so the two
+normal forms agree once each succ chain is folded into one literal.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ class App:
 
 @dataclass(frozen=True)
 class Num:
-    """Literal natural; expands to the canonical succ chain in one step."""
+    """A natural number literal: a value, as ``zero`` is."""
 
     value: int
 
@@ -205,15 +210,6 @@ def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
     return fn
-
-
-def numeral(n: int) -> Term:
-    if n < 0:
-        raise ValueError(f"numeral of negative {n}")
-    t: Term = zero
-    for _ in range(n):
-        t = App(succ, t)
-    return t
 
 
 def as_numeral(t: Term) -> Optional[int]:
@@ -464,8 +460,6 @@ def _delta(head: Term, args: list[Term], oracle: Optional[Oracle]) -> Optional[T
     """Contract a head redex (beta or constant rule) at the root, if any."""
     if isinstance(head, Lam) and args:
         return app(subst(head.body, args[0]), *args[1:])
-    if isinstance(head, Num):
-        return numeral(head.value) if not args else app(numeral(head.value), *args)
     if not isinstance(head, Const):
         return None
     k = head.kind
@@ -488,7 +482,7 @@ def _delta(head: Term, args: list[Term], oracle: Optional[Oracle]) -> Optional[T
             guard = head.tag
             (res,) = head.tys
             if guard is INFINITY or m < guard:
-                return app(args[0], numeral(m), App(rec_c(res, m), args[0]), *args[2:])
+                return app(args[0], Num(m), App(rec_c(res, m), args[0]), *args[2:])
             return app(dummy(res), *args[2:])
     elif k == "exmerge" and len(args) >= 2:
         if _is_ex_value(args[0]) and _is_ex_value(args[1]):
@@ -502,27 +496,23 @@ def _delta(head: Term, args: list[Term], oracle: Optional[Oracle]) -> Optional[T
                 from . import arith
 
                 out = arith.eval_prim(fn, vals)
-                return app(numeral(out), *args[arity:])
+                return app(Num(out), *args[arity:])
     elif k in ("query", "eval") and oracle is not None:
         return oracle(head, args)
     return None
 
 
 def _step(t: Term, oracle: Optional[Oracle], rightmost: bool) -> Optional[Term]:
-    match t:
-        case App():
-            head, args = spine(t)
-            order = range(len(args) - 1, -1, -1) if rightmost else range(len(args))
-            # arguments first (innermost); the head of a spine is never an App
-            for i in order:
-                r = _step(args[i], oracle, rightmost)
-                if r is not None:
-                    return app(head, *args[:i], r, *args[i + 1 :])
-            return _delta(head, args, oracle)
-        case Num():
-            return numeral(t.value)
-        case _:
-            return None
+    if type(t) is not App:
+        return None
+    head, args = spine(t)
+    order = range(len(args) - 1, -1, -1) if rightmost else range(len(args))
+    # arguments first (innermost); the head of a spine is never an App
+    for i in order:
+        r = _step(args[i], oracle, rightmost)
+        if r is not None:
+            return app(head, *args[:i], r, *args[i + 1 :])
+    return _delta(head, args, oracle)
 
 
 def step(t: Term, oracle: Optional[Oracle] = None, strategy: str = "left") -> Optional[Term]:
@@ -544,9 +534,9 @@ def _is_ex_value(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # the reduction machine
 #
-# Machine values are Python ints (numerals), a Const or a free Var standing
-# alone, _Spine (a Const or free-Var head applied to values) and _Closure (a
-# Lam with its environment).  An environment is a chain of cells
+# Machine values are Python ints (literals), a Const or a free Var standing
+# alone, _Spine (a Const, free-Var or int head applied to values) and
+# _Closure (a Lam with its environment).  An environment is a chain of cells
 # (value, rest) ending in None, innermost binder first; an index past its end
 # names a free variable of the input, kept as Var(index - length).  Every
 # value lives at binder depth 0, because reduction never enters a Lam, and
@@ -641,10 +631,10 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, oracle: Optional[Oracle] = None
     A call-by-value environment machine with an explicit stack.  It
     evaluates the arguments of a spine left to right, then applies the head
     to all of them at once, as the stepper contracts at a spine's head.
-    Fuel counts contractions (beta, a constant rule, a Num expansion, an
-    oracle answer), which are exactly the stepper's steps: fuel k succeeds
-    when the stepper needs fewer than k steps, and otherwise
-    FuelExhausted(fuel, t) is raised.  The oracle is handed read-back terms.
+    Fuel counts contractions (beta, a constant rule, an oracle answer),
+    which are exactly the stepper's steps: fuel k succeeds when the stepper
+    needs fewer than k steps, and otherwise FuelExhausted(fuel, t) is
+    raised.  The oracle is handed read-back terms.
     """
     if fuel <= 0:
         raise FuelExhausted(fuel, t)
@@ -664,10 +654,6 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, oracle: Optional[Oracle] = None
             frames.append((term, env, args, [], extra))
             term, extra = args[0], []
             continue
-        if type(term) is Num:
-            left -= 1
-            if left <= 0:
-                raise FuelExhausted(fuel, t)
         fn, args = _head_value(term, env), extra
         while True:
             # apply the value fn to the values args, then evaluate the next
@@ -681,31 +667,25 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, oracle: Optional[Oracle] = None
                         raise FuelExhausted(fuel, t)
                     term, env, extra = fn.lam.body, (args[0], fn.env), args[1:]
                     break
-                if tf is int:
-                    value = _Spine(succ, [fn - 1] + args) if fn else _Spine(zero, args)
-                elif tf is _Spine:
+                if tf is _Spine:
                     fn, args = fn.head, fn.args + args
                     continue
-                elif tf is Var:
+                if tf is not Const:  # an int or a free Var
                     value = _Spine(fn, args)
-                elif fn.kind == K_SUCC:
-                    if type(args[0]) is int:
-                        fn, args = args[0] + 1, args[1:]
-                        continue
+                elif fn.kind == K_SUCC and type(args[0]) is int:
+                    fn, args = args[0] + 1, args[1:]
+                    continue
+                elif (r := _contract(fn, args, oracle)) is None:
                     value = _Spine(fn, args)
                 else:
-                    r = _contract(fn, args, oracle)
-                    if r is None:
-                        value = _Spine(fn, args)
-                    else:
-                        left -= 1
-                        if left <= 0:
-                            raise FuelExhausted(fuel, t)
-                        fn, args, is_term = r
-                        if is_term:
-                            term, env, extra = fn, None, args
-                            break
-                        continue
+                    left -= 1
+                    if left <= 0:
+                        raise FuelExhausted(fuel, t)
+                    fn, args, is_term = r
+                    if is_term:
+                        term, env, extra = fn, None, args
+                        break
+                    continue
             else:
                 value = fn
             # hand value to the innermost pending spine
@@ -742,7 +722,7 @@ def _readback(value) -> Term:
             _, v, d = job
             tv = type(v)
             if tv is int:
-                out.append(numeral(v))
+                out.append(Num(v))
             elif tv is _Spine:
                 work.append((_BUILD_APP, len(v.args)))
                 work.extend((_QUOTE, a, d) for a in reversed(v.args))

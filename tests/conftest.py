@@ -16,6 +16,7 @@ from pathlib import Path
 from realizer import arith
 from realizer import deduction as dd
 from realizer import reals
+from realizer import terms as tm
 from realizer.arith import And, Atom, BOT, Exists, Forall, Imply, Or, TApp, TVar, tnum
 from realizer.deduction import Derivation, Sequent
 from reference_arith import classify
@@ -60,6 +61,54 @@ def best_cpu_time(fn, runs: int = 5) -> float:
         finally:
             gc.unfreeze()
     return best
+
+
+# ---------------------------------------------------------------------------
+# spellings of a natural in the term calculus
+
+
+def numeral(n: int) -> tm.Term:
+    """succ^n(zero), the unary spelling of n that a user may write."""
+    t: tm.Term = tm.zero
+    for _ in range(n):
+        t = tm.App(tm.succ, t)
+    return t
+
+
+def _respelled(t: tm.Term, leaf) -> tm.Term:
+    """t with every leaf x replaced by leaf(x), and succ of a literal folded
+    into one literal; rebuilt on an explicit stack."""
+    out: list = []
+    work: list = [t]
+    while work:
+        x = work.pop()
+        if type(x) is tm.App:
+            work += ((x,), x.arg, x.fn)
+        elif type(x) is tm.Lam:
+            work += ((x,), x.body)
+        elif type(x) is tuple:
+            (y,) = x
+            if type(y) is tm.Lam:
+                out[-1] = tm.Lam(y.param, out[-1])
+                continue
+            fn, arg = out[-2:]
+            out[-2:] = [tm.Num(arg.value + 1) if fn == tm.succ and type(arg) is tm.Num
+                        else tm.App(fn, arg)]
+        else:
+            out.append(leaf(x))
+    return out[0]
+
+
+def fold_numerals(t: tm.Term) -> tm.Term:
+    """t with each succ chain over zero or a literal folded into one literal,
+    the spelling the reduction machine reads a natural back in."""
+    return _respelled(t, lambda x: tm.Num(0) if x == tm.zero else x)
+
+
+def unary_literals(t: tm.Term) -> tm.Term:
+    """t with each literal spelled as its succ chain, as realizers were
+    printed before they carried literals."""
+    return _respelled(t, lambda x: numeral(x.value) if type(x) is tm.Num else x)
 
 
 def _checked(d: Derivation) -> Derivation:

@@ -282,7 +282,7 @@ def term_to_nat(t, env: Env, fns) -> Term:
         case arith.TVar(name):
             return tm.Var(_lookup(env, ("tvar", name)))
         case arith.TNum(value):
-            return tm.numeral(value)
+            return tm.Num(value)
         case arith.TApp("S", (a,)):
             return App(tm.succ, term_to_nat(a, env, fns))
         case arith.TApp(fn, args):

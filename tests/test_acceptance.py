@@ -87,7 +87,7 @@ def test_c4_em_soundness():
     while cases < 500:
         relname = rng.choice(("=", "<", "<=", "even"))
         params = tuple(rng.randrange(10) for _ in range(rels[relname].arity - 1))
-        r = extraction.em_realizer(relname, tuple(tm.numeral(p) for p in params))
+        r = extraction.em_realizer(relname, tuple(tm.Num(p) for p in params))
 
         # empty state: the universal branch, instances check or raise soundly
         out = learning.run_realizer(r, empty, rels)
@@ -95,7 +95,7 @@ def test_c4_em_soundness():
         head, args = tm.spine(out.value)
         assert head.kind == "inl"
         n = rng.randrange(8)
-        got = learning.run_realizer(tm.App(args[0], tm.numeral(n)), empty, rels)
+        got = learning.run_realizer(tm.App(args[0], tm.Num(n)), empty, rels)
         if rels[relname].holds(params + (n,)):
             assert isinstance(got, learning.Regular)
             assert got.value == tm.unit_const

@@ -219,12 +219,14 @@ def test_run_learn_stalls_on_a_stubborn_raiser(corpus_path, capsys):
     assert rc == 1 and "error: " in err
 
 
-def test_run_fuel_env_and_flag(corpus_path, capsys, monkeypatch):
+def test_run_fuel_env_and_flag(tmp_path, capsys, monkeypatch):
+    # two contractions: the state abstraction, then the inner one
+    p = tmp_path / "two.proof"
+    p.write_text("(defterm two (lam State (app (lam Nat (app (inl Nat Ex) (var 0))) (num 7))))")
     monkeypatch.setenv("REALIZER_FUEL", "2")
-    rc, _, err = run_cli(capsys, "run", corpus_path, "--term", "const-seven")
+    rc, _, err = run_cli(capsys, "run", str(p), "--term", "two")
     assert rc == 1 and "no normal form within 2" in err
-    rc, out, _ = run_cli(capsys, "run", corpus_path, "--term", "const-seven",
-                         "--fuel", "100000")
+    rc, out, _ = run_cli(capsys, "run", str(p), "--term", "two", "--fuel", "100000")
     assert rc == 0 and "regular" in out
 
 
@@ -252,11 +254,16 @@ def test_a_negative_fuel_flag_is_a_usage_error(corpus_path, capsys, monkeypatch,
 
 
 def test_run_of_a_deep_non_outcome_is_a_user_error(tmp_path, capsys):
+    # the normal form is an abstraction over succ nested 3000 deep, and the
+    # message names its head only; succ of a literal is the next literal
     p = tmp_path / "deep.proof"
-    p.write_text("(defterm t (app succ (num 3000)))")
-    rc, out, err = run_cli(capsys, "run", str(p), "--term", "t")
-    assert rc == 1 and out == ""
-    assert err.startswith("error: realizer produced a non-outcome normal form: succ")
+    chain = "(app succ " * 3000 + "(var 0)" + ")" * 3000
+    p.write_text(f"(defterm t (lam State (lam Nat {chain})))"
+                 "(defterm u (app succ (num 3000)))")
+    for name, head in (("t", "Lam applied to 0"), ("u", "Num applied to 1")):
+        rc, out, err = run_cli(capsys, "run", str(p), "--term", name)
+        assert rc == 1 and out == ""
+        assert err == f"error: realizer produced a non-outcome normal form: {head} arguments\n"
 
 
 @pytest.mark.parametrize("depth", [1200, 10**4])
@@ -389,8 +396,7 @@ def test_run_builds_the_dummy_of_a_deep_type(tmp_path, capsys, depth):
 @pytest.mark.parametrize("depth", [1200, 10**4])
 def test_excluded_middle_over_a_deep_closed_parameter(tmp_path, capsys, depth):
     # the universal atom is T < y for T the numeral 1 nested depth times in
-    # (+ ... 1); the guess places T under its binders as it is, and T < 0
-    # refutes it
+    # (+ ... 1); the guess binds T once, and T < 0 refutes it
     t = "1"
     for _ in range(depth):
         t = f"(+ {t} 1)"
@@ -405,11 +411,29 @@ def test_excluded_middle_over_a_deep_closed_parameter(tmp_path, capsys, depth):
         f" (der (exists-i 0) (seq {right} {goal}) (der atom-i (seq {right} (atom = 0 0))))))")
     rc, out, err = run_cli(capsys, "extract", str(p), "--deriv", "d", "--format", "sexpr")
     assert (rc, err) == (0, "")
+    # T is bound once, so the query and the forward eval share its evaluation
+    assert out.count("(prim +)") == depth
     q = tmp_path / "realizer.proof"
     q.write_text(f"(defterm r {out})")
     rc, out, err = run_cli(capsys, "run", str(q), "--term", "r", "--learn")
     assert (rc, err) == (0, "")
-    assert out == f"state: <({depth + 1})=0\nvalue: (app (pair Nat Unit) zero unit)\n"
+    assert out == f"state: <({depth + 1})=0\nvalue: (app (pair Nat Unit) (num 0) unit)\n"
+
+
+def test_a_big_witness_is_one_literal(tmp_path, capsys):
+    # the realizer carries the witness 10^6 as one literal, not 10^6 succs
+    n = 10**6
+    p = tmp_path / "big.proof"
+    p.write_text(f"(defder d (der (exists-i {n}) (seq (ctx) (exists x (atom = x {n})))"
+                 f" (der atom-i (seq (ctx) (atom = {n} {n})))))")
+    for fmt in ("human", "sexpr"):
+        rc, out, err = run_cli(capsys, "extract", str(p), "--deriv", "d", "--format", fmt)
+        assert (rc, err) == (0, "") and len(out) < 4096 and out.count(f"(num {n})") == 1
+    q = tmp_path / "realizer.proof"
+    q.write_text(f"(defterm r {out})")
+    rc, out, err = run_cli(capsys, "run", str(q), "--term", "r", "--learn")
+    assert (rc, err) == (0, "") and len(out) < 4096
+    assert out == f"state: -\nvalue: (app (pair Nat Unit) (num {n}) unit)\n"
 
 
 _DEEP_ATOM = "(atom = 1 1)"

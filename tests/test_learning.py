@@ -15,7 +15,9 @@ from realizer.learning import (
     StalledLearning, State, UnsoundEntry, extend, learn, make_exc,
     run_realizer, spot_check_realizes,
 )
-from realizer.terms import App, Lam, Var, EX, NAT, STATE, UNIT, TProd, TSum, app, numeral
+from realizer.terms import App, Lam, Num, Var, EX, NAT, STATE, UNIT, TProd, TSum, app
+
+from conftest import numeral
 
 RELS = arith.RELATIONS
 
@@ -170,9 +172,9 @@ def _query_realizer():
 
 def test_run_realizer_reads_the_state():
     r = _query_realizer()
-    assert run_realizer(r, State.empty(), RELS) == Regular(numeral(0))
+    assert run_realizer(r, State.empty(), RELS) == Regular(Num(0))
     seeded = State.of({("<", (3,)): 2}, RELS)
-    assert run_realizer(r, seeded, RELS) == Regular(numeral(3))
+    assert run_realizer(r, seeded, RELS) == Regular(Num(3))
 
 
 def test_run_realizer_eval_raises_counterexamples():
@@ -183,7 +185,7 @@ def test_run_realizer_eval_raises_counterexamples():
                    Lam(EX, App(tm.inr_c(NAT, EX), Var(0))))
         return run_realizer(Lam(STATE, body), State.empty(), RELS)
 
-    assert check(2, 5) == Regular(numeral(1))
+    assert check(2, 5) == Regular(Num(1))
     assert check(5, 2) == Exceptional(Exc("<", (5,), 2))
 
 
@@ -208,7 +210,7 @@ def _late_bloomer():
 def test_learn_converges_and_traces():
     s, v, trace = learn(_late_bloomer(), State.empty(), RELS)
     assert s.mapping() == {("<", (3,)): 0}
-    assert v == numeral(0)
+    assert v == Num(0)
     assert trace.lines == [
         "iter=1 key=<(3) witness=0 outcome=exceptional",
         "iter=2 key=- witness=- outcome=regular",
@@ -218,7 +220,7 @@ def test_learn_converges_and_traces():
 def test_learn_from_seeded_state_skips_the_exception():
     seeded = State.of({("<", (3,)): 2}, RELS)
     s, v, trace = learn(_late_bloomer(), seeded, RELS)
-    assert s == seeded and v == numeral(2)
+    assert s == seeded and v == Num(2)
     assert trace.lines == ["iter=1 key=- witness=- outcome=regular"]
 
 
@@ -324,6 +326,41 @@ def test_spot_check_applies_implications_to_true_antecedents_only():
     # a false antecedent has no realizer to apply the map to
     vacuous = Imply(Exists("x", Atom("<", (TVar("x"), tnum(0)))), _Y_IS_2)
     assert spot_check_realizes(_witness_map(True), vacuous, State.empty(), RELS).ok
+
+
+def _nested_conjunction(depth):
+    """(and ... (and 1 = 1 1 = 1) ... 1 = 1), depth levels, with its nested
+    pair realizer and that realizer's type."""
+    one = Atom("=", (tnum(1), tnum(1)))
+    f, v, ty = one, tm.unit_const, UNIT
+    for _ in range(depth):
+        f, v, ty = And(f, one), app(tm.pair_c(ty, UNIT), v, tm.unit_const), TProd(ty, UNIT)
+    return f, v, ty
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_spot_check_takes_a_deep_conjunction(depth):
+    f, v, _ = _nested_conjunction(depth)
+    assert spot_check_realizes(v, f, State.empty(), RELS).kind == "holds"
+    # a wrong leaf at the bottom fails with its whole path
+    wrong = Num(0)
+    for _ in range(depth):
+        wrong = app(tm.pair_c(UNIT, UNIT), wrong, tm.unit_const)
+    got = spot_check_realizes(wrong, f, State.empty(), RELS)
+    assert got.detail == "top" + ".l" * depth + ": atomic realizer is not unit"
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_spot_check_takes_an_implication_over_a_deep_conjunction(depth):
+    # the antecedent's one sample is the nested pair of units
+    f, _, ty = _nested_conjunction(depth)
+    (sample,) = ln._inner_samples(ty, 8)
+    assert spot_check_realizes(sample, f, State.empty(), RELS).kind == "holds"
+    one = Atom("=", (tnum(1), tnum(1)))
+    ok = Lam(ty, Lam(STATE, App(tm.inl_c(UNIT, EX), tm.unit_const)))
+    assert spot_check_realizes(ok, Imply(f, one), State.empty(), RELS).kind == "sampled-ok"
+    got = spot_check_realizes(ok, Imply(f, Atom("bot")), State.empty(), RELS)
+    assert got.detail == "top.app: atom (atom bot) is false"
 
 
 def test_custom_relation_protocol():

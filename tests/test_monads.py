@@ -9,11 +9,12 @@ from realizer import monads as mn
 from realizer import terms as tm
 from realizer.monads import BUILTIN_MONADS, EXCEPTION, IDENTITY, INTERACTIVE
 from realizer.terms import (
-    App, Lam, Var, EX, NAT, UNIT, TArrow, TProd, TSum, app, arrows, numeral,
+    App, Lam, Num, Var, EX, NAT, UNIT, TArrow, TProd, TSum, app, arrows,
     normalize, typecheck,
 )
 
 import reference_extraction as ref
+from conftest import numeral
 
 ALL = (IDENTITY, EXCEPTION, INTERACTIVE)
 SAMPLE_TYPES = (NAT, UNIT, TProd(NAT, UNIT), TSum(NAT, NAT))
@@ -86,7 +87,7 @@ def test_exception_propagates_through_star():
     got = normalize(app(EXCEPTION.star_of(NAT, NAT), f, failing))
     assert got == failing
     ok = normalize(app(EXCEPTION.star_of(NAT, NAT), f, _unit(EXCEPTION, NAT, numeral(4))))
-    assert ok == App(tm.inl_c(NAT, EX), numeral(5))
+    assert ok == App(tm.inl_c(NAT, EX), Num(5))
 
 
 def test_merge_is_left_biased_on_exceptions():
@@ -105,7 +106,7 @@ def test_interactive_observed_under_state():
             Lam(NAT, App(INTERACTIVE.unit_of(NAT), App(tm.succ, Var(0)))),
             App(INTERACTIVE.unit_of(NAT), numeral(6)))
     assert typecheck(c) == TArrow(tm.STATE, TSum(NAT, EX))
-    assert normalize(App(c, tm.staterep)) == App(tm.inl_c(NAT, EX), numeral(7))
+    assert normalize(App(c, tm.staterep)) == App(tm.inl_c(NAT, EX), Num(7))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +138,11 @@ def test_raise_n_types_and_computes(m):
     args = (_unit(m, NAT, numeral(3)), _unit(m, NAT, numeral(4)))
     out = app(lift2, PLUS, *args)
     if m.name == "ir":
-        assert normalize(App(out, tm.staterep)) == App(tm.inl_c(NAT, EX), numeral(7))
+        assert normalize(App(out, tm.staterep)) == App(tm.inl_c(NAT, EX), Num(7))
     elif m.name == "exc":
-        assert normalize(out) == App(tm.inl_c(NAT, EX), numeral(7))
+        assert normalize(out) == App(tm.inl_c(NAT, EX), Num(7))
     else:
-        assert normalize(out) == numeral(7)
+        assert normalize(out) == Num(7)
 
 
 def test_star_n_arity_validation():

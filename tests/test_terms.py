@@ -10,10 +10,11 @@ from realizer import terms as tm
 from realizer.terms import (
     App, Const, Lam, Num, Var,
     NAT, UNIT, EX, STATE, TArrow, TProd, TSum,
-    app, arrows, numeral, as_numeral, normalize, spine, step, typecheck,
+    app, arrows, as_numeral, normalize, spine, step, typecheck,
 )
 
 import conftest as gen
+from conftest import numeral
 import reference_arith
 
 PLUS = tm.prim_c("+", arith.FUNCTIONS["+"])
@@ -161,23 +162,28 @@ def test_dummy_values_typecheck():
 
 def test_beta_and_literals():
     t = App(Lam(NAT, App(tm.succ, Var(0))), Num(4))
-    assert normalize(t) == numeral(5)
-    assert step(Num(2)) == numeral(2)
-    assert step(numeral(2)) is None
+    assert normalize(t) == Num(5)
+    # a literal is a value, as a succ chain is, and costs no fuel
+    assert step(Num(2)) is None and normalize(Num(2), fuel=1) == Num(2)
+    assert step(numeral(2)) is None and normalize(numeral(2), fuel=1) == Num(2)
+    # a literal applied (ill-typed) reads back as the stepper leaves it
+    stuck = app(Num(2), Var(0), tm.unit_const)
+    assert step(stuck) is None and normalize(stuck) == stuck
+    assert normalize(app(tm.succ, Num(1), Var(0))) == App(Num(2), Var(0))
 
 
 def test_projections_and_case():
     p = app(tm.pair_c(NAT, UNIT), numeral(3), tm.unit_const)
-    assert normalize(App(tm.prl_c(NAT, UNIT), p)) == numeral(3)
+    assert normalize(App(tm.prl_c(NAT, UNIT), p)) == Num(3)
     assert normalize(App(tm.prr_c(NAT, UNIT), p)) == tm.unit_const
     scrut = App(tm.inr_c(NAT, NAT), numeral(8))
     t = app(tm.case_c(NAT, NAT, NAT), scrut,
             Lam(NAT, numeral(0)), Lam(NAT, App(tm.succ, Var(0))))
-    assert normalize(t) == numeral(9)
+    assert normalize(t) == Num(9)
 
 
 def test_prim_saturated_only():
-    assert normalize(app(PLUS, numeral(3), numeral(4))) == numeral(7)
+    assert normalize(app(PLUS, numeral(3), numeral(4))) == Num(7)
     half = App(PLUS, numeral(3))
     assert step(half) is None
 
@@ -188,20 +194,20 @@ def test_rec_unfolds_below_guard():
                      app(PLUS, Var(1), App(Var(0), App(PRED, Var(1))))))
     assert typecheck(f) == arrows(NAT, TArrow(NAT, NAT), NAT)
     got = normalize(app(tm.rec_c(NAT), f, numeral(5)))
-    assert got == numeral(15)
+    assert got == Num(15)
 
 
 def test_rec_guard_collapses_to_dummy():
     f = Lam(NAT, Lam(TArrow(NAT, NAT), numeral(99)))
-    assert normalize(app(tm.rec_c(NAT, 2), f, numeral(5))) == tm.zero
-    assert normalize(app(tm.rec_c(NAT, 6), f, numeral(5))) == numeral(99)
+    assert normalize(app(tm.rec_c(NAT, 2), f, numeral(5))) == Num(0)
+    assert normalize(app(tm.rec_c(NAT, 6), f, numeral(5))) == Num(99)
 
 
 def test_rec_single_step_shape():
     f = Lam(NAT, Lam(TArrow(NAT, NAT), Var(1)))
     t = app(tm.rec_c(NAT, 3), f, numeral(2))
     got = step(t)
-    assert got == app(f, numeral(2), App(tm.rec_c(NAT, 2), f))
+    assert got == app(f, Num(2), App(tm.rec_c(NAT, 2), f))
 
 
 def test_exmerge_takes_left_exception():
@@ -298,7 +304,7 @@ def test_strategies_agree_on_normal_forms(seed):
     left, n_left = _stepper(t, strategy="left")
     right, n_right = _stepper(t, strategy="right")
     assert left == right and n_left == n_right
-    assert _agrees(t) == left
+    assert _agrees(t) == gen.fold_numerals(left)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +323,19 @@ def _stepper(t, fuel=tm.DEFAULT_FUEL, oracle=None, strategy="left"):
 
 def _agrees(t, oracle=None, fuel=tm.DEFAULT_FUEL):
     """normalize reaches the stepper's normal form with the same minimal
-    fuel (steps + 1 succeeds, steps raises), or both run out of fuel."""
+    fuel (steps + 1 succeeds, steps raises), or both run out of fuel.
+
+    The normal forms are compared, and the stepper's returned, with each
+    succ chain folded into one literal: the machine holds a natural as an
+    int and reads it back as a literal."""
     try:
         want, n = _stepper(t, fuel, oracle)
     except tm.FuelExhausted:
         with pytest.raises(tm.FuelExhausted):
             normalize(t, fuel, oracle)
         return None
-    assert normalize(t, n + 1, oracle) == want
+    want = gen.fold_numerals(want)
+    assert gen.fold_numerals(normalize(t, n + 1, oracle)) == want
     with pytest.raises(tm.FuelExhausted):
         normalize(t, n, oracle)
     return want
@@ -353,7 +364,7 @@ def _toy_oracle(head, args):
         return None
     n = as_numeral(args[1])
     if head.kind == "query":
-        out = App(tm.inr_c(UNIT, NAT), numeral(n + 1)) if n % 2 else App(
+        out = App(tm.inr_c(UNIT, NAT), Num(n + 1)) if n % 2 else App(
             tm.inl_c(UNIT, NAT), tm.unit_const)
     elif as_numeral(args[0]) is None:
         return None
@@ -391,7 +402,7 @@ def test_ill_shaped_rule_arguments_stay_stuck():
               App(PLUS, numeral(3)),
               app(tm.exmerge_const, tm.exc_const("<", (1,), 0), tm.unit_const),
               app(tm.rec_c(NAT), Lam(NAT, Lam(TArrow(NAT, NAT), Var(1))), Var(0))):
-        assert _agrees(t) == t
+        assert _agrees(t) == gen.fold_numerals(t)
 
 
 def test_deep_terms_need_no_stack():
