@@ -25,14 +25,14 @@ rule matches successors.  Nothing recurses with depth: one postorder fold
 walks every term (`fold_aterm`) and one every formula (`fold_formula`), but
 for substitution and normalization, which skip the parts they leave alone
 and run their own explicit stacks; and one equality, `same`, is the == of
-applications, of formulas and of `terms`' type constructors.  `_norm`, the
-one evaluator, collapses each maximal closed subterm to its value.
-`tnum` refuses values above MAX_NUMERAL with a typed error, because the
-repr of a numeral, which normalizer trace stamps hash, spells its whole S
-chain (realizers carry a numeral as one literal).  Normalization returns a
-normal term or formula as the same object, and `formulas_equal` compares
-syntactically first, so callers that pass normal formulas around pay for
-no rebuilding.
+first-order applications and formulas, and of `terms`' types, lambdas and
+applications.  `_norm`, the one evaluator, collapses each maximal closed
+subterm to its value.  A numeral is one int, bounded only by the digits the
+interpreter prints: `printable` refuses a longer computed value with a typed
+error, as the reader does a longer literal.  Normalization returns a normal
+term or formula as the same object, and `formulas_equal` compares
+syntactically first, so callers that pass normal formulas around pay for no
+rebuilding.
 
 Terms and formulas are hash-consed (Filliatre and Conchon, "Type-safe
 modular hash-consing", 2006).  Each is made with its facts, computed in
@@ -40,17 +40,20 @@ O(1) from its parts' facts and kept in slots beside its fields: its free
 variables (`free_vars`), whether it is normal (`is_normal`: no application
 in its terms is closed, which holds or fails whatever the function table),
 and its hash, which is the generated dataclass hash of its fields, so no
-fact walks a formula and hash never recurses.  A command (`interned`) keeps
-one table per class, in which the same parts give the same object: within
-it == is identity on values built there, and reading, substituting and
-normalizing share their results.  Objects built outside any table are
-valid alike, and == compares them by `same`, the stored hashes first.  A
-formula keeps `subst_formula`'s and `norm_formula`'s results on itself, by
-their arguments, so each is made once and dies with the formula.
+fact walks a formula and hash never recurses.  Its repr is its text in
+the proof-file syntax, which `sexpr` prints without recursion.  A command
+(`interned`) keeps one table per class, in which the same parts give the
+same object: within it == is identity on values built there, and reading,
+substituting and normalizing share their results.  Objects built outside
+any table are valid alike, and == compares them by `same`, the stored
+hashes first.  A formula keeps `subst_formula`'s and `norm_formula`'s
+results on itself, by their arguments, so each is made once and dies with
+the formula.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -75,8 +78,15 @@ class NotClosed(ArithError):
     pass
 
 
-class NumeralTooLarge(ArithError):
-    pass
+# every int below this prints: the interpreter's digit limit is 640 or more, or none
+_PRINTS = 10**640
+
+
+def printable(n: int) -> int:
+    """n, unless it has more digits than the interpreter prints: then an ArithError."""
+    if n >= _PRINTS and (limit := sys.get_int_max_str_digits()) and n >= 10**limit:
+        raise ArithError(f"a value of more than {limit} digits")
+    return n
 
 
 _CLOSE = object()  # ends a node's parts on the explicit stacks below
@@ -111,18 +121,6 @@ def structural(cls):
     """cls, a frozen dataclass, compared by `same` over its fields."""
     cls.__eq__, cls._parts = same, attrgetter(*cls.__match_args__)
     return cls
-
-
-def _rope(x) -> str:
-    """The strings of a tree of tuples joined left to right, on an explicit stack."""
-    out, todo = [], [x]
-    while todo:
-        x = todo.pop()
-        if type(x) is str:
-            out.append(x)
-        else:
-            todo.extend(reversed(x))
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def eval_prim(f: PrimFn, args: Iterable[int]) -> int:
                 todo += [(_LOOP, (f, 0, args)), (base, args[1:])]
             case _:
                 raise ArithError(f"not a primitive recursive function: {f!r}")
-    return done[0]
+    return printable(done[0])
 
 
 @dataclass(frozen=True)
@@ -324,12 +322,17 @@ def interned(fn: Callable) -> Callable:
 
 class _Syntax:
     """A term or formula, which holds its hash: the generated dataclass hash
-    of its fields, made from its parts' hashes when it is made."""
+    of its fields, made from its parts' hashes when it is made.  Its repr is
+    its text in the proof-file syntax."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        from .sexpr import print_aterm, print_formula  # sexpr imports this module
+        return (print_formula if isinstance(self, _Formula) else print_aterm)(self)
 
     def __reduce__(self):
         # copies and pickles are made again through the constructor
@@ -352,7 +355,7 @@ def _slot_setters(cls) -> tuple:
 # first-order terms
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TVar(_Syntax):
     __slots__ = ("name", "_fv")
     name: str
@@ -406,10 +409,6 @@ class TNum(_Syntax):
 
     __hash__ = _Syntax.__hash__
 
-    def __repr__(self) -> str:
-        # spelled as the S chain it stands for (normalizer traces stamp reprs)
-        return "TApp(fn='S', args=(" * self.value + "TApp(fn='0', args=())" + ",))" * self.value
-
 
 def _applied(cls, head: str, args: tuple):
     """cls(head, args), for an application or an atom; its free variables are
@@ -458,29 +457,17 @@ class TApp(_Syntax):
         if fn == "0" and not args:
             return TNum(0)
         if fn == "S" and len(args) == 1 and type(args[0]) is TNum:
-            return TNum(args[0].value + 1)
+            return TNum(printable(args[0].value + 1))
         return _applied(cls, fn, args)
-
-    def __repr__(self) -> str:
-        # the generated repr, joined from a rope of pieces so depth costs no stack
-        return _rope(fold_aterm(self, repr, lambda u, parts: (
-            f"TApp(fn={u.fn!r}, args=(", *[x for p in parts for x in (p, ", ")][:-1],
-            ",))" if len(parts) == 1 else "))")))
 
 
 ATerm = TVar | TNum | TApp
 (_set_name, _set_var_fv), (_set_value,) = _slot_setters(TVar), _slot_setters(TNum)
 TApp._setters = _slot_setters(TApp)
 
-# a numeral's repr spells one S per unit, and normalizer trace stamps hash
-# it, so tnum refuses values above this
-MAX_NUMERAL = 10**6
-
 
 def tnum(n: int) -> TNum:
-    """Numeral n as a first-order term.  Raises NumeralTooLarge above MAX_NUMERAL."""
-    if n > MAX_NUMERAL:
-        raise NumeralTooLarge(f"numeral above the bound {MAX_NUMERAL}")
+    """Numeral n as a first-order term."""
     return TNum(n if n > 0 else 0)
 
 
@@ -572,7 +559,7 @@ _set_fv, _set_normal, _set_memo = _slot_setters(_Formula)
 
 
 @structural
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Atom(_Formula):
     __slots__ = ("rel", "args")
     rel: str
@@ -585,21 +572,10 @@ class Atom(_Formula):
 Atom._setters = (*_slot_setters(Atom), _set_fv, _set_normal)
 
 
-def _formula_repr(self) -> str:
-    # the generated repr, joined from a rope of pieces so depth costs no stack
-    def node(u: Formula, parts: list) -> tuple:
-        name = type(u).__name__
-        if len(parts) == 1:
-            return (f"{name}(var={u.var!r}, body=", parts[0], ")")
-        return (f"{name}(left=", parts[0], ", right=", parts[1], ")")
-    return _rope(fold_formula(self, repr, node))
-
-
 class _Binary(_Formula):
     """The layout of the connectives."""
 
     __slots__ = ("left", "right")
-    __repr__ = _formula_repr
 
     def __new__(cls, left: "Formula", right: "Formula"):
         table = _TABLE.get()
@@ -625,7 +601,6 @@ class _Binder(_Formula):
     """The layout of the quantifiers."""
 
     __slots__ = ("var", "body")
-    __repr__ = _formula_repr
 
     def __new__(cls, var: str, body: "Formula"):
         table = _TABLE.get()

@@ -85,7 +85,7 @@ from .arith import (
     tnum,
 )
 from .deduction import Derivation, Sequent
-from .sexpr import print_aterm, print_formula
+from .sexpr import print_aterm, print_formula, print_sequent
 
 DEFAULT_FUEL = 10_000
 
@@ -633,7 +633,9 @@ def normalize_derivation(
     the subtrees it carried over are skipped.  checked and scanned, when
     given, are the memos of the caller's own check and scan of d under the
     same tables, carried on.  Fuel bounds the number of rewrites and
-    FuelExhausted carries the partly reduced derivation.
+    FuelExhausted carries the partly reduced derivation.  trace, when
+    given, gets a line per rewrite: its kind, its path and a stamp, 12 hex
+    digits of the SHA-1 of the rewritten node's sequent as `sexpr` prints it.
     """
     normed: dict = {}
     checked = {} if checked is None else checked
@@ -667,7 +669,8 @@ def normalize_derivation(
             import hashlib  # here alone: it loads OpenSSL, which costs every CLI process memory
 
             where = ".".join(map(str, cut.path)) or "root"
-            stamp = hashlib.sha1(repr(_at(d, cut.path).conclusion).encode()).hexdigest()[:12]
+            text = print_sequent(_at(d, cut.path).conclusion)
+            stamp = hashlib.sha1(text.encode()).hexdigest()[:12]
             kind = f"{cut.kind}/{cut.detail}" if cut.detail else cut.kind
             trace.append(f"{kind} at {where} -> {stamp}")
 

@@ -41,10 +41,12 @@ text of one form) and print_X walk the same table with an explicit stack,
 so each head is spelled once and depth costs no Python stack.
 Printing is the inverse on checked objects: parse(print(x)) == x.
 
-This is the only printer of types, terms, first-order terms and formulas:
-the error messages of the other modules show them through print_X with
-brief=True, which names a form that does not fit on one line by its head
-alone, so a message stays short however deep the object is.
+This is the only printer of types, terms, first-order terms, formulas and
+sequents.  The repr of a first-order term or formula is its print_X text,
+normalizer trace stamps hash a sequent's, and the error messages of the
+other modules show these objects through print_X with brief=True, which
+names a form that does not fit on one line by its head alone, so a message
+stays short however deep the object is.
 """
 
 from __future__ import annotations
@@ -501,8 +503,6 @@ def _read_aterm(i: int, rd: _Reader) -> ATerm:
                 value = int(tok)
                 if value < 0:
                     raise rd.error(i, "negative numeral")
-                if value > arith.MAX_NUMERAL:
-                    raise rd.error(i, f"numeral above the bound {arith.MAX_NUMERAL}")
                 leaf = TNum(value)
             rd.leaves[tok] = leaf
         return leaf
@@ -695,6 +695,7 @@ _DERIVATION = _sole(
 read_rule = partial(_read, _RULE)  # (text, fns, rels)
 read_derivation = partial(_read, _DERIVATION)  # (text, fns, rels)
 print_derivation = partial(_print, _DERIVATION)
+print_sequent = partial(_print, _SEQUENT)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .arith import structural
+from .arith import printable, structural
 
 DEFAULT_FUEL = 10**6
 
@@ -99,12 +99,14 @@ class Var:
     index: int
 
 
+@structural
 @dataclass(frozen=True)
 class Lam:
     param: Ty
     body: "Term"
 
 
+@structural
 @dataclass(frozen=True)
 class App:
     fn: "Term"
@@ -220,7 +222,7 @@ def as_numeral(t: Term) -> Optional[int]:
             case Const(kind="zero"):
                 return n
             case Num(value):
-                return n + value
+                return printable(n + value)
             case App(Const(kind="succ"), inner):
                 n += 1
                 t = inner
@@ -673,7 +675,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, oracle: Optional[Oracle] = None
                 if tf is not Const:  # an int or a free Var
                     value = _Spine(fn, args)
                 elif fn.kind == K_SUCC and type(args[0]) is int:
-                    fn, args = args[0] + 1, args[1:]
+                    fn, args = printable(args[0] + 1), args[1:]
                     continue
                 elif (r := _contract(fn, args, oracle)) is None:
                     value = _Spine(fn, args)

@@ -212,8 +212,6 @@ def _read_aterm(node: Node, fns, rels):
     if type(node) is IntTok:
         if node.value < 0:
             raise _err(node, "negative numeral")
-        if node.value > arith.MAX_NUMERAL:
-            raise _err(node, f"numeral above the bound {arith.MAX_NUMERAL}")
         return tnum(node.value)
     if type(node) is Sym:
         return TVar(node.text)

@@ -4,6 +4,7 @@ import copy as copy_module
 import dataclasses
 import itertools
 import random
+import sys
 import timeit
 
 import pytest
@@ -410,20 +411,13 @@ def test_numerals_are_one_leaf():
                                 Atom("=", (tnum(3000), TApp("+", (tnum(2999), tnum(1))))))
 
 
-# TApp as a dataclass generates it, whose repr recurses along its arguments
-_GeneratedTApp = dataclasses.make_dataclass(
-    "TApp", [("fn", str), ("args", tuple)], frozen=True)
-
-
-def _generated(t):
+def _spelled(t):
+    """The one-line sexpr text of a short term, spelled by recursion."""
+    if type(t) is TVar:
+        return t.name
     if type(t) is arith.TNum:
-        g = _GeneratedTApp("0", ())
-        for _ in range(t.value):
-            g = _GeneratedTApp("S", (g,))
-        return g
-    if type(t) is TApp:
-        return _GeneratedTApp(t.fn, tuple(_generated(a) for a in t.args))
-    return t
+        return str(t.value)
+    return "(" + " ".join((t.fn, *map(_spelled, t.args))) + ")"
 
 
 @pytest.mark.parametrize("t", [
@@ -433,14 +427,17 @@ def _generated(t):
     TApp("+", (_succs(3, TVar("y")), TApp("*", (tnum(2), TApp("pred", (tnum(4),)))))),
 ])
 def test_tapp_repr_is_the_generated_one(t):
-    assert repr(t) == repr(_generated(t))
+    # the repr is the sexpr text, which _spelled spells apart
+    assert repr(t) == str(t) == sexpr.print_aterm(t) == _spelled(t)
 
 
 def test_repr_of_a_deep_numeral_needs_no_stack():
-    # normalizer traces stamp the repr of sequents holding such numerals
-    head = "TApp(fn='S', args=("
-    assert repr(tnum(5000)) == head * 5000 + "TApp(fn='0', args=())" + ",))" * 5000
-    assert repr(_succs(5000, TVar("x"))).endswith("TVar(name='x')" + ",))" * 5000)
+    # a numeral prints in decimal, and S 10^4 deep over a variable prints
+    # on the explicit stack of sexpr's printer
+    assert repr(tnum(5000)) == "5000" and repr(tnum(10**100)) == str(10**100)
+    t = _succs(10_000, TVar("x"))
+    assert repr(t) == sexpr.print_aterm(t) and repr(t).count("(S") == 10_000
+    assert sexpr.read_aterm(repr(t), FUNCTIONS) == t
 
 
 def _tower(base, n=10_000):
@@ -465,10 +462,8 @@ def test_every_term_walk_takes_a_deep_term(base):
         assert norm_aterm(t) == tnum(10_001)
         assert arith.subst_aterm(t, "x", tnum(2)) is t
         nat_env = ()
-    assert repr(t) == ("TApp(fn='+', args=(" * 10_000 + repr(base)
-                       + (", " + repr(tnum(1)) + "))") * 10_000)
     printed = sexpr.print_aterm(t)
-    assert printed.count("(+") == 10_000
+    assert repr(t) == printed and printed.count("(+") == 10_000
     assert reduce_aterm(sexpr.read_aterm(printed, FUNCTIONS), env) == 10_001
     nat = extraction.term_to_nat(t, nat_env, FUNCTIONS)
     if type(base) is arith.TNum:
@@ -836,8 +831,8 @@ def test_formula_equality_agrees_with_the_generated_one(f, g, how):
     ga, gb = ref.generated(a), ref.generated(b)
     assert (a == b) is (ga == gb) and (a != b) is (ga != gb)
     assert arith.same(a, b) is (ga == gb)
-    # the generated hash and repr
-    assert hash(a) == hash(ga) and repr(a) == repr(ga)
+    # the generated hash, and the sexpr text as repr
+    assert hash(a) == hash(ga) and repr(a) == sexpr.print_formula(a)
 
 
 _X1 = Atom("=", (TVar("x"), tnum(1)))
@@ -862,8 +857,8 @@ def test_every_formula_walk_takes_a_deep_formula(kind):
     assert free_vars(closed) == frozenset() and norm_formula(closed) is closed
     assert norm_formula(subst_formula(f, "x", TApp("+", (tnum(0), tnum(1))))) == closed
     assert f == copy and not f != copy and f != one and formulas_equal(f, copy)
-    assert repr(f).count(f"{type(f).__name__}(") == 10_000
-    assert repr(f) == repr(copy)
+    assert repr(f).count(f"({kind}") == 10_000
+    assert repr(f) == repr(copy) == sexpr.print_formula(f)
     assert extraction.realizer_type(f) == extraction.realizer_type(copy)
     level = classify(f)
     if kind in ("forall", "exists"):
@@ -894,13 +889,21 @@ def test_deep_compositions_need_no_stack():
     assert PRec(Zero(1), Proj(3, 2)).arity == 2
 
 
-def test_numerals_above_the_bound_are_refused():
-    assert issubclass(arith.NumeralTooLarge, arith.ArithError)
-    with pytest.raises(arith.NumeralTooLarge, match="numeral above the bound 1000000"):
-        tnum(arith.MAX_NUMERAL + 1)
-    with pytest.raises(arith.NumeralTooLarge):
-        norm_aterm(TApp("*", (tnum(1001), tnum(1000))))
-    assert reduce_aterm(TApp("*", (tnum(1001), tnum(1000)))) == 1001000
+def test_numerals_past_a_million_read_and_normalize():
+    n = 10**100
+    assert type(tnum(n)) is arith.TNum and tnum(n).value == n
+    assert norm_aterm(TApp("*", (tnum(1001), tnum(1000)))) == tnum(1001000)
+    square = TApp("*", (tnum(n), tnum(n)))
+    assert sexpr.read_aterm(f"(* {n} {n})", FUNCTIONS) == square
+    assert norm_aterm(square) == tnum(n * n) and reduce_aterm(square) == n * n
+    assert atomic_truth(Atom("<", (tnum(n), square)))
+    # but a computed value has no more digits than the interpreter prints
+    limit = sys.get_int_max_str_digits()
+    big = tnum(10**limit - 1)
+    for make in (lambda: norm_aterm(TApp("*", (big, big))), lambda: TApp("S", (big,)),
+                 lambda: reduce_aterm(TApp("+", (big, tnum(1))))):
+        with pytest.raises(arith.ArithError, match=f"^a value of more than {limit} digits$"):
+            make()
 
 
 def test_atomic_truth():

@@ -421,19 +421,30 @@ def test_excluded_middle_over_a_deep_closed_parameter(tmp_path, capsys, depth):
 
 
 def test_a_big_witness_is_one_literal(tmp_path, capsys):
-    # the realizer carries the witness 10^6 as one literal, not 10^6 succs
-    n = 10**6
-    p = tmp_path / "big.proof"
-    p.write_text(f"(defder d (der (exists-i {n}) (seq (ctx) (exists x (atom = x {n})))"
-                 f" (der atom-i (seq (ctx) (atom = {n} {n})))))")
-    for fmt in ("human", "sexpr"):
-        rc, out, err = run_cli(capsys, "extract", str(p), "--deriv", "d", "--format", fmt)
-        assert (rc, err) == (0, "") and len(out) < 4096 and out.count(f"(num {n})") == 1
-    q = tmp_path / "realizer.proof"
-    q.write_text(f"(defterm r {out})")
-    rc, out, err = run_cli(capsys, "run", str(q), "--term", "r", "--learn")
-    assert (rc, err) == (0, "") and len(out) < 4096
-    assert out == f"state: -\nvalue: (app (pair Nat Unit) (num {n}) unit)\n"
+    # the realizer carries the witness as one literal, not n succs, on both routes
+    for n in (10**6, 10**100):
+        p = tmp_path / "big.proof"
+        p.write_text(f"(defder d (der (exists-i {n}) (seq (ctx) (exists x (atom = x {n})))"
+                     f" (der atom-i (seq (ctx) (atom = {n} {n})))))")
+        outs = {}
+        for argv in (("check",), ("normalize", "--deriv", "d", "--trace"),
+                     ("extract-witness", "--deriv", "d"), ("extract", "--deriv", "d"),
+                     ("extract", "--deriv", "d", "--format", "sexpr")):
+            rc, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+            assert (rc, err) == (0, "") and len(out) < 4096, argv
+            assert argv[0] != "extract" or out.count(f"(num {n})") == 1
+            outs[argv[0]] = out
+        assert outs["extract-witness"] == f"witness: {n}\n"
+        # no cut, so no trace line: the proof as it came
+        assert outs["normalize"].startswith("(der\n  (exists-i")
+        assert outs["normalize"].count(str(n)) == 4
+        q = tmp_path / "realizer.proof"
+        q.write_text(f"(defterm r {outs['extract']})")
+        rc, out, err = run_cli(capsys, "run", str(q), "--term", "r", "--learn")
+        assert (rc, err) == (0, "") and len(out) < 4096
+        state, value = out.split("\n", 1)
+        assert state == "state: -" and value.startswith("value: ")
+        assert sexpr.read_term(value[7:]) == sexpr.read_term(f"(app (pair Nat Unit) (num {n}) unit)")
 
 
 _DEEP_ATOM = "(atom = 1 1)"
@@ -445,10 +456,10 @@ _DEEP = {"and": ("(and ", f" {_DEEP_ATOM})"), "or": (f"(or {_DEEP_ATOM} ", ")"),
 @pytest.mark.parametrize("command", ["check", "normalize", "extract", "extract-witness"])
 @pytest.mark.parametrize("kind", _DEEP)
 def test_deep_formulas_need_no_stack(tmp_path, capsys, kind, command):
-    # F nests one connective 2500 deep over a closed atom, past Python's
+    # F nests one connective 10^4 deep over a closed atom, past Python's
     # recursion limit; u : F proves F
     head, tail = _DEEP[kind]
-    f = head * 2500 + _DEEP_ATOM + tail * 2500
+    f = head * 10**4 + _DEEP_ATOM + tail * 10**4
     p = tmp_path / "deep.proof"
     p.write_text(f"(defder d (der (imply-i u) (seq (ctx) (imply {f} {f}))"
                  f" (der (id u) (seq (ctx (u {f})) {f}))))")
@@ -495,7 +506,7 @@ def test_atoms_over_deep_terms_need_no_stack(tmp_path, capsys, op, der, command)
 
 
 def test_normalize_traces_a_cut_over_a_deep_formula(tmp_path, capsys):
-    # the trace stamps the repr of a sequent whose formulas are 2000 deep
+    # the trace stamps the sexpr text of a sequent whose formulas are 2000 deep
     a = _DEEP_ATOM
     f = "(and " * 2000 + a + f" {a})" * 2000
     ctx = f"(ctx (u {f}))"
@@ -618,10 +629,10 @@ def test_normalize_accepts_deep_derivations(tmp_path, capsys, depth):
 
 
 def test_normalize_grafts_into_a_deep_body(tmp_path, capsys):
-    # imply-e over imply-i u whose body, 3000 levels deep, uses u at its top
+    # imply-e over imply-i u whose body, 10^4 levels deep, uses u at its top
     a, b, ctx = "(atom = 1 1)", "(atom = 2 2)", "(ctx (u (atom = 1 1)))"
     d = f"(der (id u) (seq {ctx} {a}))"
-    for _ in range(1500):
+    for _ in range(5000):
         d = (f"(der and-el (seq {ctx} {a}) (der and-i (seq {ctx} (and {a} {b}))"
              f" {d} (der atom-i (seq {ctx} {b}))))")
     p = tmp_path / "graft.proof"
@@ -645,19 +656,41 @@ def test_extract_witness_of_a_deep_derivation(tmp_path, capsys):
     assert (rc, out, err) == (0, "witness: 1\n", "")
 
 
-@pytest.mark.parametrize("text, col", [
-    ("(defder d (der (exists-i (* {n} {n})) (seq (ctx) (exists x (atom = x 0)))"
-     " (der atom-i (seq (ctx) (atom = 0 0)))))", 29),
-    ("(defder d (der atom-i (seq (ctx) (atom = (* {n} {n}) 0))))", 45),
-])
-def test_check_refuses_numerals_above_the_bound(tmp_path, capsys, text, col):
+@pytest.mark.parametrize("text", [
+    "(defder d (der (exists-i (+ {n} {n})) (seq (ctx) (exists x (atom = x (+ {n} {n}))))"
+    " (der atom-i (seq (ctx) (atom = (+ {n} {n}) (+ {n} {n}))))))",
+    "(defder d (der atom-i (seq (ctx) (atom < {n} (+ {n} {n})))))",
+], ids=["exists-i", "atom-i"])
+def test_check_reads_numerals_of_thousands_of_digits(tmp_path, capsys, text):
+    # a numeral is one leaf evaluated on ints, so its digits cost no nodes
+    n = "7" * 3000
     p = tmp_path / "big.proof"
-    p.write_text(text.format(n="7" * 3000))
+    p.write_text(text.format(n=n))
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "check", str(p))
     assert time.perf_counter() - start < 1.0
-    assert (rc, out) == (1, "")
-    assert err == f"error: 1:{col}: numeral above the bound 1000000\n"
+    assert (rc, err) == (0, "") and out.startswith("der d proves (") and f" {n}" in out
+    assert out.endswith("ok: 1 definitions\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("extract", "--deriv", "d"), ("extract-witness", "--deriv", "d"),
+    ("normalize", "--deriv", "d", "--trace"), ("run", "--term", "product"),
+    ("run", "--term", "successor", "--learn"),
+])
+def test_values_past_the_printed_digits_are_refused(tmp_path, capsys, argv):
+    # a value is printed in decimal, so one with more digits than the
+    # interpreter prints is a user error wherever it is computed
+    limit = sys.get_int_max_str_digits()
+    n, nines = "7" * 3000, "9" * limit
+    p = tmp_path / "big.proof"
+    p.write_text(f"(defterm product (lam State (app (inl Nat Ex) (app (prim *) (num {n}) (num {n})))))"
+                 f" (defterm successor (lam State (app (inl Nat Ex) (app succ (num {nines})))))"
+                 if argv[0] == "run" else
+                 f"(defder d (der (exists-i (* {n} {n})) (seq (ctx) (exists x (atom = x (* {n} {n}))))"
+                 f" (der atom-i (seq (ctx) (atom = (* {n} {n}) (* {n} {n}))))))")
+    rc, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert (rc, out, err) == (1, "", f"error: a value of more than {limit} digits\n")
 
 
 @pytest.mark.parametrize("text, col", [

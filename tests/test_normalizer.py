@@ -779,10 +779,7 @@ _TRACES = pathlib.Path(__file__).parent / "data" / "normalizer_traces.json"
 
 
 def test_corpus_traces_are_pinned():
-    # the normalizer's traces are the file's "simplify=True" set; its
-    # "simplify=False" set is of a reduction set without permutative
-    # conversions and immediate simplifications, which the normalizer lacks
-    expected = json.loads(_TRACES.read_text())["simplify=True"]
+    expected = json.loads(_TRACES.read_text())
     pf = corpus.corpus_file()
     assert set(expected) == set(pf.derivs)
     for name, d in pf.derivs.items():

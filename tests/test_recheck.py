@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from realizer import arith, corpus
+from realizer import arith, corpus, sexpr
 from realizer import deduction as dd
 from realizer import normalizer as nz
 from realizer.arith import And, Atom, BOT, Exists, Or, TVar
@@ -94,7 +94,8 @@ def whole_tree_normalize(d, fuel=nz.DEFAULT_FUEL, *,
                 f"{cut.kind} rewrite at {cut.path} freed a term variable")
         if trace is not None:
             where = ".".join(map(str, cut.path)) or "root"
-            stamp = hashlib.sha1(repr(nz._at(d, cut.path).conclusion).encode()).hexdigest()[:12]
+            text = sexpr.print_sequent(nz._at(d, cut.path).conclusion)
+            stamp = hashlib.sha1(text.encode()).hexdigest()[:12]
             kind = f"{cut.kind}/{cut.detail}" if cut.detail else cut.kind
             trace.append(f"{kind} at {where} -> {stamp}")
 

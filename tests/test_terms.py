@@ -413,6 +413,26 @@ def test_deep_terms_need_no_stack():
     assert as_numeral(normalize(app(tm.rec_c(NAT), f, numeral(1000)))) == 1001
 
 
+def _nested_pairs(tys):
+    """A pair nested in its left component once per type of tys, the type of
+    that component, with unit at every leaf; the terms are built anew each
+    call, the type objects shared."""
+    t = tm.unit_const
+    for ty in tys:
+        t = app(tm.pair_c(ty, UNIT), t, tm.unit_const)
+    return t
+
+
+@pytest.mark.parametrize("depth", [1200, 10**4])
+def test_deep_terms_compare_without_recursion(depth):
+    tys = [UNIT]
+    while len(tys) < depth:
+        tys.append(TProd(tys[-1], UNIT))
+    a, b = _nested_pairs(tys), _nested_pairs(tys)
+    assert a is not b and a == b and not a != b
+    assert a != _nested_pairs(tys[:-1]) and Lam(NAT, a) == Lam(NAT, b)
+
+
 def test_divergence_runs_out_of_the_default_fuel():
     omega = Lam(NAT, App(Var(0), Var(0)))
     with pytest.raises(tm.FuelExhausted, match=f"within {tm.DEFAULT_FUEL} steps"):
