@@ -96,22 +96,28 @@ _LOOP = object()  # eval_prim's frame for the counter loop of a recursion
 def same(a, b) -> bool:
     """a == b over frozen syntax on an explicit stack, identical parts first and
     stored hashes before parts, so depth costs no Python stack; it agrees
-    with the generated == and hash."""
+    with the generated == and hash.  Each pair of objects is expanded once a
+    call, so parts shared within each side cost nothing more."""
     if a is b:
         return True
-    todo = [(a, b)]
+    todo, seen = [(a, b)], None
     for a, b in todo:  # grows as it goes
         if a is b:
             continue
         t = type(a)
         if t is not type(b) or (t is tuple and len(a) != len(b)):
             return False
-        if t is tuple:
-            todo += zip(a, b)
-        elif t.__eq__ is same:
+        if t is tuple or t.__eq__ is same:
             if isinstance(a, _Syntax) and a._hash != b._hash:
                 return False
-            todo += zip(t._parts(a), t._parts(b))
+            key = (id(a), id(b))
+            if seen is None:
+                seen = {key}
+            elif key in seen:
+                continue
+            else:
+                seen.add(key)
+            todo += zip(a, b) if t is tuple else zip(t._parts(a), t._parts(b))
         elif a != b:  # a leaf, whose == does not recurse by itself
             return False
     return True

@@ -42,9 +42,10 @@ _labels_inside and the normalizer's query scans.  rebuild makes one local
 edit per node: substitution, renaming and grafting in one edit (_rename),
 weakening, and the normalizer's strengthening and term normalization.
 check_derivation checks in preorder with a trail per node, from which an
-error's premiss path is built, and skips subtrees checked before.
-free_term_vars folds bottom-up over a memo.  Derivations compare and hash
-without recursion too (Derivation).
+error's premiss path is built; free_term_vars folds bottom-up.  Each node
+keeps what the two found, its free term variables and the tables its
+subtree passed under, so a later pass skips it.  Derivations compare and
+hash without recursion too (Derivation).
 """
 
 from __future__ import annotations
@@ -272,6 +273,7 @@ RULE_SHAPES: dict[type, RuleShape] = {
 Context = tuple[tuple[str, Formula], ...]
 
 
+@arith.structural
 @dataclass(frozen=True)
 class Sequent:
     context: Context
@@ -295,14 +297,23 @@ class Derivation:
     Compared by arith.same, on an explicit stack, and hashed from the rule
     and the conclusion, which equal derivations share: neither recurses
     into the premisses, so a derivation of any depth compares and hashes.
+    Its repr is its text in the proof-file syntax.
     """
 
     rule: RuleKind
     conclusion: Sequent
     premisses: tuple["Derivation", ...] = ()
+    # not fields: kept by __hash__, free_term_vars and check_derivation
+    _hash = _fv = _checked = None
 
     def __hash__(self) -> int:
-        return hash((self.rule, self.conclusion))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rule, self.conclusion)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        from .sexpr import print_derivation  # sexpr imports this module
+        return print_derivation(self)
 
 
 def seq(context: Context, goal: Formula) -> Sequent:
@@ -346,22 +357,16 @@ def _rule_term_vars(rule: RuleKind) -> frozenset[str]:
             return frozenset()
 
 
-# A memo maps id(node) to (node, value): holding the node keeps its id from
-# being reused while the memo lives.
-Memo = dict[int, tuple[Derivation, object]]
-
-
-def free_term_vars(d: Derivation, memo: Optional[Memo] = None) -> frozenset[str]:
+def free_term_vars(d: Derivation) -> frozenset[str]:
     """Variables free in a formula or rule term and not bound by a rule.
 
-    Computed bottom-up; memo, when given, holds the set of every node
-    already scanned, which is not scanned again, and receives the rest.
+    Computed bottom-up and kept on each node, so a node that holds its set
+    already is not walked again.
     """
-    memo = {} if memo is None else memo
     stack = [(d, False)]  # a node, and whether its premisses are done
     while stack:
         node, ready = stack.pop()
-        if id(node) in memo:
+        if node._fv is not None:
             continue
         if not ready:
             stack.append((node, True))
@@ -370,10 +375,9 @@ def free_term_vars(d: Derivation, memo: Optional[Memo] = None) -> frozenset[str]
         out = _formula_vars_of_node(node) | _rule_term_vars(node.rule)
         binds = RULE_SHAPES[type(node.rule)].binds
         for i, p in enumerate(node.premisses):
-            inner = memo[id(p)][1]
-            out |= inner - {node.rule.var} if i == binds else inner
-        memo[id(node)] = (node, out)
-    return memo[id(d)][1]
+            out |= p._fv - {node.rule.var} if i == binds else p._fv
+        object.__setattr__(node, "_fv", out)
+    return d._fv
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +505,6 @@ def _rename(
     that label becomes repl, weakened by the entries after pos in the
     leaf's new context.  repl itself is neither renamed nor substituted.
     """
-    scanned: Memo = {}
     last, count = max(picks, default=-1), -1
     pos, repl = graft if graft is not None else (None, None)
     label = d.conclusion.context[pos][0] if graft is not None else None
@@ -515,7 +518,7 @@ def _rename(
         if risk is not None:
             binder, passing = risk
             for var, t in passing:
-                if binder in aterm_vars(t) and var in free_term_vars(node, scanned):
+                if binder in aterm_vars(t) and var in free_term_vars(node):
                     raise CaptureRisk(f"substituting {t} for {var} under binder {binder}")
         rule, concl, shape = node.rule, node.conclusion, RULE_SHAPES[type(node.rule)]
         ctx, goal = concl.context, concl.goal
@@ -569,6 +572,7 @@ def _rename(
 # (trail of the parent, premiss index) below it.  Building the premiss path
 # from it only when an error is raised keeps checking linear in depth.
 Trail = Optional[tuple]
+_PASSED = object()  # in place of a trail: the node's subtree has passed
 
 
 def _path(trail: Trail) -> tuple[int, ...]:
@@ -872,26 +876,28 @@ def check_derivation(
     d: Derivation,
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, arith.PrimFn] = arith.FUNCTIONS,
-    checked: Optional[Memo] = None,
 ) -> Sequent:
     """Validate every node, in preorder; returns the root sequent.
 
     A node's validity depends only on the node, its premisses' conclusions,
-    rels and fns, so a subtree checked once under the same tables need not
-    be checked again.  checked, when given, holds such nodes: the walk skips
-    their subtrees and adds every node it checks, so it holds only valid
-    nodes once the call returns; after a DeductionError, drop it.  The walk
-    still starts at the root, so an error names the same node and path as a
-    whole-tree check.
+    rels and fns.  So once a node's whole subtree has passed, the node
+    keeps the two table objects, and a later check under the same objects
+    skips the subtree.  A node is marked after its premisses, so a failed
+    check marks nothing above the error, and the walk still starts at the
+    root: an error names the same node and path as a whole-tree check.
     """
-    checked = {} if checked is None else checked
+    tables = (rels, fns)
     stack: list[tuple[Derivation, Trail]] = [(d, None)]
     while stack:
         node, trail = stack.pop()
-        if id(node) in checked:
+        if trail is _PASSED:
+            object.__setattr__(node, "_checked", tables)
+            continue
+        marked = node._checked
+        if marked is not None and marked[0] is rels and marked[1] is fns:
             continue
         _check_node(node, trail, rels, fns)
-        checked[id(node)] = (node, None)
+        stack.append((node, _PASSED))
         for i in range(len(node.premisses) - 1, -1, -1):
             stack.append((node.premisses[i], (trail, i)))
     return d.conclusion

@@ -49,13 +49,11 @@ Reductions preserve the root sequent and never invent assumptions or free
 term variables.  After every rewrite normalize_derivation term-normalizes
 the tree, checks it and scans it for free term variables, and raises
 HygieneError if a rewrite would need alpha-renaming that the syntactic
-formula identity cannot express.  Nodes are immutable and a node's validity
-depends only on itself and its premisses' conclusions, so these passes
-remember the nodes they have visited, by identity, for the length of the
-call: a rewrite builds a few new nodes and carries the rest over, and only
-the new ones are visited.  extract_witness drives a closed derivation of
-ex x A (A atomic) to its normal form, which must end with the existence
-introduction naming a correct witness.
+formula identity cannot express.  A rewrite carries most nodes over, and
+each node keeps what the check and the scan found about it, so these two
+passes visit only the nodes the rewrite built.  extract_witness drives a
+closed derivation of ex x A (A atomic) to its normal form, which must end
+with the existence introduction naming a correct witness.
 """
 
 from __future__ import annotations
@@ -620,31 +618,24 @@ def normalize_derivation(
     rels: Mapping[str, Relation] = arith.RELATIONS,
     fns: Mapping[str, PrimFn] = arith.FUNCTIONS,
     trace: Optional[list[str]] = None,
-    checked: Optional[dd.Memo] = None,
-    scanned: Optional[dd.Memo] = None,
 ) -> Derivation:
     """Rewrite until no head cut remains along any principal branch.
 
     d is checked first.  The root sequent is preserved (up to term
-    normalization) and the tree is term-normalized, checked and scanned for
-    free term variables after every rewrite.  Each of the three passes has
-    a memo keyed by node identity that lives for this call, so a node is
-    visited once: after a rewrite only the nodes the reducer built are, and
-    the subtrees it carried over are skipped.  checked and scanned, when
-    given, are the memos of the caller's own check and scan of d under the
-    same tables, carried on.  Fuel bounds the number of rewrites and
-    FuelExhausted carries the partly reduced derivation.  trace, when
-    given, gets a line per rewrite: its kind, its path and a stamp, 12 hex
-    digits of the SHA-1 of the rewritten node's sequent as `sexpr` prints it.
+    normalization), and after every rewrite the tree is term-normalized,
+    checked and searched for free term variables.  Each pass visits a node
+    once: the nodes a rewrite carries over keep what the check and the
+    search found, and norm_terms has a memo for this call.  Fuel bounds
+    the number of rewrites and FuelExhausted carries the partly reduced
+    derivation.  trace, when given, gets a line per rewrite: its kind, its
+    path and a stamp, 12 hex digits of the SHA-1 of the rewritten node's
+    sequent as `sexpr` prints it.
     """
     normed: dict = {}
-    checked = {} if checked is None else checked
-    scanned = {} if scanned is None else scanned
-    if id(d) not in checked:
-        dd.check_derivation(d, rels, fns, checked)
+    dd.check_derivation(d, rels, fns)
     d = norm_terms(d, fns, normed)
     root = d.conclusion
-    base_vars = dd.free_term_vars(d, scanned)
+    base_vars = dd.free_term_vars(d)
     steps = 0
     while True:
         cut = find_head_cut(d, fns=fns)
@@ -655,14 +646,14 @@ def normalize_derivation(
         d = norm_terms(apply_head_reduction(d, cut, rels, fns), fns, normed)
         steps += 1
         try:
-            dd.check_derivation(d, rels, fns, checked)
+            dd.check_derivation(d, rels, fns)
         except dd.DeductionError as e:
             raise HygieneError(
                 f"{cut.kind} rewrite at {cut.path} broke the derivation: {e}") from e
         if not _sequent_eq(d.conclusion, root, fns):
             raise NormalizationError(
                 f"internal: {cut.kind} rewrite changed the root sequent")
-        if not dd.free_term_vars(d, scanned) <= base_vars:
+        if not dd.free_term_vars(d) <= base_vars:
             raise HygieneError(
                 f"{cut.kind} rewrite at {cut.path} freed a term variable")
         if trace is not None:
@@ -686,19 +677,16 @@ def extract_witness(
 ) -> tuple[int, Derivation]:
     """Normalize a closed derivation of ex x A (A atomic) and read off the
     witness named by its final existence introduction."""
-    checked: dd.Memo = {}
-    scanned: dd.Memo = {}
-    dd.check_derivation(d, rels, fns, checked)
+    dd.check_derivation(d, rels, fns)
     if d.conclusion.context:
         raise NotClosed("the derivation has open assumptions")
-    if dd.free_term_vars(d, scanned):
+    if dd.free_term_vars(d):
         raise NotClosed("the derivation has free term variables")
     goal = d.conclusion.goal
     if not (isinstance(goal, Exists) and isinstance(goal.body, Atom)):
         raise NotSimplyExistential(
             f"goal is not an existential atom: {print_formula(goal, brief=True)}")
-    nd = normalize_derivation(d, fuel, rels=rels, fns=fns, trace=trace,
-                              checked=checked, scanned=scanned)
+    nd = normalize_derivation(d, fuel, rels=rels, fns=fns, trace=trace)
     if not isinstance(nd.rule, dd.ExistsI):
         raise ShapeViolation(
             f"normal form ends with {type(nd.rule).__name__}, not an existence introduction")

@@ -8,7 +8,10 @@ with guarded recursion: ``rec`` unfolds only while its numeral argument stays
 below the guard, and otherwise collapses to a type-directed dummy value.
 
 Types and terms have no text form of their own: :mod:`sexpr` is the only
-printer, and the messages here that show a type or a term print through it.
+printer, and the messages here that show a type or a term print through it,
+as do the reprs of the types and terms with parts.  Those make their hash
+once, when it is first asked for, from their parts' kept hashes on an
+explicit stack, so neither hash nor repr recurses on depth.
 
 ``query``/``eval``/``exc`` constants are inert here unless an oracle is
 supplied to :func:`step`/:func:`normalize`; the learning module provides the
@@ -35,11 +38,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .arith import printable, structural
+from .arith import _CLOSE, printable, structural
 
 DEFAULT_FUEL = 10**6
 
 INFINITY = None  # rec guard for unbounded unfolding
+
+
+# ---------------------------------------------------------------------------
+# the types and terms with parts: kept hashes, and reprs through sexpr
+
+
+def _kept_hash(x) -> int:
+    """x's generated dataclass hash, the hash of its fields, made when first
+    asked for and kept on x; the parts' hashes are made and kept first."""
+    if x._hash is not None:
+        return x._hash
+    todo = [x]
+    while todo:
+        u = todo.pop()
+        if u is _CLOSE:
+            u = todo.pop()
+            object.__setattr__(u, "_hash", hash(u._parts(u)))
+        elif type(u) is Const:
+            todo += u.tys
+        elif type(u) in _KEEPS_HASH and u._hash is None:
+            todo += (u, _CLOSE, *u._parts(u))
+    return x._hash
+
+
+def _type_text(ty) -> str:
+    from .sexpr import print_type  # sexpr imports this module
+    return print_type(ty)
+
+
+def _term_text(t) -> str:
+    from .sexpr import print_term  # sexpr imports this module
+    return print_term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +93,8 @@ class TBase:
 class TArrow:
     dom: "Ty"
     cod: "Ty"
+    _hash = None
+    __hash__, __repr__ = _kept_hash, _type_text
 
 
 @structural
@@ -65,6 +102,8 @@ class TArrow:
 class TProd:
     left: "Ty"
     right: "Ty"
+    _hash = None
+    __hash__, __repr__ = _kept_hash, _type_text
 
 
 @structural
@@ -72,6 +111,8 @@ class TProd:
 class TSum:
     left: "Ty"
     right: "Ty"
+    _hash = None
+    __hash__, __repr__ = _kept_hash, _type_text
 
 
 Ty = TBase | TArrow | TProd | TSum
@@ -104,6 +145,8 @@ class Var:
 class Lam:
     param: Ty
     body: "Term"
+    _hash = None
+    __hash__, __repr__ = _kept_hash, _term_text
 
 
 @structural
@@ -111,6 +154,8 @@ class Lam:
 class App:
     fn: "Term"
     arg: "Term"
+    _hash = None
+    __hash__, __repr__ = _kept_hash, _term_text
 
 
 @dataclass(frozen=True)
@@ -120,6 +165,7 @@ class Num:
     value: int
 
 
+@structural
 @dataclass(frozen=True)
 class Const:
     kind: str
@@ -130,6 +176,7 @@ class Const:
 
 
 Term = Var | Lam | App | Num | Const
+_KEEPS_HASH = (TArrow, TProd, TSum, Lam, App)
 
 # constant kinds
 K_UNIT = "unit"

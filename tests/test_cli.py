@@ -82,10 +82,15 @@ def test_a_file_that_is_not_utf8_is_a_user_error_at_its_byte(tmp_path, capsys):
 
 def test_check_syntax_error_carries_the_position(tmp_path, capsys):
     p = tmp_path / "broken.proof"
-    p.write_text("(defder d\n  (der bogus (seq (ctx) (atom top))))")
-    rc, _, err = run_cli(capsys, "check", str(p))
-    assert rc == 1
-    assert re.search(r"error: 2:8: unknown rule", err)
+    for text, message in [
+        ("(defder d\n  (der bogus (seq (ctx) (atom top))))", "2:8: unknown rule 'bogus'"),
+        # a UTF-8 no-break space is no separator: it stays inside its token
+        ("(defder d (der atom-i (seq (ctx) (atom\xa0top))))",
+         "1:34: unknown formula form 'atom\\xa0top'"),
+    ]:
+        p.write_text(text, encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check", str(p))
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_check_eigenvariable_violation_exits_one(tmp_path, capsys):
@@ -600,16 +605,21 @@ _EXISTS_LEAF = ("(exists x (atom = x 1))",
                 " (der atom-i (seq (ctx) (atom = 1 1))))")
 
 
-def _and_chain(tmp_path, depth, leaf=_ATOM_LEAF) -> str:
-    """A proof file whose derivation d is depth levels of and-el over and-i
-    (one proper cut per two levels) around leaf, a (goal, derivation) pair."""
-    a, d = leaf
+def _chain(ctx: str, a: str, d: str, depth: int) -> str:
+    """depth levels of and-el over and-i (one proper cut per two levels) in
+    context ctx around d, a derivation of a."""
     b = "(atom = 2 2)"
     for _ in range(depth // 2):
-        d = (f"(der and-el (seq (ctx) {a}) (der and-i (seq (ctx) (and {a} {b}))"
-             f" {d} (der atom-i (seq (ctx) {b}))))")
+        d = (f"(der and-el (seq {ctx} {a}) (der and-i (seq {ctx} (and {a} {b}))"
+             f" {d} (der atom-i (seq {ctx} {b}))))")
+    return d
+
+
+def _and_chain(tmp_path, depth, leaf=_ATOM_LEAF) -> str:
+    """A proof file whose derivation d is depth levels of and-el over and-i
+    around leaf, a (goal, derivation) pair."""
     p = tmp_path / "deep.proof"
-    p.write_text(f"(defder d {d})")
+    p.write_text(f"(defder d {_chain('(ctx)', *leaf, depth)})")
     return str(p)
 
 
@@ -629,18 +639,22 @@ def test_normalize_accepts_deep_derivations(tmp_path, capsys, depth):
 
 
 def test_normalize_grafts_into_a_deep_body(tmp_path, capsys):
-    # imply-e over imply-i u whose body, 10^4 levels deep, uses u at its top
-    a, b, ctx = "(atom = 1 1)", "(atom = 2 2)", "(ctx (u (atom = 1 1)))"
-    d = f"(der (id u) (seq {ctx} {a}))"
-    for _ in range(5000):
-        d = (f"(der and-el (seq {ctx} {a}) (der and-i (seq {ctx} (and {a} {b}))"
-             f" {d} (der atom-i (seq {ctx} {b}))))")
+    # bodies 10^4 levels deep
+    a, ctx, xx = "(atom = 1 1)", "(ctx (u (atom = 1 1)))", "(atom = x x)"
     p = tmp_path / "graft.proof"
-    p.write_text(f"(defder d (der imply-e (seq (ctx) {a})"
-                 f" (der (imply-i u) (seq (ctx) (imply {a} {a})) {d})"
-                 f" (der atom-i (seq (ctx) {a}))))")
-    rc, out, err = run_cli(capsys, "normalize", str(p), "--deriv", "d")
-    assert (rc, out, err) == (0, _ATOM_LEAF[1] + "\n", "")
+    for text, normal in [
+        # imply-e over imply-i u whose body uses u at its top
+        (f"(der imply-e (seq (ctx) {a}) (der (imply-i u) (seq (ctx) (imply {a} {a}))"
+         f" {_chain(ctx, a, f'(der (id u) (seq {ctx} {a}))', 10**4)})"
+         f" (der atom-i (seq (ctx) {a})))", _ATOM_LEAF[1]),
+        # forall-e 3 over forall-i x: 3 is substituted for x through the body
+        (f"(der (forall-e 3) (seq (ctx) (atom = 3 3)) (der (forall-i x) (seq (ctx) (forall x {xx}))"
+         f" {_chain('(ctx)', xx, f'(der (atom-post refl) (seq (ctx) {xx}))', 10**4)}))",
+         "(der (atom-post refl) (seq (ctx) (atom = 3 3)))"),
+    ]:
+        p.write_text(f"(defder d {text})")
+        rc, out, err = run_cli(capsys, "normalize", str(p), "--deriv", "d")
+        assert (rc, out, err) == (0, normal + "\n", "")
 
 
 def test_extract_of_a_deep_derivation(tmp_path, capsys):
@@ -648,12 +662,17 @@ def test_extract_of_a_deep_derivation(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "extract", _and_chain(tmp_path, 600), "--deriv", "d")
     assert (rc, err) == (0, "")
     assert out.startswith("type: (arrow State (sum Unit Ex))\n(lam\n  State\n")
+    # depth n prints in O(n) bytes; indenting every level wrote 16.5 MB
+    assert len(out.encode()) < 600 * 4000
 
 
 def test_extract_witness_of_a_deep_derivation(tmp_path, capsys):
-    path = _and_chain(tmp_path, 1200, _EXISTS_LEAF)
-    rc, out, err = run_cli(capsys, "extract-witness", path, "--deriv", "d")
-    assert (rc, out, err) == (0, "witness: 1\n", "")
+    # 600 and-el/and-i pairs, and ind-32, which unrolls 32 inductions
+    ind_32 = tmp_path / "ind-32.proof"
+    ind_32.write_text(f"(defder d {sexpr.print_derivation(gen.bench_gen().ind_n(32))})")
+    for path, witness in ((_and_chain(tmp_path, 1200, _EXISTS_LEAF), 1), (str(ind_32), 32)):
+        rc, out, err = run_cli(capsys, "extract-witness", path, "--deriv", "d")
+        assert (rc, out, err) == (0, f"witness: {witness}\n", "")
 
 
 @pytest.mark.parametrize("text", [

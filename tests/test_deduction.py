@@ -2,10 +2,11 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
-from realizer import arith, corpus
+from realizer import arith, corpus, sexpr
 from realizer import deduction as dd
 from realizer.arith import And, Atom, BOT, Exists, Forall, Imply, Or, TApp, TVar, tnum
 from realizer.deduction import (
@@ -360,3 +361,76 @@ def test_deep_derivations_compare_and_hash_without_recursion():
         d, e = gen.closed_true_derivation(rng, (), 2), gen.closed_true_derivation(rng, (), 2)
         fields = lambda x: (x.rule, x.conclusion, x.premisses)
         assert (d == e) == (fields(d) == fields(e)) and d == dataclasses.replace(d)
+
+
+def test_deep_derivation_repr_is_its_text():
+    d = _tower(10**4, dd.AtomI())
+    assert repr(d) == sexpr.print_derivation(d)
+
+
+def _growing_tower(levels: int) -> Derivation:
+    """levels of and-i, each proving And(the level below's goal, 1 = 1), built
+    anew each time: the goals grow with depth, and no two towers share one."""
+    one = _atom_eq(tnum(1), tnum(1))
+    d = _d(dd.AtomI(), (), one)
+    for _ in range(levels):
+        d = _d(dd.AndI(), (), And(d.conclusion.goal, one), d, _d(dd.AtomI(), (), one))
+    return d
+
+
+def test_towers_of_growing_goals_built_apart_compare_in_linear_time():
+    # each level's goal holds every goal below it, so comparing them afresh
+    # at every level is quadratic; each pair is expanded once instead
+    a, b, c = _growing_tower(10**4), _growing_tower(10**4), _growing_tower(10**4 - 1)
+    start = time.perf_counter()
+    assert a == b and hash(a) == hash(b)
+    assert a != c and a.premisses[0] == c
+    assert time.perf_counter() - start < 10
+
+
+# ---------------------------------------------------------------------------
+# what the check keeps on a node
+
+
+def _counting_checks(monkeypatch) -> list:
+    calls = []
+    check_node = dd._check_node
+    monkeypatch.setattr(dd, "_check_node", lambda node, *a: calls.append(node) or check_node(node, *a))
+    return calls
+
+
+def test_a_failed_check_marks_nothing_above_the_error(monkeypatch):
+    # 600 levels of and-er over and-i, whose left premiss is one valid tower
+    # and whose right one leads down to a leaf with a premiss missing
+    d = _tower(1200, dd.AtomI())
+    one = d.conclusion.goal
+    bad = _d(dd.AtomE(), (), one)
+    for _ in range(600):
+        bad = _d(dd.AndER(), (), one, _d(dd.AndI(), (), And(one, one), d, bad))
+    calls = _counting_checks(monkeypatch)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RuleShapeError) as e:
+            check_derivation(bad)
+        errors.append((str(e.value), e.value.path))
+        assert bad._checked is None and d._checked is not None
+    assert errors[0] == errors[1] == (f"at {'.'.join('01' * 600)}: AtomE expects 1 premisses",
+                                      (0, 1) * 600)
+    # the tower passed whole the first time; after that only the path to
+    # the error is walked
+    path = 2 * 600 + 1
+    assert len(calls) == (path + sum(1 for _ in dd.walk(d))) + path
+
+
+def test_a_check_is_kept_for_its_table_objects(monkeypatch):
+    pf = corpus.corpus_file()
+    d = sexpr.read_derivation(sexpr.print_derivation(pf.derivs["em-refuted"]), pf.fns, pf.rels)
+    nodes = len({id(n) for n in dd.walk(d)})
+    calls = _counting_checks(monkeypatch)
+    check_derivation(d, pf.rels, pf.fns)
+    assert len(calls) == nodes
+    check_derivation(d, pf.rels, pf.fns)
+    assert len(calls) == nodes
+    # equal tables that are other objects: every node is walked again
+    check_derivation(d, dict(pf.rels), dict(pf.fns))
+    assert len(calls) == 2 * nodes

@@ -1,11 +1,14 @@
 """The normalizer loop against the whole-tree loop it replaced.
 
 normalize_derivation term-normalizes, checks and scans each derivation node
-once per call, remembering nodes by identity.  The reference here is the
-loop as it was: after every rewrite it runs a full norm_terms, a full
-check_derivation and a full free-variable scan over the whole tree.  Both
-must reach the same normal form with the same trace, and raise the same
-error when a reducer is broken.
+once: a node keeps its free term variables, and the table objects under
+which its whole subtree passed the check, so later passes skip it, and
+norm_terms remembers the nodes it has normalized for the length of the call.
+The reference here is the loop as it was: after every rewrite it runs a
+full norm_terms, a full check_derivation (under fresh copies of the tables,
+which no node has been checked under) and a full free-variable scan over
+the whole tree.  Both must reach the same normal form with the same trace,
+and raise the same error when a reducer is broken.
 """
 
 import functools
@@ -82,7 +85,7 @@ def whole_tree_normalize(d, fuel=nz.DEFAULT_FUEL, *,
         d = _reference_norm_terms(nz.apply_head_reduction(d, cut, rels, fns), fns)
         steps += 1
         try:
-            dd.check_derivation(d, rels, fns)
+            dd.check_derivation(d, dict(rels), dict(fns))
         except dd.DeductionError as e:
             raise nz.HygieneError(
                 f"{cut.kind} rewrite at {cut.path} broke the derivation: {e}") from e
@@ -183,6 +186,22 @@ def test_each_pass_matches_its_whole_tree_reference():
         assert normed == _reference_norm_terms(d, fns), name
         assert nz.norm_terms(normed, fns) is normed, name
         assert dd.free_term_vars(d) == _reference_free_term_vars(d), name
+
+
+def test_free_term_vars_computes_each_node_once(monkeypatch):
+    calls = []
+    node_vars = dd._formula_vars_of_node
+    monkeypatch.setattr(dd, "_formula_vars_of_node", lambda n: calls.append(n) or node_vars(n))
+    for name, d, kw in _inputs():
+        # read back from its text, so no node holds its set yet
+        d = sexpr.read_derivation(sexpr.print_derivation(d), kw.get("fns"), kw.get("rels"))
+        nodes = {id(n): _reference_free_term_vars(n) for n in dd.walk(d)}
+        calls.clear()
+        assert dd.free_term_vars(d) == nodes[id(d)], name
+        assert len(calls) == len({id(n) for n in calls}) == len(nodes), name
+        # a later call finds every set kept, on the root or below it
+        assert all(dd.free_term_vars(n) == nodes[id(n)] for n in dd.walk(d)), name
+        assert len(calls) == len(nodes), name
 
 
 def test_one_norm_terms_memo_across_a_normalization_run():

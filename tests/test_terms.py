@@ -1,11 +1,12 @@
 """Typing and reduction of the term calculus."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizer import arith, corpus, extraction, learning, monads
+from realizer import arith, corpus, extraction, learning, monads, sexpr
 from realizer import terms as tm
 from realizer.terms import (
     App, Const, Lam, Num, Var,
@@ -431,6 +432,28 @@ def test_deep_terms_compare_without_recursion(depth):
     a, b = _nested_pairs(tys), _nested_pairs(tys)
     assert a is not b and a == b and not a != b
     assert a != _nested_pairs(tys[:-1]) and Lam(NAT, a) == Lam(NAT, b)
+
+
+def _deep_term_and_type(depth):
+    """A pair nested depth deep in its left component, under a lambda at each
+    level, and a type nesting prod, arrow and sum depth deep; every object
+    with parts is built anew each call."""
+    t, ty = tm.unit_const, UNIT
+    for i in range(depth):
+        t = Lam(NAT, app(tm.pair_c(UNIT, UNIT), t, tm.unit_const))
+        ty = (TProd, TArrow, TSum)[i % 3](ty, UNIT)
+    return t, ty
+
+
+def test_deep_terms_and_types_hash_and_print_without_recursion():
+    (a, a_ty), (b, b_ty) = _deep_term_and_type(10**4), _deep_term_and_type(10**4)
+    assert a is not b and a_ty is not b_ty
+    assert hash(a) == hash(b) and hash(a_ty) == hash(b_ty)
+    assert {a: "found"}[b] == "found" and {a_ty: "found"}[b_ty] == "found"
+    assert repr(a) == sexpr.print_term(a) and repr(a_ty) == sexpr.print_type(a_ty)
+    # the kept hash is the generated one, the hash of the fields
+    for x in (a, a.body, a.body.fn, a_ty, a_ty.left, a_ty.left.left):
+        assert hash(x) == hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
 
 
 def test_divergence_runs_out_of_the_default_fuel():
