@@ -167,8 +167,6 @@ def _state_entries(specs: list[str], rels) -> learning.State:
             witness = int(wit)
         except ValueError:
             raise UsageError(f"non-numeric state entry {raw!r}") from None
-        if witness < 0 or any(a < 0 for a in args):
-            raise UsageError(f"negative number in state entry {raw!r}")
         key = (rel, args)
         if entries.setdefault(key, witness) != witness:  # a state is a partial map
             raise UsageError(f"two witnesses for {learning._key_text(key)}: "

@@ -918,37 +918,43 @@ def ex_falso(bottom: Derivation, goal: Formula) -> Derivation:
     From a derivation of bot, build any formula: atoms via the restricted
     rule, conjunctions and disjunctions through their intros, implications
     by discharging an unused assumption, quantifiers through their intros
-    (universals pick the body; existentials instantiate at zero).
+    (universals pick the body; existentials instantiate at zero).  Built on
+    an explicit stack, left premiss first.
     """
-
-    def build(bot: Derivation, f: Formula) -> Derivation:
+    built: list[Derivation] = []
+    # (bot, f) builds f from bot; (rule, sequent, n) joins the last n built
+    work: list[tuple] = [(bottom, goal)]
+    while work:
+        job = work.pop()
+        if len(job) == 3:
+            rule, s, n = job  # n >= 1
+            premisses = tuple(built[-n:])
+            del built[-n:]
+            built.append(Derivation(rule, s, premisses))
+            continue
+        bot, f = job
         ctx = bot.conclusion.context
+        s = Sequent(ctx, f)
         match f:
             case Atom():
-                return Derivation(FalseE0(), Sequent(ctx, f), (bot,))
+                built.append(Derivation(FalseE0(), s, (bot,)))
             case And(a, b):
-                return Derivation(AndI(), Sequent(ctx, f), (build(bot, a), build(bot, b)))
+                work += ((AndI(), s, 2), (bot, b), (bot, a))
             case Or(a, _):
-                return Derivation(OrIL(), Sequent(ctx, f), (build(bot, a),))
+                work += ((OrIL(), s, 1), (bot, a))
             case Imply(a, b):
                 lbl = arith._fresh("h", {l for l, _ in ctx} | _labels_inside(bot))
-                return Derivation(
-                    ImplyI(lbl),
-                    Sequent(ctx, f),
-                    (build(weaken(bot, ((lbl, a),), at=len(ctx)), b),),
-                )
+                work += ((ImplyI(lbl), s, 1), (weaken(bot, ((lbl, a),), at=len(ctx)), b))
             case Forall(v, body):
                 if v in free_term_vars(bot):
                     raise CaptureRisk(f"ex falso under forall captures {v}")
-                return Derivation(ForallI(v), Sequent(ctx, f), (build(bot, body),))
+                work += ((ForallI(v), s, 1), (bot, body))
             case Exists(v, body):
-                inst = subst_formula(body, v, arith.TApp("0"))
-                return Derivation(
-                    ExistsI(arith.TApp("0")), Sequent(ctx, f), (build(bot, inst),)
-                )
-        raise DeductionError(f"not a formula: {f!r}")
-
-    return build(bottom, goal)
+                zero = arith.TApp("0")
+                work += ((ExistsI(zero), s, 1), (bot, subst_formula(body, v, zero)))
+            case _:
+                raise DeductionError(f"not a formula: {f!r}")
+    return built[0]
 
 
 def _labels_inside(d: Derivation) -> set[str]:

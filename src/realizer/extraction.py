@@ -143,15 +143,13 @@ def term_to_nat(t: ATerm, env: Env, fns: Mapping[str, arith.PrimFn]) -> Term:
 # the canonical guess realizer for one excluded-middle instance
 
 
-def em_realizer(rel: str, params: tuple[Term, ...], m: mn.MonadSpec = mn.INTERACTIVE) -> Term:
-    """Realizer of (all x P) or (ex y not P) for the atom P = rel(params, x).
+def em_realizer(rel: str, params: tuple[Term, ...]) -> Term:
+    """Realizer of (all x P) or (ex y not P) for the atom P = rel(params, x),
+    under the interactive monad, the one that can carry the guess.
 
     params are closed Nat-typed terms for every argument but the quantified
-    last one.  Only the interactive monad can carry the guess, since it
-    consults the state and raises counterexamples.
+    last one.
     """
-    if m.name != "ir":
-        raise UnsupportedRule("excluded middle extracts only under the interactive monad")
     return mn.close(mn.lam(tm.STATE, lambda s: _em_outcome(rel, params, mn.var(s))))
 
 

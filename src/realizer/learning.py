@@ -14,6 +14,10 @@ interpreting query/eval constants against the ambient state:
   eval  P args n   ->  inl unit  when P(args..., n) holds
                        inr e     otherwise, e carrying (P, args, n)
 
+A query and an eval check their relation and arity alike.  Every
+counterexample but eval_pred's, which has just seen P(args..., n) fail,
+enters through make_exc, which refuses one that refutes nothing.
+
 learn_loop is the one learning driver: it runs a pass under the current state,
 folds each exception into the state, and retries until the outcome is regular.
 Every productive exception extends the state strictly, so the iteration climbs
@@ -71,21 +75,10 @@ Rels = Mapping[str, RelSpec]
 Key = tuple[str, tuple[int, ...]]
 
 
-def _check_sound(rel: str, args: tuple[int, ...], witness: int, rels: Rels) -> None:
-    if rel not in rels:
-        raise LearningError(f"unknown relation {rel!r}")
-    spec = rels[rel]
-    if len(args) + 1 != spec.arity:
-        raise UnsoundEntry(
-            f"{rel} has arity {spec.arity}, key carries {len(args)} arguments"
-        )
-    if spec.holds(args + (witness,)):
-        raise UnsoundEntry(f"{rel}{args + (witness,)} holds, so {witness} refutes nothing")
-
-
 @dataclass(frozen=True)
 class State:
-    """Finite sound partial map; build with State.empty().extended(...)."""
+    """Finite sound partial map.  State.of makes its entries through make_exc,
+    the door of every counterexample outside eval_pred; extend adds one."""
 
     _witnesses: Mapping[Key, int] = field(default_factory=dict)
 
@@ -95,9 +88,8 @@ class State:
 
     @staticmethod
     def of(entries: Mapping[Key, int], rels: Rels) -> "State":
-        for (rel, args), witness in entries.items():
-            _check_sound(rel, tuple(args), witness, rels)
-        return State({(rel, tuple(args)): w for (rel, args), w in entries.items()})
+        excs = [make_exc(rel, args, w, rels) for (rel, args), w in entries.items()]
+        return State({e.key: e.witness for e in excs})
 
     @property
     def entries(self) -> tuple[tuple[Key, int], ...]:
@@ -137,8 +129,19 @@ class Exc:
 
 
 def make_exc(rel: str, args: Iterable[int], witness: int, rels: Rels) -> Exc:
+    """The counterexample rel(args..., witness), checked: a state's entries,
+    a realizer's exc constant and the demos' counterexamples are made here."""
     args = tuple(args)
-    _check_sound(rel, args, witness, rels)
+    spec = rels.get(rel)
+    if spec is None:
+        raise LearningError(f"unknown relation {rel!r}")
+    point = args + (witness,)
+    if len(point) != spec.arity:
+        raise UnsoundEntry(f"{rel} has arity {spec.arity}, key carries {len(args)} arguments")
+    if any(n < 0 for n in point):
+        raise UnsoundEntry(f"negative number in {rel}{point}")
+    if spec.holds(point):
+        raise UnsoundEntry(f"{rel}{point} holds, so {witness} refutes nothing")
     return Exc(rel, args, witness)
 
 
@@ -155,33 +158,25 @@ class Exceptional:
 Outcome = Regular | Exceptional
 
 
-def query(s: State, rel: str, args: Iterable[int], rels: Optional[Rels] = None) -> Optional[int]:
-    """Witness stored for (rel, args), if any.
+def _spec(rel: str, args: tuple[int, ...], rels: Rels) -> RelSpec:
+    """rel's relation, checked to take args and one more: a query's and an eval's check."""
+    spec = rels.get(rel)
+    if spec is None:
+        raise LearningError(f"unknown relation {rel!r}")
+    if len(args) + 1 != spec.arity:
+        raise arith.ArityMismatch(f"{rel} takes {spec.arity} arguments, got {len(args) + 1}")
+    return spec
 
-    With rels given, a key of mismatched arity is reported absent with a
-    log diagnostic instead of ever matching.
-    """
-    args = tuple(args)
-    if rels is not None and rel in rels and len(args) + 1 != rels[rel].arity:
-        import logging  # here alone: loading it costs every CLI process memory
 
-        logging.getLogger(__name__).warning(
-            "query %s%s: arity mismatch (relation takes %d arguments)", rel, args, rels[rel].arity)
-        return None
-    return s.get((rel, args))
+def query(s: State, rel: str, args: Iterable[int]) -> Optional[int]:
+    """Witness stored for (rel, args), if any."""
+    return s.get((rel, tuple(args)))
 
 
 def eval_pred(rel: str, args: Iterable[int], n: int, rels: Rels) -> Outcome:
     """Regular(unit) iff rel(args..., n) holds, else the counterexample."""
     args = tuple(args)
-    if rel not in rels:
-        raise LearningError(f"unknown relation {rel!r}")
-    spec = rels[rel]
-    if len(args) + 1 != spec.arity:
-        raise arith.ArityMismatch(
-            f"{rel} takes {spec.arity} arguments, got {len(args) + 1}"
-        )
-    if spec.holds(args + (n,)):
+    if _spec(rel, args, rels).holds(args + (n,)):
         return Regular(tm.unit_const)
     return Exceptional(Exc(rel, args, n))
 
@@ -213,37 +208,24 @@ class StateOracle:
 
     def __call__(self, head: tm.Const, args: list[Term]) -> Optional[Term]:
         rel, arity = head.tag
-        if head.kind == tm.K_QUERY:
-            if len(args) < arity + 1:
-                return None
-            if not isinstance(args[0], tm.Const) or args[0].kind != tm.K_STATEREP:
-                return None
-            vals = [tm.as_numeral(a) for a in args[1 : arity + 1]]
-            if None in vals:
-                return None
-            w = query(self.state, rel, vals, self.rels)
-            out = (
-                tm.App(tm.inr_c(tm.UNIT, tm.NAT), tm.Num(w))
-                if w is not None
-                else tm.App(tm.inl_c(tm.UNIT, tm.NAT), tm.unit_const)
-            )
-            return tm.app(out, *args[arity + 1 :])
-        if head.kind == tm.K_EVAL:
-            if len(args) < arity + 1:
-                return None
-            vals = [tm.as_numeral(a) for a in args[: arity + 1]]
-            if None in vals:
-                return None
-            outcome = eval_pred(rel, vals[:-1], vals[-1], self.rels)
-            if isinstance(outcome, Regular):
-                out = tm.App(tm.inl_c(tm.UNIT, tm.EX), tm.unit_const)
-            else:
-                e = outcome.exc
-                out = tm.App(
-                    tm.inr_c(tm.UNIT, tm.EX), tm.exc_const(e.rel, e.args, e.witness)
-                )
-            return tm.app(out, *args[arity + 1 :])
-        return None
+        is_query = head.kind == tm.K_QUERY  # a query's first argument is the state token
+        if len(args) < arity + 1 or is_query and not (
+                isinstance(args[0], tm.Const) and args[0].kind == tm.K_STATEREP):
+            return None
+        vals = tuple(tm.as_numeral(a) for a in args[is_query : arity + 1])
+        if None in vals:
+            return None
+        if is_query:
+            _spec(rel, vals, self.rels)
+            w = query(self.state, rel, vals)
+            out = (tm.App(tm.inl_c(tm.UNIT, tm.NAT), tm.unit_const) if w is None
+                   else tm.App(tm.inr_c(tm.UNIT, tm.NAT), tm.Num(w)))
+        elif isinstance(outcome := eval_pred(rel, vals[:-1], vals[-1], self.rels), Regular):
+            out = tm.App(tm.inl_c(tm.UNIT, tm.EX), tm.unit_const)
+        else:
+            e = outcome.exc
+            out = tm.App(tm.inr_c(tm.UNIT, tm.EX), tm.exc_const(e.rel, e.args, e.witness))
+        return tm.app(out, *args[arity + 1 :])
 
 
 def run_realizer(
@@ -266,8 +248,7 @@ def run_realizer(
         if head.kind == tm.K_INR:
             e = args[0]
             if isinstance(e, tm.Const) and e.kind == tm.K_EXC:
-                rel, eargs, w = e.tag
-                return Exceptional(Exc(rel, eargs, w))
+                return Exceptional(make_exc(*e.tag, rels))
     # name the head only: formatting a whole normal form can take megabytes
     what = head.kind if isinstance(head, tm.Const) else type(head).__name__
     raise tm.IllTyped(
@@ -401,7 +382,10 @@ def spot_check_realizes(
         if job[0] is None:
             if len(work) == mark:
                 mark = -1  # the sample realizes the antecedent
-            out = run_realizer(t, s, rels)
+            try:
+                out = run_realizer(t, s, rels)
+            except LearningError as e:  # an exception that is no counterexample
+                return Verdict("fails", f"{where}: {e}")
             if isinstance(out, Exceptional):
                 s2 = extend(s, out.exc)
                 if s2 is None or s2 == s:

@@ -2,7 +2,7 @@
 deduction.walk and the normalizer's principal walk replaced, kept as test
 oracles.
 
-weaken and subst_derivation as deduction had them, and the normalizer's
+weaken, subst_derivation and ex_falso as deduction had them, and the normalizer's
 relabelling, binder renaming, freshening, strengthening and grafting, each
 its own recursive walk; _graft after _subst_hygienic is the two-pass
 composition that the normalizer's one-rebuild graft replaced.  They recurse
@@ -24,10 +24,14 @@ from typing import Iterator, Optional
 from realizer import arith
 from realizer import deduction as dd
 from realizer import normalizer as nz
-from realizer.arith import ATerm, TVar, aterm_vars, subst_aterm, subst_formula
+from realizer.arith import (
+    And, ATerm, Atom, Exists, Forall, Formula, Imply, Or, TVar, aterm_vars, subst_aterm,
+    subst_formula,
+)
 from realizer.deduction import (
-    CaptureRisk, Context, DeductionError, DischargeMismatch, Derivation, ExistsI, ForallE,
-    Ind, RULE_SHAPES, RuleKind, Sequent, free_term_vars,
+    AndI, CaptureRisk, Context, DeductionError, DischargeMismatch, Derivation, ExistsI,
+    FalseE0, ForallE, ForallI, ImplyI, Ind, OrIL, RULE_SHAPES, RuleKind, Sequent,
+    free_term_vars,
 )
 from realizer.normalizer import HeadCut, HygieneError, NormalizationError
 
@@ -118,6 +122,39 @@ def weaken(d: Derivation, extra: Context, at: int = 0) -> Derivation:
         return Derivation(node.rule, concl, tuple(go(p) for p in node.premisses))
 
     return go(d)
+
+
+def ex_falso(bottom: Derivation, goal: Formula) -> Derivation:
+    """deduction.ex_falso as it was: one recursive call per formula level."""
+
+    def build(bot: Derivation, f: Formula) -> Derivation:
+        ctx = bot.conclusion.context
+        match f:
+            case Atom():
+                return Derivation(FalseE0(), Sequent(ctx, f), (bot,))
+            case And(a, b):
+                return Derivation(AndI(), Sequent(ctx, f), (build(bot, a), build(bot, b)))
+            case Or(a, _):
+                return Derivation(OrIL(), Sequent(ctx, f), (build(bot, a),))
+            case Imply(a, b):
+                lbl = arith._fresh("h", {l for l, _ in ctx} | dd._labels_inside(bot))
+                return Derivation(
+                    ImplyI(lbl),
+                    Sequent(ctx, f),
+                    (build(dd.weaken(bot, ((lbl, a),), at=len(ctx)), b),),
+                )
+            case Forall(v, body):
+                if v in free_term_vars(bot):
+                    raise CaptureRisk(f"ex falso under forall captures {v}")
+                return Derivation(ForallI(v), Sequent(ctx, f), (build(bot, body),))
+            case Exists(v, body):
+                inst = subst_formula(body, v, arith.TApp("0"))
+                return Derivation(
+                    ExistsI(arith.TApp("0")), Sequent(ctx, f), (build(bot, inst),)
+                )
+        raise DeductionError(f"not a formula: {f!r}")
+
+    return build(bottom, goal)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,39 @@ def test_run_learn_stalls_on_a_stubborn_raiser(corpus_path, capsys):
     assert rc == 1 and "error: " in err
 
 
+def _raiser(exc: str) -> str:
+    """A term that raises exc until the state answers its query of <(1)."""
+    return ("(lam State (app (case Unit Nat (sum Unit Ex)) (app (query < 1) (var 0) (num 1))"
+            f" (lam Unit (app (inr Unit Ex) {exc})) (lam Nat (app (inl Unit Ex) unit))))")
+
+
+@pytest.mark.parametrize("learn", [[], ["--learn"]], ids=["run", "learn"])
+@pytest.mark.parametrize("exc, entry, err", [
+    ("(exc < (1) 5)", "<(1)=5", "<(1, 5) holds, so 5 refutes nothing"),
+    ("(exc nosuch (1) 5)", "nosuch(1)=5", "unknown relation 'nosuch'"),
+    ("(exc < (1 2) 0)", "<(1,2)=0", "< has arity 2, key carries 2 arguments"),
+    ("(exc < (1) -5)", "<(1)=-5", "negative number in <(1, -5)"),
+], ids=["refutes-nothing", "unknown-relation", "key-length", "negative"])
+def test_run_refuses_an_exception_that_is_no_counterexample(tmp_path, capsys, exc, entry, err,
+                                                           learn):
+    # a raised exception and a --state entry are refused alike
+    p = tmp_path / "raise.proof"
+    p.write_text(f"(defterm t {_raiser(exc)})")
+    assert run_cli(capsys, "run", str(p), "--term", "t", *learn) == (1, "", f"error: {err}\n")
+    assert run_cli(capsys, "run", str(p), "--term", "t", "--state", entry, *learn) == (
+        1, "", f"error: {err}\n")
+
+
+def test_a_query_checks_its_arity_as_an_eval_does(tmp_path, capsys):
+    p = tmp_path / "query.proof"
+    p.write_text("(defterm q (lam State (app (case Unit Nat (sum Unit Ex)) (app (query < 0) (var 0))"
+                 " (lam Unit (app (inl Unit Ex) unit)) (lam Nat (app (inl Unit Ex) unit)))))"
+                 "(defterm e (lam State (app (eval < 0) (num 1))))")
+    for term in ("q", "e"):
+        assert run_cli(capsys, "run", str(p), "--term", term) == (
+            1, "", "error: < takes 2 arguments, got 1\n")
+
+
 def test_run_fuel_env_and_flag(tmp_path, capsys, monkeypatch):
     # two contractions: the state abstraction, then the inner one
     p = tmp_path / "two.proof"
@@ -528,7 +561,7 @@ def test_normalize_traces_a_cut_over_a_deep_formula(tmp_path, capsys):
 
 def test_check_loads_neither_hashlib_nor_logging(corpus_path):
     # hashlib loads OpenSSL for the normalizer's trace stamps alone, and
-    # logging serves one learning warning: each costs every CLI process memory
+    # nothing of the program logs: each costs every CLI process memory
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; from realizer import cli; rc = cli.main(['check', sys.argv[1]]);"
             " print(rc, sorted({'hashlib', 'logging'} & set(sys.modules)))")

@@ -321,6 +321,21 @@ def test_ex_falso_elaborates_every_shape():
         check_derivation(d)
 
 
+def test_ex_falso_builds_a_deep_goal():
+    # 10^4 levels cycling through and, or, forall and exists, with an
+    # implication every thousandth level
+    ctx = (("u", _atom_eq(tnum(0), tnum(1))),)
+    bottom = _d(dd.AtomE(), ctx, BOT, dd.assume(ctx, "u"))
+    goal = Atom("top")
+    for i in range(10**4):
+        goal = (Imply(Atom("bot"), goal) if i % 1000 == 999 else
+                (And(Atom("top"), goal), Or(goal, Atom("bot")), Forall("x", goal),
+                 Exists("y", goal))[i % 4])
+    d = dd.ex_falso(bottom, goal)
+    assert d.conclusion == Sequent(ctx, goal)
+    check_derivation(d)
+
+
 def test_uses_label_and_walk():
     ctx = (("u", Atom("top")), ("v", Atom("top")))
     d = _d(dd.AndI(), ctx, And(Atom("top"), Atom("top")),

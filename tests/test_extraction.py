@@ -190,12 +190,6 @@ def test_em_realizer_type():
     assert typecheck(t) == TArrow(STATE, TSum(TSum(left, right), EX))
 
 
-def test_em_realizer_needs_the_interactive_monad():
-    for m in (mn.IDENTITY, mn.EXCEPTION):
-        with pytest.raises(ex.UnsupportedRule):
-            em_realizer("<", (tm.Num(2),), m)
-
-
 def test_em_decoration_rejects_other_monads():
     d = gen.em_derivation(random.Random(4))
     for m in (mn.IDENTITY, mn.EXCEPTION):

@@ -1,6 +1,5 @@
 """Knowledge states, the state oracle, and the learning loop."""
 
-import logging
 from dataclasses import dataclass
 
 import pytest
@@ -55,7 +54,7 @@ class _SortedState:
     @staticmethod
     def of(entries, rels):
         for (rel, args), witness in entries.items():
-            ln._check_sound(rel, tuple(args), witness, rels)
+            make_exc(rel, args, witness, rels)
         return _SortedState(tuple(sorted(((rel, tuple(args)), w) for (rel, args), w in entries.items())))
 
     def get(self, key):
@@ -136,13 +135,36 @@ def test_make_exc_and_extend():
     assert extend(s1, Exc("<", (3,), 2)) is None    # conflict: undefined
 
 
-def test_query_and_eval_pred(caplog):
+@pytest.mark.parametrize("rel, args, witness", [
+    ("<", (1,), 5),      # 1 < 5 holds, refutes nothing
+    ("<", (), 5),        # a key of the wrong length
+    ("<", (1, 2), 0),
+    ("<", (1,), -5),     # negative numbers
+    ("<", (-1,), 0),
+    ("nosuch", (1,), 5),
+])
+def test_every_door_for_a_counterexample_checks_it(rel, args, witness):
+    # make_exc, a state's entry and an exc constant a realizer returns
+    # refuse the same counterexamples
+    raiser = Lam(STATE, App(tm.inr_c(UNIT, EX), tm.exc_const(rel, args, witness)))
+    for make in (lambda: make_exc(rel, args, witness, RELS),
+                 lambda: State.of({(rel, args): witness}, RELS),
+                 lambda: run_realizer(raiser, State.empty(), RELS),
+                 lambda: learn(raiser, State.empty(), RELS)):
+        with pytest.raises(ln.LearningError):
+            make()
+
+
+def test_query_and_eval_pred():
     s = State.of({("<", (4,)): 1}, RELS)
     assert ln.query(s, "<", (4,)) == 1
     assert ln.query(s, "<", (9,)) is None
-    with caplog.at_level(logging.WARNING, logger="realizer.learning"):
-        assert ln.query(s, "<", (4, 7), RELS) is None
-    assert "arity mismatch" in caplog.text
+    # a query checks its relation and arity as an eval does
+    oracle = ln.StateOracle(s, RELS)
+    with pytest.raises(arith.ArityMismatch):
+        oracle(tm.query_c("<", 2), [tm.staterep, Num(4), Num(7)])
+    with pytest.raises(ln.LearningError):
+        oracle(tm.query_c("prime", 0), [tm.staterep])
 
     assert isinstance(ln.eval_pred("<", (2,), 5, RELS), Regular)
     out = ln.eval_pred("<", (5,), 2, RELS)
@@ -269,6 +291,20 @@ def test_spot_check_universal_samples():
     lying = Forall("x", Atom("<=", (tnum(4), TVar("x"))))
     got = spot_check_realizes(v, lying, State.empty(), RELS)
     assert got.kind == "fails" and "inst(" in got.detail
+
+
+@pytest.mark.parametrize("exc, detail", [
+    ("(exc < (0) 5)", "<(0, 5) holds, so 5 refutes nothing"),
+    ("(exc nosuch (0) 5)", "unknown relation 'nosuch'"),
+])
+def test_spot_check_refuses_an_exception_that_is_no_counterexample(exc, detail):
+    # a realizer of the false forall x. 0 < x that raises an exception no
+    # state may learn from realizes nothing
+    goal = Forall("x", Atom("<", (tnum(0), TVar("x"))))
+    lying = sexpr.read_term(f"(lam Nat (lam State (app (inr Unit Ex) {exc})))",
+                            arith.FUNCTIONS, RELS)
+    got = spot_check_realizes(lying, goal, State.empty(), RELS)
+    assert got == ln.Verdict("fails", f"top.inst(0): {detail}")
 
 
 def test_spot_check_implication_samples():

@@ -109,6 +109,33 @@ def test_interactive_observed_under_state():
     assert normalize(App(c, tm.staterep)) == App(tm.inl_c(NAT, EX), Num(7))
 
 
+def _occurrences(t, sub):
+    todo, n = [t], 0
+    while todo:
+        t = todo.pop()
+        if t == sub:
+            n += 1
+        elif type(t) is App:
+            todo += (t.fn, t.arg)
+        elif type(t) is Lam:
+            todo.append(t.body)
+    return n
+
+
+def test_interactive_merge_binds_a_computation_once():
+    # y is a redex of type State -> Nat + Ex: the merge binds it outside the
+    # state abstraction, evaluated once, and agrees with merging its value
+    x = Lam(tm.STATE, App(tm.inl_c(NAT, EX), Num(3)))
+    y = App(Lam(NAT, Lam(tm.STATE, App(tm.inl_c(NAT, EX), Var(1)))), Num(4))
+    assert not mn.is_value(y)
+    got = mn.close(INTERACTIVE.merge(x, y, NAT, NAT))
+    want = mn.close(INTERACTIVE.merge(x, normalize(y), NAT, NAT))
+    assert typecheck(got) == TArrow(tm.STATE, TSum(TProd(NAT, NAT), EX))
+    assert normalize(App(got, tm.staterep)) == normalize(App(want, tm.staterep)) == App(
+        tm.inl_c(TProd(NAT, NAT), EX), app(tm.pair_c(NAT, NAT), Num(3), Num(4)))
+    assert _occurrences(got, y) == 1
+
+
 # ---------------------------------------------------------------------------
 # n-ary lifts
 

@@ -11,7 +11,9 @@ normalizer's graft substitutes into its body, renames and grafts in one
 rebuild where the references substitute first and graft after: generated
 bodies and replacements whose labels, binders and substituted terms clash
 must give the same result, names and errors both ways, and its one walk
-before the rebuild must find the names the substituted body has.
+before the rebuild must find the names the substituted body has.  ex_falso,
+built on an explicit stack, must give its recursive reference's derivation,
+fresh labels included, or raise the same error.
 
 deduction.walk and the normalizer's principal walk replaced loops that
 copied a premiss path for every node.  On every derivation a normalization
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from realizer import arith, corpus
 from realizer import deduction as dd
 from realizer import normalizer as nz
-from realizer.arith import And, Atom, Forall, Imply, TApp, TVar, tnum
+from realizer.arith import And, Atom, Exists, Forall, Imply, Or, TApp, TVar, tnum
 from realizer.deduction import Derivation, Sequent
 
 import conftest as gen
@@ -231,6 +233,52 @@ def test_weaken_matches_the_recursive_one():
                 assert got == _result(ref.weaken, node, ((label, fact),), at), (node, label, at)
                 errors.add(got[0])
     assert {dd.DischargeMismatch, dd.DeductionError, "ok"} <= errors
+
+
+_ATOMS = (Atom("top"), Atom("bot"), Atom("=", (TVar("x"), tnum(1))),
+          Atom("<", (TVar("y"), TVar("x"))))
+
+
+def _goal(rng: random.Random, depth: int):
+    """A goal over every connective and quantifier, implications nested on
+    both sides, with x and y free or bound."""
+    part = functools.partial(_goal, rng, depth - 1)
+    match rng.randrange(7) if depth else 0:
+        case 0:
+            return rng.choice(_ATOMS)
+        case 1:
+            return And(part(), part())
+        case 2:
+            return Or(part(), part())
+        case 3:
+            return Imply(part(), part())
+        case 4:
+            return Imply(Imply(part(), part()), Imply(part(), part()))
+        case 5:
+            return Forall(rng.choice("xy"), part())
+        case _:
+            return Exists(rng.choice("xy"), part())
+
+
+def test_ex_falso_matches_the_recursive_one():
+    # the second bottom has x free and the label h taken, so a universal
+    # over x is refused and the fresh labels start further on
+    false = Atom("=", (tnum(0), tnum(1)))
+    ctxs = ((("u", false),), (("h", Atom("=", (TVar("x"), tnum(1)))), ("u", false)))
+    bottoms = [Derivation(dd.AtomE(), Sequent(ctx, arith.BOT), (dd.assume(ctx, "u"),))
+               for ctx in ctxs]
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        goal = _goal(rng, 5)
+        for bottom in bottoms:
+            got = _result(dd.ex_falso, bottom, goal)
+            assert got == _result(ref.ex_falso, bottom, goal), (bottom, goal)
+            if got[0] == "ok":
+                dd.check_derivation(got[1])
+                seen.update(n.rule.label for n in dd.walk(got[1]) if type(n.rule) is dd.ImplyI)
+            seen.add(got[0])
+    assert {"ok", dd.CaptureRisk, "h", "h1", "h2"} <= seen
 
 
 def test_rebuild_rejects_a_wrong_number_of_premiss_states():
